@@ -36,6 +36,8 @@ COMMUTE_RTOL = 1e-8
 SINGULAR_RTOL = 1e-8
 # eigenvalues closer than this (times scale) belong to one cluster
 CLUSTER_GAP = 1e-7
+# complex entries per product block of one pair-scan chunk (32 MB)
+_PAIR_CHUNK_ENTRIES = 1 << 21
 
 
 def _vec(m: np.ndarray) -> np.ndarray:
@@ -48,13 +50,23 @@ def _stack_rank(ops, rtol: float = RANK_RTOL) -> int:
 
 
 def _as_square_family(ops, name: str):
-    if not ops:
+    """The family as one finite complex ``(n, d, d)`` stack, and d."""
+    if len(ops) == 0:
         raise ValueError(f"{name} must not be empty")
-    ops = [mx.as_operator(op, name) for op in ops]
-    d = ops[0].shape[0]
-    if any(op.shape != (d, d) for op in ops):
-        raise ValueError(f"{name} must share one square shape")
-    return ops, d
+    if isinstance(ops, np.ndarray) and ops.ndim == 3:
+        members = ops
+    else:
+        members = [np.asarray(op) for op in ops]
+        if any(op.shape != members[0].shape for op in members):
+            raise ValueError(f"{name} must share one square shape")
+    stack = np.asarray(members, dtype=complex)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise DimensionError(
+            f"{name} must be square matrices, got shape {stack.shape[1:]}"
+        )
+    if not np.all(np.isfinite(stack.real)) or not np.all(np.isfinite(stack.imag)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return stack, stack.shape[1]
 
 
 def _cluster_ascending(values: np.ndarray, gap: float):
@@ -397,25 +409,52 @@ def family_obstruction(family, tol: float = COMMUTE_RTOL):
     obstruction; the family scale keeps negligible members negligible. The
     returned magnitude lets callers distinguish a borderline miss from a
     structural refutation.
+
+    Ties go as in a scan of every member and then every pair i < j in
+    row-major order that keeps the first strict maximum: a normality
+    violation beats an equal commutator, and among equal commutators the
+    first pair wins. The commutators come from batched products over row
+    chunks of the family, each chunk holding at most about
+    ``_PAIR_CHUNK_ENTRIES`` complex entries (32 MB) per product block, so
+    memory stays bounded however large the family is.
     """
-    ops, _ = _as_square_family(family, "family")
-    scale = max(max(mx.frobenius_norm(m) for m in ops), 1e-300)
-    denom = scale * scale
+    stack, d = _as_square_family(family, "family")
+    n = stack.shape[0]
+    scale = max(float(np.max(np.linalg.norm(stack.reshape(n, -1), axis=1))), 1e-300)
+    # an all-zero family would square its floor to 0 and divide 0 by 0
+    denom = max(scale * scale, np.finfo(float).tiny)
+
+    adjoints = stack.conj().transpose(0, 2, 1)
+    normality = np.linalg.norm((stack @ adjoints - adjoints @ stack).reshape(n, -1), axis=1) / denom
+    i = int(np.argmax(normality))
     worst = None
-    for i, m in enumerate(ops):
-        relative = mx.frobenius_norm(m @ m.conj().T - m.conj().T @ m) / denom
-        if relative > tol and (worst is None or relative > worst.violation):
+    if normality[i] > tol:
+        worst = Obstruction(
+            f"matrix {i} is not normal (violation {normality[i]:.3e})", float(normality[i])
+        )
+
+    # block (i, j) of rows @ cols is P_i P_j; a chunk of rows lo..hi-1 only
+    # needs the columns j >= lo
+    rows = stack.reshape(n * d, d)
+    cols = stack.transpose(1, 0, 2).reshape(d, n * d)
+    step = max(1, _PAIR_CHUNK_ENTRIES // (n * d * d))
+    for lo in range(0, n - 1, step):
+        hi = min(lo + step, n)
+        commutators = (rows[lo * d : hi * d] @ cols[:, lo * d :]).reshape(hi - lo, d, n - lo, d)
+        mirrored = rows[lo * d :] @ cols[:, lo * d : hi * d]
+        commutators -= mirrored.reshape(n - lo, d, hi - lo, d).transpose(2, 1, 0, 3)
+        # Frobenius norm of each (i, j) block; the float view holds real and
+        # imaginary parts side by side
+        parts = commutators.view(np.float64)
+        relative = np.sqrt(np.einsum("iajb,iajb->ij", parts, parts)) / denom
+        relative[np.tril_indices(hi - lo, m=n - lo)] = -1.0  # keep pairs i < j
+        a, b = np.unravel_index(int(np.argmax(relative)), relative.shape)
+        value = float(relative[a, b])
+        if value > tol and (worst is None or value > worst.violation):
             worst = Obstruction(
-                f"matrix {i} is not normal (violation {relative:.3e})", relative
+                f"matrices {lo + a} and {lo + b} do not commute (violation {value:.3e})",
+                value,
             )
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            relative = mx.frobenius_norm(ops[i] @ ops[j] - ops[j] @ ops[i]) / denom
-            if relative > tol and (worst is None or relative > worst.violation):
-                worst = Obstruction(
-                    f"matrices {i} and {j} do not commute (violation {relative:.3e})",
-                    relative,
-                )
     return worst
 
 
@@ -458,10 +497,16 @@ def joint_diagonalize_commuting(family, tol: float = COMMUTE_RTOL, seed: int = 0
     checked first; a violation raises StructureError naming the offender,
     which downstream detection treats as a verdict rather than a crash.
     """
-    ops, d = _as_square_family(family, "family")
+    ops, _ = _as_square_family(family, "family")
     obstruction = family_obstruction(ops, tol)
     if obstruction is not None:
         raise StructureError(obstruction.description)
+    return _joint_diagonalize(ops, seed)
+
+
+def _joint_diagonalize(ops: np.ndarray, seed: int) -> np.ndarray:
+    """Joint eigenbasis of a stacked family already known to be normal and commuting."""
+    d = ops.shape[1]
     for attempt in range(3):
         q = _refine_basis(ops, np.eye(d, dtype=complex), make_rng(seed, stream=attempt), CLUSTER_GAP)
         ok = True
@@ -505,6 +550,19 @@ def _failure(check: str, violation: float | None = None) -> SimultaneousSvdResul
     )
 
 
+def product_families(family):
+    """The stacked products ``(M_i M_j^dagger, M_i^dagger M_j)``, index ``i * n + j``.
+
+    One broadcast matmul each; it runs the same per-pair products as
+    ``a @ b.conj().T``, so the entries are bitwise those of a pairwise loop.
+    """
+    ops, d = _as_square_family(family, "family")
+    adjoints = ops.conj().transpose(0, 2, 1)
+    left = (ops[:, None] @ adjoints[None]).reshape(-1, d, d)
+    right = (adjoints[:, None] @ ops[None]).reshape(-1, d, d)
+    return left, right
+
+
 def simultaneous_svd(family, tol: float = COMMUTE_RTOL, seed: int = 0) -> SimultaneousSvdResult:
     """One pair of unitaries diagonalizing every family member at once.
 
@@ -516,8 +574,7 @@ def simultaneous_svd(family, tol: float = COMMUTE_RTOL, seed: int = 0) -> Simult
     members) where greedy eigenbasis pairing does not.
     """
     ops, d = _as_square_family(family, "family")
-    left_products = [a @ b.conj().T for a in ops for b in ops]
-    right_products = [a.conj().T @ b for a in ops for b in ops]
+    left_products, right_products = product_families(ops)
     obstruction = family_obstruction(left_products, tol)
     if obstruction is not None:
         return _failure(f"left products: {obstruction.description}", obstruction.violation)
@@ -525,7 +582,7 @@ def simultaneous_svd(family, tol: float = COMMUTE_RTOL, seed: int = 0) -> Simult
     if obstruction is not None:
         return _failure(f"right products: {obstruction.description}", obstruction.violation)
 
-    q = joint_diagonalize_commuting(left_products, tol=tol, seed=seed)
+    q = _joint_diagonalize(left_products, seed)
     s = q.conj().T
     rotated = [s @ m for m in ops]
     scale = max(max(mx.frobenius_norm(m) for m in ops), 1e-300)
@@ -578,16 +635,23 @@ def commutant_blocks(generators, tol: float = RANK_RTOL, seed: int = 0):
     richer than scalars yields the eigenprojectors of one random traceless
     Hermitian commutant element. None means irreducible: no common block
     structure exists.
+
+    The system stacks one d^2 x d^2 row block per closure member, built in
+    one pass. Its kernel comes from an economy-size SVD (see ``null_space``),
+    so no square factor on the 2 n d^2 row side is ever formed.
     """
     gens, d = _as_square_family(generators, "generators")
     if d * d > max_total_dimension():
         raise DimensionError(
             f"commutant solve needs {d * d} unknowns, over the configured cap"
         )
-    closure = gens + [g.conj().T for g in gens]
+    closure = np.concatenate([gens, gens.conj().transpose(0, 2, 1)])
     eye = np.eye(d, dtype=complex)
-    rows = [np.kron(eye, g.T) - np.kron(g, eye) for g in closure]
-    basis = null_space(np.vstack(rows), rtol=tol)
+    # row block k is kron(I, G_k^T) - kron(G_k, I), the map X -> X G_k - G_k X
+    system = (
+        np.einsum("ac,keb->kabce", eye, closure) - np.einsum("kac,be->kabce", closure, eye)
+    ).reshape(-1, d * d)
+    basis = null_space(system, rtol=tol)
     if basis.shape[1] <= 1:
         return None
 

@@ -228,16 +228,11 @@ def is_controlled(u, layout, side, tol: float = VERDICT_RTOL) -> ControlVerdict:
     return _verdict_from_checks(checks, form=form, rank=dec.rank)
 
 
-def _filtered_products(factors, pattern):
-    """Pairwise factor products, dropping near-zero ones (they constrain nothing)."""
-    products = []
+def _filtered_products(products, factors):
+    """The stacked products minus near-zero ones (they constrain nothing)."""
     scale = max(mx.frobenius_norm(f) for f in factors)
-    for a in factors:
-        for b in factors:
-            p = pattern(a, b)
-            if mx.frobenius_norm(p) > 1e-12 * scale * scale:
-                products.append(p)
-    return products
+    norms = np.linalg.norm(products.reshape(len(products), -1), axis=1)
+    return products[norms > 1e-12 * scale * scale]
 
 
 def _split_attempt(grouped, d_c, d_t, projectors, derive_from_input, norm_u):
@@ -291,15 +286,12 @@ def is_bcu(u, layout, side, tol: float = VERDICT_RTOL) -> BcuVerdict:
     factors = _significant_factors(dec)
     norm_u = mx.frobenius_norm(u)
 
+    output_products, input_products = algebra.product_families(factors)
     routes = []
-    input_split = algebra.commutant_blocks(
-        _filtered_products(factors, lambda a, b: a.conj().T @ b)
-    )
+    input_split = algebra.commutant_blocks(_filtered_products(input_products, factors))
     if input_split is not None:
         routes.append(("input-commutant", input_split, True))
-    output_split = algebra.commutant_blocks(
-        _filtered_products(factors, lambda a, b: a @ b.conj().T)
-    )
+    output_split = algebra.commutant_blocks(_filtered_products(output_products, factors))
     if output_split is not None:
         routes.append(("output-commutant", output_split, False))
 
@@ -404,9 +396,8 @@ def _criteria_agree(u, layout, side, verdict) -> str | None:
     grouped, dims = mx.group_systems(u, layout, side)
     dec = operator_schmidt_decompose(grouped, dims, (0,))
     factors = _significant_factors(dec)
-    left = algebra.family_obstruction([a @ b.conj().T for a in factors for b in factors])
-    right = algebra.family_obstruction([a.conj().T @ b for a in factors for b in factors])
-    clean = left is None and right is None
+    left, right = algebra.product_families(factors)
+    clean = algebra.family_obstruction(left) is None and algebra.family_obstruction(right) is None
     if clean != verdict.controlled:
         return (
             f"product-family criterion ({clean}) disagrees with "

@@ -26,15 +26,18 @@ def _require_finite(m: np.ndarray, name: str) -> np.ndarray:
     return m
 
 
-def svd(m: np.ndarray):
-    """Full SVD ``m = u @ diag(s) @ vh`` with reconstruction check."""
-    m = _require_finite(m, "svd input")
-    u, s, vh = np.linalg.svd(m, full_matrices=True)
+def _checked_svd(m: np.ndarray, full_matrices: bool):
+    u, s, vh = np.linalg.svd(m, full_matrices=full_matrices)
     k = s.shape[0]
     residual = np.linalg.norm(u[:, :k] @ (s[:, None] * vh[:k]) - m)
     if residual > RECONSTRUCTION_RTOL * max(np.linalg.norm(m), 1e-300):
         raise NumericalError(f"svd reconstruction residual {residual:.3e} too large")
     return u, s, vh
+
+
+def svd(m: np.ndarray):
+    """Full SVD ``m = u @ diag(s) @ vh`` with reconstruction check."""
+    return _checked_svd(_require_finite(m, "svd input"), full_matrices=True)
 
 
 def eigh(m: np.ndarray):
@@ -109,8 +112,16 @@ def orthonormal_complement(m: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray
 
 
 def null_space(m: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
-    """Orthonormal basis of ``{x : m @ x = 0}`` as columns."""
+    """Orthonormal basis of ``{x : m @ x = 0}`` as columns.
+
+    The SVD is economy-size: the left factor of a tall system (a stacked
+    commutant system has thousands of rows) is never formed beyond its
+    leading columns. The full right factor is kept only when ``m`` has fewer
+    rows than columns: there the kernel needs right singular vectors that the
+    economy factor leaves out. The reconstruction check runs on the factors
+    computed.
+    """
     m = _require_finite(m, "null_space input")
-    _, s, vh = svd(m)
+    _, s, vh = _checked_svd(m, full_matrices=m.shape[0] < m.shape[1])
     rank = numerical_rank(s, rtol)
     return vh[rank:].conj().T

@@ -10,7 +10,6 @@ the even-n rank-3 family, and seeded random controlled instances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -181,14 +180,6 @@ def random_controlled_unitary(d_ctrl: int, d_tgt: int, r: int, seed: int):
     )
 
 
-@dataclass(frozen=True)
-class GateSpec:
-    """Serializable recipe: a registry name plus keyword parameters."""
-
-    name: str
-    params: dict = field(default_factory=dict)
-
-
 GATE_BUILDERS = {
     "pauli": pauli,
     "swap": swap_gate,
@@ -213,16 +204,3 @@ def build_gate(name: str, **params):
         return builder(**params)
     except TypeError as exc:
         raise ValueError(f"bad parameters for gate {name!r}: {exc}") from None
-
-
-def build_gate_from_spec(spec: GateSpec):
-    return build_gate(spec.name, **spec.params)
-
-
-def gate_spec_from_json(obj: dict) -> GateSpec:
-    if not isinstance(obj, dict) or "name" not in obj:
-        raise ValueError("gate spec JSON must be an object with a 'name' key")
-    params = obj.get("params", {})
-    if not isinstance(params, dict):
-        raise ValueError("gate spec 'params' must be an object")
-    return GateSpec(name=str(obj["name"]), params=params)

@@ -95,14 +95,6 @@ def frobenius_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(m)))
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape[-1] != b.shape[0]:
-        raise DimensionError(f"cannot multiply shapes {a.shape} and {b.shape}")
-    return a @ b
-
-
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with the configured dimension cap enforced."""
     a = np.asarray(a, dtype=complex)

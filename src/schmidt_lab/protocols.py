@@ -35,7 +35,6 @@ FIDELITY_FLOOR = 1.0 - 1e-10
 BLOCK_MERGE_RTOL = 1e-10
 
 ACTORS = ("Alice", "Bob")
-STEP_KINDS = ("local-unitary", "measurement", "classical-message")
 
 
 @dataclass(frozen=True)

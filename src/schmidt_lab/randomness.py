@@ -13,8 +13,6 @@ import math
 
 import numpy as np
 
-GENERATOR_NAME = "Philox4x64"
-
 _MASK64 = (1 << 64) - 1
 
 

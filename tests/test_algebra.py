@@ -10,6 +10,7 @@ import schmidt_lab.gates as gates
 import schmidt_lab.matrices as mx
 from schmidt_lab.errors import StructureError
 from schmidt_lab.randomness import haar_unitary, make_rng, random_complex_gaussian
+from schmidt_lab.schmidt import operator_schmidt_decompose
 
 SQ2 = math.sqrt(2.0)
 
@@ -384,6 +385,101 @@ def test_joint_diagonalization_is_deterministic():
     assert q1.tobytes() == q2.tobytes()
 
 
+# ------------------------------------------------------- family_obstruction
+
+
+def loop_family_obstruction(family, tol=alg.COMMUTE_RTOL):
+    # the member-then-pair scan family_obstruction replaced, kept as reference
+    ops = [np.asarray(m, dtype=complex) for m in family]
+    scale = max(max(mx.frobenius_norm(m) for m in ops), 1e-300)
+    denom = scale * scale
+    worst = None
+    candidates = []
+    for i, m in enumerate(ops):
+        relative = mx.frobenius_norm(m @ m.conj().T - m.conj().T @ m) / denom
+        candidates.append((f"matrix {i} is not normal", relative))
+        if relative > tol and (worst is None or relative > worst.violation):
+            worst = alg.Obstruction(
+                f"matrix {i} is not normal (violation {relative:.3e})", relative
+            )
+    for i in range(len(ops)):
+        for j in range(i + 1, len(ops)):
+            relative = mx.frobenius_norm(ops[i] @ ops[j] - ops[j] @ ops[i]) / denom
+            candidates.append((f"matrices {i} and {j} do not commute", relative))
+            if relative > tol and (worst is None or relative > worst.violation):
+                worst = alg.Obstruction(
+                    f"matrices {i} and {j} do not commute (violation {relative:.3e})",
+                    relative,
+                )
+    return worst, candidates
+
+
+def oracle_families():
+    rng = make_rng(31)
+    for d in (2, 3, 4):
+        for n in (1, 2, 7, 23, 60):
+            w = haar_unitary(d, rng)
+            yield "commuting", [
+                w @ np.diag(random_complex_gaussian((d,), rng)) @ w.conj().T for _ in range(n)
+            ]
+            yield "haar", [haar_unitary(d, rng) for _ in range(n)]
+            family = [random_complex_gaussian((d, d), rng) for _ in range(n)]
+            if n > 1:
+                family[n // 2] = np.zeros((d, d), dtype=complex)
+                yield "zero member", family
+            # Weyl operators are unitary and their nonzero commutators share
+            # one norm; copies scaled by 1 + k 1e-15 tie only up to roundoff
+            clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+            shift = np.roll(np.eye(d), 1, axis=0).astype(complex)
+            weyl = [
+                np.linalg.matrix_power(clock, a) @ np.linalg.matrix_power(shift, b)
+                for a in range(d) for b in range(d)
+            ]
+            family = [weyl[k % len(weyl)] * (1.0 + 1e-15 * (k // len(weyl))) for k in range(n)]
+            yield "near-tied", family
+            # left products of a Haar gate's Schmidt factors, as simultaneous_svd
+            # scans them; at d = 2 many pairs tie at sqrt(2) times one scale
+            dec = operator_schmidt_decompose(haar_unitary(d * d, rng), (d, d), (0,))
+            factors = [c * f for c, f in zip(dec.coefficients, dec.left_factors)]
+            yield "products", [a @ b.conj().T for a in factors for b in factors][:n]
+
+
+def check_against_loop(family, tol=alg.COMMUTE_RTOL):
+    got = alg.family_obstruction(family, tol)
+    want, candidates = loop_family_obstruction(family, tol)
+    assert (got is None) == (want is None)
+    if want is None:
+        return
+    assert got.violation == pytest.approx(want.violation, rel=1e-12, abs=0.0)
+    label = got.description.split(" (violation")[0]
+    tied = {name for name, value in candidates if value >= want.violation * (1.0 - 1e-12)}
+    assert label in tied
+    if len(tied) == 1:
+        assert got.description == want.description
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 1000])
+def test_family_obstruction_matches_pairwise_loop(monkeypatch, chunk):
+    if chunk is not None:
+        # force one row, or a few rows, per chunk
+        monkeypatch.setattr(alg, "_PAIR_CHUNK_ENTRIES", chunk)
+    kinds = set()
+    for kind, family in oracle_families():
+        check_against_loop(family)
+        kinds.add(kind)
+    assert kinds == {"commuting", "haar", "zero member", "near-tied", "products"}
+
+
+def test_family_obstruction_tie_prefers_normality_then_first_pair():
+    jordan = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    # the Jordan block's normality violation equals its commutator with its adjoint
+    got = alg.family_obstruction([jordan, jordan.conj().T])
+    assert got.description.startswith("matrix 0 is not normal")
+    x, z = pauli(1).astype(complex), pauli(3).astype(complex)
+    got = alg.family_obstruction([x, z, x, z])
+    assert got.description.startswith("matrices 0 and 1 do not commute")
+
+
 # ------------------------------------------------------------ simultaneous_svd
 
 
@@ -510,4 +606,24 @@ def test_commutant_blocks_of_scrambled_direct_sum():
     for p in blocks:
         for g in gens:
             assert mx.frobenius_norm(p @ g - g @ p) < 1e-7
+    assert np.allclose(sum(blocks), np.eye(4), atol=1e-8)
+
+
+def test_commutant_blocks_of_scrambled_direct_sum_with_many_generators():
+    rng = make_rng(14)
+    w = haar_unitary(4, rng)
+    gens = []
+    for _ in range(120):
+        block = np.zeros((4, 4), dtype=complex)
+        block[:1, :1] = random_complex_gaussian((1, 1), rng)
+        block[1:, 1:] = random_complex_gaussian((3, 3), rng)
+        gens.append(w @ block @ w.conj().T)
+    blocks = alg.commutant_blocks(gens)
+    assert blocks is not None and len(blocks) == 2
+    ranks = sorted(round(np.trace(p).real) for p in blocks)
+    assert ranks == [1, 3]
+    for p in blocks:
+        assert np.allclose(p @ p, p, atol=1e-8)
+        for g in gens:
+            assert mx.frobenius_norm(p @ g - g @ p) < 1e-7 * mx.frobenius_norm(g)
     assert np.allclose(sum(blocks), np.eye(4), atol=1e-8)

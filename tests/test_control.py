@@ -20,7 +20,7 @@ from schmidt_lab.control import (
     is_controlled,
     multipartite_control_analysis,
 )
-from schmidt_lab.randomness import make_rng, random_hermitian
+from schmidt_lab.randomness import haar_unitary, make_rng, random_hermitian
 
 I2 = np.eye(2)
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -258,6 +258,15 @@ def test_direct_sum_of_swaps_is_bcu_but_not_controlled():
     assert not is_controlled(u, layout, (0,)).controlled
     # and the two-level side has no block split at all
     assert not is_bcu(u, layout, (1,)).bcu
+
+
+def test_haar_four_by_four_is_refuted_not_inconclusive():
+    # 256 factor products: the commutant system has 8192 rows of 16 unknowns
+    u = haar_unitary(16, make_rng(3))
+    verdict = is_bcu(u, (4, 4), (0,))
+    assert not verdict.bcu
+    assert not verdict.inconclusive
+    assert "irreducibly" in verdict.failed_check
 
 
 def test_is_bcu_rejects_bad_arguments():

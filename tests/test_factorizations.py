@@ -71,3 +71,23 @@ def test_null_space():
     ns = fx.null_space(m)
     assert ns.shape == (3, 1)
     assert np.linalg.norm(m @ ns) <= 1e-12
+
+
+def check_null_space(m, nullity):
+    ns = fx.null_space(m)
+    assert ns.shape == (m.shape[1], nullity)
+    assert np.allclose(ns.conj().T @ ns, np.eye(nullity), atol=1e-12)
+    assert np.linalg.norm(m @ ns) <= 1e-12 * np.linalg.norm(m)
+
+
+def test_null_space_of_tall_matrix():
+    rng = make_rng(4)
+    m = random_complex_gaussian((300, 4), rng) @ random_complex_gaussian((4, 7), rng)
+    check_null_space(m, 3)
+
+
+def test_null_space_of_wide_matrix_keeps_every_kernel_vector():
+    rng = make_rng(5)
+    m = random_complex_gaussian((3, 2), rng) @ random_complex_gaussian((2, 9), rng)
+    check_null_space(m, 7)
+    check_null_space(random_complex_gaussian((4, 9), rng), 5)

@@ -197,6 +197,3 @@ def test_gate_registry():
         gates.build_gate("u-odd-n")  # missing required parameter
     with pytest.raises(ValueError):
         gates.build_gate("swap", n=3)  # unexpected parameter
-    spec = gates.GateSpec(name="padded-2x2xn", params={"n": 5})
-    u2, layout2 = gates.build_gate_from_spec(spec)
-    assert layout2.dims == (2, 2, 5)

@@ -174,15 +174,11 @@ def test_partial_trace_three_systems():
     )
 
 
-def test_dagger_norm_matmul():
+def test_dagger_and_norm():
     rng = make_rng(9)
     a = random_complex_gaussian((3, 3), rng)
     np.testing.assert_array_equal(mx.dagger(a), a.conj().T)
     assert mx.frobenius_norm(a) == pytest.approx(np.linalg.norm(a))
-    b = random_complex_gaussian((3, 3), rng)
-    np.testing.assert_allclose(mx.matmul(a, b), a @ b, atol=0)
-    with pytest.raises(DimensionError):
-        mx.matmul(a, random_complex_gaussian((2, 2), rng))
 
 
 def test_assert_unitary():
