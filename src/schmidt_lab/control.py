@@ -132,31 +132,30 @@ def _significant_factors(dec):
     return [f for c, f in zip(dec.coefficients, dec.left_factors) if c > floor]
 
 
+def _band(violation, description, tol):
+    """Band a worst relative check value: (passed, failed_check, inconclusive).
+
+    At or below ``tol`` it passes; up to NEAR_MISS_CEILING it is a near miss,
+    reported with an ``inconclusive: `` prefix; above that it refutes.
+    """
+    if violation <= tol:
+        return True, None, False
+    if violation <= NEAR_MISS_CEILING:
+        return False, f"inconclusive: {description}", True
+    return False, description, False
+
+
 def _verdict_from_checks(checks, form, rank) -> ControlVerdict:
-    """Band the worst check: pass, inconclusive near-miss, or refutation."""
+    """Band the worst witness check against VERDICT_RTOL."""
     name, worst = max(checks, key=lambda item: item[1])
-    if worst <= VERDICT_RTOL:
-        return ControlVerdict(
-            controlled=True,
-            form=form,
-            failed_check=None,
-            violation=worst,
-            schmidt_rank=rank,
-        )
-    description = f"{name} (violation {worst:.3e})"
-    if worst <= NEAR_MISS_CEILING:
-        return ControlVerdict(
-            controlled=False,
-            form=None,
-            failed_check=f"inconclusive: {description}",
-            inconclusive=True,
-            violation=worst,
-            schmidt_rank=rank,
-        )
+    passed, failed_check, inconclusive = _band(
+        worst, f"{name} (violation {worst:.3e})", VERDICT_RTOL
+    )
     return ControlVerdict(
-        controlled=False,
-        form=None,
-        failed_check=description,
+        controlled=passed,
+        form=form if passed else None,
+        failed_check=failed_check,
+        inconclusive=inconclusive,
         violation=worst,
         schmidt_rank=rank,
     )
@@ -182,21 +181,15 @@ def is_controlled(u, layout, side, tol: float = VERDICT_RTOL) -> ControlVerdict:
 
     result = algebra.simultaneous_svd(_significant_factors(dec), tol=tol)
     if not result.ok:
-        # the obstruction message already carries its own magnitude
+        # the obstruction message already carries its own magnitude, which
+        # exceeds tol
         worst = result.violation if result.violation is not None else float("inf")
-        if worst <= NEAR_MISS_CEILING:
-            return ControlVerdict(
-                controlled=False,
-                form=None,
-                failed_check=f"inconclusive: {result.failed_check}",
-                inconclusive=True,
-                violation=worst,
-                schmidt_rank=dec.rank,
-            )
+        _, failed_check, inconclusive = _band(worst, result.failed_check, tol)
         return ControlVerdict(
             controlled=False,
             form=None,
-            failed_check=result.failed_check,
+            failed_check=failed_check,
+            inconclusive=inconclusive,
             violation=worst,
             schmidt_rank=dec.rank,
         )
@@ -273,7 +266,8 @@ def is_bcu(u, layout, side, tol: float = VERDICT_RTOL) -> BcuVerdict:
     nontrivial commutant of the input family yields candidate input
     projectors, whose output partners are derived from the operator itself
     and verified to capture every block. When the input family is
-    irreducible the output family is tried symmetrically. Whether a split
+    irreducible, or its split does not pass, the output family is tried
+    symmetrically and the smaller violation is reported. Whether a split
     exists at all is a rank decision; the tolerance band applies to how
     well the candidate blocks capture the operator.
     """
@@ -287,15 +281,23 @@ def is_bcu(u, layout, side, tol: float = VERDICT_RTOL) -> BcuVerdict:
     norm_u = mx.frobenius_norm(u)
 
     output_products, input_products = algebra.product_families(factors)
-    routes = []
-    input_split = algebra.commutant_blocks(_filtered_products(input_products, factors))
-    if input_split is not None:
-        routes.append(("input-commutant", input_split, True))
-    output_split = algebra.commutant_blocks(_filtered_products(output_products, factors))
-    if output_split is not None:
-        routes.append(("output-commutant", output_split, False))
+    best = None
+    for route, products, from_input in (
+        ("input-commutant", input_products, True),
+        ("output-commutant", output_products, False),
+    ):
+        projectors = algebra.commutant_blocks(_filtered_products(products, factors))
+        if projectors is None:
+            continue
+        ins, outs, worst = _split_attempt(grouped, d_c, d_t, projectors, from_input, norm_u)
+        if best is None or worst < best[3]:
+            best = (route, ins, outs, worst)
+        if worst <= tol:
+            # a passing split is final: comparing it with the output route
+            # would let roundoff pick between two valid splits
+            break
 
-    if not routes:
+    if best is None:
         return BcuVerdict(
             bcu=False,
             side=side,
@@ -305,43 +307,18 @@ def is_bcu(u, layout, side, tol: float = VERDICT_RTOL) -> BcuVerdict:
             failed_check="factor products act irreducibly: no invariant split exists",
         )
 
-    best = None
-    for route, projectors, from_input in routes:
-        ins, outs, worst = _split_attempt(
-            grouped, d_c, d_t, projectors, from_input, norm_u
-        )
-        if best is None or worst < best[3]:
-            best = (route, ins, outs, worst)
     route, ins, outs, worst = best
-    if worst <= tol:
-        return BcuVerdict(
-            bcu=True,
-            side=side,
-            input_projectors=ins,
-            output_projectors=outs,
-            route=route,
-            failed_check=None,
-            violation=worst,
-        )
-    description = f"{route} split does not capture the blocks (violation {worst:.3e})"
-    if worst <= NEAR_MISS_CEILING:
-        return BcuVerdict(
-            bcu=False,
-            side=side,
-            input_projectors=None,
-            output_projectors=None,
-            route=route,
-            failed_check=f"inconclusive: {description}",
-            inconclusive=True,
-            violation=worst,
-        )
+    passed, failed_check, inconclusive = _band(
+        worst, f"{route} split does not capture the blocks (violation {worst:.3e})", tol
+    )
     return BcuVerdict(
-        bcu=False,
+        bcu=passed,
         side=side,
-        input_projectors=None,
-        output_projectors=None,
+        input_projectors=ins if passed else None,
+        output_projectors=outs if passed else None,
         route=route,
-        failed_check=description,
+        failed_check=failed_check,
+        inconclusive=inconclusive,
         violation=worst,
     )
 

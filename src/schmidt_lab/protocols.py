@@ -5,14 +5,17 @@ moves the smaller system across, applies the gate where both halves now
 live, and moves it back, spending two maximally entangled pairs of the
 moved dimension.  The controlled route exploits block structure: a gate
 whose target blocks fall into m distinct groups needs only a rank-m
-resource, one computational-basis measurement on each side, and exact
-shift or phase corrections.
+resource, a computational-basis measurement by Alice and a Fourier-basis
+one by Bob, and exact shift or phase corrections.
 
-Measurement branches are enumerated exhaustively by default (the branch
-counts here are tiny) and every branch is compared against direct
-application of the gate, so the reported fidelity floor is a verified
-quantity rather than an estimate.  Global phase is quotiented out of all
-fidelities.
+Each route is simulated once as a branch table: every measurement
+contracts the state with the stacked rows of its basis and keeps the
+outcome as a batch axis, so a few contractions give the probability and
+output of every branch.  By default every branch is compared against
+direct application of the gate, so the reported fidelity floor is a
+verified quantity rather than an estimate; the recorded run, and the
+sampled mode, draw their outcomes from the same table.  Global phase is
+quotiented out of all fidelities.
 """
 
 from __future__ import annotations
@@ -149,83 +152,6 @@ def _as_state(v, dim: int, name: str = "input") -> np.ndarray:
     return arr / norm
 
 
-class _Register:
-    """State vector over named subsystems.
-
-    Gates are applied in place; projective measurements return branch
-    copies with the measured subsystems removed, so the bookkeeping of
-    which tensor factor is which stays with the names, not with axis
-    arithmetic at the call sites.
-    """
-
-    def __init__(self, state, dims, names):
-        self.state = np.asarray(state, dtype=complex).reshape(-1)
-        self.dims = list(dims)
-        self.names = list(names)
-
-    def _axes(self, names):
-        return [self.names.index(n) for n in names]
-
-    def apply(self, op, names) -> None:
-        axes = self._axes(names)
-        target_dims = [self.dims[a] for a in axes]
-        tensor = self.state.reshape(self.dims)
-        op_tensor = np.asarray(op, dtype=complex).reshape(target_dims + target_dims)
-        contracted = np.tensordot(
-            op_tensor,
-            tensor,
-            axes=(tuple(range(len(axes), 2 * len(axes))), tuple(axes)),
-        )
-        rest = [a for a in range(len(self.dims)) if a not in axes]
-        order = [0] * len(self.dims)
-        for pos, a in enumerate(axes):
-            order[a] = pos
-        for pos, a in enumerate(rest):
-            order[a] = len(axes) + pos
-        self.state = contracted.transpose(order).reshape(-1)
-
-    def project(self, names, bra) -> tuple[float, "_Register"]:
-        """Probability of the outcome <bra| on the named subsystems and the
-        normalized post-measurement register with those subsystems removed."""
-        axes = self._axes(names)
-        target_dims = [self.dims[a] for a in axes]
-        tensor = self.state.reshape(self.dims)
-        bra_tensor = np.asarray(bra, dtype=complex).conj().reshape(target_dims)
-        reduced = np.tensordot(bra_tensor, tensor, axes=(tuple(range(len(axes))), tuple(axes)))
-        prob = float(np.vdot(reduced, reduced).real)
-        rest = [a for a in range(len(self.dims)) if a not in axes]
-        branch = _Register(
-            reduced.reshape(-1),
-            [self.dims[a] for a in rest],
-            [self.names[a] for a in rest],
-        )
-        if prob > 0.0:
-            branch.state = branch.state / math.sqrt(prob)
-        return prob, branch
-
-    def sample(self, names, basis, rng) -> tuple[int, "_Register"]:
-        """Measure in the given basis, choosing the outcome by its probability."""
-        probs = []
-        branches = []
-        for vec in basis:
-            prob, branch = self.project(names, vec)
-            probs.append(prob)
-            branches.append(branch)
-        weights = np.maximum(np.asarray(probs), 0.0)
-        weights = weights / weights.sum()
-        index = int(rng.choice(len(basis), p=weights))
-        return index, branches[index]
-
-    def vector(self, names) -> np.ndarray:
-        """Flattened state with the subsystems ordered as given (must list all)."""
-        axes = self._axes(names)
-        return self.state.reshape(self.dims).transpose(axes).reshape(-1)
-
-
-def _max_entangled(rank: int) -> np.ndarray:
-    return np.eye(rank, dtype=complex).reshape(-1) / math.sqrt(rank)
-
-
 def _shift(dim: int) -> np.ndarray:
     m = np.zeros((dim, dim), dtype=complex)
     m[(np.arange(dim) + 1) % dim, np.arange(dim)] = 1.0
@@ -240,64 +166,68 @@ def _weyl(a: int, b: int, dim: int) -> np.ndarray:
     return np.linalg.matrix_power(_shift(dim), a) @ np.linalg.matrix_power(_clock(dim), b)
 
 
-def _bell_vector(a: int, b: int, dim: int) -> np.ndarray:
-    # (X^a Z^b x I) |Phi>; flattening row-major puts the acted-on factor first
-    return _weyl(a, b, dim).reshape(-1) / math.sqrt(dim)
-
-
-def _fourier_vector(t: int, dim: int) -> np.ndarray:
-    return np.exp(2j * np.pi * t * np.arange(dim) / dim) / math.sqrt(dim)
-
-
-def _basis_vector(i: int, dim: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=complex)
-    v[i] = 1.0
-    return v
-
-
-def _check_branches(branches, exhaustive_count: int) -> tuple[bool, int]:
+def _sample_count(branches) -> int | None:
+    """None for the exhaustive sweep, else the number of Born-sampled runs."""
     if branches == "all":
-        return True, exhaustive_count
+        return None
     if isinstance(branches, int) and not isinstance(branches, bool) and branches >= 1:
-        return False, branches
+        return branches
     raise ValueError(f"branches must be 'all' or a positive integer, got {branches!r}")
+
+
+def _run_branches(table, expected, samples, rng):
+    """Branch-fidelity sweep and recorded run, both read off one branch table.
+
+    ``table`` is ``(marginal, joint, outputs)``: the probability of each
+    first outcome, the joint probability of each (first, second) outcome
+    pair, and the unnormalized output state of each pair.  A recorded run
+    draws the first outcome from the marginal, then the second from its
+    conditional given the first.  With ``samples`` None every branch of
+    nonzero weight is checked and one recorded run follows; otherwise
+    ``samples`` recorded runs are checked.  Returns the fidelities and
+    ``(first, second, output)`` of the first recorded run.
+    """
+    marginal, joint, outputs = table
+
+    def recorded():
+        first = int(rng.choice(len(marginal), p=marginal / marginal.sum()))
+        row = joint[first]
+        second = int(rng.choice(len(row), p=row / row.sum()))
+        return first, second, outputs[first, second] / math.sqrt(row[second])
+
+    if samples is None:
+        live = joint > 1e-30
+        fidelities = np.abs(outputs[live] @ expected.conj()) / np.sqrt(joint[live])
+        runs = [recorded()]
+    else:
+        runs = [recorded() for _ in range(samples)]
+        fidelities = [abs(np.vdot(expected, out)) for _, _, out in runs]
+    return fidelities, runs[0]
 
 
 # ---------------------------------------------------------------------------
 # teleportation route
 
 
-def _teleport_register(psi: np.ndarray, d_a: int, d_b: int) -> _Register:
-    state = np.kron(np.kron(psi, _max_entangled(d_a)), _max_entangled(d_a))
-    return _Register(
-        state,
-        [d_a, d_b, d_a, d_a, d_a, d_a],
-        ["A", "B", "e1", "f1", "e2", "f2"],
-    )
+def _teleport_table(psi, u, d_a: int, d_b: int):
+    """Branch table of the double teleportation; outcome (a, b) sits at a * d_a + b.
 
-
-def _teleport_branch(psi, u, d_a, d_b, first, second) -> tuple[float, np.ndarray]:
-    """Run one fixed pair of measurement outcomes; returns (probability, output)."""
-    reg = _teleport_register(psi, d_a, d_b)
-    p1, reg = reg.project(["A", "e1"], _bell_vector(*first, d_a))
-    reg.apply(_weyl(*first, d_a), ["f1"])
-    reg.apply(u, ["f1", "B"])
-    p2, reg = reg.project(["f1", "e2"], _bell_vector(*second, d_a))
-    reg.apply(_weyl(*second, d_a), ["f2"])
-    return p1 * p2, reg.vector(["f2", "B"])
-
-
-def _teleport_recorded(psi, u, d_a, d_b, rng) -> tuple[tuple, tuple, np.ndarray]:
-    """Run once with outcomes drawn by their probabilities."""
-    outcomes = [(a, b) for a in range(d_a) for b in range(d_a)]
-    basis = [_bell_vector(a, b, d_a) for a, b in outcomes]
-    reg = _teleport_register(psi, d_a, d_b)
-    i1, reg = reg.sample(["A", "e1"], basis, rng)
-    reg.apply(_weyl(*outcomes[i1], d_a), ["f1"])
-    reg.apply(u, ["f1", "B"])
-    i2, reg = reg.sample(["f1", "e2"], basis, rng)
-    reg.apply(_weyl(*outcomes[i2], d_a), ["f2"])
-    return outcomes[i1], outcomes[i2], reg.vector(["f2", "B"])
+    Measuring the carried system and one half of a fresh |Phi> against the
+    generalized-Bell row of (X^a Z^b x I)|Phi> leaves (X^a Z^b)^dagger / d_a
+    applied to the carried state, now held by the other half, so each
+    measurement is one stacked matmul over the outcome axis.  The carried
+    state's axes are (outcome..., carrier, B); the shift/clock corrections
+    X^a Z^b are stacked along the same outcome axis.
+    """
+    weyl = np.stack([_weyl(a, b, d_a) for a in range(d_a) for b in range(d_a)])
+    bras = weyl.conj().transpose(0, 2, 1) / d_a
+    n = len(weyl)
+    first = bras @ psi.reshape(d_a, d_b)
+    marginal = np.sum(np.abs(first) ** 2, axis=(1, 2))
+    moved = ((weyl @ first).reshape(n, -1) @ u.T).reshape(n, 1, d_a, d_b)
+    second = bras @ moved
+    joint = np.sum(np.abs(second) ** 2, axis=(2, 3))
+    return marginal, joint, (weyl @ second).reshape(n, n, -1)
 
 
 def teleport_unitary_protocol(u, layout, input, seed: int = 0, branches="all"):
@@ -318,26 +248,12 @@ def teleport_unitary_protocol(u, layout, input, seed: int = 0, branches="all"):
         raise ValueError(f"gate dimension {u.shape[0]} does not match layout {lay.dims}")
     psi = _as_state(input, d_a * d_b)
     expected = u @ psi
-    exhaustive, count = _check_branches(branches, d_a ** 4)
+    samples = _sample_count(branches)
     rng = make_rng(seed, stream=11)
-
-    fidelities = []
-    if exhaustive:
-        pairs = [(a, b) for a in range(d_a) for b in range(d_a)]
-        for first in pairs:
-            for second in pairs:
-                prob, out = _teleport_branch(psi, u, d_a, d_b, first, second)
-                if prob <= 1e-30:
-                    continue
-                fidelities.append(abs(np.vdot(expected, out)))
-        first, second, output = _teleport_recorded(psi, u, d_a, d_b, rng)
-    else:
-        first = second = output = None
-        for _ in range(count):
-            o1, o2, out = _teleport_recorded(psi, u, d_a, d_b, rng)
-            fidelities.append(abs(np.vdot(expected, out)))
-            if output is None:
-                first, second, output = o1, o2, out
+    fidelities, (i, j, output) = _run_branches(
+        _teleport_table(psi, u, d_a, d_b), expected, samples, rng
+    )
+    first, second = divmod(i, d_a), divmod(j, d_a)
 
     steps = (
         ProtocolStep(
@@ -380,8 +296,8 @@ def teleport_unitary_protocol(u, layout, input, seed: int = 0, branches="all"):
         ebits_consumed=2.0 * math.log2(d_a),
         resource_rank=d_a * d_a,
         route="teleportation",
-        min_branch_fidelity=float(min(fidelities)),
-        max_branch_fidelity=float(max(fidelities)),
+        min_branch_fidelity=float(np.min(fidelities)),
+        max_branch_fidelity=float(np.max(fidelities)),
         branches_checked=len(fidelities),
     )
     return transcript, output
@@ -439,15 +355,6 @@ def _merge_blocks(blocks, d_t: int):
     return reps, group, phases
 
 
-def _group_entangler(group, d_c: int, m: int) -> np.ndarray:
-    # |k, j> -> |k, j + g(k) mod m>
-    op = np.zeros((d_c * m, d_c * m), dtype=complex)
-    for k in range(d_c):
-        for j in range(m):
-            op[k * m + (j + group[k]) % m, k * m + j] = 1.0
-    return op
-
-
 def _recoil_shift(outcome: int, m: int) -> np.ndarray:
     # |x> -> |outcome - x mod m>
     op = np.zeros((m, m), dtype=complex)
@@ -456,50 +363,35 @@ def _recoil_shift(outcome: int, m: int) -> np.ndarray:
     return op
 
 
-def _block_core(reps, d_t: int) -> np.ndarray:
+def _controlled_table(psi, form: ControlledForm, reps, group, phases):
+    """Branch table of the controlled route; outcomes (s, t) index the rank-m resource.
+
+    Axes of the working state are (outcome..., control, target, resource);
+    Alice's computational-row and Bob's Fourier-row measurements each add an
+    outcome axis, and the recoil shift and the diagonal phase correction are
+    stacked along it.
+    """
+    d_c, d_t = form.grouped_dims
     m = len(reps)
-    core = np.zeros((m * d_t, m * d_t), dtype=complex)
-    for g, rep in enumerate(reps):
-        core[g * d_t : (g + 1) * d_t, g * d_t : (g + 1) * d_t] = rep
-    return core
-
-
-def _phase_correction(outcome: int, group, phases, m: int) -> np.ndarray:
-    omega = np.exp(2j * np.pi * outcome * np.asarray(group) / m)
-    return np.diag(omega * np.asarray(phases))
-
-
-def _controlled_register(psi: np.ndarray, d_c: int, d_t: int, m: int) -> _Register:
-    state = np.kron(psi, _max_entangled(m))
-    return _Register(state, [d_c, d_t, m, m], ["C", "T", "a", "b"])
-
-
-def _controlled_branch(psi, parts, s: int, t: int) -> tuple[float, np.ndarray]:
-    d_c, d_t, m, reps, group, phases, q, r = parts
-    reg = _controlled_register(psi, d_c, d_t, m)
-    reg.apply(r, ["C"])
-    reg.apply(_group_entangler(group, d_c, m), ["C", "a"])
-    p1, reg = reg.project(["a"], _basis_vector(s, m))
-    reg.apply(_recoil_shift(s, m), ["b"])
-    reg.apply(_block_core(reps, d_t), ["b", "T"])
-    p2, reg = reg.project(["b"], _fourier_vector(t, m))
-    reg.apply(_phase_correction(t, group, phases, m), ["C"])
-    reg.apply(q, ["C"])
-    return p1 * p2, reg.vector(["C", "T"])
-
-
-def _controlled_recorded(psi, parts, rng) -> tuple[int, int, np.ndarray]:
-    d_c, d_t, m, reps, group, phases, q, r = parts
-    reg = _controlled_register(psi, d_c, d_t, m)
-    reg.apply(r, ["C"])
-    reg.apply(_group_entangler(group, d_c, m), ["C", "a"])
-    s, reg = reg.sample(["a"], [_basis_vector(i, m) for i in range(m)], rng)
-    reg.apply(_recoil_shift(s, m), ["b"])
-    reg.apply(_block_core(reps, d_t), ["b", "T"])
-    t, reg = reg.sample(["b"], [_fourier_vector(i, m) for i in range(m)], rng)
-    reg.apply(_phase_correction(t, group, phases, m), ["C"])
-    reg.apply(q, ["C"])
-    return s, t, reg.vector(["C", "T"])
+    outcomes = np.arange(m)
+    group = np.asarray(group)
+    # Alice's entangler |k, j> -> |k, j + g(k) mod m> applied to |Phi> on (a, b)
+    shifts = np.stack([np.linalg.matrix_power(_shift(m), g) for g in outcomes])
+    resource = shifts[group] / math.sqrt(m)
+    state = (form.r @ psi.reshape(d_c, d_t))[:, :, None, None] * resource[:, None]
+    first = np.einsum("sa,ctab->sctb", np.eye(m), state)
+    marginal = np.sum(np.abs(first) ** 2, axis=(1, 2, 3))
+    recoil = np.stack([_recoil_shift(s, m) for s in outcomes])
+    first = np.einsum("syb,sctb->scty", recoil, first)
+    # Bob's half selects the target block: block g acts when it reads g
+    first = np.einsum("bxt,sctb->scxb", np.stack(reps), first)
+    fourier = np.exp(2j * np.pi * outcomes[:, None] * outcomes[None, :] / m)
+    fourier_rows = fourier.conj() / math.sqrt(m)
+    second = np.einsum("tb,scxb->stcx", fourier_rows, first)
+    joint = np.sum(np.abs(second) ** 2, axis=(2, 3))
+    correction = np.exp(2j * np.pi * outcomes[:, None] * group[None, :] / m) * np.asarray(phases)
+    outputs = np.einsum("yc,stcx->styx", form.q, second * correction[None, :, :, None])
+    return marginal, joint, outputs.reshape(m, m, -1)
 
 
 def controlled_gate_protocol(form: ControlledForm, input, seed: int = 0, branches="all"):
@@ -523,12 +415,7 @@ def controlled_gate_protocol(form: ControlledForm, input, seed: int = 0, branche
     rng = make_rng(seed, stream=13)
 
     if m == 1:
-        reg = _Register(psi, [d_c, d_t], ["C", "T"])
-        reg.apply(form.r, ["C"])
-        reg.apply(np.diag(np.asarray(phases)), ["C"])
-        reg.apply(reps[0], ["T"])
-        reg.apply(form.q, ["C"])
-        output = reg.vector(["C", "T"])
+        output = np.kron(form.q @ np.diag(phases) @ form.r, reps[0]) @ psi
         fidelity = abs(np.vdot(expected, output))
         steps = (
             ProtocolStep("Alice", "local-unitary", {"name": "control-side rotation", "operand": "r", "system": "control"}),
@@ -548,25 +435,10 @@ def controlled_gate_protocol(form: ControlledForm, input, seed: int = 0, branche
         )
         return transcript, output
 
-    parts = (d_c, d_t, m, reps, group, phases, form.q, form.r)
-    exhaustive, count = _check_branches(branches, m * m)
-
-    fidelities = []
-    if exhaustive:
-        for s in range(m):
-            for t in range(m):
-                prob, out = _controlled_branch(psi, parts, s, t)
-                if prob <= 1e-30:
-                    continue
-                fidelities.append(abs(np.vdot(expected, out)))
-        s, t, output = _controlled_recorded(psi, parts, rng)
-    else:
-        s = t = output = None
-        for _ in range(count):
-            s_i, t_i, out = _controlled_recorded(psi, parts, rng)
-            fidelities.append(abs(np.vdot(expected, out)))
-            if output is None:
-                s, t, output = s_i, t_i, out
+    samples = _sample_count(branches)
+    fidelities, (s, t, output) = _run_branches(
+        _controlled_table(psi, form, reps, group, phases), expected, samples, rng
+    )
 
     steps = (
         ProtocolStep("Alice", "local-unitary", {"name": "control-side rotation", "operand": "r", "system": "control"}),
@@ -598,8 +470,8 @@ def controlled_gate_protocol(form: ControlledForm, input, seed: int = 0, branche
         ebits_consumed=math.log2(m),
         resource_rank=m,
         route="controlled",
-        min_branch_fidelity=float(min(fidelities)),
-        max_branch_fidelity=float(max(fidelities)),
+        min_branch_fidelity=float(np.min(fidelities)),
+        max_branch_fidelity=float(np.max(fidelities)),
         branches_checked=len(fidelities),
     )
     return transcript, output

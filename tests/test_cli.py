@@ -260,6 +260,11 @@ class TestPlumbing:
         _, out1, _ = _run(capsys, "fuzz", "--theorem", "sch2-diagonal", "--trials", "2", "--seed", "4")
         _, out2, _ = _run(capsys, "fuzz", "--theorem", "sch2-diagonal", "--trials", "2", "--seed", "4")
         assert out1 == out2
+        for route_args in (("teleport", "--branches", "3"), ("controlled",)):
+            argv = ("protocol", cnot_path, "--route", *route_args, "--seed", "4")
+            _, out1, _ = _run(capsys, *argv)
+            _, out2, _ = _run(capsys, *argv)
+            assert out1 == out2
 
     def test_unknown_flags_are_rejected(self, capsys, cnot_path):
         code, _, _ = _run(capsys, "decompose", cnot_path, "--warp")

@@ -269,6 +269,17 @@ def test_haar_four_by_four_is_refuted_not_inconclusive():
     assert "irreducibly" in verdict.failed_check
 
 
+@pytest.mark.parametrize("d, r, seed", [(4, 2, 1), (4, 2, 2), (8, 3, 2)])
+def test_passing_input_split_is_reported_over_the_output_route(d, r, seed):
+    # both routes capture these at roundoff level (about 1e-15); a passing
+    # input split must win outright rather than by the smaller roundoff
+    u, layout = gates.random_controlled_unitary(d, d, r, seed=seed)
+    verdict = is_bcu(u, layout, (0,))
+    assert verdict.bcu
+    assert verdict.route == "input-commutant"
+    assert verdict.violation <= control.VERDICT_RTOL
+
+
 def test_is_bcu_rejects_bad_arguments():
     with pytest.raises(ValueError):
         is_bcu(np.ones((4, 4)), (2, 2), (0,))

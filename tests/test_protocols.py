@@ -1,12 +1,14 @@
 """LOCC implementation routes for bipartite gates.
 
-Both routes are simulated branch by branch on full state vectors and
-compared against direct application of the gate, so the oracle is exact
-linear algebra: the double-teleportation route must reproduce any unitary
-on every measurement outcome at a cost of two maximally entangled pairs,
-and the block-controlled route must do the same with a resource whose
-rank is the number of distinct target blocks.  Cost formulas are pinned
-against hand-computed values.
+Both routes are simulated on full state vectors as one batched table of
+every measurement branch, and each branch is compared against direct
+application of the gate, so the oracle is exact linear algebra: the
+double-teleportation route must reproduce any unitary on every measurement
+outcome at a cost of two maximally entangled pairs, and the
+block-controlled route must do the same with a resource whose rank is the
+number of distinct target blocks.  Cost formulas are pinned against
+hand-computed values, and the recorded outcomes of fixed seeds are pinned
+so the random-number contract (streams 11 and 13) cannot drift.
 """
 
 import dataclasses
@@ -16,7 +18,7 @@ import math
 import numpy as np
 import pytest
 
-from schmidt_lab import gates
+from schmidt_lab import gates, protocols
 from schmidt_lab.control import ControlledForm, is_controlled
 from schmidt_lab.errors import ProtocolError
 from schmidt_lab.protocols import (
@@ -279,6 +281,75 @@ class TestControlledRoute:
             controlled_gate_protocol(good, random_state(6, make_rng(2)))
         with pytest.raises(ValueError):
             controlled_gate_protocol(good, psi, branches=0)
+
+
+class TestRandomNumberContract:
+    """Recorded outcomes of fixed seeds, and what the sampled mode checks.
+
+    The outcome pairs (first measurement, then second) are pinned for seeds
+    0-4.  The exhaustive sweep draws nothing, so its recorded run and the
+    first sampled run both start from a fresh stream and report the same
+    pair.
+    """
+
+    TELEPORT = {
+        2: [((0, 0), (0, 1)), ((1, 0), (1, 0)), ((0, 1), (0, 1)), ((1, 1), (1, 1)), ((1, 1), (1, 0))],
+        3: [((0, 1), (0, 2)), ((1, 2), (2, 0)), ((0, 2), (1, 0)), ((2, 2), (2, 2)), ((2, 1), (2, 0))],
+    }
+    CONTROLLED = {
+        2: [(0, 0), (1, 1), (1, 1), (1, 0), (1, 1)],
+        3: [(1, 0), (2, 2), (2, 2), (1, 0), (2, 1)],
+    }
+
+    @staticmethod
+    def _teleport_case(d):
+        return haar_unitary(d * d, make_rng(600 + d)), random_state(d * d, make_rng(610 + d))
+
+    @staticmethod
+    def _controlled_case(r):
+        u, layout = gates.random_controlled_unitary(3, 3, r, seed=620 + r)
+        verdict = is_controlled(u, layout, (0,))
+        assert verdict.controlled
+        return verdict.form, random_state(9, make_rng(630 + r))
+
+    @staticmethod
+    def _outcomes(transcript):
+        return [s.payload["outcome"] for s in transcript.steps if s.kind == "measurement"]
+
+    @staticmethod
+    def _assert_samples_are_branches(table, expected, seed, stream, transcript):
+        sweep, _ = protocols._run_branches(table, expected, None, make_rng(seed, stream=stream))
+        sampled, _ = protocols._run_branches(table, expected, 3, make_rng(seed, stream=stream))
+        assert len(sampled) == 3
+        for fidelity in sampled:
+            assert np.min(np.abs(np.asarray(sweep) - fidelity)) <= 1e-12
+        assert transcript.min_branch_fidelity == pytest.approx(min(sampled), abs=1e-12)
+        assert transcript.max_branch_fidelity == pytest.approx(max(sampled), abs=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_teleport_outcomes_are_pinned(self, d, seed):
+        u, psi = self._teleport_case(d)
+        first, second = self.TELEPORT[d][seed]
+        for branches in ("all", 3):
+            transcript, _ = teleport_unitary_protocol(u, (d, d), psi, seed=seed, branches=branches)
+            assert self._outcomes(transcript) == [list(first), list(second)]
+        # transcript now holds the three-sample run
+        table = protocols._teleport_table(psi, u, d, d)
+        self._assert_samples_are_branches(table, u @ psi, seed, 11, transcript)
+
+    @pytest.mark.parametrize("r", [2, 3])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_controlled_outcomes_are_pinned(self, r, seed):
+        form, psi = self._controlled_case(r)
+        for branches in ("all", 3):
+            transcript, _ = controlled_gate_protocol(form, psi, seed=seed, branches=branches)
+            assert tuple(self._outcomes(transcript)) == self.CONTROLLED[r][seed]
+        # transcript now holds the three-sample run
+        reps, group, phases = protocols._merge_blocks(form.blocks, 3)
+        assert len(reps) == r
+        table = protocols._controlled_table(psi, form, reps, group, phases)
+        self._assert_samples_are_branches(table, form.operator() @ psi, seed, 13, transcript)
 
 
 class TestVerification:
