@@ -10,8 +10,8 @@ standard error.  Exit codes are part of the contract:
     3  numerical or structural failure
     4  inconclusive verdict (near-miss band)
 
-Floats are serialized with 17 significant digits, enough to round-trip
-doubles, so identical seeds give byte-identical output.  Input matrices
+Floats are serialized at the shortest representation that round-trips a
+double, so identical seeds give byte-identical output.  Input matrices
 are echoed back only under --verbose to keep outputs diffable.
 """
 
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 
@@ -47,30 +46,28 @@ class CommandResult:
     exit_code: int
 
 
-def _json_ready(value):
-    """Recursively coerce payloads to JSON types, floats at 17 significant digits."""
-    if isinstance(value, dict):
-        return {str(k): _json_ready(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_ready(v) for v in value]
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, (int, np.integer)):
+def _json_default(value):
+    """``json`` hook for the numpy and complex values a payload may hold."""
+    if isinstance(value, np.integer):
         return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(f"{float(value):.17g}")
+    if isinstance(value, np.floating):
+        return float(value)
     if isinstance(value, complex):
-        return [_json_ready(value.real), _json_ready(value.imag)]
+        return [value.real, value.imag]
     if isinstance(value, np.ndarray):
-        return [_json_ready(v) for v in value.tolist()]
-    return value
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, default=_json_default)
 
 
 def _emit(result: CommandResult) -> int:
     envelope = {"status": result.status, "diagnostics": list(result.diagnostics)}
     if result.payload is not None:
         envelope["payload"] = result.payload
-    sys.stdout.write(json.dumps(_json_ready(envelope), sort_keys=True) + "\n")
+    sys.stdout.write(_dumps(envelope) + "\n")
     for line in result.diagnostics:
         sys.stderr.write(line + "\n")
     return result.exit_code
@@ -213,7 +210,7 @@ def _cmd_construct(args) -> CommandResult:
     matrix_json = mx.matrix_to_json(m, layout.dims)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(_json_ready(matrix_json), handle, sort_keys=True)
+            handle.write(_dumps(matrix_json))
     payload = {"gate": args.gate, "params": params, "matrix": matrix_json}
     diagnostics = [f"built {args.gate} on dims {list(layout.dims)}"]
     return CommandResult("ok", payload, diagnostics, EXIT_OK)

@@ -9,7 +9,6 @@ basis. Non-finite inputs are rejected up front as invalid arguments.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError
 
@@ -55,6 +54,10 @@ def eigh(m: np.ndarray):
 
 def qr_pivoted(m: np.ndarray):
     """Column-pivoted QR ``m[:, piv] = q @ r``, verified."""
+    # scipy's only use: importing it here keeps it off every cold start that
+    # never reaches this QR.
+    import scipy.linalg
+
     m = _require_finite(m, "qr input")
     q, r, piv = scipy.linalg.qr(m, pivoting=True)
     residual = np.linalg.norm(q @ r - m[:, piv])

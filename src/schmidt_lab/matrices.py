@@ -213,22 +213,45 @@ def partial_trace(u: np.ndarray, layout, keep: Iterable[int]) -> np.ndarray:
 # State:  {"dims": [d1, ...], "amplitudes": [[re, im], ...]}.
 
 
+def _first_bad_pair(pairs, name: str) -> str:
+    """Describe the first entry of ``pairs`` that is not a finite [re, im] pair."""
+    for idx, entry in enumerate(pairs):
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+            return f"{name}[{idx}] is not a [re, im] pair"
+        try:
+            re, im = float(entry[0]), float(entry[1])
+        except (TypeError, ValueError, OverflowError):
+            return f"{name}[{idx}] is not a pair of numbers"
+        if not (math.isfinite(re) and math.isfinite(im)):
+            return f"{name}[{idx}] is not finite"
+    return f"{name} is not a list of finite [re, im] pairs"
+
+
+def _layout_from_json(dims) -> SystemLayout:
+    try:
+        return SystemLayout.of(dims)
+    except (TypeError, OverflowError):
+        raise ValueError("dims must be a list of positive integers") from None
+
+
 def _pairs_to_complex(pairs, count: int, name: str) -> np.ndarray:
     if not isinstance(pairs, list) or len(pairs) != count:
         raise ValueError(f"{name} must be a list of {count} [re, im] pairs")
-    flat = np.empty(count, dtype=complex)
-    for idx, entry in enumerate(pairs):
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise ValueError(f"{name}[{idx}] is not a [re, im] pair")
-        re, im = float(entry[0]), float(entry[1])
-        if not (math.isfinite(re) and math.isfinite(im)):
-            raise ValueError(f"{name}[{idx}] is not finite")
-        flat[idx] = complex(re, im)
-    return flat
+    try:
+        arr = np.array(pairs, dtype=float)
+        ok = arr.shape == (count, 2) and bool(np.isfinite(arr).all())
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        # numpy reads a null entry as nan; the scan names it as a non-number.
+        raise ValueError(_first_bad_pair(pairs, name))
+    # Viewing the pairs as complex keeps every bit, signed zeros included.
+    return arr.view(complex).reshape(count)
 
 
 def _complex_to_pairs(values: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in values.ravel()]
+    v = values.ravel()
+    return np.stack((v.real, v.imag), -1).tolist()
 
 
 def matrix_to_json(m: np.ndarray, dims: Sequence[int]) -> dict:
@@ -249,8 +272,11 @@ def matrix_from_json(obj: dict) -> tuple[np.ndarray, SystemLayout]:
     for key in ("dims", "rows", "cols", "data"):
         if key not in obj:
             raise ValueError(f"matrix JSON missing key {key!r}")
-    layout = SystemLayout.of(obj["dims"])
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    layout = _layout_from_json(obj["dims"])
+    try:
+        rows, cols = int(obj["rows"]), int(obj["cols"])
+    except (TypeError, OverflowError):
+        raise ValueError("rows and cols must be integers") from None
     if rows != cols or rows != layout.total:
         raise ValueError(
             f"matrix JSON claims shape {rows}x{cols} but dims {layout.dims} "
@@ -276,5 +302,5 @@ def state_from_json(obj: dict) -> tuple[np.ndarray, SystemLayout]:
     for key in ("dims", "amplitudes"):
         if key not in obj:
             raise ValueError(f"state JSON missing key {key!r}")
-    layout = SystemLayout.of(obj["dims"])
+    layout = _layout_from_json(obj["dims"])
     return _pairs_to_complex(obj["amplitudes"], layout.total, "amplitudes"), layout

@@ -8,12 +8,16 @@ be a single JSON object, byte-identical across runs for fixed seeds.
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from schmidt_lab import gates
+import schmidt_lab
+from schmidt_lab import cli, gates
 from schmidt_lab import matrices as mx
 from schmidt_lab.cli import main
 from schmidt_lab.randomness import make_rng, random_hermitian
@@ -29,6 +33,32 @@ CNOT = np.array(
 )
 PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
 ZERO = np.array([1.0, 0.0], dtype=complex)
+
+
+def _assert_str_keys(value, where="payload"):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            assert isinstance(key, str), f"{where} has a non-str key {key!r}"
+            _assert_str_keys(item, f"{where}[{key!r}]")
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            _assert_str_keys(item, f"{where}[{i}]")
+
+
+@pytest.fixture(autouse=True)
+def payload_keys_are_str(monkeypatch):
+    """Every payload a command emits keys its dicts by str.
+
+    ``json`` sorts keys before it converts them, so a non-str key would sort
+    differently from its string form.
+    """
+    emit = cli._emit
+
+    def checked_emit(result):
+        _assert_str_keys(result.payload)
+        return emit(result)
+
+    monkeypatch.setattr(cli, "_emit", checked_emit)
 
 
 def _run(capsys, *argv):
@@ -93,6 +123,32 @@ class TestDecompose:
         code, out, _ = _run(capsys, "decompose", str(tmp_path / "nope.json"))
         assert code == 2
         assert json.loads(out)["status"] == "error"
+
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("data", [None, 0.0], "data[5]"),
+            ("data", [[1.0, 0.0], 0.0], "data[5]"),
+            ("data", {"re": 1.0, "im": 0.0}, "data[5]"),
+            ("rows", None, "rows"),
+            ("dims", 4, "dims"),
+            ("dims", [2, None], "dims"),
+        ],
+    )
+    def test_malformed_file_is_invalid(self, capsys, tmp_path, field, value, named):
+        obj = mx.matrix_to_json(CNOT, (2, 2))
+        if field == "data":
+            obj["data"][5] = value
+        else:
+            obj[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = _run(capsys, "decompose", str(path))
+        assert code == 2
+        data = json.loads(out)
+        assert data["status"] == "error"
+        assert data["diagnostics"][0].startswith(f"invalid input: {named}")
+        assert "invalid input" in err
 
 
 class TestDetect:
@@ -202,6 +258,15 @@ class TestProtocol:
         assert payload["transcript"]["resource_rank"] == 2
         assert payload["transcript"]["ebits_consumed"] == 1.0
 
+    def test_malformed_state_entry_is_invalid(self, capsys, cnot_path, tmp_path):
+        obj = mx.state_to_json(np.kron(PLUS, ZERO), (2, 2))
+        obj["amplitudes"][1] = [None, 0.0]
+        path = tmp_path / "bad-state.json"
+        path.write_text(json.dumps(obj))
+        code, out, _ = _run(capsys, "protocol", cnot_path, "--route", "teleport", "--input", str(path))
+        assert code == 2
+        assert json.loads(out)["diagnostics"][0].startswith("invalid input: amplitudes[1]")
+
     def test_controlled_route_refuses_uncontrolled_gates(self, capsys, swap_path):
         code, out, _ = _run(capsys, "protocol", "--route", "controlled", swap_path)
         assert code == 1
@@ -274,3 +339,52 @@ class TestPlumbing:
         code, out, _ = _run(capsys, "detect", u3_path, "--side", "A")
         assert code == 2
         assert json.loads(out)["status"] == "error"
+
+
+def _reference_json_ready(value):
+    """The recursive payload walk the CLI used before its ``json`` hook."""
+    if isinstance(value, dict):
+        return {str(k): _reference_json_ready(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_reference_json_ready(v) for v in value]
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return float(f"{float(value):.17g}")
+    if isinstance(value, complex):
+        return [_reference_json_ready(value.real), _reference_json_ready(value.imag)]
+    if isinstance(value, np.ndarray):
+        return [_reference_json_ready(v) for v in value.tolist()]
+    return value
+
+
+class TestEmission:
+    PAYLOADS = [
+        {"x": np.float64(0.1), "y": np.float32(0.1), "n": np.int64(-7), "b": True, "none": None},
+        {"z": 1.5 - 2.25j, "w": np.complex128(-0.0 + 1e-300j), "s": "text"},
+        {"real1": np.linspace(-1.0, 1.0, 7), "real2": np.arange(6.0).reshape(2, 3) / 7.0},
+        {"cplx1": np.exp(1j * np.arange(5)), "cplx2": np.exp(1j * np.arange(6)).reshape(3, 2)},
+        {"ints": np.arange(4), "tuple": (1, 2.5, (np.float64(3.0), "a")), "list": [np.int64(1), 0.5]},
+        {"outer": {"inner": {"deep": [np.float64(1 / 3), {"k": np.float32(2.5)}]}}, "a": {"b": []}},
+        {"neg_zero": -0.0, "np_neg_zero": np.float64(-0.0), "cplx_neg_zero": complex(-0.0, -0.0)},
+        {"subnormal": 5e-324, "np_subnormal": np.float64(2.2250738585072e-310)},
+        {"nan": float("nan"), "np_nan": np.float64("nan"), "nan_array": np.array([np.nan, 1.0])},
+    ]
+
+    @pytest.mark.parametrize("payload", PAYLOADS)
+    def test_matches_the_reference_walk(self, payload):
+        assert cli._dumps(payload) == json.dumps(_reference_json_ready(payload), sort_keys=True)
+
+    def test_unknown_types_are_refused(self):
+        with pytest.raises(TypeError):
+            cli._dumps({"x": object()})
+
+
+def test_cold_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(schmidt_lab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, schmidt_lab, schmidt_lab.cli; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.strip() == "False"

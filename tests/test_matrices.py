@@ -209,6 +209,22 @@ def test_matrix_json_rejects_malformed():
         mx.matrix_from_json(bad_entry)
     with pytest.raises(ValueError):
         mx.matrix_from_json({"rows": 2, "cols": 2})
+    # entries that are not a pair of numbers: named by index, never a TypeError
+    for entry in ([None, 0.0], [[1.0, 0.0], 0.0], {"re": 1.0, "im": 0.0}, [1.0], None, [10**400, 0]):
+        data = good["data"][:2] + [entry] + good["data"][3:]
+        with pytest.raises(ValueError, match=r"data\[2\]"):
+            mx.matrix_from_json(dict(good, data=data))
+    # malformed headers: a ValueError naming the field, never a TypeError
+    for field, value in (("rows", None), ("cols", [2]), ("dims", 2), ("dims", [None]), ("dims", [1e400])):
+        with pytest.raises(ValueError, match=field):
+            mx.matrix_from_json(dict(good, **{field: value}))
+
+
+def test_matrix_json_keeps_signed_zeros():
+    m = np.array([[complex(-0.0, -0.0), 1.0], [1.0, complex(0.0, -0.0)]])
+    back, _ = mx.matrix_from_json(mx.matrix_to_json(m, dims=(2,)))
+    assert np.array_equal(np.signbit(back.real), np.signbit(m.real))
+    assert np.array_equal(np.signbit(back.imag), np.signbit(m.imag))
 
 
 def test_matrix_json_respects_dimension_cap(monkeypatch):
@@ -228,3 +244,9 @@ def test_state_json_round_trip():
     assert np.array_equal(back, v)
     with pytest.raises(ValueError):
         mx.state_from_json(dict(obj, amplitudes=obj["amplitudes"][:-1]))
+    for entry in ([None, 0.0], [[1.0, 0.0], 0.0], {"re": 1.0, "im": 0.0}, [float("inf"), 0.0]):
+        amplitudes = obj["amplitudes"][:4] + [entry] + obj["amplitudes"][5:]
+        with pytest.raises(ValueError, match=r"amplitudes\[4\]"):
+            mx.state_from_json(dict(obj, amplitudes=amplitudes))
+    with pytest.raises(ValueError, match="dims"):
+        mx.state_from_json(dict(obj, dims=None))
