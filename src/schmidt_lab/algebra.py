@@ -22,8 +22,8 @@ from .factorizations import (
     RANK_RTOL,
     eigh,
     null_space,
-    numerical_rank,
     orthonormal_complement,
+    span_dimension,
     svd,
 )
 from .matrices import SystemLayout
@@ -42,11 +42,6 @@ _PAIR_CHUNK_ENTRIES = 1 << 21
 
 def _vec(m: np.ndarray) -> np.ndarray:
     return np.asarray(m, dtype=complex).reshape(-1)
-
-
-def _stack_rank(ops, rtol: float = RANK_RTOL) -> int:
-    stack = np.array([_vec(op) for op in ops])
-    return numerical_rank(svd(stack)[1], rtol)
 
 
 def _as_square_family(ops, name: str):
@@ -149,7 +144,7 @@ def singular_combination(a, b):
     singular value, ties broken by the smallest eigenvalue (real, then imag).
     """
     (a, b), _ = _as_square_family([a, b], "pencil")
-    if _stack_rank([a, b], rtol=1e-10) != 2:
+    if span_dimension([a, b], rtol=1e-10) != 2:
         raise ValueError("pencil members must be linearly independent")
 
     s_a = svd(a)[1]
@@ -164,13 +159,11 @@ def singular_combination(a, b):
         ratio = svd(c)[1][-1] / norm if norm > 0 else 0.0
         candidates.append((ratio, lam, c))
     best = min(r for r, _, _ in candidates)
-    tied = [
-        (lam, c)
-        for r, lam, c in candidates
-        if r <= best + 1e-12
-    ]
-    lam, c = min(tied, key=lambda t: (round(t[0].real, 12), round(t[0].imag, 12)))
-    if svd(c)[1][-1] > SINGULAR_RTOL * mx.frobenius_norm(c):
+    tied = [candidate for candidate in candidates if candidate[0] <= best + 1e-12]
+    ratio, lam, c = min(
+        tied, key=lambda t: (round(t[1].real, 12), round(t[1].imag, 12))
+    )
+    if ratio > SINGULAR_RTOL:
         raise NumericalError("pencil eigenvalue produced a non-singular combination")
     return complex(-lam), 1.0, c
 
@@ -186,7 +179,7 @@ def find_singular_basis(space):
     r = len(ops)
     if r < 2:
         raise ValueError(f"need at least two matrices, got {r}")
-    if _stack_rank(ops) != r:
+    if span_dimension(ops) != r:
         raise ValueError("matrix span inputs must be linearly independent")
 
     work = list(ops)
@@ -196,7 +189,7 @@ def find_singular_basis(space):
         found.append(c)
         keep = work[0] if abs(beta) >= abs(alpha) else work[1]
         work = [keep] + work[2:]
-    if _stack_rank(found) != r - 1:
+    if span_dimension(found) != r - 1:
         raise NumericalError("singular basis lost independence")
     return found
 
@@ -234,7 +227,7 @@ def orthogonalize_pair(a1, a2, x1, y1, z1, x2, y2, z2):
         raise ValueError("first moment matrix is not positive definite")
     if x2 * y2 <= abs(z2) ** 2:
         raise ValueError("second moment matrix is not positive definite")
-    if _stack_rank([a1, a2], rtol=1e-10) != 2:
+    if span_dimension([a1, a2], rtol=1e-10) != 2:
         raise ValueError("pair members must be linearly independent")
 
     eye = np.eye(d)

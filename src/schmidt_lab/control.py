@@ -127,9 +127,20 @@ class FuzzSummary:
         return self.passes == self.trials
 
 
-def _significant_factors(dec):
+def _control_cut(u, layout, side):
+    """Group a unitary's ``side`` to the front and keep its significant factors.
+
+    Returns ``(side, grouped, (d_c, d_t), norm of u, Schmidt rank, factors)``.
+    """
+    layout = SystemLayout.of(layout)
+    u = mx.as_operator(u, "detection input")
+    mx.assert_unitary(u, "detection input")
+    side = layout.validate_subset(side)
+    grouped, dims = mx.group_systems(u, layout, side)
+    dec = operator_schmidt_decompose(grouped, dims, (0,))
     floor = SIGNIFICANT_FLOOR * dec.coefficients[0]
-    return [f for c, f in zip(dec.coefficients, dec.left_factors) if c > floor]
+    factors = [f for c, f in zip(dec.coefficients, dec.left_factors) if c > floor]
+    return side, grouped, dims, mx.frobenius_norm(u), dec.rank, factors
 
 
 def _band(violation, description, tol):
@@ -145,11 +156,11 @@ def _band(violation, description, tol):
     return False, description, False
 
 
-def _verdict_from_checks(checks, form, rank) -> ControlVerdict:
-    """Band the worst witness check against VERDICT_RTOL."""
+def _verdict_from_checks(checks, form, rank, tol) -> ControlVerdict:
+    """Band the worst witness check against the caller's ``tol``."""
     name, worst = max(checks, key=lambda item: item[1])
     passed, failed_check, inconclusive = _band(
-        worst, f"{name} (violation {worst:.3e})", VERDICT_RTOL
+        worst, f"{name} (violation {worst:.3e})", tol
     )
     return ControlVerdict(
         controlled=passed,
@@ -171,15 +182,9 @@ def is_controlled(u, layout, side, tol: float = VERDICT_RTOL) -> ControlVerdict:
     operator, so rank-deficient factor spans still fill in correctly. The
     assembled form is verified against the input before any positive verdict.
     """
-    layout = SystemLayout.of(layout)
-    u = mx.as_operator(u, "detection input")
-    mx.assert_unitary(u, "detection input")
-    side = layout.validate_subset(side)
-    grouped, (d_c, d_t) = mx.group_systems(u, layout, side)
-    dec = operator_schmidt_decompose(grouped, (d_c, d_t), (0,))
-    norm_u = mx.frobenius_norm(u)
+    side, grouped, (d_c, d_t), norm_u, rank, factors = _control_cut(u, layout, side)
 
-    result = algebra.simultaneous_svd(_significant_factors(dec), tol=tol)
+    result = algebra.simultaneous_svd(factors, tol=tol)
     if not result.ok:
         # the obstruction message already carries its own magnitude, which
         # exceeds tol
@@ -191,7 +196,7 @@ def is_controlled(u, layout, side, tol: float = VERDICT_RTOL) -> ControlVerdict:
             failed_check=failed_check,
             inconclusive=inconclusive,
             violation=worst,
-            schmidt_rank=dec.rank,
+            schmidt_rank=rank,
         )
 
     s, t = result.s, result.t
@@ -218,7 +223,7 @@ def is_controlled(u, layout, side, tol: float = VERDICT_RTOL) -> ControlVerdict:
     )
     residual = mx.frobenius_norm(form.operator() - grouped) / norm_u
     checks.append(("assembled form does not reconstruct the input", residual))
-    return _verdict_from_checks(checks, form=form, rank=dec.rank)
+    return _verdict_from_checks(checks, form=form, rank=rank, tol=tol)
 
 
 def _filtered_products(products, factors):
@@ -271,14 +276,7 @@ def is_bcu(u, layout, side, tol: float = VERDICT_RTOL) -> BcuVerdict:
     exists at all is a rank decision; the tolerance band applies to how
     well the candidate blocks capture the operator.
     """
-    layout = SystemLayout.of(layout)
-    u = mx.as_operator(u, "detection input")
-    mx.assert_unitary(u, "detection input")
-    side = layout.validate_subset(side)
-    grouped, (d_c, d_t) = mx.group_systems(u, layout, side)
-    dec = operator_schmidt_decompose(grouped, (d_c, d_t), (0,))
-    factors = _significant_factors(dec)
-    norm_u = mx.frobenius_norm(u)
+    side, grouped, (d_c, d_t), norm_u, _, factors = _control_cut(u, layout, side)
 
     output_products, input_products = algebra.product_families(factors)
     best = None
@@ -370,10 +368,7 @@ def multipartite_control_analysis(u, layout, tol: float = VERDICT_RTOL) -> Multi
 
 def _criteria_agree(u, layout, side, verdict) -> str | None:
     """Cross-check: the product-family test and the witness must agree."""
-    grouped, dims = mx.group_systems(u, layout, side)
-    dec = operator_schmidt_decompose(grouped, dims, (0,))
-    factors = _significant_factors(dec)
-    left, right = algebra.product_families(factors)
+    left, right = algebra.product_families(_control_cut(u, layout, side)[-1])
     clean = algebra.family_obstruction(left) is None and algebra.family_obstruction(right) is None
     if clean != verdict.controlled:
         return (

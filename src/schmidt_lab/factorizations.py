@@ -1,5 +1,6 @@
 """Verified wrappers around the dense factorization backend.
 
+The SVD is economy-size; only ``null_space`` forms a full (right) factor.
 Every factorization used for a structural decision is re-verified by
 reconstructing the input; a residual above ``RECONSTRUCTION_RTOL`` times the
 input norm raises ``NumericalError`` instead of silently propagating a bad
@@ -35,8 +36,8 @@ def _checked_svd(m: np.ndarray, full_matrices: bool):
 
 
 def svd(m: np.ndarray):
-    """Full SVD ``m = u @ diag(s) @ vh`` with reconstruction check."""
-    return _checked_svd(_require_finite(m, "svd input"), full_matrices=True)
+    """Economy-size SVD ``m = u @ diag(s) @ vh`` with reconstruction check."""
+    return _checked_svd(_require_finite(m, "svd input"), full_matrices=False)
 
 
 def eigh(m: np.ndarray):
@@ -71,6 +72,12 @@ def numerical_rank(singular_values: np.ndarray, rtol: float = RANK_RTOL) -> int:
     if s.size == 0 or s[0] <= 0.0:
         return 0
     return int(np.count_nonzero(s > rtol * s[0]))
+
+
+def span_dimension(ops, rtol: float = RANK_RTOL) -> int:
+    """Dimension of the linear span of ``ops``, each flattened to a vector."""
+    stack = np.array([np.asarray(op, dtype=complex).reshape(-1) for op in ops])
+    return numerical_rank(svd(stack)[1], rtol)
 
 
 def _fix_column_phases(q: np.ndarray) -> np.ndarray:

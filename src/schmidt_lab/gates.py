@@ -14,9 +14,9 @@ import math
 import numpy as np
 
 from . import matrices as mx
-from .factorizations import numerical_rank, svd
 from .matrices import SystemLayout
 from .randomness import haar_unitary, make_rng
+from .schmidt import schmidt_rank
 
 _PAULI = (
     np.eye(2, dtype=complex),
@@ -172,8 +172,7 @@ def random_controlled_unitary(d_ctrl: int, d_tgt: int, r: int, seed: int):
         for k in range(d_ctrl):
             v = blocks[k % r]
             u[k * d_tgt : (k + 1) * d_tgt, k * d_tgt : (k + 1) * d_tgt] = v
-        s = svd(mx.realign(u, layout))[1]
-        if numerical_rank(s) == r:
+        if schmidt_rank(u, layout, (0,)).rank == r:
             return _finish(random_local_scramble(u, layout, seed), layout.dims)
     raise ValueError(
         f"could not realize rank {r} on ({d_ctrl}, {d_tgt}) after 8 draws"

@@ -63,9 +63,6 @@ class SystemLayout:
         subset = self.validate_subset(subset)
         return tuple(i for i in range(len(self.dims)) if i not in subset)
 
-    def subset_dimension(self, subset: Iterable[int]) -> int:
-        return math.prod(self.dims[i] for i in self.validate_subset(subset))
-
 
 def as_operator(m, name: str = "operator") -> np.ndarray:
     m = np.asarray(m, dtype=complex)
@@ -81,14 +78,6 @@ def _check_layout(m: np.ndarray, layout: SystemLayout, name: str = "operator") -
         raise DimensionError(
             f"{name} has side {m.shape[0]} but layout {layout.dims} implies {layout.total}"
         )
-
-
-def identity(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=complex)
-
-
-def dagger(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m).conj().T
 
 
 def frobenius_norm(m: np.ndarray) -> float:
@@ -227,11 +216,14 @@ def _first_bad_pair(pairs, name: str) -> str:
     return f"{name} is not a list of finite [re, im] pairs"
 
 
+def _is_json_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _layout_from_json(dims) -> SystemLayout:
-    try:
-        return SystemLayout.of(dims)
-    except (TypeError, OverflowError):
-        raise ValueError("dims must be a list of positive integers") from None
+    if not isinstance(dims, list) or not all(_is_json_int(d) for d in dims):
+        raise ValueError("dims must be a list of positive integers")
+    return SystemLayout.of(dims)
 
 
 def _pairs_to_complex(pairs, count: int, name: str) -> np.ndarray:
@@ -273,10 +265,9 @@ def matrix_from_json(obj: dict) -> tuple[np.ndarray, SystemLayout]:
         if key not in obj:
             raise ValueError(f"matrix JSON missing key {key!r}")
     layout = _layout_from_json(obj["dims"])
-    try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-    except (TypeError, OverflowError):
-        raise ValueError("rows and cols must be integers") from None
+    rows, cols = obj["rows"], obj["cols"]
+    if not (_is_json_int(rows) and _is_json_int(cols)):
+        raise ValueError("rows and cols must be integers")
     if rows != cols or rows != layout.total:
         raise ValueError(
             f"matrix JSON claims shape {rows}x{cols} but dims {layout.dims} "

@@ -11,7 +11,6 @@ constructive upper bound.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
@@ -19,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from . import matrices as mx
-from .factorizations import RANK_RTOL, numerical_rank, svd
+from .factorizations import RANK_RTOL, numerical_rank, span_dimension, svd
 from .matrices import SystemLayout
 from .randomness import make_rng, random_complex_gaussian
 
@@ -91,18 +90,27 @@ def _lex_key(factor: np.ndarray):
     return tuple(np.round(factor.reshape(-1).view(float), 9))
 
 
+def _cut_spectrum(u, layout, cut, name: str):
+    """(layout, cut, grouped operator, its dims, verified SVD of its realignment)."""
+    layout = SystemLayout.of(layout)
+    u = mx.as_operator(u, name)
+    cut = layout.validate_subset(cut)
+    grouped, dims = mx.group_systems(u, layout, cut)
+    return layout, cut, grouped, dims, svd(mx.realign(grouped, dims))
+
+
 def operator_schmidt_decompose(u, layout, cut, tol: float = RANK_RTOL) -> SchmidtDecomposition:
     """Expand u across the cut as sum_i s_i A_i (x) B_i, coefficients descending.
 
-    Equal coefficients are ordered by the vectorized left factor so repeated
-    calls and round-tripped inputs produce identical output.
+    Coefficients at or below ``tol`` times the leading one are dropped; the kept
+    terms must rebuild u within the dropped coefficients' norm (the Eckart-Young
+    distance) plus 1e-10 relative. Equal coefficients are ordered by the
+    vectorized left factor so repeated calls and round-tripped inputs produce
+    identical output.
     """
-    layout = SystemLayout.of(layout)
-    u = mx.as_operator(u, "decomposition input")
-    cut = layout.validate_subset(cut)
-    grouped, (d_a, d_b) = mx.group_systems(u, layout, cut)
-    m = mx.realign(grouped, (d_a, d_b))
-    left, s, right_h = svd(m)
+    layout, cut, grouped, (d_a, d_b), (left, s, right_h) = _cut_spectrum(
+        u, layout, cut, "decomposition input"
+    )
     r = numerical_rank(s, tol)
     if r == 0:
         raise ValueError("decomposition input must be nonzero")
@@ -133,7 +141,8 @@ def operator_schmidt_decompose(u, layout, cut, tol: float = RANK_RTOL) -> Schmid
         layout=layout,
     )
     residual = mx.frobenius_norm(dec.grouped_operator() - grouped)
-    if residual > 1e-10 * max(mx.frobenius_norm(u), 1e-300):
+    dropped = float(np.linalg.norm(s[r:]))
+    if residual > dropped + 1e-10 * max(mx.frobenius_norm(grouped), 1e-300):
         raise ValueError(
             f"decomposition dropped weight beyond tolerance: residual {residual:.3e}"
         )
@@ -142,16 +151,11 @@ def operator_schmidt_decompose(u, layout, cut, tol: float = RANK_RTOL) -> Schmid
 
 def schmidt_rank(u, layout, cut, tol: float = RANK_RTOL) -> RankReport:
     """Operator Schmidt rank across the cut, with the spectrum that produced it."""
-    layout = SystemLayout.of(layout)
-    u = mx.as_operator(u, "rank input")
-    cut = layout.validate_subset(cut)
-    grouped, (d_a, d_b) = mx.group_systems(u, layout, cut)
-    s = svd(mx.realign(grouped, (d_a, d_b)))[1]
-    threshold = tol * (s[0] if len(s) else 0.0)
+    *_, (_, s, _) = _cut_spectrum(u, layout, cut, "rank input")
     return RankReport(
-        rank=int(np.sum(s > threshold)),
+        rank=numerical_rank(s, tol),
         singular_values=s,
-        tolerance_used=threshold,
+        tolerance_used=tol * (s[0] if len(s) else 0.0),
     )
 
 
@@ -250,11 +254,6 @@ class SchineqReport:
         return self.holds_i and self.holds_ii and self.holds_iii
 
 
-def _span_dimension(ops, tol: float) -> int:
-    stack = np.array([np.asarray(op, dtype=complex).reshape(-1) for op in ops])
-    return numerical_rank(svd(stack)[1], tol)
-
-
 def schineq_check(a_ops, b_ops, tol: float = RANK_RTOL) -> SchineqReport:
     """Evaluate the span-dimension inequalities for a two-sided term list."""
     if len(a_ops) != len(b_ops):
@@ -274,8 +273,8 @@ def schineq_check(a_ops, b_ops, tol: float = RANK_RTOL) -> SchineqReport:
 
     total = sum(np.kron(a, b) for a, b in zip(a_ops, b_ops))
     rank = schmidt_rank(total, (d_a, d_b), (0,), tol).rank
-    delta_a = _span_dimension(a_ops, tol)
-    delta_b = _span_dimension(b_ops, tol)
+    delta_a = span_dimension(a_ops, tol)
+    delta_b = span_dimension(b_ops, tol)
     n = len(a_ops)
     lo, hi = min(delta_a, delta_b), max(delta_a, delta_b)
     return SchineqReport(

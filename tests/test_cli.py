@@ -124,6 +124,16 @@ class TestDecompose:
         assert code == 2
         assert json.loads(out)["status"] == "error"
 
+    def test_loose_tol_truncates_a_near_low_rank_gate(self, capsys, tmp_path):
+        h = random_hermitian(4, make_rng(5))
+        dressed = scipy.linalg.expm(1e-6j * h) @ CNOT
+        path = _write_matrix(tmp_path, "near.json", dressed, (2, 2))
+        code, out, _ = _run(capsys, "decompose", path, "--tol", "1e-3")
+        assert code == 0
+        data, payload = _payload(out)
+        assert data["status"] == "ok"
+        assert payload["rank"] == 2
+
     @pytest.mark.parametrize(
         "field, value, named",
         [
@@ -133,6 +143,11 @@ class TestDecompose:
             ("rows", None, "rows"),
             ("dims", 4, "dims"),
             ("dims", [2, None], "dims"),
+            ("dims", "22", "dims"),
+            ("dims", [2.9, 2.2], "dims"),
+            ("dims", [True, 4], "dims"),
+            ("rows", 4.5, "rows and cols"),
+            ("cols", "4", "rows and cols"),
         ],
     )
     def test_malformed_file_is_invalid(self, capsys, tmp_path, field, value, named):
@@ -266,6 +281,15 @@ class TestProtocol:
         code, out, _ = _run(capsys, "protocol", cnot_path, "--route", "teleport", "--input", str(path))
         assert code == 2
         assert json.loads(out)["diagnostics"][0].startswith("invalid input: amplitudes[1]")
+
+    @pytest.mark.parametrize("dims", ["22", [2.9, 2.2], [True, 4]])
+    def test_malformed_state_dims_are_invalid(self, capsys, cnot_path, tmp_path, dims):
+        obj = dict(mx.state_to_json(np.kron(PLUS, ZERO), (2, 2)), dims=dims)
+        path = tmp_path / "bad-state.json"
+        path.write_text(json.dumps(obj))
+        code, out, _ = _run(capsys, "protocol", cnot_path, "--route", "teleport", "--input", str(path))
+        assert code == 2
+        assert json.loads(out)["diagnostics"][0].startswith("invalid input: dims")
 
     def test_controlled_route_refuses_uncontrolled_gates(self, capsys, swap_path):
         code, out, _ = _run(capsys, "protocol", "--route", "controlled", swap_path)

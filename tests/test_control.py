@@ -184,6 +184,35 @@ def test_tiny_global_perturbation_is_inconclusive_not_negative():
     assert 1e-8 < verdict.violation <= 1e-5
 
 
+def _band(verdict):
+    return 0 if verdict.controlled else 1 if verdict.inconclusive else 2
+
+
+def test_near_miss_ladder_bands_every_decade_monotonically():
+    # eps 1e-9 and 1e-8 leave a Schmidt tail between the rank cutoff and the
+    # reconstruction tolerance; the decomposition must truncate it, not raise
+    u, layout = gates.random_controlled_unitary(3, 3, 3, seed=7)
+    h = random_hermitian(9, make_rng(8))
+    bands = []
+    for exponent in range(-12, -3):
+        dressed = scipy.linalg.expm(1j * 10.0**exponent * h) @ u
+        verdict = is_controlled(dressed, layout, (0,))
+        assert verdict.violation is not None
+        bands.append(_band(verdict))
+    assert bands == sorted(bands)
+    assert bands[0] == 0 and bands[-1] == 2
+
+
+def test_witness_checks_are_banded_against_tol():
+    u, layout = gates.random_controlled_unitary(3, 3, 3, seed=33)
+    dressed = scipy.linalg.expm(1e-10j * random_hermitian(9, make_rng(7))) @ u
+    for tol in (3e-11, 1e-10, control.VERDICT_RTOL):
+        verdict = is_controlled(dressed, layout, (0,), tol=tol)
+        assert verdict.controlled == (verdict.violation <= tol)
+    tight = is_controlled(dressed, layout, (0,), tol=3e-11)
+    assert tight.inconclusive and tight.form is None
+
+
 def test_clean_instance_is_not_inconclusive():
     u, layout = gates.random_controlled_unitary(3, 3, 3, seed=7)
     verdict = is_controlled(u, layout, (0,))

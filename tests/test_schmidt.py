@@ -132,6 +132,17 @@ def test_rank_report_tolerance_semantics():
     assert list(rep.singular_values) == sorted(rep.singular_values, reverse=True)
 
 
+def test_truncation_leaves_exactly_the_dropped_tail():
+    # tol 1e-3 keeps only the product term; the rest of the spectrum is
+    # dropped and the residual is its norm (Eckart-Young), not an error
+    rng = make_rng(12)
+    u = np.kron(haar_unitary(2, rng), haar_unitary(3, rng)) + 1e-6 * haar_unitary(6, rng)
+    dec = sch.operator_schmidt_decompose(u, (2, 3), (0,), tol=1e-3)
+    assert dec.rank == 1
+    tail = np.linalg.norm(sch.schmidt_rank(u, (2, 3), (0,)).singular_values[1:])
+    assert np.linalg.norm(dec.reconstruct() - u) == pytest.approx(tail, rel=1e-6)
+
+
 def test_invalid_cuts_rejected():
     u = np.eye(4, dtype=complex)
     with pytest.raises(ValueError):
