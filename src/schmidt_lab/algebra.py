@@ -30,14 +30,13 @@ from .matrices import SystemLayout
 from .randomness import make_rng
 from .schmidt import operator_schmidt_decompose
 
-# relative tolerance for commutation and normality violations
+# default tolerance for a family's relative commutator mass, and the fixed
+# bound on the residuals of the bases simultaneous_svd builds
 COMMUTE_RTOL = 1e-8
 # singular means smallest singular value below this times the Frobenius norm
 SINGULAR_RTOL = 1e-8
 # eigenvalues closer than this (times scale) belong to one cluster
 CLUSTER_GAP = 1e-7
-# complex entries per product block of one pair-scan chunk (32 MB)
-_PAIR_CHUNK_ENTRIES = 1 << 21
 
 
 def _vec(m: np.ndarray) -> np.ndarray:
@@ -393,62 +392,50 @@ class Obstruction:
         return self.description
 
 
-def family_obstruction(family, tol: float = COMMUTE_RTOL):
-    """Worst normality or commutation violation in a family, or None.
+def _span_generators(stack: np.ndarray) -> np.ndarray:
+    """The stack if n <= d^2, else ``W_k = s_k V_k`` from the SVD ``P = U S V``.
 
-    Violations are normalized against the squared largest member norm.
-    Normalizing per pair instead would divide a numerically-zero member's
-    roundoff direction by its own vanishing norm and read noise as an O(1)
-    obstruction; the family scale keeps negligible members negligible. The
-    returned magnitude lets callers distinguish a borderline miss from a
-    structural refutation.
-
-    Ties go as in a scan of every member and then every pair i < j in
-    row-major order that keeps the first strict maximum: a normality
-    violation beats an equal commutator, and among equal commutators the
-    first pair wins. The commutators come from batched products over row
-    chunks of the family, each chunk holding at most about
-    ``_PAIR_CHUNK_ENTRIES`` complex entries (32 MB) per product block, so
-    memory stays bounded however large the family is.
+    All ``min(n, d^2)`` components are kept, none cut at a rank threshold.
+    U has orthonormal columns, so ``sum_{i,j} ||[P_i, P_j]||^2 = sum_{k,l}
+    ||[W_k, W_l]||^2`` exactly, and the W_k have the commutant of the P_i.
     """
-    stack, d = _as_square_family(family, "family")
+    n, d, _ = stack.shape
+    if n <= d * d:
+        return stack
+    _, s, vh = svd(stack.reshape(n, d * d))
+    return (s[:, None] * vh).reshape(-1, d, d)
+
+
+def family_obstruction(family, tol: float = COMMUTE_RTOL):
+    """The commutator mass ``sqrt(sum_{i,j} ||[P_i, P_j]||^2)`` if over tol, else None.
+
+    The mass is relative to the squared largest member norm: a per-pair
+    norm would read a numerically-zero member's roundoff as an O(1)
+    obstruction. It is at least the worst pair and invariant under unitary
+    mixing of the members. A family closed under adjoint (both product
+    families are) holds ``[P_k, P_k^dagger]`` among its pairs, so its mass
+    vanishes exactly when it is normal and commuting. The sum runs over the
+    span generators one row of pairs at a time, in less working memory than
+    the family itself.
+    """
+    stack, _ = _as_square_family(family, "family")
     n = stack.shape[0]
     scale = max(float(np.max(np.linalg.norm(stack.reshape(n, -1), axis=1))), 1e-300)
     # an all-zero family would square its floor to 0 and divide 0 by 0
     denom = max(scale * scale, np.finfo(float).tiny)
 
-    adjoints = stack.conj().transpose(0, 2, 1)
-    normality = np.linalg.norm((stack @ adjoints - adjoints @ stack).reshape(n, -1), axis=1) / denom
-    i = int(np.argmax(normality))
-    worst = None
-    if normality[i] > tol:
-        worst = Obstruction(
-            f"matrix {i} is not normal (violation {normality[i]:.3e})", float(normality[i])
-        )
-
-    # block (i, j) of rows @ cols is P_i P_j; a chunk of rows lo..hi-1 only
-    # needs the columns j >= lo
-    rows = stack.reshape(n * d, d)
-    cols = stack.transpose(1, 0, 2).reshape(d, n * d)
-    step = max(1, _PAIR_CHUNK_ENTRIES // (n * d * d))
-    for lo in range(0, n - 1, step):
-        hi = min(lo + step, n)
-        commutators = (rows[lo * d : hi * d] @ cols[:, lo * d :]).reshape(hi - lo, d, n - lo, d)
-        mirrored = rows[lo * d :] @ cols[:, lo * d : hi * d]
-        commutators -= mirrored.reshape(n - lo, d, hi - lo, d).transpose(2, 1, 0, 3)
-        # Frobenius norm of each (i, j) block; the float view holds real and
-        # imaginary parts side by side
-        parts = commutators.view(np.float64)
-        relative = np.sqrt(np.einsum("iajb,iajb->ij", parts, parts)) / denom
-        relative[np.tril_indices(hi - lo, m=n - lo)] = -1.0  # keep pairs i < j
-        a, b = np.unravel_index(int(np.argmax(relative)), relative.shape)
-        value = float(relative[a, b])
-        if value > tol and (worst is None or value > worst.violation):
-            worst = Obstruction(
-                f"matrices {lo + a} and {lo + b} do not commute (violation {value:.3e})",
-                value,
-            )
-    return worst
+    gens = _span_generators(stack)
+    mass = 0.0
+    for k in range(len(gens) - 1):
+        commutators = gens[k] @ gens[k + 1 :] - gens[k + 1 :] @ gens[k]
+        # each unordered pair stands for both orders
+        mass += 2.0 * float(np.vdot(commutators, commutators).real)
+    violation = math.sqrt(mass) / denom
+    if violation <= tol:
+        return None
+    return Obstruction(
+        f"family is not normal and commuting (commutator mass {violation:.3e})", violation
+    )
 
 
 def _is_scalar_block(compressed: np.ndarray, gap: float) -> bool:
@@ -486,32 +473,40 @@ def _refine_basis(family, basis: np.ndarray, rng, gap: float) -> np.ndarray:
 def joint_diagonalize_commuting(family, tol: float = COMMUTE_RTOL, seed: int = 0):
     """Unitary q with q^dagger M q diagonal for every member of the family.
 
-    Preconditions (normality of each member, pairwise commutation) are
-    checked first; a violation raises StructureError naming the offender,
-    which downstream detection treats as a verdict rather than a crash.
+    The commutator mass of the family with its adjoints over ``tol`` (not a
+    normal commuting family) raises StructureError, which detection treats
+    as a verdict; a basis that fails verification raises NumericalError.
     """
     ops, _ = _as_square_family(family, "family")
-    obstruction = family_obstruction(ops, tol)
+    obstruction = family_obstruction(np.concatenate([ops, ops.conj().transpose(0, 2, 1)]), tol)
     if obstruction is not None:
         raise StructureError(obstruction.description)
-    return _joint_diagonalize(ops, seed)
+    q, residual = _joint_diagonalize(ops, seed)
+    if residual > COMMUTE_RTOL:
+        raise NumericalError(f"joint diagonalization failed verification (residual {residual:.3e})")
+    return q
 
 
-def _joint_diagonalize(ops: np.ndarray, seed: int) -> np.ndarray:
-    """Joint eigenbasis of a stacked family already known to be normal and commuting."""
+def _diagonal_residual(rotated, ops) -> float:
+    """Largest off-diagonal mass of the rotated members, each over max(||M||, 1)."""
+    return max(
+        mx.frobenius_norm(r - np.diag(np.diag(r))) / max(mx.frobenius_norm(m), 1.0)
+        for r, m in zip(rotated, ops)
+    )
+
+
+def _joint_diagonalize(ops: np.ndarray, seed: int):
+    """(q, residual): the first of three refinements within COMMUTE_RTOL, else the best."""
     d = ops.shape[1]
+    best = None
     for attempt in range(3):
         q = _refine_basis(ops, np.eye(d, dtype=complex), make_rng(seed, stream=attempt), CLUSTER_GAP)
-        ok = True
-        for m in ops:
-            rotated = q.conj().T @ m @ q
-            off = mx.frobenius_norm(rotated - np.diag(np.diag(rotated)))
-            if off > 1e-8 * max(mx.frobenius_norm(m), 1.0):
-                ok = False
-                break
-        if ok:
-            return q
-    raise NumericalError("joint diagonalization failed verification on all retries")
+        residual = _diagonal_residual([q.conj().T @ m @ q for m in ops], ops)
+        if best is None or residual < best[1]:
+            best = (q, residual)
+        if residual <= COMMUTE_RTOL:
+            break
+    return best
 
 
 # --------------------------------------------------------- simultaneous svd
@@ -560,22 +555,24 @@ def simultaneous_svd(family, tol: float = COMMUTE_RTOL, seed: int = 0) -> Simult
     """One pair of unitaries diagonalizing every family member at once.
 
     Exists exactly when both product families {M_i M_j'} and {M_i' M_j} are
-    normal and commuting; those checks failing produces a verdict naming the
-    obstruction instead of an exception. The left basis diagonalizes the left
-    products; the right basis is derived row by row from the rotated family,
-    which stays sound on degenerate families (repeated blocks, single
-    members) where greedy eigenbasis pairing does not.
+    normal and commuting; a commutator mass (``family_obstruction``) over
+    ``tol`` fails naming the family and its mass. The left basis
+    diagonalizes the left products; the right basis is derived row by row
+    from the rotated family, which stays sound on degenerate families
+    (repeated blocks, single members) where greedy eigenbasis pairing does
+    not. A near miss whose left basis, right basis or joint diagonal form
+    misses COMMUTE_RTOL (whatever ``tol`` is) fails with that residual.
     """
     ops, d = _as_square_family(family, "family")
     left_products, right_products = product_families(ops)
-    obstruction = family_obstruction(left_products, tol)
-    if obstruction is not None:
-        return _failure(f"left products: {obstruction.description}", obstruction.violation)
-    obstruction = family_obstruction(right_products, tol)
-    if obstruction is not None:
-        return _failure(f"right products: {obstruction.description}", obstruction.violation)
+    for name, products in (("left", left_products), ("right", right_products)):
+        obstruction = family_obstruction(products, tol)
+        if obstruction is not None:
+            return _failure(f"{name} products: {obstruction.description}", obstruction.violation)
 
-    q = _joint_diagonalize(left_products, seed)
+    q, residual = _joint_diagonalize(left_products, seed)
+    if residual > COMMUTE_RTOL:
+        return _failure(f"left basis is not a joint eigenbasis (violation {residual:.3e})", residual)
     s = q.conj().T
     rotated = [s @ m for m in ops]
     scale = max(max(mx.frobenius_norm(m) for m in ops), 1e-300)
@@ -595,8 +592,9 @@ def simultaneous_svd(family, tol: float = COMMUTE_RTOL, seed: int = 0) -> Simult
         for col, r in enumerate(missing):
             t[:, r] = completion[:, col]
 
-    if mx.frobenius_norm(t.conj().T @ t - np.eye(d)) > 1e-8 * math.sqrt(d):
-        raise NumericalError("derived right basis is not unitary")
+    residual = mx.frobenius_norm(t.conj().T @ t - np.eye(d)) / math.sqrt(d)
+    if residual > COMMUTE_RTOL:
+        return _failure(f"derived right basis is not unitary (violation {residual:.3e})", residual)
 
     # convention: first significant diagonal entry of s M_1 t real nonnegative
     first = s @ ops[0] @ t
@@ -606,16 +604,12 @@ def simultaneous_svd(family, tol: float = COMMUTE_RTOL, seed: int = 0) -> Simult
         pivot = diag[idx[0]]
         t[:, idx[0]] *= np.conj(pivot) / abs(pivot)
 
-    diagonals = []
-    for m in ops:
-        prod = s @ m @ t
-        off = mx.frobenius_norm(prod - np.diag(np.diag(prod)))
-        if off > 1e-8 * max(mx.frobenius_norm(m), 1.0):
-            raise NumericalError(
-                "family passed structure checks but resisted joint diagonal form"
-            )
-        diagonals.append(np.diag(prod))
-    return SimultaneousSvdResult(s=s, t=t, diagonals=tuple(diagonals), failed_check=None)
+    products = [s @ m @ t for m in ops]
+    residual = _diagonal_residual(products, ops)
+    if residual > COMMUTE_RTOL:
+        return _failure(f"family resists joint diagonal form (violation {residual:.3e})", residual)
+    diagonals = tuple(np.diag(prod) for prod in products)
+    return SimultaneousSvdResult(s=s, t=t, diagonals=diagonals, failed_check=None)
 
 
 # ----------------------------------------------------------- commutant blocks
@@ -624,21 +618,22 @@ def simultaneous_svd(family, tol: float = COMMUTE_RTOL, seed: int = 0) -> Simult
 def commutant_blocks(generators, tol: float = RANK_RTOL, seed: int = 0):
     """Projectors splitting the space into common invariant blocks, or None.
 
-    Solves [X, G] = 0 over the dagger-closure of the generators; a commutant
-    richer than scalars yields the eigenprojectors of one random traceless
-    Hermitian commutant element. None means irreducible: no common block
-    structure exists.
+    Solves [X, G] = 0 over the dagger-closure of the m = min(n, d^2) span
+    generators (``_span_generators``); a commutant richer than scalars
+    yields the eigenprojectors of one random traceless Hermitian commutant
+    element. None means irreducible: no common block structure exists.
 
-    The system stacks one d^2 x d^2 row block per closure member, built in
-    one pass. Its kernel comes from an economy-size SVD (see ``null_space``),
-    so no square factor on the 2 n d^2 row side is ever formed.
+    The system has ``2 m d^2`` rows of ``d^2`` unknowns. Pre-flight: more
+    than ``2 cap^2`` entries, cap = ``max_total_dimension()`` (512 MiB at the
+    default 4096), raises DimensionError before anything is allocated. Its
+    kernel comes from an economy-size SVD (see ``null_space``).
     """
     gens, d = _as_square_family(generators, "generators")
-    if d * d > max_total_dimension():
-        raise DimensionError(
-            f"commutant solve needs {d * d} unknowns, over the configured cap"
-        )
-    closure = np.concatenate([gens, gens.conj().transpose(0, 2, 1)])
+    cap, entries = max_total_dimension(), 2 * min(len(gens), d * d) * d**4
+    if entries > 2 * cap * cap:
+        raise DimensionError(f"commutant system of {entries} entries exceeds the budget 2 * {cap}^2")
+    span = _span_generators(gens)
+    closure = np.concatenate([span, span.conj().transpose(0, 2, 1)])
     eye = np.eye(d, dtype=complex)
     # row block k is kron(I, G_k^T) - kron(G_k, I), the map X -> X G_k - G_k X
     system = (

@@ -182,14 +182,19 @@ def is_controlled(u, layout, side, tol: float = VERDICT_RTOL) -> ControlVerdict:
     operator, so rank-deficient factor spans still fill in correctly. The
     assembled form is verified against the input before any positive verdict.
     """
-    side, grouped, (d_c, d_t), norm_u, rank, factors = _control_cut(u, layout, side)
+    return _decide_control(_control_cut(u, layout, side), tol)
 
+
+def _decide_control(cut, tol) -> ControlVerdict:
+    """The verdict of ``is_controlled`` on a cut from ``_control_cut``."""
+    side, grouped, (d_c, d_t), norm_u, rank, factors = cut
     result = algebra.simultaneous_svd(factors, tol=tol)
     if not result.ok:
-        # the obstruction message already carries its own magnitude, which
-        # exceeds tol
         worst = result.violation if result.violation is not None else float("inf")
-        _, failed_check, inconclusive = _band(worst, result.failed_check, tol)
+        passed, failed_check, inconclusive = _band(worst, result.failed_check, tol)
+        if passed:
+            # a basis residual within a loose tol still left no witness
+            failed_check, inconclusive = f"inconclusive: {result.failed_check}", True
         return ControlVerdict(
             controlled=False,
             form=None,
@@ -224,13 +229,6 @@ def is_controlled(u, layout, side, tol: float = VERDICT_RTOL) -> ControlVerdict:
     residual = mx.frobenius_norm(form.operator() - grouped) / norm_u
     checks.append(("assembled form does not reconstruct the input", residual))
     return _verdict_from_checks(checks, form=form, rank=rank, tol=tol)
-
-
-def _filtered_products(products, factors):
-    """The stacked products minus near-zero ones (they constrain nothing)."""
-    scale = max(mx.frobenius_norm(f) for f in factors)
-    norms = np.linalg.norm(products.reshape(len(products), -1), axis=1)
-    return products[norms > 1e-12 * scale * scale]
 
 
 def _split_attempt(grouped, d_c, d_t, projectors, derive_from_input, norm_u):
@@ -284,7 +282,7 @@ def is_bcu(u, layout, side, tol: float = VERDICT_RTOL) -> BcuVerdict:
         ("input-commutant", input_products, True),
         ("output-commutant", output_products, False),
     ):
-        projectors = algebra.commutant_blocks(_filtered_products(products, factors))
+        projectors = algebra.commutant_blocks(products)
         if projectors is None:
             continue
         ins, outs, worst = _split_attempt(grouped, d_c, d_t, projectors, from_input, norm_u)
@@ -366,9 +364,9 @@ def multipartite_control_analysis(u, layout, tol: float = VERDICT_RTOL) -> Multi
 # ------------------------------------------------------------- fuzz suites
 
 
-def _criteria_agree(u, layout, side, verdict) -> str | None:
+def _criteria_agree(factors, verdict) -> str | None:
     """Cross-check: the product-family test and the witness must agree."""
-    left, right = algebra.product_families(_control_cut(u, layout, side)[-1])
+    left, right = algebra.product_families(factors)
     clean = algebra.family_obstruction(left) is None and algebra.family_obstruction(right) is None
     if clean != verdict.controlled:
         return (
@@ -381,10 +379,11 @@ def _criteria_agree(u, layout, side, verdict) -> str | None:
 def _fuzz_sch3(trial, trial_seed):
     d_a, d_b = [(3, 3), (3, 4), (4, 5)][trial % 3]
     u, layout = gates.random_controlled_unitary(d_a, d_b, 3, seed=trial_seed)
-    verdict = is_controlled(u, layout, (0,))
+    cut = _control_cut(u, layout, (0,))
+    verdict = _decide_control(cut, VERDICT_RTOL)
     if not verdict.controlled:
         return u, layout.dims, f"rank-3 instance not detected: {verdict.failed_check}"
-    disagreement = _criteria_agree(u, layout, (0,), verdict)
+    disagreement = _criteria_agree(cut[-1], verdict)
     if disagreement:
         return u, layout.dims, disagreement
     return u, layout.dims, None

@@ -1,6 +1,7 @@
 """Matrix-space toolbox: splittings, singular combinations, joint structure."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 import schmidt_lab.algebra as alg
 import schmidt_lab.gates as gates
 import schmidt_lab.matrices as mx
-from schmidt_lab.errors import StructureError
+from schmidt_lab.errors import DimensionError, StructureError
 from schmidt_lab.randomness import haar_unitary, make_rng, random_complex_gaussian
 from schmidt_lab.schmidt import operator_schmidt_decompose
 
@@ -370,6 +371,7 @@ def test_joint_diagonalization_rejects_noncommuting():
 
 
 def test_joint_diagonalization_rejects_nonnormal():
+    # a Jordan block fails through its commutator with its own adjoint
     jordan = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(StructureError) as err:
         alg.joint_diagonalize_commuting([jordan])
@@ -388,30 +390,15 @@ def test_joint_diagonalization_is_deterministic():
 # ------------------------------------------------------- family_obstruction
 
 
-def loop_family_obstruction(family, tol=alg.COMMUTE_RTOL):
-    # the member-then-pair scan family_obstruction replaced, kept as reference
+def loop_commutator_mass(family):
+    # the brute-force pair loop the span computation replaced, kept as reference
     ops = [np.asarray(m, dtype=complex) for m in family]
     scale = max(max(mx.frobenius_norm(m) for m in ops), 1e-300)
-    denom = scale * scale
-    worst = None
-    candidates = []
-    for i, m in enumerate(ops):
-        relative = mx.frobenius_norm(m @ m.conj().T - m.conj().T @ m) / denom
-        candidates.append((f"matrix {i} is not normal", relative))
-        if relative > tol and (worst is None or relative > worst.violation):
-            worst = alg.Obstruction(
-                f"matrix {i} is not normal (violation {relative:.3e})", relative
-            )
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            relative = mx.frobenius_norm(ops[i] @ ops[j] - ops[j] @ ops[i]) / denom
-            candidates.append((f"matrices {i} and {j} do not commute", relative))
-            if relative > tol and (worst is None or relative > worst.violation):
-                worst = alg.Obstruction(
-                    f"matrices {i} and {j} do not commute (violation {relative:.3e})",
-                    relative,
-                )
-    return worst, candidates
+    total = 0.0
+    for a in ops:
+        for b in ops:
+            total += mx.frobenius_norm(a @ b - b @ a) ** 2
+    return math.sqrt(total) / (scale * scale)
 
 
 def oracle_families():
@@ -444,40 +431,42 @@ def oracle_families():
             yield "products", [a @ b.conj().T for a in factors for b in factors][:n]
 
 
-def check_against_loop(family, tol=alg.COMMUTE_RTOL):
-    got = alg.family_obstruction(family, tol)
-    want, candidates = loop_family_obstruction(family, tol)
-    assert (got is None) == (want is None)
-    if want is None:
-        return
-    assert got.violation == pytest.approx(want.violation, rel=1e-12, abs=0.0)
-    label = got.description.split(" (violation")[0]
-    tied = {name for name, value in candidates if value >= want.violation * (1.0 - 1e-12)}
-    assert label in tied
-    if len(tied) == 1:
-        assert got.description == want.description
+def member_scale(family):
+    return max(mx.frobenius_norm(m) for m in family)
 
 
-@pytest.mark.parametrize("chunk", [None, 1, 1000])
-def test_family_obstruction_matches_pairwise_loop(monkeypatch, chunk):
-    if chunk is not None:
-        # force one row, or a few rows, per chunk
-        monkeypatch.setattr(alg, "_PAIR_CHUNK_ENTRIES", chunk)
+def test_family_obstruction_matches_pairwise_loop():
     kinds = set()
+    longer_than_span = 0
     for kind, family in oracle_families():
-        check_against_loop(family)
+        want = loop_commutator_mass(family)
+        got = alg.family_obstruction(family)
+        assert (got is None) == (want <= alg.COMMUTE_RTOL)
+        # a negative tol always reports, so roundoff-level masses compare too
+        got = alg.family_obstruction(family, tol=-1.0)
+        assert got.violation == pytest.approx(want, rel=1e-10, abs=1e-13)
         kinds.add(kind)
+        d = family[0].shape[0]
+        longer_than_span += len(family) > d * d
     assert kinds == {"commuting", "haar", "zero member", "near-tied", "products"}
+    assert longer_than_span >= 10
 
 
-def test_family_obstruction_tie_prefers_normality_then_first_pair():
-    jordan = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    # the Jordan block's normality violation equals its commutator with its adjoint
-    got = alg.family_obstruction([jordan, jordan.conj().T])
-    assert got.description.startswith("matrix 0 is not normal")
-    x, z = pauli(1).astype(complex), pauli(3).astype(complex)
-    got = alg.family_obstruction([x, z, x, z])
-    assert got.description.startswith("matrices 0 and 1 do not commute")
+def test_family_obstruction_is_basis_independent():
+    rng = make_rng(41)
+    for d, n in ((2, 3), (3, 12), (4, 20)):
+        family = np.array([random_complex_gaussian((d, d), rng) for _ in range(n)])
+        mixing = haar_unitary(n, rng)
+        mixed = np.einsum("ij,jab->iab", mixing, family)
+        got = alg.family_obstruction(family)
+        again = alg.family_obstruction(mixed)
+        # the raw mass is invariant; the normalization follows the members
+        assert again.violation * member_scale(mixed) ** 2 == pytest.approx(
+            got.violation * member_scale(family) ** 2, rel=1e-12
+        )
+        for obstruction in (got, again):
+            assert "commutator mass" in obstruction.description
+            assert not re.search(r"\d+ and \d+|matri(x|ces) \d", obstruction.description)
 
 
 # ------------------------------------------------------------ simultaneous_svd
@@ -627,3 +616,12 @@ def test_commutant_blocks_of_scrambled_direct_sum_with_many_generators():
         for g in gens:
             assert mx.frobenius_norm(p @ g - g @ p) < 1e-7 * mx.frobenius_norm(g)
     assert np.allclose(sum(blocks), np.eye(4), atol=1e-8)
+
+
+def test_commutant_blocks_refuses_an_oversized_system_before_allocating():
+    # nine 64 x 64 generators, as a rank-3 gate with a 64-dimensional
+    # control side gives: the system would hold 2 * 9 * 64^4 entries (4.5 GiB)
+    rng = make_rng(15)
+    gens = np.array([random_complex_gaussian((64, 64), rng) for _ in range(9)])
+    with pytest.raises(DimensionError, match="budget"):
+        alg.commutant_blocks(gens)

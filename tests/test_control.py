@@ -188,19 +188,38 @@ def _band(verdict):
     return 0 if verdict.controlled else 1 if verdict.inconclusive else 2
 
 
-def test_near_miss_ladder_bands_every_decade_monotonically():
-    # eps 1e-9 and 1e-8 leave a Schmidt tail between the rank cutoff and the
-    # reconstruction tolerance; the decomposition must truncate it, not raise
-    u, layout = gates.random_controlled_unitary(3, 3, 3, seed=7)
-    h = random_hermitian(9, make_rng(8))
+def _ladder_bands(u, layout, h, tol):
     bands = []
     for exponent in range(-12, -3):
         dressed = scipy.linalg.expm(1j * 10.0**exponent * h) @ u
-        verdict = is_controlled(dressed, layout, (0,))
+        verdict = is_controlled(dressed, layout, (0,), tol=tol)
         assert verdict.violation is not None
         bands.append(_band(verdict))
     assert bands == sorted(bands)
     assert bands[0] == 0 and bands[-1] == 2
+    return bands
+
+
+def test_near_miss_ladder_bands_every_decade_monotonically():
+    # eps 1e-9 and 1e-8 leave a Schmidt tail between the rank cutoff and the
+    # reconstruction tolerance; the decomposition must truncate it, not raise
+    u, layout = gates.random_controlled_unitary(3, 3, 3, seed=7)
+    _ladder_bands(u, layout, random_hermitian(9, make_rng(8)), control.VERDICT_RTOL)
+
+
+@pytest.mark.parametrize(
+    "tol, d, rank, seed",
+    [(1e-5, 3, 3, 7)]
+    + [(tol, *grid) for tol in (1e-8, 1e-5) for grid in ((3, 2, 4), (3, 3, 0), (4, 3, 3), (4, 2, 5))],
+)
+def test_near_miss_ladder_bands_every_decade_at_each_tol(tol, d, rank, seed):
+    # near misses that pass the product-family checks but whose bases do not
+    # verify come back inconclusive with the basis residual, never raise; the
+    # test above is the (1e-8, 3, 3, 7) case
+    u, layout = gates.random_controlled_unitary(d, d, rank, seed=seed)
+    h = random_hermitian(d * d, make_rng(8 if seed == 7 else 100 + seed))
+    bands = _ladder_bands(u, layout, h, tol)
+    assert 1 in bands
 
 
 def test_witness_checks_are_banded_against_tol():
