@@ -435,13 +435,21 @@ def member_scale(family):
     return max(mx.frobenius_norm(m) for m in family)
 
 
-def test_family_obstruction_matches_pairwise_loop():
+@pytest.mark.parametrize("tol", [None, 1, 1000])
+def test_family_obstruction_matches_pairwise_loop(tol):
+    # None runs the default threshold; 1 and 1000 cut through and above the masses
     kinds = set()
     longer_than_span = 0
     for kind, family in oracle_families():
         want = loop_commutator_mass(family)
-        got = alg.family_obstruction(family)
-        assert (got is None) == (want <= alg.COMMUTE_RTOL)
+        if tol is None:
+            got = alg.family_obstruction(family)
+            assert (got is None) == (want <= alg.COMMUTE_RTOL)
+        else:
+            got = alg.family_obstruction(family, tol=tol)
+            assert (got is None) == (want <= tol)
+        if got is not None:
+            assert got.violation == pytest.approx(want, rel=1e-10, abs=1e-13)
         # a negative tol always reports, so roundoff-level masses compare too
         got = alg.family_obstruction(family, tol=-1.0)
         assert got.violation == pytest.approx(want, rel=1e-10, abs=1e-13)
