@@ -438,44 +438,13 @@ def family_obstruction(family, tol: float = COMMUTE_RTOL):
     )
 
 
-def _is_scalar_block(compressed: np.ndarray, gap: float) -> bool:
-    k = compressed.shape[0]
-    mu = np.trace(compressed) / k
-    dev = mx.frobenius_norm(compressed - mu * np.eye(k))
-    return dev <= gap * max(math.sqrt(k), mx.frobenius_norm(compressed))
-
-
-def _refine_basis(family, basis: np.ndarray, rng, gap: float) -> np.ndarray:
-    k = basis.shape[1]
-    if k == 1:
-        return basis
-    compressed = [basis.conj().T @ m @ basis for m in family]
-    if all(_is_scalar_block(c, gap) for c in compressed):
-        return basis
-    for _ in range(4):
-        h = np.zeros((k, k), dtype=complex)
-        for c in compressed:
-            w_re, w_im = rng.normal(size=2)
-            h += w_re * (c + c.conj().T) / 2.0
-            h += w_im * (c - c.conj().T) / 2.0j
-        evals, vecs = np.linalg.eigh(h)
-        clusters = _cluster_ascending(evals, gap)
-        if len(clusters) > 1:
-            refined = [
-                _refine_basis(family, basis @ vecs[:, idx], rng, gap)
-                for idx in clusters
-            ]
-            return np.hstack(refined)
-    # no split found; let the final verification decide
-    return basis
-
-
 def joint_diagonalize_commuting(family, tol: float = COMMUTE_RTOL, seed: int = 0):
     """Unitary q with q^dagger M q diagonal for every member of the family.
 
     The commutator mass of the family with its adjoints over ``tol`` (not a
     normal commuting family) raises StructureError, which detection treats
-    as a verdict; a basis that fails verification raises NumericalError.
+    as a verdict. q is built by ``_joint_diagonalize`` from ``seed``; a
+    residual over COMMUTE_RTOL on every attempt raises NumericalError.
     """
     ops, _ = _as_square_family(family, "family")
     obstruction = family_obstruction(np.concatenate([ops, ops.conj().transpose(0, 2, 1)]), tol)
@@ -495,12 +464,32 @@ def _diagonal_residual(rotated, ops) -> float:
     )
 
 
+def _is_scalar(m: np.ndarray) -> bool:
+    k = m.shape[0]
+    dev = mx.frobenius_norm(m - (np.trace(m) / k) * np.eye(k))
+    return dev <= CLUSTER_GAP * max(math.sqrt(k), mx.frobenius_norm(m))
+
+
 def _joint_diagonalize(ops: np.ndarray, seed: int):
-    """(q, residual): the first of three refinements within COMMUTE_RTOL, else the best."""
+    """(q, residual): eigenvectors of one random Hermitian combination per attempt.
+
+    A generic element of a normal commuting family's span has the members'
+    joint eigenbasis (He & Kressner, SIMAX 2024). Attempt k draws from stream k;
+    the first of three within COMMUTE_RTOL is kept, else the best. Multiples of I keep q = I.
+    """
     d = ops.shape[1]
+    if all(_is_scalar(m) for m in ops):
+        return np.eye(d, dtype=complex), _diagonal_residual(ops, ops)
     best = None
     for attempt in range(3):
-        q = _refine_basis(ops, np.eye(d, dtype=complex), make_rng(seed, stream=attempt), CLUSTER_GAP)
+        rng = make_rng(seed, stream=attempt)
+        h = np.zeros((d, d), dtype=complex)
+        for m in ops:
+            w_re, w_im = rng.normal(size=2)
+            h += w_re * (m + m.conj().T) / 2.0
+            h += w_im * (m - m.conj().T) / 2.0j
+        # + 0.0 turns the eigensolver's -0.0 entries into +0.0, which witnesses print as 0.0
+        q = np.linalg.eigh(h)[1] + 0.0
         residual = _diagonal_residual([q.conj().T @ m @ q for m in ops], ops)
         if best is None or residual < best[1]:
             best = (q, residual)
@@ -532,10 +521,15 @@ class SimultaneousSvdResult:
         return self.failed_check is None
 
 
-def _failure(check: str, violation: float | None = None) -> SimultaneousSvdResult:
-    return SimultaneousSvdResult(
-        s=None, t=None, diagonals=None, failed_check=check, violation=violation
-    )
+def _failure(check: str, violation: float) -> SimultaneousSvdResult:
+    return SimultaneousSvdResult(None, None, None, failed_check=check, violation=violation)
+
+
+def _check_budget(what: str, entries: int) -> None:
+    """Refuse more than ``2 cap^2`` entries, cap = ``max_total_dimension()``."""
+    cap = max_total_dimension()
+    if entries > 2 * cap * cap:
+        raise DimensionError(f"{what} of {entries} entries exceeds the budget 2 * {cap}^2")
 
 
 def product_families(family):
@@ -543,8 +537,10 @@ def product_families(family):
 
     One broadcast matmul each; it runs the same per-pair products as
     ``a @ b.conj().T``, so the entries are bitwise those of a pairwise loop.
+    More than ``2 cap^2`` entries in all (n d > cap) raise DimensionError first.
     """
     ops, d = _as_square_family(family, "family")
+    _check_budget("product families", 2 * len(ops) ** 2 * d * d)
     adjoints = ops.conj().transpose(0, 2, 1)
     left = (ops[:, None] @ adjoints[None]).reshape(-1, d, d)
     right = (adjoints[:, None] @ ops[None]).reshape(-1, d, d)
@@ -556,8 +552,9 @@ def simultaneous_svd(family, tol: float = COMMUTE_RTOL, seed: int = 0) -> Simult
 
     Exists exactly when both product families {M_i M_j'} and {M_i' M_j} are
     normal and commuting; a commutator mass (``family_obstruction``) over
-    ``tol`` fails naming the family and its mass. The left basis
-    diagonalizes the left products; the right basis is derived row by row
+    ``tol`` fails naming the family and its mass. The left basis is the
+    eigenbasis of one random Hermitian combination of the left products
+    (``_joint_diagonalize``); the right basis is derived row by row
     from the rotated family, which stays sound on degenerate families
     (repeated blocks, single members) where greedy eigenbasis pairing does
     not. A near miss whose left basis, right basis or joint diagonal form
@@ -629,9 +626,7 @@ def commutant_blocks(generators, tol: float = RANK_RTOL, seed: int = 0):
     kernel comes from an economy-size SVD (see ``null_space``).
     """
     gens, d = _as_square_family(generators, "generators")
-    cap, entries = max_total_dimension(), 2 * min(len(gens), d * d) * d**4
-    if entries > 2 * cap * cap:
-        raise DimensionError(f"commutant system of {entries} entries exceeds the budget 2 * {cap}^2")
+    _check_budget("commutant system", 2 * min(len(gens), d * d) * d**4)
     span = _span_generators(gens)
     closure = np.concatenate([span, span.conj().transpose(0, 2, 1)])
     eye = np.eye(d, dtype=complex)

@@ -131,10 +131,9 @@ def _control_cut(u, layout, side):
     """Group a unitary's ``side`` to the front and keep its significant factors.
 
     Returns ``(side, grouped, (d_c, d_t), norm of u, Schmidt rank, factors)``.
+    The caller has checked that ``u`` is unitary.
     """
     layout = SystemLayout.of(layout)
-    u = mx.as_operator(u, "detection input")
-    mx.assert_unitary(u, "detection input")
     side = layout.validate_subset(side)
     grouped, dims = mx.group_systems(u, layout, side)
     dec = operator_schmidt_decompose(grouped, dims, (0,))
@@ -182,6 +181,7 @@ def is_controlled(u, layout, side, tol: float = VERDICT_RTOL) -> ControlVerdict:
     operator, so rank-deficient factor spans still fill in correctly. The
     assembled form is verified against the input before any positive verdict.
     """
+    u = mx.assert_unitary(u, "detection input")
     return _decide_control(_control_cut(u, layout, side), tol)
 
 
@@ -190,8 +190,7 @@ def _decide_control(cut, tol) -> ControlVerdict:
     side, grouped, (d_c, d_t), norm_u, rank, factors = cut
     result = algebra.simultaneous_svd(factors, tol=tol)
     if not result.ok:
-        worst = result.violation if result.violation is not None else float("inf")
-        passed, failed_check, inconclusive = _band(worst, result.failed_check, tol)
+        passed, failed_check, inconclusive = _band(result.violation, result.failed_check, tol)
         if passed:
             # a basis residual within a loose tol still left no witness
             failed_check, inconclusive = f"inconclusive: {result.failed_check}", True
@@ -200,7 +199,7 @@ def _decide_control(cut, tol) -> ControlVerdict:
             form=None,
             failed_check=failed_check,
             inconclusive=inconclusive,
-            violation=worst,
+            violation=result.violation,
             schmidt_rank=rank,
         )
 
@@ -274,6 +273,7 @@ def is_bcu(u, layout, side, tol: float = VERDICT_RTOL) -> BcuVerdict:
     exists at all is a rank decision; the tolerance band applies to how
     well the candidate blocks capture the operator.
     """
+    u = mx.assert_unitary(u, "detection input")
     side, grouped, (d_c, d_t), norm_u, _, factors = _control_cut(u, layout, side)
 
     output_products, input_products = algebra.product_families(factors)
@@ -332,8 +332,7 @@ def multipartite_control_analysis(u, layout, tol: float = VERDICT_RTOL) -> Multi
         raise ValueError(
             f"multipartite analysis needs at least 3 systems, got {len(layout)}"
         )
-    u = mx.as_operator(u, "analysis input")
-    mx.assert_unitary(u, "analysis input")
+    u = mx.assert_unitary(u, "analysis input")
 
     singles = {}
     pairs = {}
@@ -344,7 +343,7 @@ def multipartite_control_analysis(u, layout, tol: float = VERDICT_RTOL) -> Multi
         combinations(range(len(layout)), 2)
     )
     for subset in subsets:
-        verdict = is_controlled(u, layout, subset, tol=tol)
+        verdict = _decide_control(_control_cut(u, layout, subset), tol)
         (singles if len(subset) == 1 else pairs)[subset] = verdict
         if verdict.schmidt_rank <= 2:
             low_rank.append(subset)

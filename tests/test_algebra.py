@@ -387,6 +387,80 @@ def test_joint_diagonalization_is_deterministic():
     assert q1.tobytes() == q2.tobytes()
 
 
+def _is_scalar_block(compressed, gap):
+    k = compressed.shape[0]
+    mu = np.trace(compressed) / k
+    dev = mx.frobenius_norm(compressed - mu * np.eye(k))
+    return dev <= gap * max(math.sqrt(k), mx.frobenius_norm(compressed))
+
+
+def _refine_basis(family, basis, rng, gap):
+    # the recursive cluster-by-cluster refinement the single random
+    # combination replaced, kept as reference
+    k = basis.shape[1]
+    if k == 1:
+        return basis
+    compressed = [basis.conj().T @ m @ basis for m in family]
+    if all(_is_scalar_block(c, gap) for c in compressed):
+        return basis
+    for _ in range(4):
+        h = np.zeros((k, k), dtype=complex)
+        for c in compressed:
+            w_re, w_im = rng.normal(size=2)
+            h += w_re * (c + c.conj().T) / 2.0
+            h += w_im * (c - c.conj().T) / 2.0j
+        evals, vecs = np.linalg.eigh(h)
+        clusters = alg._cluster_ascending(evals, gap)
+        if len(clusters) > 1:
+            return np.hstack([_refine_basis(family, basis @ vecs[:, idx], rng, gap) for idx in clusters])
+    return basis
+
+
+def refined_joint_diagonalize(ops, seed):
+    d = ops.shape[1]
+    best = None
+    for attempt in range(3):
+        q = _refine_basis(ops, np.eye(d, dtype=complex), make_rng(seed, stream=attempt), alg.CLUSTER_GAP)
+        residual = alg._diagonal_residual([q.conj().T @ m @ q for m in ops], ops)
+        if best is None or residual < best[1]:
+            best = (q, residual)
+        if residual <= alg.COMMUTE_RTOL:
+            break
+    return best
+
+
+def test_joint_diagonalize_matches_recursive_refinement_bytewise():
+    families = 0
+    for d in (2, 3, 4, 5, 8, 16):
+        for r in range(1, min(d, 3) + 1):
+            for seed in range(6):
+                u, layout = gates.random_controlled_unitary(d, d, r, seed=seed)
+                factors = operator_schmidt_decompose(u, layout, (0,)).left_factors
+                left, _ = alg.product_families(factors)
+                q, residual = alg._joint_diagonalize(left, seed)
+                want_q, want_residual = refined_joint_diagonalize(left, seed)
+                assert q.tobytes() == want_q.tobytes(), (d, r, seed)
+                assert residual == want_residual
+                assert residual <= alg.COMMUTE_RTOL
+                families += 1
+    assert families == 102
+
+
+def test_joint_diagonalize_verifies_on_degenerate_rotated_diagonals():
+    # eigenvalue multiplicities (3, 1, 4) shared by every member
+    rng = make_rng(17)
+    v = haar_unitary(8, rng)
+    family = np.array([
+        v @ np.diag(np.repeat(random_complex_gaussian((3,), rng), (3, 1, 4))) @ v.conj().T
+        for _ in range(4)
+    ])
+    q, residual = alg._joint_diagonalize(family, 0)
+    assert residual <= alg.COMMUTE_RTOL
+    assert np.allclose(q.conj().T @ q, np.eye(8), atol=1e-12)
+    for m in family:
+        assert offdiag_mass(q.conj().T @ m @ q) <= alg.COMMUTE_RTOL * mx.frobenius_norm(m)
+
+
 # ------------------------------------------------------- family_obstruction
 
 

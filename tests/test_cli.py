@@ -20,7 +20,7 @@ import schmidt_lab
 from schmidt_lab import cli, gates
 from schmidt_lab import matrices as mx
 from schmidt_lab.cli import main
-from schmidt_lab.randomness import make_rng, random_hermitian
+from schmidt_lab.randomness import haar_unitary, make_rng, random_hermitian
 
 CNOT = np.array(
     [
@@ -213,6 +213,15 @@ class TestDetect:
         assert code == 0
         _, payload = _payload(out)
         assert payload["bcu"] is True
+
+    def test_product_families_over_the_cap_exit_2(self, capsys, tmp_path, monkeypatch):
+        path = _write_matrix(tmp_path, "haar.json", haar_unitary(16, make_rng(5)), (4, 4))
+        monkeypatch.setenv("SCHMIDT_LAB_MAX_DIM", "16")
+        code, out, _ = _run(capsys, "detect", path, "--side", "0")
+        assert code == 2
+        data, _ = _payload(out)
+        assert data["status"] == "error"
+        assert "product families" in data["diagnostics"][0]
 
     def test_verbose_echoes_the_input(self, capsys, cnot_path):
         code, out, _ = _run(capsys, "detect", cnot_path, "--side", "0", "--verbose")

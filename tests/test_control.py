@@ -20,6 +20,7 @@ from schmidt_lab.control import (
     is_controlled,
     multipartite_control_analysis,
 )
+from schmidt_lab.errors import DimensionError
 from schmidt_lab.randomness import haar_unitary, make_rng, random_hermitian
 
 I2 = np.eye(2)
@@ -250,6 +251,17 @@ def test_is_controlled_rejects_bad_arguments():
         is_controlled(CNOT, (2, 2), (3,))
 
 
+def test_product_families_over_the_cap_are_refused_before_allocating(monkeypatch):
+    # a full-rank 4x4 cut has 16 factors of side 4: 16 * 4 > 16
+    monkeypatch.setenv("SCHMIDT_LAB_MAX_DIM", "16")
+    haar = haar_unitary(16, make_rng(5))
+    for detector in (is_controlled, is_bcu):
+        with pytest.raises(DimensionError, match="product families"):
+            detector(haar, (4, 4), (0,))
+    u, layout = gates.random_controlled_unitary(4, 4, 3, seed=5)
+    assert is_controlled(u, layout, (0,)).controlled
+
+
 # --------------------------------------------------------------------- is_bcu
 
 
@@ -361,6 +373,20 @@ def test_multipartite_report_on_scrambled_even_qubit_gate():
     assert all(not report.pairs[(0, i)].controlled for i in (1, 2, 3))
     assert report.singles[(0,)].schmidt_rank == 2
     assert (0,) in report.low_rank_subsets
+
+
+def test_multipartite_report_checks_unitarity_once(monkeypatch):
+    u, layout = gates.u3()
+    calls = []
+    check = mx.assert_unitary
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(mx, "assert_unitary", counted)
+    multipartite_control_analysis(u, layout)
+    assert calls == [("analysis input",)]
 
 
 def test_multipartite_report_needs_three_systems():
