@@ -55,11 +55,12 @@ class ControlledForm:
 
     def operator(self) -> np.ndarray:
         d_c, d_t = self.grouped_dims
-        core = np.zeros((d_c * d_t, d_c * d_t), dtype=complex)
-        for k, v in enumerate(self.blocks):
-            core[k * d_t : (k + 1) * d_t, k * d_t : (k + 1) * d_t] = v
-        eye = np.eye(d_t)
-        return np.kron(self.q, eye) @ core @ np.kron(self.r, eye)
+        core = np.zeros((d_c, d_t, d_c, d_t), dtype=complex)
+        k = np.arange(d_c)
+        core[k, :, k, :] = np.array(self.blocks)
+        return mx.control_sandwich(
+            core.reshape(d_c * d_t, d_c * d_t), self.grouped_dims, self.q, self.r
+        )
 
 
 @dataclass(frozen=True)
@@ -205,7 +206,7 @@ def _decide_control(cut, tol) -> ControlVerdict:
 
     s, t = result.s, result.t
     eye_t = np.eye(d_t)
-    rotated = np.kron(s, eye_t) @ grouped @ np.kron(t, eye_t)
+    rotated = mx.control_sandwich(grouped, (d_c, d_t), s, t)
     blocks = []
     off_mass = rotated.copy()
     for k in range(d_c):
@@ -232,20 +233,20 @@ def _decide_control(cut, tol) -> ControlVerdict:
 
 def _split_attempt(grouped, d_c, d_t, projectors, derive_from_input, norm_u):
     """Score one candidate split: derive partner projectors, check block capture."""
-    eye_t = np.eye(d_t)
+    dims = (d_c, d_t)
     ins, outs = [], []
     worst = 0.0
     for p in projectors:
         if derive_from_input:
-            lifted = grouped @ np.kron(p, eye_t)
+            lifted = mx.control_sandwich(grouped, dims, right=p)
             partner = mx.partial_trace(
-                lifted @ lifted.conj().T, (d_c, d_t), keep=(0,)
+                lifted @ lifted.conj().T, dims, keep=(0,)
             ) / d_t
             p_in, p_out = p, partner
         else:
-            lifted = grouped.conj().T @ np.kron(p, eye_t)
+            lifted = mx.control_sandwich(grouped.conj().T, dims, right=p)
             partner = mx.partial_trace(
-                lifted @ lifted.conj().T, (d_c, d_t), keep=(0,)
+                lifted @ lifted.conj().T, dims, keep=(0,)
             ) / d_t
             p_in, p_out = partner, p
         ins.append(p_in)
@@ -253,8 +254,8 @@ def _split_attempt(grouped, d_c, d_t, projectors, derive_from_input, norm_u):
         idempotency = mx.frobenius_norm(partner @ partner - partner) / max(
             1.0, mx.frobenius_norm(partner)
         )
-        moved = grouped @ np.kron(p_in, eye_t)
-        capture = mx.frobenius_norm(np.kron(p_out, eye_t) @ moved - moved) / max(
+        moved = mx.control_sandwich(grouped, dims, right=p_in)
+        capture = mx.frobenius_norm(mx.control_sandwich(moved, dims, left=p_out) - moved) / max(
             mx.frobenius_norm(moved), 1e-300 * norm_u
         )
         worst = max(worst, idempotency, capture)

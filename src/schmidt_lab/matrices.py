@@ -106,6 +106,22 @@ def tensor_chain(factors: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
+def control_sandwich(g: np.ndarray, dims, left=None, right=None) -> np.ndarray:
+    """``(left (x) I) g (right (x) I)`` on a grouped ``(d_c d_t)^2`` operator.
+
+    ``left`` and ``right`` act on the first (control) system of ``dims =
+    (d_c, d_t)``; either may be None for the identity. Each side is one
+    matmul over a reshape of ``g``, never a dense kron factor.
+    """
+    d_c, d_t = dims
+    n = d_c * d_t
+    if left is not None:
+        g = (left @ g.reshape(d_c, d_t * n)).reshape(n, n)
+    if right is not None:
+        g = (right.T @ g.reshape(n, d_c, d_t)).reshape(n, n)
+    return g
+
+
 def assert_unitary(u: np.ndarray, name: str = "operator", rtol: float = 1e-10) -> np.ndarray:
     u = as_operator(u, name)
     d = u.shape[0]

@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from . import matrices as mx
-from .factorizations import RANK_RTOL, numerical_rank, span_dimension, svd
+from .factorizations import RANK_RTOL, leading_svd, numerical_rank, span_dimension
 from .matrices import SystemLayout
 from .randomness import make_rng, random_complex_gaussian
 
@@ -67,6 +67,13 @@ class SchmidtDecomposition:
 
 @dataclass(frozen=True)
 class RankReport:
+    """Rank across a cut, the singular values it was read from, and the cutoff.
+
+    ``singular_values`` are descending and certified, but may be only the
+    leading ones: every value of the realigned operator left out lies below
+    ``SKETCH_MARGIN * tolerance_used`` (see ``factorizations.leading_svd``).
+    """
+
     rank: int
     singular_values: np.ndarray
     tolerance_used: float
@@ -90,26 +97,28 @@ def _lex_key(factor: np.ndarray):
     return tuple(np.round(factor.reshape(-1).view(float), 9))
 
 
-def _cut_spectrum(u, layout, cut, name: str):
-    """(layout, cut, grouped operator, its dims, verified SVD of its realignment)."""
+def _cut_spectrum(u, layout, cut, name: str, tol: float):
+    """(layout, cut, realigned operator, grouped dims, its certified leading SVD)."""
     layout = SystemLayout.of(layout)
     u = mx.as_operator(u, name)
     cut = layout.validate_subset(cut)
     grouped, dims = mx.group_systems(u, layout, cut)
-    return layout, cut, grouped, dims, svd(mx.realign(grouped, dims))
+    realigned = mx.realign(grouped, dims)
+    return layout, cut, realigned, dims, leading_svd(realigned, tol)
 
 
 def operator_schmidt_decompose(u, layout, cut, tol: float = RANK_RTOL) -> SchmidtDecomposition:
     """Expand u across the cut as sum_i s_i A_i (x) B_i, coefficients descending.
 
     Coefficients at or below ``tol`` times the leading one are dropped; the kept
-    terms must rebuild u within the dropped coefficients' norm (the Eckart-Young
-    distance) plus 1e-10 relative. Equal coefficients are ordered by the
+    terms must rebuild u within the norm of all that was dropped (the cut
+    coefficients and the mass ``tau`` that the leading SVD left out) plus
+    1e-10 relative. Equal coefficients are ordered by the
     vectorized left factor so repeated calls and round-tripped inputs produce
     identical output.
     """
-    layout, cut, grouped, (d_a, d_b), (left, s, right_h) = _cut_spectrum(
-        u, layout, cut, "decomposition input"
+    layout, cut, realigned, (d_a, d_b), (left, s, right_h, tau) = _cut_spectrum(
+        u, layout, cut, "decomposition input", tol
     )
     r = numerical_rank(s, tol)
     if r == 0:
@@ -140,9 +149,14 @@ def operator_schmidt_decompose(u, layout, cut, tol: float = RANK_RTOL) -> Schmid
         cut=cut,
         layout=layout,
     )
-    residual = mx.frobenius_norm(dec.grouped_operator() - grouped)
-    dropped = float(np.linalg.norm(s[r:]))
-    if residual > dropped + 1e-10 * max(mx.frobenius_norm(grouped), 1e-300):
+    # realignment only permutes entries, so the residual of the returned
+    # expansion is that of sum_i c_i vec(A_i) vec(B_i)^T against the realigned input
+    lefts_vec = np.stack([a.reshape(-1) for a in dec.left_factors], axis=1)
+    rights_vec = np.stack([b.reshape(-1) for b in dec.right_factors])
+    residual = mx.frobenius_norm((lefts_vec * dec.coefficients) @ rights_vec - realigned)
+    # the spectrum the leading SVD left out weighs at most tau
+    dropped = float(np.hypot(np.linalg.norm(s[r:]), tau))
+    if residual > dropped + 1e-10 * max(mx.frobenius_norm(realigned), 1e-300):
         raise ValueError(
             f"decomposition dropped weight beyond tolerance: residual {residual:.3e}"
         )
@@ -150,8 +164,13 @@ def operator_schmidt_decompose(u, layout, cut, tol: float = RANK_RTOL) -> Schmid
 
 
 def schmidt_rank(u, layout, cut, tol: float = RANK_RTOL) -> RankReport:
-    """Operator Schmidt rank across the cut, with the spectrum that produced it."""
-    *_, (_, s, _) = _cut_spectrum(u, layout, cut, "rank input")
+    """Operator Schmidt rank across the cut, with the spectrum that produced it.
+
+    The spectrum is what ``factorizations.leading_svd`` certifies: all of it
+    on a cut too small to sketch, otherwise only the leading values (see
+    ``RankReport``).
+    """
+    *_, (_, s, _, _) = _cut_spectrum(u, layout, cut, "rank input", tol)
     return RankReport(
         rank=numerical_rank(s, tol),
         singular_values=s,

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from schmidt_lab import control, gates
+from schmidt_lab import control, gates, schmidt
+from schmidt_lab import factorizations as fx
 from schmidt_lab import matrices as mx
 from schmidt_lab.control import (
     fuzz_theorem_checks,
@@ -189,9 +190,9 @@ def _band(verdict):
     return 0 if verdict.controlled else 1 if verdict.inconclusive else 2
 
 
-def _ladder_bands(u, layout, h, tol):
+def _ladder_bands(u, layout, h, tol, top=-4):
     bands = []
-    for exponent in range(-12, -3):
+    for exponent in range(-12, top + 1):
         dressed = scipy.linalg.expm(1j * 10.0**exponent * h) @ u
         verdict = is_controlled(dressed, layout, (0,), tol=tol)
         assert verdict.violation is not None
@@ -221,6 +222,22 @@ def test_near_miss_ladder_bands_every_decade_at_each_tol(tol, d, rank, seed):
     h = random_hermitian(d * d, make_rng(8 if seed == 7 else 100 + seed))
     bands = _ladder_bands(u, layout, h, tol)
     assert 1 in bands
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-5])
+def test_near_miss_ladder_on_the_sketch_path_matches_the_dense_svd(monkeypatch, tol):
+    # an 8x8 cut realigns to 64x64, which the leading SVD sketches; the
+    # ladder must band exactly as with the dense SVD of every realignment.
+    # At this size eps 1e-4 is still a near miss, so the ladder runs to 1e-3.
+    u, layout = gates.random_controlled_unitary(8, 8, 3, seed=1)
+    h = random_hermitian(64, make_rng(101))
+    tiny = scipy.linalg.expm(1e-12j * h) @ u
+    assert len(schmidt.schmidt_rank(tiny, layout, (0,)).singular_values) < 64
+    sketched = _ladder_bands(u, layout, h, tol, top=-3)
+    monkeypatch.setattr(schmidt, "leading_svd", lambda m, rtol: (*fx.svd(m), 0.0))
+    assert len(schmidt.schmidt_rank(tiny, layout, (0,)).singular_values) == 64
+    assert _ladder_bands(u, layout, h, tol, top=-3) == sketched
+    assert 1 in sketched
 
 
 def test_witness_checks_are_banded_against_tol():

@@ -4,11 +4,18 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import schmidt_lab.factorizations as fx
 import schmidt_lab.gates as gates
 import schmidt_lab.matrices as mx
 import schmidt_lab.schmidt as sch
-from schmidt_lab.randomness import haar_unitary, make_rng
+from schmidt_lab.randomness import (
+    haar_unitary,
+    make_rng,
+    random_complex_gaussian,
+    random_hermitian,
+)
 
 SQ2 = math.sqrt(2.0)
 # three equal terms, each of squared weight (d_A d_B)/3 = 8/3
@@ -141,6 +148,82 @@ def test_truncation_leaves_exactly_the_dropped_tail():
     assert dec.rank == 1
     tail = np.linalg.norm(sch.schmidt_rank(u, (2, 3), (0,)).singular_values[1:])
     assert np.linalg.norm(dec.reconstruct() - u) == pytest.approx(tail, rel=1e-6)
+
+
+@pytest.mark.parametrize("d", [6, 8, 16])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_certified_leading_svd_matches_the_dense_svd(d, r):
+    u, layout = gates.random_controlled_unitary(d, d, r, seed=d + r)
+    m = mx.realign(u, layout)
+    left, s, right_h, tau = fx.leading_svd(m, fx.RANK_RTOL)
+    dense = fx.svd(m)[1]
+    # the sketch was taken and certified: it returns a few values, and all
+    # it leaves out weighs under the rank cutoff
+    assert len(s) < d * d
+    assert tau <= fx.SKETCH_MARGIN * fx.RANK_RTOL * s[0]
+    assert np.linalg.norm(left @ (s[:, None] * right_h) - m) <= tau + 1e-10 * np.linalg.norm(m)
+    assert fx.numerical_rank(s) == fx.numerical_rank(dense) == r
+    assert np.max(np.abs(s[:r] - dense[:r])) <= 1e-12 * dense[0]
+    dec = sch.operator_schmidt_decompose(u, layout, (0,))
+    assert dec.rank == r
+    assert np.linalg.norm(dec.reconstruct() - u) <= 1e-10 * np.linalg.norm(u)
+
+
+def test_truncation_on_the_sketch_path_counts_the_mass_left_out():
+    # at tol 1e-3 an 8x8 near miss is sketched although the sketch leaves
+    # out a tail far above roundoff; that tail still bounds the residual
+    u, layout = gates.random_controlled_unitary(8, 8, 3, seed=1)
+    u = scipy.linalg.expm(1e-7j * random_hermitian(64, make_rng(3))) @ u
+    m = mx.realign(u, layout)
+    _, s, _, tau = fx.leading_svd(m, 1e-3)
+    assert len(s) < 64 and tau > 1e-10 * np.linalg.norm(m)
+    dec = sch.operator_schmidt_decompose(u, layout, (0,), tol=1e-3)
+    assert dec.rank == 3
+    residual = np.linalg.norm(dec.reconstruct() - u)
+    assert residual == pytest.approx(np.hypot(np.linalg.norm(s[3:]), tau), rel=1e-6)
+    # no rank-3 expansion beats the Eckart-Young tail of the dense spectrum
+    assert residual >= np.linalg.norm(fx.svd(m)[1][3:])
+
+
+def _of_rank_sketch_width(n):
+    rng = make_rng(5)
+    width = fx.SKETCH_WIDTH
+    return random_complex_gaussian((n, width), rng) @ random_complex_gaussian((width, n), rng)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [mx.realign(haar_unitary(64, make_rng(4)), (8, 8)), _of_rank_sketch_width(64)],
+    ids=["haar-8x8", "saturated-sketch"],
+)
+def test_uncertified_sketch_falls_back_to_the_dense_svd(m):
+    # a full-rank realignment leaves mass out of every sketch; a rank equal
+    # to the sketch width leaves none, but fills the sketch, so it is not certified
+    *factors, tau = fx.leading_svd(m, fx.RANK_RTOL)
+    assert tau == 0.0
+    for got, want in zip(factors, fx.svd(m)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_zero_operator_on_the_sketch_path_is_rejected():
+    # a 6x6 cut realigns to 36x36, wide enough to sketch
+    with pytest.raises(ValueError, match="must be nonzero"):
+        sch.operator_schmidt_decompose(np.zeros((36, 36)), (6, 6), (0,))
+
+
+def test_rank_three_cut_is_sketched_and_full_rank_cut_factored_once(monkeypatch):
+    # the traced benchmark wraps factorizations.svd by name; both the sketch
+    # and the dense round must go through it
+    rc, rc_layout = gates.random_controlled_unitary(16, 16, 3, seed=1)
+    haar = haar_unitary(16, make_rng(2))
+    shapes = []
+    original = fx.svd
+    monkeypatch.setattr(fx, "svd", lambda m: shapes.append(np.shape(m)) or original(m))
+    assert sch.schmidt_rank(rc, rc_layout, (0,)).rank == 3
+    assert shapes and all(rows != 256 for rows, _ in shapes)
+    shapes.clear()
+    assert sch.schmidt_rank(haar, (4, 4), (0,)).rank == 16
+    assert shapes == [(16, 16)]
 
 
 def test_invalid_cuts_rejected():
