@@ -24,8 +24,8 @@ RECONSTRUCTION_RTOL = 1e-10
 # Relative singular-value cutoff used wherever a numerical rank is needed.
 RANK_RTOL = 1e-9
 
-# First sketch width of ``leading_svd``; each further round is 4x wider, and
-# a matrix is sketched only while its short side holds 4 widths.
+# Sketch width of ``leading_svd``; a matrix is sketched only when its short
+# side holds 4 widths.
 SKETCH_WIDTH = 8
 # A sketch is certified when the mass it leaves out is at most this fraction
 # of the rank cutoff, so no singular value it misses could count toward a rank.
@@ -60,36 +60,32 @@ def leading_svd(m: np.ndarray, rtol: float):
     ``||m - Q Q^H m||_F``: every singular value of ``m`` not in ``s`` is at
     most ``tau``, and each one in ``s`` is within ``tau`` of the true one.
     A matrix whose short side is under ``4 * SKETCH_WIDTH`` goes straight to
-    the dense ``svd`` (``tau = 0``). Otherwise a sketch of width w, from
-    ``SKETCH_WIDTH`` up, takes ``Q = qr(m W)`` for a Gaussian W from a fixed
+    the dense ``svd`` (``tau = 0``). Otherwise one sketch of width
+    ``SKETCH_WIDTH`` takes ``Q = qr(m W)`` for a Gaussian W from a fixed
     stream, ``B = Q^H m`` and the ``svd`` of B (Halko, Martinsson & Tropp,
-    SIAM Review 53, 2011). The sketch is accepted
-    when ``tau <= SKETCH_MARGIN * rtol * s_0`` and its smallest value is
-    at or below ``rtol * s_0``, that is when it holds every value above the
-    rank cutoff with room to spare. Otherwise w grows 4x, and once ``4 w``
-    exceeds the short side the dense ``svd`` is the last round. Both SVDs
-    go through ``svd``. The accepted factors must rebuild ``m`` within
-    ``tau + RECONSTRUCTION_RTOL * ||m||``.
+    SIAM Review 53, 2011). The sketch is accepted when
+    ``tau <= SKETCH_MARGIN * rtol * s_0`` and its smallest value is at or
+    below ``rtol * s_0``, that is when it holds every value above the rank
+    cutoff with room to spare; the accepted factors must rebuild ``m``
+    within ``tau + RECONSTRUCTION_RTOL * ||m||``. Otherwise the dense
+    ``svd`` of ``m`` is returned. Both SVDs go through ``svd``.
     """
-    width = SKETCH_WIDTH
-    if 4 * width > min(np.shape(m)):
+    if 4 * SKETCH_WIDTH > min(np.shape(m)):
         return (*svd(m), 0.0)
     m = _require_finite(m, "svd input")
-    rng = make_rng(0)
-    while 4 * width <= min(m.shape):
-        q, _ = np.linalg.qr(m @ random_complex_gaussian((m.shape[1], width), rng))
-        b = q.conj().T @ m
-        tau = float(np.linalg.norm(m - q @ b))
-        u_b, s, vh = svd(b)
-        if tau <= SKETCH_MARGIN * rtol * s[0] and s[-1] <= rtol * s[0]:
-            u = q @ u_b
-            residual = np.linalg.norm(u @ (s[:, None] * vh) - m)
-            if residual > tau + RECONSTRUCTION_RTOL * max(np.linalg.norm(m), 1e-300):
-                raise NumericalError(
-                    f"leading svd reconstruction residual {residual:.3e} too large"
-                )
-            return u, s, vh, tau
-        width *= 4
+    w = random_complex_gaussian((m.shape[1], SKETCH_WIDTH), make_rng(0))
+    q, _ = np.linalg.qr(m @ w)
+    b = q.conj().T @ m
+    tau = float(np.linalg.norm(m - q @ b))
+    u_b, s, vh = svd(b)
+    if tau <= SKETCH_MARGIN * rtol * s[0] and s[-1] <= rtol * s[0]:
+        u = q @ u_b
+        residual = np.linalg.norm(u @ (s[:, None] * vh) - m)
+        if residual > tau + RECONSTRUCTION_RTOL * max(np.linalg.norm(m), 1e-300):
+            raise NumericalError(
+                f"leading svd reconstruction residual {residual:.3e} too large"
+            )
+        return u, s, vh, tau
     return (*svd(m), 0.0)
 
 
