@@ -18,17 +18,10 @@ import numpy as np
 from . import matrices as mx
 from .config import max_total_dimension
 from .errors import DimensionError, NumericalError, StructureError
-from .factorizations import (
-    RANK_RTOL,
-    eigh,
-    null_space,
-    orthonormal_complement,
-    span_dimension,
-    svd,
-)
+from .factorizations import eigh, null_space, orthonormal_complement, span_dimension, svd
 from .matrices import SystemLayout
 from .randomness import make_rng
-from .schmidt import operator_schmidt_decompose
+from .schmidt import _realigned_sum, operator_schmidt_decompose
 
 # default tolerance for a family's relative commutator mass, and the fixed
 # bound on the residuals of the bases simultaneous_svd builds
@@ -95,19 +88,19 @@ class ProjectorDecomposition:
         return total
 
 
-def normal_split(a, gap: float = CLUSTER_GAP):
+def normal_split(a):
     """Split a as (sum_i sqrt(c_i) P_i) V with V unitary.
 
-    The c_i are the clustered eigenvalues of a a^dagger, descending. On the
-    kernel of a the unitary is completed deterministically from orthonormal
-    complements, so equal inputs give identical output.
+    The c_i are the eigenvalues of a a^dagger, clustered at CLUSTER_GAP,
+    descending. On the kernel of a the unitary is completed deterministically
+    from orthonormal complements, so equal inputs give identical output.
     """
     a = mx.as_operator(a, "normal_split input")
     d = a.shape[0]
     gram = a @ a.conj().T
     gram = (gram + gram.conj().T) / 2.0
     evals, vecs = eigh(gram)
-    clusters = _cluster_ascending(evals, gap)[::-1]
+    clusters = _cluster_ascending(evals, CLUSTER_GAP)[::-1]
     values = np.array([max(float(np.mean(evals[idx])), 0.0) for idx in clusters])
     projectors = tuple(vecs[:, idx] @ vecs[:, idx].conj().T for idx in clusters)
 
@@ -338,9 +331,10 @@ def orthogonalization_inputs_from_unitary(u, layout, cut) -> HarvestedPair:
         sum(coeff[i, j] * b_ops[j] for j in range(3)) for i in range(3)
     ]
 
-    grouped, (d_a, d_b) = mx.group_systems(u, layout, dec.cut)
-    rebuilt = sum(np.kron(x, y) for x, y in zip(new_a, new_b))
-    if mx.frobenius_norm(rebuilt - grouped) > 1e-8 * mx.frobenius_norm(u):
+    # compared in the realigned frame, which only permutes entries
+    grouped, dims = mx.group_systems(u, layout, dec.cut)
+    rebuilt = _realigned_sum(1.0, new_a, new_b)
+    if mx.frobenius_norm(rebuilt - mx.realign(grouped, dims)) > 1e-8 * mx.frobenius_norm(u):
         raise NumericalError("re-expanded decomposition failed to reconstruct")
 
     kernel = null_space(c)
@@ -381,17 +375,6 @@ def orthogonalization_inputs_from_unitary(u, layout, cut) -> HarvestedPair:
 # ------------------------------------------------------- joint diagonalization
 
 
-@dataclass(frozen=True)
-class Obstruction:
-    """A named structural failure with its relative magnitude."""
-
-    description: str
-    violation: float
-
-    def __str__(self) -> str:
-        return self.description
-
-
 def _span_generators(stack: np.ndarray) -> np.ndarray:
     """The stack if n <= d^2, else ``W_k = s_k V_k`` from the SVD ``P = U S V``.
 
@@ -406,17 +389,17 @@ def _span_generators(stack: np.ndarray) -> np.ndarray:
     return (s[:, None] * vh).reshape(-1, d, d)
 
 
-def family_obstruction(family, tol: float = COMMUTE_RTOL):
-    """The commutator mass ``sqrt(sum_{i,j} ||[P_i, P_j]||^2)`` if over tol, else None.
+def family_obstruction(family) -> float:
+    """The relative commutator mass ``sqrt(sum_{i,j} ||[P_i, P_j]||^2)`` of a family.
 
     The mass is relative to the squared largest member norm: a per-pair
     norm would read a numerically-zero member's roundoff as an O(1)
     obstruction. It is at least the worst pair and invariant under unitary
     mixing of the members. A family closed under adjoint (both product
     families are) holds ``[P_k, P_k^dagger]`` among its pairs, so its mass
-    vanishes exactly when it is normal and commuting. The sum runs over the
-    span generators one row of pairs at a time, in less working memory than
-    the family itself.
+    vanishes exactly when it is normal and commuting; callers compare it
+    with their tolerance. The sum runs over the span generators one row of
+    pairs at a time, in less working memory than the family itself.
     """
     stack, _ = _as_square_family(family, "family")
     n = stack.shape[0]
@@ -430,27 +413,26 @@ def family_obstruction(family, tol: float = COMMUTE_RTOL):
         commutators = gens[k] @ gens[k + 1 :] - gens[k + 1 :] @ gens[k]
         # each unordered pair stands for both orders
         mass += 2.0 * float(np.vdot(commutators, commutators).real)
-    violation = math.sqrt(mass) / denom
-    if violation <= tol:
-        return None
-    return Obstruction(
-        f"family is not normal and commuting (commutator mass {violation:.3e})", violation
-    )
+    return math.sqrt(mass) / denom
 
 
-def joint_diagonalize_commuting(family, tol: float = COMMUTE_RTOL, seed: int = 0):
+def _obstruction_text(mass: float) -> str:
+    return f"family is not normal and commuting (commutator mass {mass:.3e})"
+
+
+def joint_diagonalize_commuting(family):
     """Unitary q with q^dagger M q diagonal for every member of the family.
 
-    The commutator mass of the family with its adjoints over ``tol`` (not a
-    normal commuting family) raises StructureError, which detection treats
-    as a verdict. q is built by ``_joint_diagonalize`` from ``seed``; a
+    The commutator mass of the family with its adjoints over COMMUTE_RTOL
+    (not a normal commuting family) raises StructureError, which detection
+    treats as a verdict. q is built by ``_joint_diagonalize`` from seed 0; a
     residual over COMMUTE_RTOL on every attempt raises NumericalError.
     """
     ops, _ = _as_square_family(family, "family")
-    obstruction = family_obstruction(np.concatenate([ops, ops.conj().transpose(0, 2, 1)]), tol)
-    if obstruction is not None:
-        raise StructureError(obstruction.description)
-    q, residual = _joint_diagonalize(ops, seed)
+    mass = family_obstruction(np.concatenate([ops, ops.conj().transpose(0, 2, 1)]))
+    if mass > COMMUTE_RTOL:
+        raise StructureError(_obstruction_text(mass))
+    q, residual = _joint_diagonalize(ops, 0)
     if residual > COMMUTE_RTOL:
         raise NumericalError(f"joint diagonalization failed verification (residual {residual:.3e})")
     return q
@@ -547,7 +529,7 @@ def product_families(family):
     return left, right
 
 
-def simultaneous_svd(family, tol: float = COMMUTE_RTOL, seed: int = 0) -> SimultaneousSvdResult:
+def simultaneous_svd(family, tol: float = COMMUTE_RTOL) -> SimultaneousSvdResult:
     """One pair of unitaries diagonalizing every family member at once.
 
     Exists exactly when both product families {M_i M_j'} and {M_i' M_j} are
@@ -563,11 +545,11 @@ def simultaneous_svd(family, tol: float = COMMUTE_RTOL, seed: int = 0) -> Simult
     ops, d = _as_square_family(family, "family")
     left_products, right_products = product_families(ops)
     for name, products in (("left", left_products), ("right", right_products)):
-        obstruction = family_obstruction(products, tol)
-        if obstruction is not None:
-            return _failure(f"{name} products: {obstruction.description}", obstruction.violation)
+        mass = family_obstruction(products)
+        if mass > tol:
+            return _failure(f"{name} products: {_obstruction_text(mass)}", mass)
 
-    q, residual = _joint_diagonalize(left_products, seed)
+    q, residual = _joint_diagonalize(left_products, 0)
     if residual > COMMUTE_RTOL:
         return _failure(f"left basis is not a joint eigenbasis (violation {residual:.3e})", residual)
     s = q.conj().T
@@ -612,13 +594,15 @@ def simultaneous_svd(family, tol: float = COMMUTE_RTOL, seed: int = 0) -> Simult
 # ----------------------------------------------------------- commutant blocks
 
 
-def commutant_blocks(generators, tol: float = RANK_RTOL, seed: int = 0):
+def commutant_blocks(generators):
     """Projectors splitting the space into common invariant blocks, or None.
 
     Solves [X, G] = 0 over the dagger-closure of the m = min(n, d^2) span
-    generators (``_span_generators``); a commutant richer than scalars
-    yields the eigenprojectors of one random traceless Hermitian commutant
-    element. None means irreducible: no common block structure exists.
+    generators (``_span_generators``), its kernel cut at the default
+    ``null_space`` tolerance; a commutant richer than scalars yields the
+    eigenprojectors of one random traceless Hermitian commutant element,
+    drawn from seed 0. None means irreducible: no common block structure
+    exists.
 
     The system has ``2 m d^2`` rows of ``d^2`` unknowns. Pre-flight: more
     than ``2 cap^2`` entries, cap = ``max_total_dimension()`` (512 MiB at the
@@ -634,12 +618,12 @@ def commutant_blocks(generators, tol: float = RANK_RTOL, seed: int = 0):
     system = (
         np.einsum("ac,keb->kabce", eye, closure) - np.einsum("kac,be->kabce", closure, eye)
     ).reshape(-1, d * d)
-    basis = null_space(system, rtol=tol)
+    basis = null_space(system)
     if basis.shape[1] <= 1:
         return None
 
     for attempt in range(2):
-        rng = make_rng(seed, stream=attempt)
+        rng = make_rng(0, stream=attempt)
         coeffs = rng.normal(size=basis.shape[1])
         x = (basis @ coeffs).reshape(d, d)
         x = (x + x.conj().T) / 2.0

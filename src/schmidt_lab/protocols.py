@@ -415,7 +415,7 @@ def controlled_gate_protocol(form: ControlledForm, input, seed: int = 0, branche
     rng = make_rng(seed, stream=13)
 
     if m == 1:
-        output = np.kron(form.q @ np.diag(phases) @ form.r, reps[0]) @ psi
+        output = ((form.q * phases) @ form.r @ psi.reshape(d_c, d_t) @ reps[0].T).reshape(-1)
         fidelity = abs(np.vdot(expected, output))
         steps = (
             ProtocolStep("Alice", "local-unitary", {"name": "control-side rotation", "operand": "r", "system": "control"}),

@@ -25,6 +25,7 @@ from .randomness import make_rng, random_complex_gaussian
 ALS_RESIDUAL_TARGET = 1e-8
 ALS_SWEEPS = 500
 ALS_RANK_MARGIN = 8
+ALS_RESTARTS = 32
 
 
 @dataclass(frozen=True)
@@ -47,13 +48,11 @@ class SchmidtDecomposition:
         return len(self.coefficients)
 
     def grouped_operator(self) -> np.ndarray:
-        total = np.zeros(
-            (self.left_factors[0].shape[0] * self.right_factors[0].shape[0],) * 2,
-            dtype=complex,
+        """sum_i s_i A_i (x) B_i on the grouped frame, unrealigned from one matmul."""
+        dims = (self.left_factors[0].shape[0], self.right_factors[0].shape[0])
+        return mx.unrealign(
+            _realigned_sum(self.coefficients, self.left_factors, self.right_factors), dims
         )
-        for s, a, b in zip(self.coefficients, self.left_factors, self.right_factors):
-            total += s * np.kron(a, b)
-        return total
 
     def reconstruct(self) -> np.ndarray:
         grouped = self.grouped_operator()
@@ -91,6 +90,13 @@ class RankBounds:
     lower: int
     upper: int
     confirmed: bool
+
+
+def _realigned_sum(c, lefts, rights) -> np.ndarray:
+    """The realignment of sum_i c_i A_i (x) B_i: sum_i c_i vec(A_i) vec(B_i)^T."""
+    lefts_vec = np.stack([np.reshape(a, -1) for a in lefts], axis=1)
+    rights_vec = np.stack([np.reshape(b, -1) for b in rights])
+    return (lefts_vec * c) @ rights_vec
 
 
 def _lex_key(factor: np.ndarray):
@@ -150,10 +156,10 @@ def operator_schmidt_decompose(u, layout, cut, tol: float = RANK_RTOL) -> Schmid
         layout=layout,
     )
     # realignment only permutes entries, so the residual of the returned
-    # expansion is that of sum_i c_i vec(A_i) vec(B_i)^T against the realigned input
-    lefts_vec = np.stack([a.reshape(-1) for a in dec.left_factors], axis=1)
-    rights_vec = np.stack([b.reshape(-1) for b in dec.right_factors])
-    residual = mx.frobenius_norm((lefts_vec * dec.coefficients) @ rights_vec - realigned)
+    # expansion is read in the realigned frame
+    residual = mx.frobenius_norm(
+        _realigned_sum(dec.coefficients, dec.left_factors, dec.right_factors) - realigned
+    )
     # the spectrum the leading SVD left out weighs at most tau
     dropped = float(np.hypot(np.linalg.norm(s[r:]), tau))
     if residual > dropped + 1e-10 * max(mx.frobenius_norm(realigned), 1e-300):
@@ -212,16 +218,14 @@ def _als_attempt(tensor, unfoldings, rank, rng, norm):
     return False
 
 
-def multipartite_rank_bounds(
-    u, layout, tol: float = RANK_RTOL, als_restarts: int = 32, seed: int = 0
-) -> RankBounds:
+def multipartite_rank_bounds(u, layout, tol: float = RANK_RTOL, seed: int = 0) -> RankBounds:
     """Bracket the smallest number of n-party product terms summing to u.
 
     The lower bound is the largest operator Schmidt rank over all
     bipartitions. The upper bound sweeps candidate ranks upward from there,
-    accepting the first rank at which alternating least squares reaches a
-    relative residual of 1e-8. Ranks up to lower+8 are tried; beyond that the
-    result is flagged unconfirmed with upper = cap+1.
+    accepting the first rank at which one of 32 seeded alternating least
+    squares restarts reaches a relative residual of 1e-8. Ranks up to lower+8
+    are tried; beyond that the result is flagged unconfirmed with upper = cap+1.
     """
     layout = SystemLayout.of(layout)
     u = mx.as_operator(u, "rank bounds input")
@@ -242,7 +246,7 @@ def multipartite_rank_bounds(
     ]
     cap = lower + ALS_RANK_MARGIN
     for rank in range(lower, cap + 1):
-        for restart in range(als_restarts):
+        for restart in range(ALS_RESTARTS):
             rng = make_rng(seed, stream=rank * 10_000 + restart)
             if _als_attempt(tensor, unfoldings, rank, rng, norm):
                 return RankBounds(lower=lower, upper=rank, confirmed=True)
@@ -290,7 +294,7 @@ def schineq_check(a_ops, b_ops, tol: float = RANK_RTOL) -> SchineqReport:
     if any(b.shape != (d_b, d_b) for b in b_ops):
         raise ValueError("right factors must share one dimension")
 
-    total = sum(np.kron(a, b) for a, b in zip(a_ops, b_ops))
+    total = mx.unrealign(_realigned_sum(1.0, a_ops, b_ops), (d_a, d_b))
     rank = schmidt_rank(total, (d_a, d_b), (0,), tol).rank
     delta_a = span_dimension(a_ops, tol)
     delta_b = span_dimension(b_ops, tol)

@@ -382,8 +382,8 @@ def test_joint_diagonalization_is_deterministic():
     rng = make_rng(9)
     w = haar_unitary(3, rng)
     family = [w @ np.diag(d) @ w.conj().T for d in ([1.0, 2.0, 2.0], [4.0, 4.0, 1.0])]
-    q1 = alg.joint_diagonalize_commuting(family, seed=5)
-    q2 = alg.joint_diagonalize_commuting(family, seed=5)
+    q1 = alg.joint_diagonalize_commuting(family)
+    q2 = alg.joint_diagonalize_commuting(family)
     assert q1.tobytes() == q2.tobytes()
 
 
@@ -511,22 +511,17 @@ def member_scale(family):
 
 @pytest.mark.parametrize("tol", [None, 1, 1000])
 def test_family_obstruction_matches_pairwise_loop(tol):
-    # None runs the default threshold; 1 and 1000 cut through and above the masses
+    # None is the threshold the detectors use; 1 and 1000 cut through and
+    # above the masses, so the comparison a caller makes is checked at each
+    tol = alg.COMMUTE_RTOL if tol is None else tol
     kinds = set()
     longer_than_span = 0
     for kind, family in oracle_families():
         want = loop_commutator_mass(family)
-        if tol is None:
-            got = alg.family_obstruction(family)
-            assert (got is None) == (want <= alg.COMMUTE_RTOL)
-        else:
-            got = alg.family_obstruction(family, tol=tol)
-            assert (got is None) == (want <= tol)
-        if got is not None:
-            assert got.violation == pytest.approx(want, rel=1e-10, abs=1e-13)
-        # a negative tol always reports, so roundoff-level masses compare too
-        got = alg.family_obstruction(family, tol=-1.0)
-        assert got.violation == pytest.approx(want, rel=1e-10, abs=1e-13)
+        got = alg.family_obstruction(family)
+        assert isinstance(got, float)
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-13)
+        assert (got <= tol) == (want <= tol)
         kinds.add(kind)
         d = family[0].shape[0]
         longer_than_span += len(family) > d * d
@@ -543,12 +538,14 @@ def test_family_obstruction_is_basis_independent():
         got = alg.family_obstruction(family)
         again = alg.family_obstruction(mixed)
         # the raw mass is invariant; the normalization follows the members
-        assert again.violation * member_scale(mixed) ** 2 == pytest.approx(
-            got.violation * member_scale(family) ** 2, rel=1e-12
+        assert again * member_scale(mixed) ** 2 == pytest.approx(
+            got * member_scale(family) ** 2, rel=1e-12
         )
-        for obstruction in (got, again):
-            assert "commutator mass" in obstruction.description
-            assert not re.search(r"\d+ and \d+|matri(x|ces) \d", obstruction.description)
+        # the failure text a caller reports names the family and its mass, no pair
+        res = alg.simultaneous_svd(family)
+        assert not res.ok
+        assert "commutator mass" in res.failed_check
+        assert not re.search(r"\d+ and \d+|matri(x|ces) \d", res.failed_check)
 
 
 # ------------------------------------------------------------ simultaneous_svd
@@ -618,8 +615,8 @@ def test_simultaneous_svd_scrambled_diagonal_family():
 
 def test_simultaneous_svd_is_deterministic():
     family = [np.diag([1.0, 2.0]).astype(complex), pauli(3).astype(complex)]
-    r1 = alg.simultaneous_svd(family, seed=3)
-    r2 = alg.simultaneous_svd(family, seed=3)
+    r1 = alg.simultaneous_svd(family)
+    r2 = alg.simultaneous_svd(family)
     assert r1.s.tobytes() == r2.s.tobytes()
     assert r1.t.tobytes() == r2.t.tobytes()
 

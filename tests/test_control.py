@@ -357,6 +357,26 @@ def test_passing_input_split_is_reported_over_the_output_route(d, r, seed):
     assert verdict.violation <= control.VERDICT_RTOL
 
 
+@pytest.mark.parametrize("from_input", [True, False])
+@pytest.mark.parametrize("d_c, d_t, r, seed", [(3, 3, 3, 1), (4, 2, 2, 3), (4, 3, 3, 2)])
+def test_split_partners_match_the_partial_trace(d_c, d_t, r, seed, from_input):
+    # the partner of a projector is the control-side partial trace of
+    # lifted lifted^dagger over d_t, formed as one d_c x d_c product
+    u, layout = gates.random_controlled_unitary(d_c, d_t, r, seed=seed)
+    rng = make_rng(seed)
+    projectors = []
+    for k in (1, d_c - 1):
+        q = haar_unitary(d_c, rng)[:, :k]
+        projectors.append(q @ q.conj().T)
+    source = u if from_input else u.conj().T
+    ins, outs, _ = control._split_attempt(u, d_c, d_t, projectors, from_input, 1.0)
+    partners = outs if from_input else ins
+    for p, partner in zip(projectors, partners):
+        lifted = source @ np.kron(p, np.eye(d_t))
+        reference = mx.partial_trace(lifted @ lifted.conj().T, (d_c, d_t), keep=(0,)) / d_t
+        assert np.max(np.abs(partner - reference)) <= 1e-13
+
+
 def test_is_bcu_rejects_bad_arguments():
     with pytest.raises(ValueError):
         is_bcu(np.ones((4, 4)), (2, 2), (0,))

@@ -32,6 +32,17 @@ def reconstruct_bipartite(dec):
     return total
 
 
+@pytest.mark.parametrize("d_a, d_b, r, seed", [(3, 3, 3, 1), (4, 2, 2, 2), (5, 2, 3, 3)])
+def test_grouped_operator_matches_the_kron_loop(d_a, d_b, r, seed):
+    # grouped_operator unrealigns one matmul; the kron loop is the reference
+    u, layout = gates.random_controlled_unitary(d_a, d_b, r, seed=seed)
+    dec = sch.operator_schmidt_decompose(u, layout, (0,))
+    assert np.max(np.abs(dec.grouped_operator() - reconstruct_bipartite(dec))) <= 1e-13
+    haar = haar_unitary(d_a * d_b, make_rng(seed))
+    dec = sch.operator_schmidt_decompose(haar, (d_a, d_b), (0,))
+    assert np.max(np.abs(dec.grouped_operator() - reconstruct_bipartite(dec))) <= 1e-13
+
+
 def test_identity_is_a_product_operator():
     u = np.eye(4, dtype=complex)
     dec = sch.operator_schmidt_decompose(u, (2, 2), (0,))
