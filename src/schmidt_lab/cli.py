@@ -108,7 +108,10 @@ def _parse_side(raw: str, layout):
 
 
 def _tol_kwargs(args) -> dict:
-    return {} if getattr(args, "tol", None) is None else {"tol": args.tol}
+    tol = getattr(args, "tol", None)
+    if tol is not None and not 0.0 < tol < 1.0:
+        raise ValueError(f"--tol must be a finite number in (0, 1), got {tol!r}")
+    return {} if tol is None else {"tol": tol}
 
 
 def _single_system_json(m: np.ndarray) -> dict:
@@ -159,7 +162,6 @@ def _cmd_detect(args) -> CommandResult:
         payload = {
             "bcu": verdict.bcu,
             "side": list(verdict.side),
-            "route": verdict.route,
             "failed_check": verdict.failed_check,
             "inconclusive": verdict.inconclusive,
             "violation": verdict.violation,

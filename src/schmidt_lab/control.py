@@ -82,13 +82,15 @@ class ControlVerdict:
 
 @dataclass(frozen=True)
 class BcuVerdict:
-    """Outcome of the invariant-block-split decision for one side."""
+    """Outcome of the invariant-block-split decision for one side.
+
+    The projector pairs (P_k, Q_k) are present exactly when ``bcu`` holds.
+    """
 
     bcu: bool
     side: tuple
     input_projectors: tuple | None
     output_projectors: tuple | None
-    route: str | None
     failed_check: str | None
     inconclusive: bool = False
     violation: float | None = None
@@ -228,86 +230,62 @@ def _decide_control(cut, tol) -> ControlVerdict:
     return _verdict_from_checks(checks, form=form, rank=rank, tol=tol)
 
 
-def _split_attempt(grouped, d_c, d_t, projectors, derive_from_input, norm_u):
-    """Score one candidate split: derive partner projectors, check block capture."""
-    dims = (d_c, d_t)
-    source = grouped if derive_from_input else grouped.conj().T
-    ins, outs = [], []
+def _split_attempt(grouped, dims, projectors, norm_u):
+    """Output partners Q = Tr_t[U (P x I) U^dagger] / d_t and the worst check.
+
+    The checks are Q^2 = Q and U (P x I) = (Q x I) U (P x I), relative, per P.
+    """
+    d_c, d_t = dims
+    outs = []
     worst = 0.0
     for p in projectors:
-        lifted = mx.control_sandwich(source, dims, right=p)
-        # the control-side partial trace of lifted lifted^dagger, one d_c x d_c product
-        rows = lifted.reshape(d_c, -1)
+        moved = mx.control_sandwich(grouped, dims, right=p)
+        # the control-side partial trace of moved moved^dagger, one d_c x d_c product
+        rows = moved.reshape(d_c, -1)
         partner = rows @ rows.conj().T / d_t
-        if derive_from_input:
-            p_in, p_out, moved = p, partner, lifted
-        else:
-            p_in, p_out = partner, p
-            moved = mx.control_sandwich(grouped, dims, right=p_in)
-        ins.append(p_in)
-        outs.append(p_out)
+        outs.append(partner)
         idempotency = mx.frobenius_norm(partner @ partner - partner) / max(
             1.0, mx.frobenius_norm(partner)
         )
-        capture = mx.frobenius_norm(mx.control_sandwich(moved, dims, left=p_out) - moved) / max(
+        capture = mx.frobenius_norm(mx.control_sandwich(moved, dims, left=partner) - moved) / max(
             mx.frobenius_norm(moved), 1e-300 * norm_u
         )
         worst = max(worst, idempotency, capture)
-    return tuple(ins), tuple(outs), worst
+    return tuple(outs), worst
 
 
 def is_bcu(u, layout, side, tol: float = VERDICT_RTOL) -> BcuVerdict:
     """Decide whether ``u`` splits into invariant blocks along ``side``.
 
-    The control-side Schmidt factors generate two product families; a
-    nontrivial commutant of the input family yields candidate input
-    projectors, whose output partners are derived from the operator itself
-    and verified to capture every block. When the input family is
-    irreducible, or its split does not pass, the output family is tried
-    symmetrically and the smaller violation is reported. Whether a split
-    exists at all is a rank decision; the tolerance band applies to how
-    well the candidate blocks capture the operator.
+    A nontrivial commutant of the input products M_i^dagger M_j of the
+    control-side Schmidt factors gives projectors P_k; their partners Q_k come
+    from the operator and must capture every block. (For a unitary the output
+    products split exactly when these do.) Whether a split exists is a rank
+    decision; the tolerance band applies to how well the blocks capture u.
     """
     u = mx.assert_unitary(u, "detection input")
-    side, grouped, (d_c, d_t), norm_u, _, factors = _control_cut(u, layout, side)
+    side, grouped, dims, norm_u, _, factors = _control_cut(u, layout, side)
 
-    output_products, input_products = algebra.product_families(factors)
-    best = None
-    for route, products, from_input in (
-        ("input-commutant", input_products, True),
-        ("output-commutant", output_products, False),
-    ):
-        projectors = algebra.commutant_blocks(products)
-        if projectors is None:
-            continue
-        ins, outs, worst = _split_attempt(grouped, d_c, d_t, projectors, from_input, norm_u)
-        if best is None or worst < best[3]:
-            best = (route, ins, outs, worst)
-        if worst <= tol:
-            # a passing split is final: comparing it with the output route
-            # would let roundoff pick between two valid splits
-            break
-
-    if best is None:
+    _, input_products = algebra.product_families(factors)
+    projectors = algebra.commutant_blocks(input_products)
+    if projectors is None:
         return BcuVerdict(
             bcu=False,
             side=side,
             input_projectors=None,
             output_projectors=None,
-            route=None,
             failed_check="factor products act irreducibly: no invariant split exists",
         )
 
-    route, ins, outs, worst = best
+    outs, worst = _split_attempt(grouped, dims, projectors, norm_u)
     passed, failed_check, inconclusive = _band(
-        worst, f"{route} split does not capture the blocks (violation {worst:.3e})", tol
+        worst, f"input-commutant split does not capture the blocks (violation {worst:.3e})", tol
     )
     return BcuVerdict(
         bcu=passed,
         side=side,
-        input_projectors=ins if passed else None,
+        input_projectors=projectors if passed else None,
         output_projectors=outs if passed else None,
-        route=route,
         failed_check=failed_check,
         inconclusive=inconclusive,
         violation=worst,

@@ -26,8 +26,8 @@ _PAULI = (
 )
 
 
-def _finish(u: np.ndarray, dims: tuple[int, ...]):
-    layout = SystemLayout.of(dims)
+def _finish(u: np.ndarray, layout):
+    layout = SystemLayout.of(layout)
     mx.assert_unitary(u, "constructed gate", rtol=1e-12)
     return u, layout
 
@@ -53,13 +53,11 @@ def u_odd_n(n: int):
     """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"this family needs odd n >= 3, got {n}")
-    terms = []
-    for idx, phase in ((0, 1.0), (1, 1j), (3, 1j)):
-        u = _PAULI[idx]
-        for _ in range(n - 1):
-            u = np.kron(u, _PAULI[idx])
-        terms.append(phase * u)
-    return _finish(sum(terms) / math.sqrt(3.0), (2,) * n)
+    layout = SystemLayout.of((2,) * n)
+    terms = [
+        phase * mx.tensor_chain([_PAULI[idx]] * n) for idx, phase in ((0, 1.0), (1, 1j), (3, 1j))
+    ]
+    return _finish(sum(terms) / math.sqrt(3.0), layout)
 
 
 def u3():
@@ -83,6 +81,7 @@ def padded_2x2xn(n: int):
     """Three-qubit gate embedded in 2 x 2 x n, identity on the extra levels."""
     if n < 3:
         raise ValueError(f"the padded third system needs n >= 3, got {n}")
+    layout = SystemLayout.of((2, 2, n))
     core, _ = u3()
     d = 4 * n
     u = np.zeros((d, d), dtype=complex)
@@ -93,7 +92,7 @@ def padded_2x2xn(n: int):
             for k in range(2, n):
                 idx = (i * 2 + j) * n + k
                 u[idx, idx] = 1.0
-    return _finish(u, (2, 2, n))
+    return _finish(u, layout)
 
 
 def even_qubit_rank3(n: int):
@@ -135,7 +134,8 @@ def tensor_extension(u: np.ndarray, layout, extra_dims):
 
 def random_unitary(dim: int, seed: int):
     """Haar-random unitary on one system."""
-    return haar_unitary(dim, make_rng(seed)), SystemLayout.of((dim,))
+    layout = SystemLayout.of((dim,))
+    return haar_unitary(dim, make_rng(seed)), layout
 
 
 def random_local_scramble(u: np.ndarray, layout, seed: int) -> np.ndarray:
@@ -173,7 +173,7 @@ def random_controlled_unitary(d_ctrl: int, d_tgt: int, r: int, seed: int):
             v = blocks[k % r]
             u[k * d_tgt : (k + 1) * d_tgt, k * d_tgt : (k + 1) * d_tgt] = v
         if schmidt_rank(u, layout, (0,)).rank == r:
-            return _finish(random_local_scramble(u, layout, seed), layout.dims)
+            return _finish(random_local_scramble(u, layout, seed), layout)
     raise ValueError(
         f"could not realize rank {r} on ({d_ctrl}, {d_tgt}) after 8 draws"
     )

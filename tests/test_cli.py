@@ -373,6 +373,22 @@ class TestPlumbing:
         assert code == 2
         assert json.loads(out)["status"] == "error"
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1", "1"])
+    @pytest.mark.parametrize(
+        "command", ["decompose", "detect", "detect --bcu", "schmidt-number --ancilla"]
+    )
+    def test_tol_outside_the_unit_interval_is_invalid(self, capsys, tmp_path, command, tol):
+        # each of these once gave a wrong answer instead of an error: a clean
+        # gate inconclusive, rank 0 "matching", or rank 9 from roundoff
+        u, layout = gates.random_controlled_unitary(3, 3, 3, seed=1)
+        path = _write_matrix(tmp_path, "rc.json", u, layout.dims)
+        name, *flags = command.split()
+        code, out, _ = _run(capsys, name, path, *flags, "--tol", tol)
+        assert code == 2
+        data = json.loads(out)
+        assert data["status"] == "error"
+        assert "--tol" in data["diagnostics"][0]
+
 
 def _reference_json_ready(value):
     """The recursive payload walk the CLI used before its ``json`` hook."""

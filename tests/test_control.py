@@ -347,19 +347,42 @@ def test_haar_four_by_four_is_refuted_not_inconclusive():
 
 
 @pytest.mark.parametrize("d, r, seed", [(4, 2, 1), (4, 2, 2), (8, 3, 2)])
-def test_passing_input_split_is_reported_over_the_output_route(d, r, seed):
-    # both routes capture these at roundoff level (about 1e-15); a passing
-    # input split must win outright rather than by the smaller roundoff
+def test_controlled_gates_pass_the_input_commutant_split(d, r, seed):
+    # the split captures these at roundoff level (about 1e-15)
     u, layout = gates.random_controlled_unitary(d, d, r, seed=seed)
     verdict = is_bcu(u, layout, (0,))
     assert verdict.bcu
-    assert verdict.route == "input-commutant"
     assert verdict.violation <= control.VERDICT_RTOL
 
 
-@pytest.mark.parametrize("from_input", [True, False])
+def test_is_bcu_solves_one_commutant(monkeypatch):
+    # an irreducible input family decides alone: no second family is tried
+    calls = []
+    solve = control.algebra.commutant_blocks
+
+    def spy(generators):
+        calls.append(len(generators))
+        return solve(generators)
+
+    monkeypatch.setattr(control.algebra, "commutant_blocks", spy)
+    verdict = is_bcu(haar_unitary(9, make_rng(0)), (3, 3), (0,))
+    assert not verdict.bcu
+    assert len(calls) == 1
+
+
+def test_near_miss_split_is_scored_on_the_input_commutant():
+    # both product families derive the same split here, with violations that
+    # agree to about 1e-10 relative; the verdict must not turn on which is smaller
+    u, layout = gates.random_controlled_unitary(4, 4, 2, seed=5)
+    h = random_hermitian(16, make_rng(8))
+    verdict = is_bcu(scipy.linalg.expm(1e-6j * h) @ u, layout, (0,), tol=1e-8)
+    assert verdict.inconclusive
+    assert "input-commutant" in verdict.failed_check
+    assert verdict.input_projectors is None
+
+
 @pytest.mark.parametrize("d_c, d_t, r, seed", [(3, 3, 3, 1), (4, 2, 2, 3), (4, 3, 3, 2)])
-def test_split_partners_match_the_partial_trace(d_c, d_t, r, seed, from_input):
+def test_split_partners_match_the_partial_trace(d_c, d_t, r, seed):
     # the partner of a projector is the control-side partial trace of
     # lifted lifted^dagger over d_t, formed as one d_c x d_c product
     u, layout = gates.random_controlled_unitary(d_c, d_t, r, seed=seed)
@@ -368,11 +391,9 @@ def test_split_partners_match_the_partial_trace(d_c, d_t, r, seed, from_input):
     for k in (1, d_c - 1):
         q = haar_unitary(d_c, rng)[:, :k]
         projectors.append(q @ q.conj().T)
-    source = u if from_input else u.conj().T
-    ins, outs, _ = control._split_attempt(u, d_c, d_t, projectors, from_input, 1.0)
-    partners = outs if from_input else ins
+    partners, _ = control._split_attempt(u, (d_c, d_t), projectors, 1.0)
     for p, partner in zip(projectors, partners):
-        lifted = source @ np.kron(p, np.eye(d_t))
+        lifted = u @ np.kron(p, np.eye(d_t))
         reference = mx.partial_trace(lifted @ lifted.conj().T, (d_c, d_t), keep=(0,)) / d_t
         assert np.max(np.abs(partner - reference)) <= 1e-13
 

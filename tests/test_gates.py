@@ -9,6 +9,7 @@ import pytest
 
 from schmidt_lab import gates
 from schmidt_lab import matrices as mx
+from schmidt_lab.errors import DimensionError
 from schmidt_lab.randomness import make_rng, random_state
 
 
@@ -123,6 +124,27 @@ def test_even_qubit_rank3():
         gates.even_qubit_rank3(3)
     with pytest.raises(ValueError):
         gates.even_qubit_rank3(2)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: gates.random_unitary(65, seed=0),
+        lambda: gates.u_odd_n(7),
+        lambda: gates.padded_2x2xn(17),
+        lambda: gates.even_qubit_rank3(8),
+    ],
+    ids=["random-unitary", "u-odd-n", "padded-2x2xn", "even-qubit-rank3"],
+)
+def test_builders_refuse_over_cap_sizes_before_allocating(monkeypatch, build):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the gate was built before its layout was checked")
+
+    monkeypatch.setenv("SCHMIDT_LAB_MAX_DIM", "64")
+    monkeypatch.setattr(gates, "haar_unitary", refuse)
+    monkeypatch.setattr(np, "kron", refuse)
+    with pytest.raises(DimensionError):
+        build()
 
 
 def test_tensor_extension_action():
