@@ -36,6 +36,10 @@ def _vec(m: np.ndarray) -> np.ndarray:
     return np.asarray(m, dtype=complex).reshape(-1)
 
 
+def _adjoints(ops: np.ndarray) -> np.ndarray:
+    return ops.conj().transpose(0, 2, 1)
+
+
 def _as_square_family(ops, name: str):
     """The family as one finite complex ``(n, d, d)`` stack, and d."""
     if len(ops) == 0:
@@ -62,13 +66,7 @@ def _cluster_ascending(values: np.ndarray, gap: float):
     if values.size == 0:
         return []
     threshold = gap * max(1.0, float(np.max(np.abs(values))))
-    clusters = [[0]]
-    for i in range(1, values.size):
-        if values[i] - values[i - 1] > threshold:
-            clusters.append([i])
-        else:
-            clusters[-1].append(i)
-    return [np.array(idx) for idx in clusters]
+    return np.split(np.arange(values.size), np.flatnonzero(np.diff(values) > threshold) + 1)
 
 
 # ------------------------------------------------------------------ splittings
@@ -401,7 +399,11 @@ def family_obstruction(family) -> float:
     with their tolerance. The sum runs over the span generators one row of
     pairs at a time, in less working memory than the family itself.
     """
-    stack, _ = _as_square_family(family, "family")
+    return _commutator_mass(_as_square_family(family, "family")[0])
+
+
+def _commutator_mass(stack: np.ndarray) -> float:
+    """``family_obstruction`` of a checked ``(n, d, d)`` stack."""
     n = stack.shape[0]
     scale = max(float(np.max(np.linalg.norm(stack.reshape(n, -1), axis=1))), 1e-300)
     # an all-zero family would square its floor to 0 and divide 0 by 0
@@ -429,7 +431,7 @@ def joint_diagonalize_commuting(family):
     residual over COMMUTE_RTOL on every attempt raises NumericalError.
     """
     ops, _ = _as_square_family(family, "family")
-    mass = family_obstruction(np.concatenate([ops, ops.conj().transpose(0, 2, 1)]))
+    mass = _commutator_mass(np.concatenate([ops, _adjoints(ops)]))
     if mass > COMMUTE_RTOL:
         raise StructureError(_obstruction_text(mass))
     q, residual = _joint_diagonalize(ops, 0)
@@ -440,16 +442,15 @@ def joint_diagonalize_commuting(family):
 
 def _diagonal_residual(rotated, ops) -> float:
     """Largest off-diagonal mass of the rotated members, each over max(||M||, 1)."""
-    return max(
-        mx.frobenius_norm(r - np.diag(np.diag(r))) / max(mx.frobenius_norm(m), 1.0)
-        for r, m in zip(rotated, ops)
-    )
+    off = np.asarray(rotated) * (1.0 - np.eye(np.shape(rotated)[-1]))
+    scales = np.maximum(mx.frobenius_norms(np.asarray(ops)), 1.0)
+    return float(np.max(mx.frobenius_norms(off) / scales))
 
 
-def _is_scalar(m: np.ndarray) -> bool:
-    k = m.shape[0]
-    dev = mx.frobenius_norm(m - (np.trace(m) / k) * np.eye(k))
-    return dev <= CLUSTER_GAP * max(math.sqrt(k), mx.frobenius_norm(m))
+def _is_scalar(stack: np.ndarray) -> np.ndarray:
+    k = stack.shape[1]
+    dev = mx.frobenius_norms(stack - (stack.trace(axis1=1, axis2=2) / k)[:, None, None] * np.eye(k))
+    return dev <= CLUSTER_GAP * np.maximum(math.sqrt(k), mx.frobenius_norms(stack))
 
 
 def _joint_diagonalize(ops: np.ndarray, seed: int):
@@ -459,20 +460,22 @@ def _joint_diagonalize(ops: np.ndarray, seed: int):
     joint eigenbasis (He & Kressner, SIMAX 2024). Attempt k draws from stream k;
     the first of three within COMMUTE_RTOL is kept, else the best. Multiples of I keep q = I.
     """
-    d = ops.shape[1]
-    if all(_is_scalar(m) for m in ops):
+    n, d, _ = ops.shape
+    if _is_scalar(ops).all():
         return np.eye(d, dtype=complex), _diagonal_residual(ops, ops)
+    hermitian = (ops + _adjoints(ops)) / 2.0
+    antihermitian = (ops - _adjoints(ops)) / 2.0j
     best = None
     for attempt in range(3):
-        rng = make_rng(seed, stream=attempt)
+        weights = make_rng(seed, stream=attempt).normal(size=(n, 2))
         h = np.zeros((d, d), dtype=complex)
-        for m in ops:
-            w_re, w_im = rng.normal(size=2)
-            h += w_re * (m + m.conj().T) / 2.0
-            h += w_im * (m - m.conj().T) / 2.0j
+        # summed member by member: a reordered sum moves h, and q, at roundoff
+        for (w_re, w_im), a, b in zip(weights, hermitian, antihermitian):
+            h += w_re * a
+            h += w_im * b
         # + 0.0 turns the eigensolver's -0.0 entries into +0.0, which witnesses print as 0.0
         q = np.linalg.eigh(h)[1] + 0.0
-        residual = _diagonal_residual([q.conj().T @ m @ q for m in ops], ops)
+        residual = _diagonal_residual(q.conj().T @ ops @ q, ops)
         if best is None or residual < best[1]:
             best = (q, residual)
         if residual <= COMMUTE_RTOL:
@@ -514,19 +517,25 @@ def _check_budget(what: str, entries: int) -> None:
         raise DimensionError(f"{what} of {entries} entries exceeds the budget 2 * {cap}^2")
 
 
+def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a_i @ b_j`` at index ``i * n + j``: one broadcast matmul, bitwise a pairwise loop."""
+    return (a[:, None] @ b[None]).reshape(-1, *a.shape[1:])
+
+
 def product_families(family):
     """The stacked products ``(M_i M_j^dagger, M_i^dagger M_j)``, index ``i * n + j``.
 
-    One broadcast matmul each; it runs the same per-pair products as
-    ``a @ b.conj().T``, so the entries are bitwise those of a pairwise loop.
     More than ``2 cap^2`` entries in all (n d > cap) raise DimensionError first.
     """
     ops, d = _as_square_family(family, "family")
     _check_budget("product families", 2 * len(ops) ** 2 * d * d)
-    adjoints = ops.conj().transpose(0, 2, 1)
-    left = (ops[:, None] @ adjoints[None]).reshape(-1, d, d)
-    right = (adjoints[:, None] @ ops[None]).reshape(-1, d, d)
-    return left, right
+    return _products(ops, _adjoints(ops)), _products(_adjoints(ops), ops)
+
+
+def _input_products(ops: np.ndarray) -> np.ndarray:
+    """``M_i^dagger M_j`` of a checked stack; more than ``2 cap^2`` entries raise first."""
+    _check_budget("product families (input side)", len(ops) * ops.size)
+    return _products(_adjoints(ops), ops)
 
 
 def simultaneous_svd(family, tol: float = COMMUTE_RTOL) -> SimultaneousSvdResult:
@@ -534,60 +543,58 @@ def simultaneous_svd(family, tol: float = COMMUTE_RTOL) -> SimultaneousSvdResult
 
     Exists exactly when both product families {M_i M_j'} and {M_i' M_j} are
     normal and commuting; a commutator mass (``family_obstruction``) over
-    ``tol`` fails naming the family and its mass. The left basis is the
-    eigenbasis of one random Hermitian combination of the left products
-    (``_joint_diagonalize``); the right basis is derived row by row
-    from the rotated family, which stays sound on degenerate families
+    ``tol`` fails naming the family and its mass (the right products are
+    formed once the left ones pass). The left basis is the eigenbasis of
+    one random Hermitian combination of the left products
+    (``_joint_diagonalize``); the right basis is derived row by row from the
+    rotated family stack, which stays sound on degenerate families
     (repeated blocks, single members) where greedy eigenbasis pairing does
     not. A near miss whose left basis, right basis or joint diagonal form
     misses COMMUTE_RTOL (whatever ``tol`` is) fails with that residual.
     """
     ops, d = _as_square_family(family, "family")
-    left_products, right_products = product_families(ops)
-    for name, products in (("left", left_products), ("right", right_products)):
-        mass = family_obstruction(products)
-        if mass > tol:
-            return _failure(f"{name} products: {_obstruction_text(mass)}", mass)
+    _check_budget("product families", 2 * len(ops) ** 2 * d * d)
+    left_products = _products(ops, _adjoints(ops))
+    mass = _commutator_mass(left_products)
+    if mass > tol:
+        return _failure(f"left products: {_obstruction_text(mass)}", mass)
+    mass = _commutator_mass(_products(_adjoints(ops), ops))
+    if mass > tol:
+        return _failure(f"right products: {_obstruction_text(mass)}", mass)
 
     q, residual = _joint_diagonalize(left_products, 0)
     if residual > COMMUTE_RTOL:
         return _failure(f"left basis is not a joint eigenbasis (violation {residual:.3e})", residual)
     s = q.conj().T
-    rotated = [s @ m for m in ops]
-    scale = max(max(mx.frobenius_norm(m) for m in ops), 1e-300)
+    rotated = s @ ops
+    scale = max(float(np.max(mx.frobenius_norms(ops))), 1e-300)
 
+    # column r of t is the largest row r among the rotated members, conjugated and normalized
     t = np.zeros((d, d), dtype=complex)
-    filled = []
-    for r in range(d):
-        rows = [k[r, :] for k in rotated]
-        norms = [np.linalg.norm(row) for row in rows]
-        best = int(np.argmax(norms))
-        if norms[best] > 1e-9 * scale:
-            t[:, r] = rows[best].conj() / norms[best]
-            filled.append(r)
-    missing = [r for r in range(d) if r not in filled]
-    if missing:
-        completion = orthonormal_complement(t[:, filled])
-        for col, r in enumerate(missing):
-            t[:, r] = completion[:, col]
+    row_norms = mx.frobenius_norms(rotated[..., None])
+    best = np.argmax(row_norms, axis=0)
+    filled = row_norms[best, np.arange(d)] > 1e-9 * scale
+    for r in np.flatnonzero(filled):
+        t[:, r] = rotated[best[r], r].conj() / np.linalg.norm(rotated[best[r], r])
+    if not filled.all():
+        t[:, ~filled] = orthonormal_complement(t[:, filled])[:, : d - np.count_nonzero(filled)]
 
     residual = mx.frobenius_norm(t.conj().T @ t - np.eye(d)) / math.sqrt(d)
     if residual > COMMUTE_RTOL:
         return _failure(f"derived right basis is not unitary (violation {residual:.3e})", residual)
 
     # convention: first significant diagonal entry of s M_1 t real nonnegative
-    first = s @ ops[0] @ t
-    diag = np.diag(first)
+    diag = np.diag(rotated[0] @ t)
     idx = np.flatnonzero(np.abs(diag) > 1e-9 * max(scale, 1.0))
     if idx.size:
         pivot = diag[idx[0]]
         t[:, idx[0]] *= np.conj(pivot) / abs(pivot)
 
-    products = [s @ m @ t for m in ops]
+    products = rotated @ t
     residual = _diagonal_residual(products, ops)
     if residual > COMMUTE_RTOL:
         return _failure(f"family resists joint diagonal form (violation {residual:.3e})", residual)
-    diagonals = tuple(np.diag(prod) for prod in products)
+    diagonals = tuple(np.diagonal(products, axis1=1, axis2=2).copy())
     return SimultaneousSvdResult(s=s, t=t, diagonals=diagonals, failed_check=None)
 
 
@@ -612,7 +619,7 @@ def commutant_blocks(generators):
     gens, d = _as_square_family(generators, "generators")
     _check_budget("commutant system", 2 * min(len(gens), d * d) * d**4)
     span = _span_generators(gens)
-    closure = np.concatenate([span, span.conj().transpose(0, 2, 1)])
+    closure = np.concatenate([span, _adjoints(span)])
     eye = np.eye(d, dtype=complex)
     # row block k is kron(I, G_k^T) - kron(G_k, I), the map X -> X G_k - G_k X
     system = (

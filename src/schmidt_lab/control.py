@@ -24,7 +24,7 @@ from . import algebra, gates
 from . import matrices as mx
 from .matrices import SystemLayout
 from .randomness import make_rng
-from .schmidt import operator_schmidt_decompose
+from .schmidt import _expansion
 
 # checks pass below this relative violation
 VERDICT_RTOL = 1e-8
@@ -133,16 +133,21 @@ class FuzzSummary:
 def _control_cut(u, layout, side):
     """Group a unitary's ``side`` to the front and keep its significant factors.
 
-    Returns ``(side, grouped, (d_c, d_t), norm of u, Schmidt rank, factors)``.
-    The caller has checked that ``u`` is unitary.
+    Returns ``(side, grouped, (d_c, d_t), norm of u, Schmidt rank, factors)``,
+    the factors as one ``(n, d_c, d_c)`` stack. The caller has checked that ``u`` is unitary.
     """
     layout = SystemLayout.of(layout)
     side = layout.validate_subset(side)
     grouped, dims = mx.group_systems(u, layout, side)
-    dec = operator_schmidt_decompose(grouped, dims, (0,))
-    floor = SIGNIFICANT_FLOOR * dec.coefficients[0]
-    factors = [f for c, f in zip(dec.coefficients, dec.left_factors) if c > floor]
-    return side, grouped, dims, mx.frobenius_norm(u), dec.rank, factors
+    coefficients, lefts, _ = _expansion(mx._realigned(grouped, dims), dims)
+    factors = np.array(lefts)[coefficients > SIGNIFICANT_FLOOR * coefficients[0]]
+    return side, grouped, dims, mx.frobenius_norm(u), len(coefficients), factors
+
+
+def _checked(u, tol, name):
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must be a finite number in (0, 1), got {tol!r}")
+    return mx.assert_unitary(u, name)
 
 
 def _band(violation, description, tol):
@@ -183,8 +188,9 @@ def is_controlled(u, layout, side, tol: float = VERDICT_RTOL) -> ControlVerdict:
     the bases; the target blocks are then read directly off the rotated
     operator, so rank-deficient factor spans still fill in correctly. The
     assembled form is verified against the input before any positive verdict.
+    A ``tol`` that is not a finite number in (0, 1) raises ValueError.
     """
-    u = mx.assert_unitary(u, "detection input")
+    u = _checked(u, tol, "detection input")
     return _decide_control(_control_cut(u, layout, side), tol)
 
 
@@ -207,16 +213,15 @@ def _decide_control(cut, tol) -> ControlVerdict:
         )
 
     s, t = result.s, result.t
-    eye_t = np.eye(d_t)
     rotated = mx.control_sandwich(grouped, (d_c, d_t), s, t).reshape(d_c, d_t, d_c, d_t)
     diagonal = np.arange(d_c)
     blocks = rotated[diagonal, :, diagonal, :]
     rotated[diagonal, :, diagonal, :] = 0.0
 
     checks = [("control basis leaves off-diagonal blocks", mx.frobenius_norm(rotated) / norm_u)]
-    for k, v in enumerate(blocks):
-        deviation = mx.frobenius_norm(v.conj().T @ v - eye_t) / np.sqrt(d_t)
-        checks.append((f"target block {k} is not unitary", deviation))
+    grams = blocks.conj().transpose(0, 2, 1) @ blocks - np.eye(d_t)
+    deviations = mx.frobenius_norms(grams) / np.sqrt(d_t)
+    checks += [(f"target block {k} is not unitary", float(x)) for k, x in enumerate(deviations)]
 
     form = ControlledForm(
         side=side,
@@ -261,13 +266,13 @@ def is_bcu(u, layout, side, tol: float = VERDICT_RTOL) -> BcuVerdict:
     control-side Schmidt factors gives projectors P_k; their partners Q_k come
     from the operator and must capture every block. (For a unitary the output
     products split exactly when these do.) Whether a split exists is a rank
-    decision; the tolerance band applies to how well the blocks capture u.
+    decision; the tolerance band applies to how well the blocks capture u
+    (``tol`` as in ``is_controlled``). Only the input products are formed.
     """
-    u = mx.assert_unitary(u, "detection input")
+    u = _checked(u, tol, "detection input")
     side, grouped, dims, norm_u, _, factors = _control_cut(u, layout, side)
 
-    _, input_products = algebra.product_families(factors)
-    projectors = algebra.commutant_blocks(input_products)
+    projectors = algebra.commutant_blocks(algebra._input_products(factors))
     if projectors is None:
         return BcuVerdict(
             bcu=False,
@@ -298,23 +303,19 @@ def multipartite_control_analysis(u, layout, tol: float = VERDICT_RTOL) -> Multi
     Rank-one and rank-two cuts are controlled on dimension grounds alone;
     they are listed separately so callers can see which positives needed no
     structure analysis. The witness is the first positive subset in order:
-    singletons ascending, then pairs lexicographically.
+    singletons ascending, then pairs lexicographically (``tol`` as in ``is_controlled``).
     """
     layout = SystemLayout.of(layout)
     if len(layout) < 3:
-        raise ValueError(
-            f"multipartite analysis needs at least 3 systems, got {len(layout)}"
-        )
-    u = mx.assert_unitary(u, "analysis input")
+        raise ValueError(f"multipartite analysis needs at least 3 systems, got {len(layout)}")
+    u = _checked(u, tol, "analysis input")
 
     singles = {}
     pairs = {}
     low_rank = []
     witness_subset = None
     witness = None
-    subsets = [(i,) for i in range(len(layout))] + list(
-        combinations(range(len(layout)), 2)
-    )
+    subsets = [(i,) for i in range(len(layout))] + list(combinations(range(len(layout)), 2))
     for subset in subsets:
         verdict = _decide_control(_control_cut(u, layout, subset), tol)
         (singles if len(subset) == 1 else pairs)[subset] = verdict

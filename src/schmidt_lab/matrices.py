@@ -84,6 +84,12 @@ def frobenius_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(m)))
 
 
+def frobenius_norms(stack: np.ndarray) -> np.ndarray:
+    """``frobenius_norm`` of each matrix of a stack, bitwise: the same two BLAS dots each."""
+    re, im = (part.reshape(*np.shape(stack)[:-2], 1, -1) for part in (stack.real, stack.imag))
+    return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
+
+
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with the configured dimension cap enforced."""
     a = np.asarray(a, dtype=complex)
@@ -142,9 +148,12 @@ def realign(u: np.ndarray, layout) -> np.ndarray:
         raise DimensionError(f"realign needs a bipartite layout, got {layout.dims}")
     u = as_operator(u, "realign input")
     _check_layout(u, layout, "realign input")
-    da, db = layout.dims
-    t = u.reshape(da, db, da, db)  # indices (i, j, k, l)
-    return t.transpose(0, 2, 1, 3).reshape(da * da, db * db)
+    return _realigned(u, layout.dims)
+
+
+def _realigned(u: np.ndarray, dims) -> np.ndarray:
+    da, db = dims  # u has indices (i, j, k, l)
+    return u.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
 
 
 def unrealign(m: np.ndarray, layout) -> np.ndarray:
@@ -171,25 +180,29 @@ def permute_systems(u: np.ndarray, layout, perm: Sequence[int]) -> np.ndarray:
     perm = tuple(int(p) for p in perm)
     if sorted(perm) != list(range(n)):
         raise ValueError(f"perm {perm} is not a permutation of 0..{n - 1}")
-    t = u.reshape(layout.dims + layout.dims)
-    axes = perm + tuple(n + p for p in perm)
-    side = layout.total
-    return t.transpose(axes).reshape(side, side)
+    return _permuted(u, layout, perm)
+
+
+def _permuted(u: np.ndarray, layout: SystemLayout, perm: tuple) -> np.ndarray:
+    axes = perm + tuple(len(perm) + p for p in perm)
+    return u.reshape(layout.dims * 2).transpose(axes).reshape(layout.total, layout.total)
 
 
 def group_systems(u: np.ndarray, layout, front: Iterable[int]):
     """Permute ``front`` systems (sorted) to the left; returns (operator, (d_front, d_rest)).
 
-    The grouped operator is bipartite with the chosen subset as its first factor,
-    which is the frame every cut-based routine works in.
+    The grouped operator is bipartite with the chosen subset as its first factor, which is the
+    frame every cut-based routine works in. Only the shape of ``u`` is checked, not its entries.
     """
     layout = SystemLayout.of(layout)
     front = layout.validate_subset(front)
     rest = layout.complement(front)
     if not rest:
         raise ValueError("grouped subset must be a strict subset of the systems")
-    perm = front + rest
-    grouped = permute_systems(u, layout, perm)
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (layout.total,) * 2:
+        raise DimensionError(f"grouped operator has shape {u.shape}, layout {layout.dims}")
+    grouped = _permuted(u, layout, front + rest)
     d_front = math.prod(layout.dims[i] for i in front)
     return grouped, (d_front, layout.total // d_front)
 

@@ -103,29 +103,22 @@ def _lex_key(factor: np.ndarray):
     return tuple(np.round(factor.reshape(-1).view(float), 9))
 
 
-def _cut_spectrum(u, layout, cut, name: str, tol: float):
-    """(layout, cut, realigned operator, grouped dims, its certified leading SVD)."""
+def _cut_realigned(u, layout, cut, name: str):
+    """(layout, cut, realigned operator, grouped dims); the one check of ``u`` on this path."""
     layout = SystemLayout.of(layout)
     u = mx.as_operator(u, name)
     cut = layout.validate_subset(cut)
     grouped, dims = mx.group_systems(u, layout, cut)
-    realigned = mx.realign(grouped, dims)
-    return layout, cut, realigned, dims, leading_svd(realigned, tol)
+    return layout, cut, mx._realigned(grouped, dims), dims
 
 
-def operator_schmidt_decompose(u, layout, cut, tol: float = RANK_RTOL) -> SchmidtDecomposition:
-    """Expand u across the cut as sum_i s_i A_i (x) B_i, coefficients descending.
+def _expansion(realigned, dims, tol=RANK_RTOL):
+    """``(coefficients, left factors, right factors)`` of a realigned operator, verified.
 
-    Coefficients at or below ``tol`` times the leading one are dropped; the kept
-    terms must rebuild u within the norm of all that was dropped (the cut
-    coefficients and the mass ``tau`` that the leading SVD left out) plus
-    1e-10 relative. Equal coefficients are ordered by the
-    vectorized left factor so repeated calls and round-tripped inputs produce
-    identical output.
+    The one Schmidt-expansion rule; ``operator_schmidt_decompose`` says what it keeps.
     """
-    layout, cut, realigned, (d_a, d_b), (left, s, right_h, tau) = _cut_spectrum(
-        u, layout, cut, "decomposition input", tol
-    )
+    d_a, d_b = dims
+    left, s, right_h, tau = leading_svd(realigned, tol)
     r = numerical_rank(s, tol)
     if r == 0:
         raise ValueError("decomposition input must be nonzero")
@@ -145,28 +138,34 @@ def operator_schmidt_decompose(u, layout, cut, tol: float = RANK_RTOL) -> Schmid
         coeffs.append(s[i])
         lefts.append(a * phase.conjugate())
         rights.append(b * phase)
-    order = sorted(
-        range(r), key=lambda i: (-round(coeffs[i], 9), _lex_key(lefts[i]))
-    )
-    dec = SchmidtDecomposition(
-        coefficients=np.array([coeffs[i] for i in order]),
-        left_factors=tuple(lefts[i] for i in order),
-        right_factors=tuple(rights[i] for i in order),
-        cut=cut,
-        layout=layout,
-    )
+    order = sorted(range(r), key=lambda i: (-round(coeffs[i], 9), _lex_key(lefts[i])))
+    coefficients = np.array([coeffs[i] for i in order])
+    lefts = tuple(lefts[i] for i in order)
+    rights = tuple(rights[i] for i in order)
     # realignment only permutes entries, so the residual of the returned
     # expansion is read in the realigned frame
-    residual = mx.frobenius_norm(
-        _realigned_sum(dec.coefficients, dec.left_factors, dec.right_factors) - realigned
-    )
+    residual = mx.frobenius_norm(_realigned_sum(coefficients, lefts, rights) - realigned)
     # the spectrum the leading SVD left out weighs at most tau
     dropped = float(np.hypot(np.linalg.norm(s[r:]), tau))
     if residual > dropped + 1e-10 * max(mx.frobenius_norm(realigned), 1e-300):
         raise ValueError(
             f"decomposition dropped weight beyond tolerance: residual {residual:.3e}"
         )
-    return dec
+    return coefficients, lefts, rights
+
+
+def operator_schmidt_decompose(u, layout, cut, tol: float = RANK_RTOL) -> SchmidtDecomposition:
+    """Expand u across the cut as sum_i s_i A_i (x) B_i, coefficients descending.
+
+    Coefficients at or below ``tol`` times the leading one are dropped; the kept
+    terms must rebuild u within the norm of all that was dropped (the cut
+    coefficients and the mass ``tau`` that the leading SVD left out) plus
+    1e-10 relative. Equal coefficients are ordered by the
+    vectorized left factor so repeated calls and round-tripped inputs produce
+    identical output.
+    """
+    layout, cut, realigned, dims = _cut_realigned(u, layout, cut, "decomposition input")
+    return SchmidtDecomposition(*_expansion(realigned, dims, tol), cut=cut, layout=layout)
 
 
 def schmidt_rank(u, layout, cut, tol: float = RANK_RTOL) -> RankReport:
@@ -176,7 +175,7 @@ def schmidt_rank(u, layout, cut, tol: float = RANK_RTOL) -> RankReport:
     on a cut too small to sketch, otherwise only the leading values (see
     ``RankReport``).
     """
-    *_, (_, s, _, _) = _cut_spectrum(u, layout, cut, "rank input", tol)
+    _, s, _, _ = leading_svd(_cut_realigned(u, layout, cut, "rank input")[2], tol)
     return RankReport(
         rank=numerical_rank(s, tol),
         singular_values=s,

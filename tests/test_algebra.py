@@ -613,6 +613,127 @@ def test_simultaneous_svd_scrambled_diagonal_family():
     check_witness(res, family)
 
 
+def loop_diagonal_residual(rotated, ops):
+    # the per-member formula the stacked residual replaced, kept as reference
+    return max(
+        mx.frobenius_norm(r - np.diag(np.diag(r))) / max(mx.frobenius_norm(m), 1.0)
+        for r, m in zip(rotated, ops)
+    )
+
+
+def loop_joint_diagonalize(ops, seed):
+    # the per-member draw, sum and rotation the stacked helper replaced
+    d = ops.shape[1]
+    if all(_is_scalar_block(m, alg.CLUSTER_GAP) for m in ops):
+        return np.eye(d, dtype=complex), loop_diagonal_residual(ops, ops)
+    best = None
+    for attempt in range(3):
+        rng = make_rng(seed, stream=attempt)
+        h = np.zeros((d, d), dtype=complex)
+        for m in ops:
+            w_re, w_im = rng.normal(size=2)
+            h += w_re * (m + m.conj().T) / 2.0
+            h += w_im * (m - m.conj().T) / 2.0j
+        q = np.linalg.eigh(h)[1] + 0.0
+        residual = loop_diagonal_residual([q.conj().T @ m @ q for m in ops], ops)
+        if best is None or residual < best[1]:
+            best = (q, residual)
+        if residual <= alg.COMMUTE_RTOL:
+            break
+    return best
+
+
+def loop_simultaneous_svd(family):
+    # simultaneous_svd member by member, as it read before its families were
+    # stacks; returns (s, t, diagonals) or (failed_check, violation)
+    ops = np.array(family, dtype=complex)
+    d = ops.shape[1]
+    left = [a @ b.conj().T for a in ops for b in ops]
+    right = [a.conj().T @ b for a in ops for b in ops]
+    for name, products in (("left", left), ("right", right)):
+        mass = alg.family_obstruction(products)
+        if mass > alg.COMMUTE_RTOL:
+            return f"{name} products: {alg._obstruction_text(mass)}", mass
+    q, residual = loop_joint_diagonalize(np.array(left), 0)
+    if residual > alg.COMMUTE_RTOL:
+        return "left basis", residual
+    s = q.conj().T
+    rotated = [s @ m for m in ops]
+    scale = max(max(mx.frobenius_norm(m) for m in ops), 1e-300)
+    t = np.zeros((d, d), dtype=complex)
+    filled = []
+    for r in range(d):
+        rows = [k[r, :] for k in rotated]
+        norms = [np.linalg.norm(row) for row in rows]
+        best = int(np.argmax(norms))
+        if norms[best] > 1e-9 * scale:
+            t[:, r] = rows[best].conj() / norms[best]
+            filled.append(r)
+    missing = [r for r in range(d) if r not in filled]
+    if missing:
+        completion = alg.orthonormal_complement(t[:, filled])
+        for col, r in enumerate(missing):
+            t[:, r] = completion[:, col]
+    diag = np.diag(s @ ops[0] @ t)
+    idx = np.flatnonzero(np.abs(diag) > 1e-9 * max(scale, 1.0))
+    if idx.size:
+        t[:, idx[0]] *= np.conj(diag[idx[0]]) / abs(diag[idx[0]])
+    products = [s @ m @ t for m in ops]
+    assert loop_diagonal_residual(products, ops) <= alg.COMMUTE_RTOL
+    return s, t, tuple(np.diag(prod) for prod in products)
+
+
+def test_simultaneous_svd_matches_the_member_loop_bytewise():
+    families = 0
+    for d in (2, 3, 4, 5, 8, 16):
+        for r in range(1, min(d, 3) + 1):
+            for seed in range(6):
+                u, layout = gates.random_controlled_unitary(d, d, r, seed=seed)
+                dec = operator_schmidt_decompose(u, layout, (0,))
+                res = alg.simultaneous_svd(dec.left_factors)
+                s, t, diagonals = loop_simultaneous_svd(dec.left_factors)
+                assert res.s.tobytes() == s.tobytes(), (d, r, seed)
+                assert res.t.tobytes() == t.tobytes(), (d, r, seed)
+                assert [x.tobytes() for x in res.diagonals] == [x.tobytes() for x in diagonals]
+                families += 1
+    assert families == 102
+    # refuted families report the same check and mass
+    for d in (2, 3):
+        for seed in range(6):
+            dec = operator_schmidt_decompose(haar_unitary(d * d, make_rng(seed)), (d, d), (0,))
+            res = alg.simultaneous_svd(dec.left_factors)
+            assert (res.failed_check, res.violation) == loop_simultaneous_svd(dec.left_factors)
+
+
+def test_diagonal_residual_of_a_stack_matches_the_member_formula():
+    rng = make_rng(23)
+    for d, n in ((2, 1), (3, 9), (4, 16), (8, 5)):
+        for scale in (1e-3, 1.0, 1e3):
+            ops = scale * random_complex_gaussian((n, d, d), rng)
+            w = haar_unitary(d, rng)
+            rotated = w.conj().T @ ops @ w
+            want = loop_diagonal_residual(list(rotated), ops)
+            for given in (rotated, list(rotated)):
+                assert alg._diagonal_residual(given, ops) == pytest.approx(want, rel=1e-15)
+
+
+def test_stacked_scalar_test_agrees_with_the_block_test():
+    checked = 0
+    for _, family in oracle_families():
+        stack = np.array(family, dtype=complex)
+        d = stack.shape[1]
+        # multiples of I, inside and just outside the gap, join each family
+        extra = [
+            c * np.eye(d) + e * c * random_complex_gaussian((d, d), make_rng(checked))
+            for c in (1.0, 2j) for e in (0.0, 1e-9, 1e-6)
+        ]
+        stack = np.concatenate([stack, np.array(extra)])
+        want = [_is_scalar_block(m, alg.CLUSTER_GAP) for m in stack]
+        assert alg._is_scalar(stack).tolist() == want
+        checked += 1
+    assert checked >= 40
+
+
 def test_simultaneous_svd_is_deterministic():
     family = [np.diag([1.0, 2.0]).astype(complex), pauli(3).astype(complex)]
     r1 = alg.simultaneous_svd(family)

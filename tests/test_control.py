@@ -268,6 +268,44 @@ def test_is_controlled_rejects_bad_arguments():
         is_controlled(CNOT, (2, 2), (3,))
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-8, 1.0, 2.0])
+def test_detectors_refuse_a_tol_outside_the_open_unit_interval(tol):
+    # a nan or zero tol would band a clean gate inconclusive; 2 would pass anything
+    u, layout = gates.random_controlled_unitary(3, 3, 3, seed=1)
+    for detector in (is_controlled, is_bcu):
+        with pytest.raises(ValueError, match="tol must be a finite number"):
+            detector(u, layout, (0,), tol=tol)
+    with pytest.raises(ValueError, match="tol must be a finite number"):
+        multipartite_control_analysis(*gates.u3(), tol=tol)
+    assert is_controlled(u, layout, (0,), tol=1e-5).controlled
+
+
+def _count_calls(monkeypatch, module, names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(module, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    return counts
+
+
+def test_each_cut_is_grouped_once_and_its_input_checked_once(monkeypatch):
+    # the unitarity check reads the entries once; every cut is grouped once
+    # and its realignment and factors are passed down, not checked again
+    u3, layout3 = gates.u3()
+    u, layout = gates.random_controlled_unitary(4, 4, 3, seed=1)
+    counts = _count_calls(monkeypatch, mx, ("group_systems", "as_operator"))
+    multipartite_control_analysis(u3, layout3)
+    assert counts == {"group_systems": 6, "as_operator": 1}
+    counts.update(dict.fromkeys(counts, 0))
+    assert is_controlled(u, layout, (0,)).controlled
+    assert counts == {"group_systems": 1, "as_operator": 1}
+
+
 def test_product_families_over_the_cap_are_refused_before_allocating(monkeypatch):
     # a full-rank 4x4 cut has 16 factors of side 4: 16 * 4 > 16
     monkeypatch.setenv("SCHMIDT_LAB_MAX_DIM", "16")
@@ -368,6 +406,27 @@ def test_is_bcu_solves_one_commutant(monkeypatch):
     verdict = is_bcu(haar_unitary(9, make_rng(0)), (3, 3), (0,))
     assert not verdict.bcu
     assert len(calls) == 1
+
+
+def test_is_bcu_forms_only_the_input_products(monkeypatch):
+    # the output products M_i M_j^dagger serve no decision of is_bcu
+    u, layout = gates.random_controlled_unitary(4, 4, 3, seed=2)
+    factors = control._control_cut(u, layout, (0,))[-1]
+    _, want = control.algebra.product_families(factors)
+    seen = []
+    solve = control.algebra.commutant_blocks
+
+    def spy(generators):
+        seen.append(generators)
+        return solve(generators)
+
+    def refuse(family):
+        raise AssertionError("is_bcu formed both product families")
+
+    monkeypatch.setattr(control.algebra, "commutant_blocks", spy)
+    monkeypatch.setattr(control.algebra, "product_families", refuse)
+    assert is_bcu(u, layout, (0,)).bcu
+    assert len(seen) == 1 and seen[0].tobytes() == want.tobytes()
 
 
 def test_near_miss_split_is_scored_on_the_input_commutant():

@@ -147,6 +147,10 @@ def test_group_systems_brings_subset_to_front():
     np.testing.assert_allclose(
         grouped, mx.tensor_product(fs[1], mx.tensor_product(fs[0], fs[2])), atol=0
     )
+    # the shape is checked here; the entries are the caller's to check
+    for bad in (u[:, :6], u[:6, :6], u.reshape(1, 12, 12)):
+        with pytest.raises(DimensionError):
+            mx.group_systems(bad, (2, 3, 2), (1,))
 
 
 def test_partial_trace_of_product():
@@ -195,6 +199,16 @@ def test_frobenius_norm():
     rng = make_rng(9)
     a = random_complex_gaussian((3, 3), rng)
     assert mx.frobenius_norm(a) == pytest.approx(np.linalg.norm(a))
+
+
+def test_frobenius_norms_match_each_member_bitwise():
+    # witnesses and violations read these norms, so the stacked form must not
+    # move them: each is the same pair of dots as the norm of one matrix
+    rng = make_rng(9)
+    for shape in ((1, 1, 1), (5, 3, 3), (2, 4, 6, 6), (3, 4, 1)):
+        stack = 10.0 ** rng.integers(-8, 8) * random_complex_gaussian(shape, rng)
+        want = [mx.frobenius_norm(m) for m in stack.reshape(-1, *shape[-2:])]
+        assert mx.frobenius_norms(stack).reshape(-1).tolist() == want
 
 
 def test_assert_unitary():
