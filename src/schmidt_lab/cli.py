@@ -109,9 +109,7 @@ def _parse_side(raw: str, layout):
 
 def _tol_kwargs(args) -> dict:
     tol = getattr(args, "tol", None)
-    if tol is not None and not 0.0 < tol < 1.0:
-        raise ValueError(f"--tol must be a finite number in (0, 1), got {tol!r}")
-    return {} if tol is None else {"tol": tol}
+    return {} if tol is None else {"tol": mx.checked_tol(tol, "--tol")}
 
 
 def _single_system_json(m: np.ndarray) -> dict:

@@ -45,6 +45,9 @@ class ControlledForm:
 
     ``side`` records which systems form the control; the operator it
     reproduces is the input with those systems permuted to the front.
+    ``operator``, ``residual`` and ``apply`` share one expansion of the
+    factors ``(q, r, blocks)``; ``residual`` holds one full-size array and
+    ``apply`` none.
     """
 
     side: tuple
@@ -53,14 +56,28 @@ class ControlledForm:
     blocks: tuple
     grouped_dims: tuple
 
+    def _slab(self) -> np.ndarray:
+        """``slab[a, b] = sum_k q[a, k] r[k, b] V_k``: one ``(d_c^2, d_c) @ (d_c, d_t^2)`` matmul."""
+        d_c, d_t = self.grouped_dims
+        weights = (self.q[:, None, :] * self.r.T).reshape(d_c * d_c, d_c)
+        return (weights @ np.reshape(self.blocks, (d_c, d_t * d_t))).reshape(d_c, d_c, d_t, d_t)
+
     def operator(self) -> np.ndarray:
         d_c, d_t = self.grouped_dims
-        core = np.zeros((d_c, d_t, d_c, d_t), dtype=complex)
-        k = np.arange(d_c)
-        core[k, :, k, :] = np.array(self.blocks)
-        return mx.control_sandwich(
-            core.reshape(d_c * d_t, d_c * d_t), self.grouped_dims, self.q, self.r
-        )
+        return self._slab().transpose(0, 2, 1, 3).reshape(d_c * d_t, d_c * d_t)
+
+    def residual(self, grouped) -> float:
+        """``||operator() - grouped||_F``, subtracted in place from the one slab."""
+        d_c, d_t = self.grouped_dims
+        slab = self._slab()
+        slab -= np.reshape(grouped, (d_c, d_t, d_c, d_t)).transpose(0, 2, 1, 3)
+        return mx.frobenius_norm(slab)
+
+    def apply(self, psi) -> np.ndarray:
+        """``operator() @ psi`` as ``q (V_k (r Psi)_k)``, with Psi the ``(d_c, d_t)`` view of psi."""
+        d_c, d_t = self.grouped_dims
+        rotated = (self.r @ np.reshape(psi, (d_c, d_t)))[:, :, None]
+        return (self.q @ (np.reshape(self.blocks, (d_c, d_t, d_t)) @ rotated)[:, :, 0]).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -133,21 +150,22 @@ class FuzzSummary:
 def _control_cut(u, layout, side):
     """Group a unitary's ``side`` to the front and keep its significant factors.
 
-    Returns ``(side, grouped, (d_c, d_t), norm of u, Schmidt rank, factors)``,
-    the factors as one ``(n, d_c, d_c)`` stack. The caller has checked that ``u`` is unitary.
+    Returns ``(side, grouped, (d_c, d_t), Schmidt rank, factors)``, the factors
+    as one ``(n, d_c, d_c)`` stack. The caller has checked that ``u`` is unitary.
     """
     layout = SystemLayout.of(layout)
     side = layout.validate_subset(side)
     grouped, dims = mx.group_systems(u, layout, side)
     coefficients, lefts, _ = _expansion(mx._realigned(grouped, dims), dims)
     factors = np.array(lefts)[coefficients > SIGNIFICANT_FLOOR * coefficients[0]]
-    return side, grouped, dims, mx.frobenius_norm(u), len(coefficients), factors
+    return side, grouped, dims, len(coefficients), factors
 
 
 def _checked(u, tol, name):
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must be a finite number in (0, 1), got {tol!r}")
-    return mx.assert_unitary(u, name)
+    """``u`` checked unitary, once ``tol`` is checked, and its norm."""
+    mx.checked_tol(tol)
+    u = mx.assert_unitary(u, name)
+    return u, mx.frobenius_norm(u)
 
 
 def _band(violation, description, tol):
@@ -163,22 +181,6 @@ def _band(violation, description, tol):
     return False, description, False
 
 
-def _verdict_from_checks(checks, form, rank, tol) -> ControlVerdict:
-    """Band the worst witness check against the caller's ``tol``."""
-    name, worst = max(checks, key=lambda item: item[1])
-    passed, failed_check, inconclusive = _band(
-        worst, f"{name} (violation {worst:.3e})", tol
-    )
-    return ControlVerdict(
-        controlled=passed,
-        form=form if passed else None,
-        failed_check=failed_check,
-        inconclusive=inconclusive,
-        violation=worst,
-        schmidt_rank=rank,
-    )
-
-
 def is_controlled(u, layout, side, tol: float = VERDICT_RTOL) -> ControlVerdict:
     """Decide whether ``u`` is controlled from the ``side`` systems.
 
@@ -190,49 +192,46 @@ def is_controlled(u, layout, side, tol: float = VERDICT_RTOL) -> ControlVerdict:
     assembled form is verified against the input before any positive verdict.
     A ``tol`` that is not a finite number in (0, 1) raises ValueError.
     """
-    u = _checked(u, tol, "detection input")
-    return _decide_control(_control_cut(u, layout, side), tol)
+    u, norm_u = _checked(u, tol, "detection input")
+    return _decide_control(_control_cut(u, layout, side), norm_u, tol)
 
 
-def _decide_control(cut, tol) -> ControlVerdict:
-    """The verdict of ``is_controlled`` on a cut from ``_control_cut``."""
-    side, grouped, (d_c, d_t), norm_u, rank, factors = cut
+def _decide_control(cut, norm_u, tol) -> ControlVerdict:
+    """The verdict of ``is_controlled`` on a cut from ``_control_cut`` of a ``u`` of norm ``norm_u``."""
+    side, grouped, (d_c, d_t), rank, factors = cut
     result = algebra.simultaneous_svd(factors, tol=tol)
-    if not result.ok:
-        passed, failed_check, inconclusive = _band(result.violation, result.failed_check, tol)
-        if passed:
-            # a basis residual within a loose tol still left no witness
-            failed_check, inconclusive = f"inconclusive: {result.failed_check}", True
-        return ControlVerdict(
-            controlled=False,
-            form=None,
-            failed_check=failed_check,
-            inconclusive=inconclusive,
-            violation=result.violation,
-            schmidt_rank=rank,
+    form = None
+    if result.ok:
+        s, t = result.s, result.t
+        rotated = mx.control_sandwich(grouped, (d_c, d_t), s, t).reshape(d_c, d_t, d_c, d_t)
+        diagonal = np.arange(d_c)
+        blocks = rotated[diagonal, :, diagonal, :]
+        rotated[diagonal, :, diagonal, :] = 0.0
+
+        checks = [("control basis leaves off-diagonal blocks", mx.frobenius_norm(rotated) / norm_u)]
+        deviations = mx.unitarity_residuals(blocks)
+        checks += [(f"target block {k} is not unitary", float(x)) for k, x in enumerate(deviations)]
+        form = ControlledForm(
+            side=side, q=s.conj().T, r=t.conj().T, blocks=tuple(blocks), grouped_dims=(d_c, d_t)
         )
-
-    s, t = result.s, result.t
-    rotated = mx.control_sandwich(grouped, (d_c, d_t), s, t).reshape(d_c, d_t, d_c, d_t)
-    diagonal = np.arange(d_c)
-    blocks = rotated[diagonal, :, diagonal, :]
-    rotated[diagonal, :, diagonal, :] = 0.0
-
-    checks = [("control basis leaves off-diagonal blocks", mx.frobenius_norm(rotated) / norm_u)]
-    grams = blocks.conj().transpose(0, 2, 1) @ blocks - np.eye(d_t)
-    deviations = mx.frobenius_norms(grams) / np.sqrt(d_t)
-    checks += [(f"target block {k} is not unitary", float(x)) for k, x in enumerate(deviations)]
-
-    form = ControlledForm(
-        side=side,
-        q=s.conj().T,
-        r=t.conj().T,
-        blocks=tuple(blocks),
-        grouped_dims=(d_c, d_t),
+        residual = form.residual(grouped) / norm_u
+        checks.append(("assembled form does not reconstruct the input", residual))
+        name, violation = max(checks, key=lambda item: item[1])
+        description = f"{name} (violation {violation:.3e})"
+    else:
+        violation, description = result.violation, result.failed_check
+    passed, failed_check, inconclusive = _band(violation, description, tol)
+    if passed and form is None:
+        # a basis residual within a loose tol still left no witness
+        passed, failed_check, inconclusive = False, f"inconclusive: {description}", True
+    return ControlVerdict(
+        controlled=passed,
+        form=form if passed else None,
+        failed_check=failed_check,
+        inconclusive=inconclusive,
+        violation=violation,
+        schmidt_rank=rank,
     )
-    residual = mx.frobenius_norm(form.operator() - grouped) / norm_u
-    checks.append(("assembled form does not reconstruct the input", residual))
-    return _verdict_from_checks(checks, form=form, rank=rank, tol=tol)
 
 
 def _split_attempt(grouped, dims, projectors, norm_u):
@@ -269,8 +268,8 @@ def is_bcu(u, layout, side, tol: float = VERDICT_RTOL) -> BcuVerdict:
     decision; the tolerance band applies to how well the blocks capture u
     (``tol`` as in ``is_controlled``). Only the input products are formed.
     """
-    u = _checked(u, tol, "detection input")
-    side, grouped, dims, norm_u, _, factors = _control_cut(u, layout, side)
+    u, norm_u = _checked(u, tol, "detection input")
+    side, grouped, dims, _, factors = _control_cut(u, layout, side)
 
     projectors = algebra.commutant_blocks(algebra._input_products(factors))
     if projectors is None:
@@ -308,7 +307,7 @@ def multipartite_control_analysis(u, layout, tol: float = VERDICT_RTOL) -> Multi
     layout = SystemLayout.of(layout)
     if len(layout) < 3:
         raise ValueError(f"multipartite analysis needs at least 3 systems, got {len(layout)}")
-    u = _checked(u, tol, "analysis input")
+    u, norm_u = _checked(u, tol, "analysis input")
 
     singles = {}
     pairs = {}
@@ -317,7 +316,7 @@ def multipartite_control_analysis(u, layout, tol: float = VERDICT_RTOL) -> Multi
     witness = None
     subsets = [(i,) for i in range(len(layout))] + list(combinations(range(len(layout)), 2))
     for subset in subsets:
-        verdict = _decide_control(_control_cut(u, layout, subset), tol)
+        verdict = _decide_control(_control_cut(u, layout, subset), norm_u, tol)
         (singles if len(subset) == 1 else pairs)[subset] = verdict
         if verdict.schmidt_rank <= 2:
             low_rank.append(subset)
@@ -353,7 +352,7 @@ def _fuzz_sch3(trial, trial_seed):
     d_a, d_b = [(3, 3), (3, 4), (4, 5)][trial % 3]
     u, layout = gates.random_controlled_unitary(d_a, d_b, 3, seed=trial_seed)
     cut = _control_cut(u, layout, (0,))
-    verdict = _decide_control(cut, VERDICT_RTOL)
+    verdict = _decide_control(cut, mx.frobenius_norm(u), VERDICT_RTOL)
     if not verdict.controlled:
         return u, layout.dims, f"rank-3 instance not detected: {verdict.failed_check}"
     disagreement = _criteria_agree(cut[-1], verdict)

@@ -90,6 +90,19 @@ def frobenius_norms(stack: np.ndarray) -> np.ndarray:
     return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
 
 
+def checked_tol(tol, name: str = "tol"):
+    """``tol``, or ValueError naming ``name`` when it is not a finite number in (0, 1)."""
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"{name} must be a finite number in (0, 1), got {tol!r}")
+    return tol
+
+
+def unitarity_residuals(stack: np.ndarray) -> np.ndarray:
+    """``||V^dagger V - I||_F / sqrt(d)`` of each ``V`` of a ``(n, d, d)`` stack, one batched Gram."""
+    d = stack.shape[-1]
+    return frobenius_norms(stack.conj().transpose(0, 2, 1) @ stack - np.eye(d)) / math.sqrt(d)
+
+
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with the configured dimension cap enforced."""
     a = np.asarray(a, dtype=complex)

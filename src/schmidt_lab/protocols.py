@@ -27,7 +27,7 @@ import numpy as np
 
 from . import matrices as mx
 from .control import ControlledForm
-from .errors import ProtocolError
+from .errors import DimensionError, ProtocolError
 from .matrices import SystemLayout
 from .randomness import make_rng
 
@@ -307,7 +307,8 @@ def teleport_unitary_protocol(u, layout, input, seed: int = 0, branches="all"):
 # controlled route
 
 
-def _validate_form(form: ControlledForm, input_dim: int) -> tuple[int, int]:
+def _validate_form(form: ControlledForm, input_dim: int):
+    """``(d_c, d_t, blocks as one stack)`` of a form whose every factor is unitary."""
     if len(form.grouped_dims) != 2:
         raise ValueError(f"form must describe a control/target split, got dims {form.grouped_dims}")
     d_c, d_t = form.grouped_dims
@@ -319,11 +320,21 @@ def _validate_form(form: ControlledForm, input_dim: int) -> tuple[int, int]:
     r = mx.assert_unitary(form.r, "form.r")
     if q.shape[0] != d_c or r.shape[0] != d_c:
         raise ValueError(f"form rotations must act on dimension {d_c}")
-    for k, block in enumerate(form.blocks):
-        block = mx.assert_unitary(block, f"form block {k}")
+    blocks = [np.asarray(block, dtype=complex) for block in form.blocks]
+    for k, block in enumerate(blocks):
+        if block.ndim != 2 or block.shape[0] != block.shape[1]:
+            raise DimensionError(f"form block {k} must be a square matrix, got shape {block.shape}")
         if block.shape[0] != d_t:
             raise ValueError(f"form block {k} must act on dimension {d_t}")
-    return d_c, d_t
+    stack = np.stack(blocks)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"form block {np.argmin(finite)} contains non-finite entries")
+    residuals = mx.unitarity_residuals(stack)
+    bad = np.flatnonzero(residuals > 1e-10)
+    if bad.size:
+        raise ValueError(f"form block {bad[0]} is not unitary (residual {residuals[bad[0]]:.3e})")
+    return d_c, d_t, stack
 
 
 def _merge_blocks(blocks, d_t: int):
@@ -337,9 +348,8 @@ def _merge_blocks(blocks, d_t: int):
     phases = []
     scale = math.sqrt(d_t)
     for block in blocks:
-        block = np.asarray(block, dtype=complex)
         for g, rep in enumerate(reps):
-            overlap = np.trace(rep.conj().T @ block) / d_t
+            overlap = np.vdot(rep, block) / d_t
             magnitude = abs(overlap)
             if magnitude < 0.5:
                 continue
@@ -407,11 +417,11 @@ def controlled_gate_protocol(form: ControlledForm, input, seed: int = 0, branche
     messages.
     """
     psi_dim = np.asarray(input, dtype=complex).reshape(-1).shape[0]
-    d_c, d_t = _validate_form(form, psi_dim)
+    d_c, d_t, blocks = _validate_form(form, psi_dim)
     psi = _as_state(input, d_c * d_t)
-    reps, group, phases = _merge_blocks(form.blocks, d_t)
+    reps, group, phases = _merge_blocks(blocks, d_t)
     m = len(reps)
-    expected = form.operator() @ psi
+    expected = form.apply(psi)
     rng = make_rng(seed, stream=13)
 
     if m == 1:

@@ -160,12 +160,12 @@ def operator_schmidt_decompose(u, layout, cut, tol: float = RANK_RTOL) -> Schmid
     Coefficients at or below ``tol`` times the leading one are dropped; the kept
     terms must rebuild u within the norm of all that was dropped (the cut
     coefficients and the mass ``tau`` that the leading SVD left out) plus
-    1e-10 relative. Equal coefficients are ordered by the
-    vectorized left factor so repeated calls and round-tripped inputs produce
-    identical output.
+    1e-10 relative. Equal coefficients are ordered by the vectorized left factor
+    so repeated calls and round-tripped inputs produce identical output. A
+    ``tol`` that is not a finite number in (0, 1) raises ValueError.
     """
     layout, cut, realigned, dims = _cut_realigned(u, layout, cut, "decomposition input")
-    return SchmidtDecomposition(*_expansion(realigned, dims, tol), cut=cut, layout=layout)
+    return SchmidtDecomposition(*_expansion(realigned, dims, mx.checked_tol(tol)), cut=cut, layout=layout)
 
 
 def schmidt_rank(u, layout, cut, tol: float = RANK_RTOL) -> RankReport:
@@ -173,9 +173,9 @@ def schmidt_rank(u, layout, cut, tol: float = RANK_RTOL) -> RankReport:
 
     The spectrum is what ``factorizations.leading_svd`` certifies: all of it
     on a cut too small to sketch, otherwise only the leading values (see
-    ``RankReport``).
+    ``RankReport``). A ``tol`` outside (0, 1) raises ValueError.
     """
-    _, s, _, _ = leading_svd(_cut_realigned(u, layout, cut, "rank input")[2], tol)
+    _, s, _, _ = leading_svd(_cut_realigned(u, layout, cut, "rank input")[2], mx.checked_tol(tol))
     return RankReport(
         rank=numerical_rank(s, tol),
         singular_values=s,

@@ -22,7 +22,13 @@ from schmidt_lab.control import (
     multipartite_control_analysis,
 )
 from schmidt_lab.errors import DimensionError
-from schmidt_lab.randomness import haar_unitary, make_rng, random_hermitian
+from schmidt_lab.randomness import (
+    haar_unitary,
+    make_rng,
+    random_complex_gaussian,
+    random_hermitian,
+    random_state,
+)
 
 I2 = np.eye(2)
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -57,6 +63,73 @@ def _assert_sound_form(form, u, layout, side, tol=1e-8):
     assert len(form.blocks) == d_c
     for v in form.blocks:
         assert mx.frobenius_norm(v.conj().T @ v - eye_t) <= tol * d_t
+
+
+# ------------------------------------------------------------- ControlledForm
+
+FORM_DIMS = (2, 3, 5, 8, 16)
+
+
+def _kron_loop_operator(form):
+    """Reference sum_k (q e_k e_k^T r) (x) V_k, one dense kron per block."""
+    return sum(
+        np.kron(np.outer(form.q[:, k], form.r[k, :]), block) for k, block in enumerate(form.blocks)
+    )
+
+
+def _factor_form(d_c, d_t, r, seed):
+    """A form shaped like a random-controlled witness: Haar q and r, r distinct blocks repeating."""
+    rng = make_rng(seed, stream=40)
+    q, rot = haar_unitary(d_c, rng), haar_unitary(d_c, rng)
+    distinct = [haar_unitary(d_t, rng) for _ in range(r)]
+    blocks = tuple(distinct[k % r] for k in range(d_c))
+    return control.ControlledForm(side=(0,), q=q, r=rot, blocks=blocks, grouped_dims=(d_c, d_t))
+
+
+def _forms(d_c, d_t):
+    return [
+        _factor_form(d_c, d_t, r, seed) for r in range(1, min(3, d_c) + 1) for seed in range(6)
+    ]
+
+
+@pytest.mark.parametrize("d_c", FORM_DIMS)
+@pytest.mark.parametrize("d_t", FORM_DIMS)
+def test_operator_matches_the_kron_loop(d_c, d_t):
+    for form in _forms(d_c, d_t):
+        reference = _kron_loop_operator(form)
+        error = mx.frobenius_norm(form.operator() - reference)
+        assert error <= 1e-14 * mx.frobenius_norm(reference)
+
+
+@pytest.mark.parametrize("d_c", FORM_DIMS)
+@pytest.mark.parametrize("d_t", FORM_DIMS)
+def test_apply_matches_the_assembled_operator(d_c, d_t):
+    for seed, form in enumerate(_forms(d_c, d_t)):
+        psi = random_state(d_c * d_t, make_rng(seed, stream=41))
+        assert mx.frobenius_norm(form.apply(psi) - form.operator() @ psi) <= 1e-14
+
+
+@pytest.mark.parametrize("d_c", FORM_DIMS)
+@pytest.mark.parametrize("d_t", FORM_DIMS)
+def test_residual_matches_the_dense_formula(d_c, d_t):
+    # another form and a 1e-3 perturbation keep the residual far above roundoff
+    forms = _forms(d_c, d_t)
+    for seed, form in enumerate(forms):
+        operator = form.operator()
+        noise = random_complex_gaussian(operator.shape, make_rng(seed, stream=42))
+        for grouped in (forms[seed - 1].operator(), operator + 1e-3 * noise):
+            dense = mx.frobenius_norm(operator - grouped)
+            assert abs(form.residual(grouped) - dense) <= 1e-12 * dense
+
+
+@pytest.mark.parametrize("d_c, d_t, r, seed", [(2, 3, 2, 0), (3, 5, 3, 1), (5, 2, 3, 2), (8, 3, 3, 3)])
+def test_witness_residual_matches_the_dense_formula(d_c, d_t, r, seed):
+    # on a detector's own witness the residual is roundoff; compare it on the input's scale
+    u, layout = gates.random_controlled_unitary(d_c, d_t, r, seed=seed)
+    verdict = is_controlled(u, layout, (0,))
+    grouped, _ = mx.group_systems(u, layout, (0,))
+    dense = mx.frobenius_norm(verdict.form.operator() - grouped)
+    assert abs(verdict.form.residual(grouped) - dense) <= 1e-12 * mx.frobenius_norm(grouped)
 
 
 # ------------------------------------------------------------- is_controlled

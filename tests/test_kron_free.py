@@ -6,16 +6,23 @@ no full-size product only to trace it down. Each call below runs with
 ``np.kron`` refusing those four modules and ``matrices.partial_trace``
 refusing everyone; gates are built first, and gate construction keeps its
 krons.
+
+A controlled form is likewise verified and applied through its factors
+``(q, r, blocks)``: with ``ControlledForm.operator`` refusing, every
+detector, sweep, fuzz suite, protocol run and CLI command below still runs,
+and ``ControlledForm.residual`` holds at most one full-size array.
 """
 
+import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from schmidt_lab import algebra, control, gates, protocols, schmidt
+from schmidt_lab import algebra, cli, control, gates, protocols, schmidt
 from schmidt_lab import matrices as mx
-from schmidt_lab.randomness import haar_unitary, make_rng
+from schmidt_lab.randomness import haar_unitary, make_rng, random_state
 
 ANALYSIS_MODULES = {f"schmidt_lab.{name}" for name in ("schmidt", "algebra", "control", "protocols")}
 
@@ -86,3 +93,73 @@ def test_analysis_runs_without_dense_kron_or_partial_trace(name, monkeypatch):
         assert result.ok
     elif name == "rank-one protocol":
         assert result[0].min_branch_fidelity == pytest.approx(1.0, abs=1e-12)
+
+
+def _forbid_dense_form(monkeypatch):
+    def operator(self):
+        raise AssertionError("ControlledForm.operator called")
+
+    monkeypatch.setattr(control.ControlledForm, "operator", operator)
+
+
+def _rc_witness(d_ctrl, d_tgt, r, seed):
+    u, layout = _rc(d_ctrl, d_tgt, r, seed)
+    return control.is_controlled(u, layout, (0,)).form, random_state(d_ctrl * d_tgt, make_rng(seed))
+
+
+def _cli_run(tmp_path, *argv):
+    u, layout = _rc(4, 4, 3, 1)
+    path = tmp_path / "rc.json"
+    path.write_text(json.dumps(mx.matrix_to_json(u, layout.dims)))
+    return cli.main([argv[0], str(path), *argv[1:]])
+
+
+FORM_CALLS = {
+    "is_controlled 4x4": (lambda: _rc(4, 4, 3, 1), lambda u_lay: control.is_controlled(*u_lay, (0,))),
+    "is_controlled 16x16": (lambda: _rc(16, 16, 3, 2), lambda u_lay: control.is_controlled(*u_lay, (0,))),
+    "multipartite u3": (gates.u3, lambda u_lay: control.multipartite_control_analysis(*u_lay)),
+    "protocol rc 8x8": (
+        lambda: _rc_witness(8, 8, 3, 1),
+        lambda form_psi: protocols.controlled_gate_protocol(*form_psi),
+    ),
+    **{
+        f"fuzz {suite}": (lambda: None, lambda _, suite=suite: control.fuzz_theorem_checks(suite, 2))
+        for suite in control.FUZZ_SUITES
+    },
+    "cli detect": (lambda: None, lambda _, tmp: _cli_run(tmp, "detect", "--side", "A")),
+    "cli protocol": (lambda: None, lambda _, tmp: _cli_run(tmp, "protocol", "--route", "controlled")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORM_CALLS))
+def test_controlled_forms_are_checked_and_applied_through_their_factors(
+    name, monkeypatch, tmp_path, capsys
+):
+    build, call = FORM_CALLS[name]
+    inputs = build()
+    _forbid_dense_form(monkeypatch)
+    result = call(inputs, tmp_path) if name.startswith("cli") else call(inputs)
+    if name.startswith("is_controlled"):
+        assert result.controlled
+    elif name.startswith("multipartite"):
+        assert result.witness_subset == (0, 1)
+    elif name.startswith("protocol"):
+        assert result[0].min_branch_fidelity == pytest.approx(1.0, abs=1e-12)
+    elif name.startswith("fuzz"):
+        assert result.ok
+    else:
+        assert result == 0, capsys.readouterr().out
+
+
+def test_residual_holds_one_full_size_array():
+    # the dense formula operator() - grouped peaks at three grouped-sized arrays
+    u, layout = _rc(16, 16, 3, 5)
+    form = control.is_controlled(u, layout, (0,)).form
+    grouped, _ = mx.group_systems(u, layout, (0,))
+    tracemalloc.start()
+    try:
+        form.residual(grouped)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * grouped.nbytes

@@ -261,6 +261,17 @@ class TestControlledRoute:
         assert transcript.min_branch_fidelity >= 1.0 - 1e-10
         assert _fid(verdict.form.operator() @ psi, out) >= 1.0 - 1e-10
 
+    @pytest.mark.parametrize("d_c, d_t, r, seed", [(2, 5, 2, 0), (3, 8, 3, 1), (5, 3, 3, 2), (8, 2, 2, 3)])
+    def test_factored_application_matches_the_assembled_operator(self, d_c, d_t, r, seed):
+        # the protocol's reference state comes from the factors, not the dense operator
+        u, layout = gates.random_controlled_unitary(d_c, d_t, r, seed=seed)
+        form = is_controlled(u, layout, (0,)).form
+        psi = random_state(d_c * d_t, make_rng(seed, stream=43))
+        assert np.linalg.norm(form.apply(psi) - form.operator() @ psi) <= 1e-14
+        transcript, out = controlled_gate_protocol(form, psi)
+        assert transcript.min_branch_fidelity >= 1.0 - 1e-12
+        assert _fid(form.operator() @ psi, out) >= 1.0 - 1e-12
+
     def test_rejects_invalid_forms(self):
         psi = random_state(4, make_rng(1))
         bad_block = ControlledForm(
@@ -273,6 +284,14 @@ class TestControlledRoute:
         )
         with pytest.raises(ValueError):
             controlled_gate_protocol(bad_q, psi)
+        # the blocks are checked as one stack; the message names the first bad one
+        for block, text in (
+            (np.array([[1.0, np.nan], [0.0, 1.0]], dtype=complex), "non-finite"),
+            (np.diag([1.0, 1.5]).astype(complex), "not unitary"),
+        ):
+            form = ControlledForm(side=(0,), q=I2, r=I2, blocks=(X, block), grouped_dims=(2, 2))
+            with pytest.raises(ValueError, match=f"form block 1 (contains|is) {text}"):
+                controlled_gate_protocol(form, psi)
         short = ControlledForm(side=(0,), q=I2, r=I2, blocks=(I2,), grouped_dims=(2, 2))
         with pytest.raises(ValueError):
             controlled_gate_protocol(short, psi)

@@ -150,6 +150,16 @@ def test_rank_report_tolerance_semantics():
     assert list(rep.singular_values) == sorted(rep.singular_values, reverse=True)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0, 1.0, 2.0, float("inf")])
+@pytest.mark.parametrize("call", [sch.schmidt_rank, sch.operator_schmidt_decompose])
+def test_schmidt_layer_refuses_a_tol_outside_the_open_unit_interval(call, tol):
+    # nan and 2 would count rank 0 for a unitary, 0 would count roundoff as rank
+    u, layout = gates.random_controlled_unitary(3, 3, 3, seed=1)
+    with pytest.raises(ValueError, match="tol must be a finite number in \\(0, 1\\)"):
+        call(u, layout, (0,), tol=tol)
+    assert call(u, layout, (0,), tol=1e-5).rank == 3
+
+
 def test_truncation_leaves_exactly_the_dropped_tail():
     # tol 1e-3 keeps only the product term; the rest of the spectrum is
     # dropped and the residual is its norm (Eckart-Young), not an error
