@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import matrices as mx
 from .errors import NumericalError
 from .randomness import make_rng, random_complex_gaussian
 
@@ -41,15 +42,21 @@ def _require_finite(m: np.ndarray, name: str) -> np.ndarray:
 
 def _checked_svd(m: np.ndarray, full_matrices: bool):
     u, s, vh = np.linalg.svd(m, full_matrices=full_matrices)
-    k = s.shape[0]
-    residual = np.linalg.norm(u[:, :k] @ (s[:, None] * vh[:k]) - m)
-    if residual > RECONSTRUCTION_RTOL * max(np.linalg.norm(m), 1e-300):
-        raise NumericalError(f"svd reconstruction residual {residual:.3e} too large")
+    k = s.shape[-1]
+    # the same value per member; numpy's own norm is the faster one for a lone matrix
+    norms = mx.frobenius_norms if m.ndim > 2 else np.linalg.norm
+    residual = norms(u[..., :k] @ (s[..., :, None] * vh[..., :k, :]) - m)
+    bad = residual > RECONSTRUCTION_RTOL * np.maximum(norms(m), 1e-300)
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        member = f" in member {i}" if m.ndim > 2 else ""
+        raise NumericalError(f"svd reconstruction residual {residual.flat[i]:.3e} too large{member}")
     return u, s, vh
 
 
 def svd(m: np.ndarray):
-    """Economy-size SVD ``m = u @ diag(s) @ vh`` with reconstruction check."""
+    """Economy-size SVD ``m = u @ diag(s) @ vh`` with reconstruction check; leading axes
+    are a stack, and each member is checked against its own norm."""
     return _checked_svd(_require_finite(m, "svd input"), full_matrices=False)
 
 

@@ -18,21 +18,21 @@ are enumerated.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
 from . import matrices as mx
-from . import schmidt
-from .factorizations import RANK_RTOL, numerical_rank, svd
+from .factorizations import RANK_RTOL, leading_svd, numerical_rank, svd
 from .matrices import SystemLayout
 from .randomness import make_rng, random_state
 
 SEARCH_RESTARTS = 64
 
-# refinement schedule: sweeps of best-step line searches along random
-# local directions, one party at a time
+# refinement schedule: sweeps over the parties; each tries a few random local
+# directions at decreasing steps and moves at the first step that improves
 SEARCH_SWEEPS = 2
 SEARCH_DIRECTIONS = 3
 SEARCH_STEPS = (1.0, 0.5, 0.2, 0.05)
@@ -49,6 +49,8 @@ class ProductInput:
         if not states:
             raise ValueError("product input needs at least one local state")
         for i, state in enumerate(states):
+            if not np.all(np.isfinite(state)):
+                raise ValueError(f"local state {i} contains non-finite entries")
             if abs(np.linalg.norm(state) - 1.0) > 1e-12:
                 raise ValueError(f"local state {i} is not normalized")
         object.__setattr__(self, "local_states", states)
@@ -77,27 +79,41 @@ def _strict_cut(layout: SystemLayout, cut) -> tuple:
     return cut
 
 
-def _state_singular_values(vector: np.ndarray, dims, cut) -> np.ndarray:
-    """Schmidt spectrum of a state vector across the cut."""
-    tensor = vector.reshape(dims)
+def _state_singular_values(vectors: np.ndarray, dims, cut) -> np.ndarray:
+    """Schmidt spectra across the cut of a ``(k, D)`` stack of state vectors, one row each."""
     rest = [a for a in range(len(dims)) if a not in cut]
     d_cut = math.prod(dims[a] for a in cut)
-    matrix = tensor.transpose(list(cut) + rest).reshape(d_cut, -1)
-    return svd(matrix)[1]
+    axes = [0] + [1 + a for a in list(cut) + rest]
+    matrices = vectors.reshape(-1, *dims).transpose(axes).reshape(len(vectors), d_cut, -1)
+    return svd(matrices)[1]
+
+
+def _output_spectra(u: np.ndarray, factors, dims, cut) -> np.ndarray:
+    """Spectra across the cut of ``u`` on product vectors, one per row of the factor stacks.
+
+    Factor j is one local state or a ``(k, d_j)`` stack of them; ``u`` acts on
+    each product as a matvec.
+    """
+    stacks = [np.reshape(f, (-1, d)) for f, d in zip(factors, dims)]
+    # row-wise np.kron, the same products in the same association; one row broadcasts
+    vectors = reduce(
+        lambda a, b: (a[:, :, None] * b[:, None, :]).reshape(-1, a.shape[1] * b.shape[1]), stacks
+    )
+    return _state_singular_values((u[None] @ vectors[:, :, None])[:, :, 0], dims, cut)
 
 
 def state_schmidt_rank(vector, layout, cut, tol: float = RANK_RTOL) -> int:
     """Schmidt rank of a state vector across the cut.
 
     Counts singular values above tol times the largest, the same rule the
-    operator-rank computation uses.
+    operator-rank computation uses; a ``tol`` outside (0, 1) raises ValueError.
     """
     layout = SystemLayout.of(layout)
     cut = _strict_cut(layout, cut)
-    vector = np.asarray(vector, dtype=complex).reshape(-1)
-    if vector.shape[0] != layout.total:
-        raise ValueError(f"state must have dimension {layout.total}, got {vector.shape[0]}")
-    return numerical_rank(_state_singular_values(vector, layout.dims, cut), tol)
+    vector = np.asarray(vector, dtype=complex).reshape(1, -1)
+    if vector.shape[1] != layout.total:
+        raise ValueError(f"state must have dimension {layout.total}, got {vector.shape[1]}")
+    return numerical_rank(_state_singular_values(vector, layout.dims, cut)[0], mx.checked_tol(tol))
 
 
 def _checked_product_input(input, layout: SystemLayout) -> ProductInput:
@@ -109,14 +125,14 @@ def _checked_product_input(input, layout: SystemLayout) -> ProductInput:
 
 
 def output_schmidt_rank(u, layout, input, cut, tol: float = RANK_RTOL) -> int:
-    """Schmidt rank of u applied to a product input, across the cut."""
+    """Schmidt rank of u applied to a product input, across the cut; ``tol`` as for a state."""
     layout = SystemLayout.of(layout)
     u = mx.as_operator(u, "gate")
     if u.shape[0] != layout.total:
         raise ValueError(f"gate dimension {u.shape[0]} does not match layout {layout.dims}")
     cut = _strict_cut(layout, cut)
     input = _checked_product_input(input, layout)
-    return numerical_rank(_state_singular_values(u @ input.vector(), layout.dims, cut), tol)
+    return numerical_rank(_output_spectra(u, input.local_states, layout.dims, cut)[0], mx.checked_tol(tol))
 
 
 @dataclass(frozen=True)
@@ -132,8 +148,23 @@ def _tail_weight(s: np.ndarray) -> float:
     # mass beyond the leading Schmidt direction; zero iff the output is product
     if s.size == 0:
         return 0.0
-    total = float(np.sum(s * s))
-    return total - float(s[0] * s[0])
+    squares = s * s
+    return float(squares.sum()) - float(squares[0])
+
+
+def _checked_gate(u, layout, cut, tol):
+    """``(layout, u, cut, grouped u, grouped dims, operator Schmidt rank)``: the one check of u.
+
+    The rank is ``schmidt.schmidt_rank``'s rule, read off the grouped operator.
+    """
+    layout = SystemLayout.of(layout)
+    u = mx.assert_unitary(u, "gate")
+    if u.shape[0] != layout.total:
+        raise ValueError(f"gate dimension {u.shape[0]} does not match layout {layout.dims}")
+    cut = _strict_cut(layout, cut)
+    grouped, dims = mx.group_systems(u, layout, cut)
+    s = leading_svd(mx._realigned(grouped, dims), mx.checked_tol(tol))[1]
+    return layout, u, cut, grouped, dims, numerical_rank(s, tol)
 
 
 def max_output_schmidt_rank_search(
@@ -143,26 +174,18 @@ def max_output_schmidt_rank_search(
 
     Each restart draws a random product input and refines it by
     coordinate sweeps: one party at a time, a handful of random local
-    directions, best step along each, accepting whatever increases the
-    Schmidt mass beyond the leading direction.  The result is a lower
-    bound on the achievable maximum; restarts stop early once the
-    dimension or operator-rank cap is reached.
+    directions, each tried at decreasing steps.  The first step that
+    increases the Schmidt mass beyond the leading direction is taken, and
+    the remaining steps and directions continue from the point it reached.
+    The result is a lower bound on the achievable maximum; restarts stop
+    early once the dimension or operator-rank cap is reached.
     """
-    layout = SystemLayout.of(layout)
-    u = mx.assert_unitary(u, "gate")
-    if u.shape[0] != layout.total:
-        raise ValueError(f"gate dimension {u.shape[0]} does not match layout {layout.dims}")
-    cut = _strict_cut(layout, cut)
-    if not isinstance(restarts, int) or restarts < 1:
-        raise ValueError(f"restarts must be a positive integer, got {restarts}")
-
+    if not isinstance(restarts, numbers.Integral) or isinstance(restarts, bool) or restarts < 1:
+        raise ValueError(f"restarts must be a positive integer, got {restarts!r}")
+    layout, u, cut, _, grouped_dims, operator_rank = _checked_gate(u, layout, cut, tol)
     dims = layout.dims
-    d_cut = math.prod(dims[a] for a in cut)
-    cap = min(d_cut, layout.total // d_cut, schmidt.schmidt_rank(u, layout, cut, tol).rank)
+    cap = min(*grouped_dims, operator_rank)
     rng = make_rng(seed, stream=17)
-
-    def spectrum(states):
-        return _state_singular_values(u @ reduce(np.kron, states), dims, cut)
 
     best_states = None
     best_rank = -1
@@ -170,20 +193,26 @@ def max_output_schmidt_rank_search(
     best_spectrum = None
     for _ in range(restarts):
         states = [random_state(d, rng) for d in dims]
-        tail = _tail_weight(spectrum(states))
+        s = _output_spectra(u, states, dims, cut)[0]
+        tail = _tail_weight(s)
         for _ in range(SEARCH_SWEEPS):
             for party in range(len(dims)):
-                for _ in range(SEARCH_DIRECTIONS):
-                    direction = random_state(dims[party], rng)
-                    for step in SEARCH_STEPS:
-                        candidate = states[party] + step * direction
-                        candidate = candidate / np.linalg.norm(candidate)
-                        trial = list(states)
-                        trial[party] = candidate
-                        trial_tail = _tail_weight(spectrum(trial))
-                        if trial_tail > tail + 1e-15:
-                            states, tail = trial, trial_tail
-        s = spectrum(states)
+                directions = [random_state(dims[party], rng) for _ in range(SEARCH_DIRECTIONS)]
+                moves = [(direction, step) for direction in directions for step in SEARCH_STEPS]
+                # all pending moves are tried from the current point as one stack;
+                # past the first improving one, the rest start again from it
+                while moves:
+                    candidates = [states[party] + step * direction for direction, step in moves]
+                    candidates = np.array([c / np.linalg.norm(c) for c in candidates])
+                    trial = states[:party] + [candidates] + states[party + 1 :]
+                    spectra = _output_spectra(u, trial, dims, cut)
+                    tails = [_tail_weight(x) for x in spectra]
+                    better = [j for j, trial_tail in enumerate(tails) if trial_tail > tail + 1e-15]
+                    if not better:
+                        break
+                    j = better[0]
+                    states[party], s, tail = candidates[j], spectra[j], tails[j]
+                    moves = moves[j + 1 :]
         rank = numerical_rank(s, tol)
         if rank > best_rank or (rank == best_rank and tail > best_tail):
             best_states, best_rank, best_tail, best_spectrum = states, rank, tail, s
@@ -217,12 +246,7 @@ def ancilla_extended_check(u, layout, cut=(0,), tol: float = RANK_RTOL) -> Ancil
     a plain state rank and reported next to the operator Schmidt rank it
     must reproduce.
     """
-    layout = SystemLayout.of(layout)
-    u = mx.assert_unitary(u, "gate")
-    if u.shape[0] != layout.total:
-        raise ValueError(f"gate dimension {u.shape[0]} does not match layout {layout.dims}")
-    cut = _strict_cut(layout, cut)
-    grouped, (d_a, d_b) = mx.group_systems(u, layout, cut)
+    _, _, _, grouped, (d_a, d_b), operator_rank = _checked_gate(u, layout, cut, tol)
 
     pair_a = np.eye(d_a, dtype=complex).reshape(-1) / math.sqrt(d_a)
     pair_b = np.eye(d_b, dtype=complex).reshape(-1) / math.sqrt(d_b)
@@ -234,5 +258,4 @@ def ancilla_extended_check(u, layout, cut=(0,), tol: float = RANK_RTOL) -> Ancil
     output = output.transpose(0, 2, 1, 3).reshape(-1)
 
     rank = state_schmidt_rank(output, (d_a, d_a, d_b, d_b), (0, 1), tol)
-    operator_rank = schmidt.schmidt_rank(u, layout, cut, tol).rank
     return AncillaExtensionReport(rank_with_ancillas=rank, operator_schmidt_rank=operator_rank)

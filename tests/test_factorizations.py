@@ -20,6 +20,40 @@ def test_svd_rejects_non_finite():
         fx.svd(m)
 
 
+def test_svd_of_a_stack_is_the_svd_of_each_member():
+    stack = random_complex_gaussian((3, 4, 6), make_rng(5))
+    u, s, vh = fx.svd(stack)
+    for i, m in enumerate(stack):
+        # a 2-D input gives numpy's economy factors unchanged
+        for got, want in zip(fx.svd(m), np.linalg.svd(m, full_matrices=False)):
+            assert np.array_equal(got, want)
+        for got, want in zip((u[i], s[i], vh[i]), fx.svd(m)):
+            assert np.array_equal(got, want)
+
+
+def test_svd_of_a_stack_checks_each_member(monkeypatch):
+    from schmidt_lab.errors import NumericalError
+
+    stack = random_complex_gaussian((3, 4, 6), make_rng(6))
+    stack[2] *= 1e6  # a member one million times larger must not mask member 1
+    with pytest.raises(ValueError, match="non-finite"):
+        fx.svd(np.where(np.arange(3)[:, None, None] == 1, np.nan, stack))
+    exact = np.linalg.svd
+
+    def corrupt_member_1(m, full_matrices=True):
+        u, s, vh = exact(m, full_matrices=full_matrices)
+        s = s.copy()
+        rows = s.reshape(-1, s.shape[-1])  # a view: the first value of member 1, or of a lone matrix
+        rows[min(1, len(rows) - 1), 0] *= 1.0 + 1e-6
+        return u, s, vh
+
+    monkeypatch.setattr(np.linalg, "svd", corrupt_member_1)
+    with pytest.raises(NumericalError, match="too large in member 1"):
+        fx.svd(stack)
+    with pytest.raises(NumericalError, match="too large$"):
+        fx.svd(stack[:2].reshape(8, 6))
+
+
 def test_eigh_reconstructs_and_flags_non_hermitian():
     rng = make_rng(2)
     z = random_complex_gaussian((5, 5), rng)

@@ -10,11 +10,15 @@ ancilla extension always reproduces the operator rank.
 """
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from schmidt_lab import gates
+from schmidt_lab import matrices as mx
+from schmidt_lab import schmidt_number
+from schmidt_lab.factorizations import numerical_rank, svd
 from schmidt_lab.randomness import haar_unitary, make_rng, random_state
 from schmidt_lab.schmidt import schmidt_rank
 from schmidt_lab.schmidt_number import (
@@ -67,6 +71,71 @@ def _plain_controlled(d_c: int, d_t: int, r: int, seed: int):
     return u
 
 
+def _sequential_search(u, layout, cut, seed, restarts, tol=1e-9):
+    """The search evaluated one candidate at a time: ``(max_rank, witness states, spectrum)``.
+
+    Every candidate step is tried from the current point in the order
+    directions x steps, and the first improving one is taken.
+    """
+    dims = tuple(layout)
+    rest = [a for a in range(len(dims)) if a not in cut]
+    d_cut = math.prod(dims[a] for a in cut)
+    cap = min(d_cut, math.prod(dims) // d_cut, schmidt_rank(u, layout, cut, tol).rank)
+    rng = make_rng(seed, stream=17)
+
+    def spectrum(states):
+        tensor = (u @ reduce(np.kron, states)).reshape(dims)
+        return svd(tensor.transpose(list(cut) + rest).reshape(d_cut, -1))[1]
+
+    def tail_weight(s):
+        return float(np.sum(s * s)) - float(s[0] * s[0])
+
+    best = (-1, -1.0, None, None)
+    for _ in range(restarts):
+        states = [random_state(d, rng) for d in dims]
+        tail = tail_weight(spectrum(states))
+        for _ in range(2):
+            for party in range(len(dims)):
+                for _ in range(3):
+                    direction = random_state(dims[party], rng)
+                    for step in (1.0, 0.5, 0.2, 0.05):
+                        candidate = states[party] + step * direction
+                        trial = list(states)
+                        trial[party] = candidate / np.linalg.norm(candidate)
+                        trial_tail = tail_weight(spectrum(trial))
+                        if trial_tail > tail + 1e-15:
+                            states, tail = trial, trial_tail
+        s = spectrum(states)
+        rank = numerical_rank(s, tol)
+        if rank > best[0] or (rank == best[0] and tail > best[1]):
+            best = (rank, tail, states, s)
+        if best[0] >= cap:
+            break
+    return best[0], best[2], best[3]
+
+
+def _search_cases():
+    swap, swap_layout = gates.swap_gate()
+    u3, u3_layout = gates.u3()
+    odd, odd_layout = gates.u_odd_n(5)
+    even, even_layout = gates.even_qubit_rank3(4)
+    cases = [("swap", swap, swap_layout.dims, (0,)), ("cnot", CNOT, (2, 2), (0,))]
+    for d in range(2, 6):
+        for r in range(1, min(d, 3) + 1):
+            u, layout = gates.random_controlled_unitary(d, d + 1, r, seed=10 * d + r)
+            cases.append((f"rc-{d}x{d + 1}-r{r}", u, layout.dims, (0,)))
+    cases += [
+        ("u3-0", u3, u3_layout.dims, (0,)),
+        ("u3-01", u3, u3_layout.dims, (0, 1)),
+        ("u_odd_n5-02", odd, odd_layout.dims, (0, 2)),
+        ("even4-1", even, even_layout.dims, (1,)),
+    ]
+    return cases
+
+
+_SEARCH_CASES = _search_cases()
+
+
 class TestStateRank:
     def test_known_states(self):
         assert state_schmidt_rank(BELL, (2, 2), (0,)) == 2
@@ -80,6 +149,19 @@ class TestStateRank:
         with pytest.raises(ValueError):
             state_schmidt_rank(BELL[:3], (2, 2), (0,))
 
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, 1.0, 2.0, math.inf])
+    def test_rejects_a_tol_outside_the_unit_interval(self, tol):
+        # CNOT (|+> (x) |0>) is a Bell state: a nan or 2 would count nothing,
+        # a 0 or -1 every roundoff value
+        with pytest.raises(ValueError, match="tol must be a finite number in"):
+            state_schmidt_rank(BELL, (2, 2), (0,), tol=tol)
+        with pytest.raises(ValueError, match="tol must be a finite number in"):
+            output_schmidt_rank(CNOT, (2, 2), ProductInput.of([PLUS, ZERO]), (0,), tol=tol)
+        with pytest.raises(ValueError, match="tol must be a finite number in"):
+            max_output_schmidt_rank_search(CNOT, (2, 2), (0,), restarts=1, tol=tol)
+        with pytest.raises(ValueError, match="tol must be a finite number in"):
+            ancilla_extended_check(CNOT, (2, 2), tol=tol)
+
 
 class TestProductInput:
     def test_builds_and_flattens(self):
@@ -92,6 +174,12 @@ class TestProductInput:
             ProductInput.of([PLUS, 2.0 * ZERO])
         with pytest.raises(ValueError):
             ProductInput.of([])
+
+    def test_rejects_non_finite_states_by_index(self):
+        # abs(nan - 1) > 1e-12 is False, so the norm test alone lets nan through
+        for bad in (np.array([np.nan, 0.0]), np.array([np.inf, 0.0]), np.array([1.0, np.nan * 1j])):
+            with pytest.raises(ValueError, match="local state 1 contains non-finite entries"):
+                ProductInput.of([ZERO, bad])
 
     def test_random_inputs_match_the_layout(self):
         inp = random_product_input((2, 3, 4), make_rng(3))
@@ -189,6 +277,63 @@ class TestSearch:
             max_output_schmidt_rank_search(CNOT, (2, 2), (0, 1), seed=1)
         with pytest.raises(ValueError):
             max_output_schmidt_rank_search(CNOT, (2, 2), (0,), restarts=0)
+        for restarts in (True, False, 2.0, "3", None):
+            with pytest.raises(ValueError, match="restarts must be a positive integer"):
+                max_output_schmidt_rank_search(CNOT, (2, 2), (0,), restarts=restarts)
+        with pytest.raises(ValueError, match="not unitary"):
+            max_output_schmidt_rank_search(2.0 * CNOT, (2, 2), (0,))
+
+    def test_accepts_integral_restarts(self):
+        plain = max_output_schmidt_rank_search(CNOT, (2, 2), (0,), restarts=3, seed=5)
+        numpy = max_output_schmidt_rank_search(CNOT, (2, 2), (0,), restarts=np.int64(3), seed=5)
+        assert numpy.max_rank == plain.max_rank
+        assert np.array_equal(numpy.singular_values, plain.singular_values)
+
+    @pytest.mark.parametrize("name, u, layout, cut", _SEARCH_CASES, ids=[c[0] for c in _SEARCH_CASES])
+    def test_search_matches_the_sequential_loop_bytewise(self, name, u, layout, cut):
+        for seed in range(6):
+            got = max_output_schmidt_rank_search(u, layout, cut, restarts=16, seed=seed)
+            rank, states, spectrum = _sequential_search(u, layout, cut, seed, restarts=16)
+            assert got.max_rank == rank
+            assert np.array_equal(got.singular_values, spectrum)
+            assert len(got.witness.local_states) == len(states)
+            for a, b in zip(got.witness.local_states, states):
+                assert np.array_equal(a, b)
+
+    def test_each_candidate_sweep_is_one_stacked_spectrum(self, monkeypatch):
+        # no step ever improves a product output of SWAP, so each restart is
+        # one start and one stack of all 12 candidates per (sweep, party)
+        swap, layout = gates.swap_gate()
+        calls = []
+        original = schmidt_number._state_singular_values
+
+        def spy(vectors, dims, cut):
+            calls.append(len(vectors))
+            return original(vectors, dims, cut)
+
+        monkeypatch.setattr(schmidt_number, "_state_singular_values", spy)
+        result = max_output_schmidt_rank_search(swap, layout, (0,), restarts=8, seed=2)
+        assert result.max_rank == 1
+        assert len(calls) <= 6 * 8
+        assert sum(calls) == 8 * (1 + 2 * 2 * 12)
+
+    def test_each_entry_point_groups_and_checks_its_gate_once(self, monkeypatch):
+        # the unitarity check reads the entries once; the operator rank is read
+        # off the grouped operator, not through a second grouping and scan
+        u, layout = gates.random_controlled_unitary(3, 4, 3, seed=1)
+        counts = dict.fromkeys(("group_systems", "as_operator"), 0)
+        for name in counts:
+            original = getattr(mx, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(mx, name, spy)
+        for entry in (ancilla_extended_check, max_output_schmidt_rank_search):
+            counts.update(dict.fromkeys(counts, 0))
+            entry(u, layout, (0,))
+            assert counts == {"group_systems": 1, "as_operator": 1}, entry.__name__
 
 
 class TestAncillaExtension:
