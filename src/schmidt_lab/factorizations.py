@@ -43,20 +43,22 @@ def _require_finite(m: np.ndarray, name: str) -> np.ndarray:
 def _checked_svd(m: np.ndarray, full_matrices: bool):
     u, s, vh = np.linalg.svd(m, full_matrices=full_matrices)
     k = s.shape[-1]
-    # the same value per member; numpy's own norm is the faster one for a lone matrix
-    norms = mx.frobenius_norms if m.ndim > 2 else np.linalg.norm
-    residual = norms(u[..., :k] @ (s[..., :, None] * vh[..., :k, :]) - m)
-    bad = residual > RECONSTRUCTION_RTOL * np.maximum(norms(m), 1e-300)
-    if bad.any():
-        i = np.flatnonzero(bad)[0]
-        member = f" in member {i}" if m.ndim > 2 else ""
-        raise NumericalError(f"svd reconstruction residual {residual.flat[i]:.3e} too large{member}")
+    error = u[..., :k] @ (s[..., :, None] * vh[..., :k, :]) - m
+    if m.ndim > 2:  # each member against its own norm; the first failing one is named
+        residuals = mx.frobenius_norms(error)
+        bad = np.flatnonzero(residuals > RECONSTRUCTION_RTOL * np.maximum(mx.frobenius_norms(m), 1e-300))
+        if bad.size:
+            i = bad[0]
+            raise NumericalError(f"svd reconstruction residual {residuals.flat[i]:.3e} too large in member {i}")
+        return u, s, vh
+    residual = np.linalg.norm(error)
+    if residual > RECONSTRUCTION_RTOL * max(np.linalg.norm(m), 1e-300):
+        raise NumericalError(f"svd reconstruction residual {residual:.3e} too large")
     return u, s, vh
 
 
 def svd(m: np.ndarray):
-    """Economy-size SVD ``m = u @ diag(s) @ vh`` with reconstruction check; leading axes
-    are a stack, and each member is checked against its own norm."""
+    """Economy-size SVD ``m = u @ diag(s) @ vh``, reconstruction-checked per member of a stack."""
     return _checked_svd(_require_finite(m, "svd input"), full_matrices=False)
 
 

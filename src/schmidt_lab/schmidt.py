@@ -175,7 +175,12 @@ def schmidt_rank(u, layout, cut, tol: float = RANK_RTOL) -> RankReport:
     on a cut too small to sketch, otherwise only the leading values (see
     ``RankReport``). A ``tol`` outside (0, 1) raises ValueError.
     """
-    _, s, _, _ = leading_svd(_cut_realigned(u, layout, cut, "rank input")[2], mx.checked_tol(tol))
+    return _rank_report(_cut_realigned(u, layout, cut, "rank input")[2], tol)
+
+
+def _rank_report(realigned, tol) -> RankReport:
+    """The one operator-rank rule, on a realigned operator; ``schmidt_rank`` says what it reads."""
+    _, s, _, _ = leading_svd(realigned, mx.checked_tol(tol))
     return RankReport(
         rank=numerical_rank(s, tol),
         singular_values=s,

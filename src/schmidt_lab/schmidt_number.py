@@ -25,7 +25,8 @@ from functools import reduce
 import numpy as np
 
 from . import matrices as mx
-from .factorizations import RANK_RTOL, leading_svd, numerical_rank, svd
+from . import schmidt
+from .factorizations import RANK_RTOL, numerical_rank, svd
 from .matrices import SystemLayout
 from .randomness import make_rng, random_state
 
@@ -89,16 +90,10 @@ def _state_singular_values(vectors: np.ndarray, dims, cut) -> np.ndarray:
 
 
 def _output_spectra(u: np.ndarray, factors, dims, cut) -> np.ndarray:
-    """Spectra across the cut of ``u`` on product vectors, one per row of the factor stacks.
-
-    Factor j is one local state or a ``(k, d_j)`` stack of them; ``u`` acts on
-    each product as a matvec.
-    """
+    """Spectra across the cut of ``u`` on the row-wise products of the factors (states or stacks)."""
     stacks = [np.reshape(f, (-1, d)) for f, d in zip(factors, dims)]
     # row-wise np.kron, the same products in the same association; one row broadcasts
-    vectors = reduce(
-        lambda a, b: (a[:, :, None] * b[:, None, :]).reshape(-1, a.shape[1] * b.shape[1]), stacks
-    )
+    vectors = reduce(lambda a, b: (a[:, :, None] * b[:, None]).reshape(-1, a.shape[1] * b.shape[1]), stacks)
     return _state_singular_values((u[None] @ vectors[:, :, None])[:, :, 0], dims, cut)
 
 
@@ -148,23 +143,18 @@ def _tail_weight(s: np.ndarray) -> float:
     # mass beyond the leading Schmidt direction; zero iff the output is product
     if s.size == 0:
         return 0.0
-    squares = s * s
-    return float(squares.sum()) - float(squares[0])
+    total = float(np.sum(s * s))
+    return total - float(s[0] * s[0])
 
 
-def _checked_gate(u, layout, cut, tol):
-    """``(layout, u, cut, grouped u, grouped dims, operator Schmidt rank)``: the one check of u.
-
-    The rank is ``schmidt.schmidt_rank``'s rule, read off the grouped operator.
-    """
-    layout = SystemLayout.of(layout)
+def _checked_gate(u, layout: SystemLayout, cut, tol):
+    """``(u, cut, grouped u, grouped dims, operator Schmidt rank)``: one check and one grouping."""
     u = mx.assert_unitary(u, "gate")
     if u.shape[0] != layout.total:
         raise ValueError(f"gate dimension {u.shape[0]} does not match layout {layout.dims}")
     cut = _strict_cut(layout, cut)
     grouped, dims = mx.group_systems(u, layout, cut)
-    s = leading_svd(mx._realigned(grouped, dims), mx.checked_tol(tol))[1]
-    return layout, u, cut, grouped, dims, numerical_rank(s, tol)
+    return u, cut, grouped, dims, schmidt._rank_report(mx._realigned(grouped, dims), tol).rank
 
 
 def max_output_schmidt_rank_search(
@@ -182,7 +172,8 @@ def max_output_schmidt_rank_search(
     """
     if not isinstance(restarts, numbers.Integral) or isinstance(restarts, bool) or restarts < 1:
         raise ValueError(f"restarts must be a positive integer, got {restarts!r}")
-    layout, u, cut, _, grouped_dims, operator_rank = _checked_gate(u, layout, cut, tol)
+    layout = SystemLayout.of(layout)
+    u, cut, _, grouped_dims, operator_rank = _checked_gate(u, layout, cut, tol)
     dims = layout.dims
     cap = min(*grouped_dims, operator_rank)
     rng = make_rng(seed, stream=17)
@@ -199,20 +190,22 @@ def max_output_schmidt_rank_search(
             for party in range(len(dims)):
                 directions = [random_state(dims[party], rng) for _ in range(SEARCH_DIRECTIONS)]
                 moves = [(direction, step) for direction in directions for step in SEARCH_STEPS]
-                # all pending moves are tried from the current point as one stack;
-                # past the first improving one, the rest start again from it
+                # all moves are tried from the current point as one stack; past the first improving
+                # one, the rest of its direction, then each later direction, go again from there
+                size = len(moves)
                 while moves:
-                    candidates = [states[party] + step * direction for direction, step in moves]
+                    candidates = [states[party] + step * direction for direction, step in moves[:size]]
                     candidates = np.array([c / np.linalg.norm(c) for c in candidates])
                     trial = states[:party] + [candidates] + states[party + 1 :]
                     spectra = _output_spectra(u, trial, dims, cut)
                     tails = [_tail_weight(x) for x in spectra]
                     better = [j for j, trial_tail in enumerate(tails) if trial_tail > tail + 1e-15]
-                    if not better:
-                        break
-                    j = better[0]
-                    states[party], s, tail = candidates[j], spectra[j], tails[j]
-                    moves = moves[j + 1 :]
+                    if better:
+                        j = better[0]
+                        states[party], s, tail = candidates[j], spectra[j], tails[j]
+                        size = j + 1
+                    moves = moves[size:]
+                    size = len(moves) % len(SEARCH_STEPS) or len(SEARCH_STEPS)
         rank = numerical_rank(s, tol)
         if rank > best_rank or (rank == best_rank and tail > best_tail):
             best_states, best_rank, best_tail, best_spectrum = states, rank, tail, s
@@ -246,7 +239,7 @@ def ancilla_extended_check(u, layout, cut=(0,), tol: float = RANK_RTOL) -> Ancil
     a plain state rank and reported next to the operator Schmidt rank it
     must reproduce.
     """
-    _, _, _, grouped, (d_a, d_b), operator_rank = _checked_gate(u, layout, cut, tol)
+    _, _, grouped, (d_a, d_b), operator_rank = _checked_gate(u, SystemLayout.of(layout), cut, tol)
 
     pair_a = np.eye(d_a, dtype=complex).reshape(-1) / math.sqrt(d_a)
     pair_b = np.eye(d_b, dtype=complex).reshape(-1) / math.sqrt(d_b)

@@ -300,22 +300,38 @@ class TestSearch:
             for a, b in zip(got.witness.local_states, states):
                 assert np.array_equal(a, b)
 
+    @staticmethod
+    def _stack_sizes(monkeypatch):
+        sizes = []
+        original = schmidt_number._state_singular_values
+
+        def spy(vectors, dims, cut):
+            sizes.append(len(vectors))
+            return original(vectors, dims, cut)
+
+        monkeypatch.setattr(schmidt_number, "_state_singular_values", spy)
+        return sizes
+
     def test_each_candidate_sweep_is_one_stacked_spectrum(self, monkeypatch):
         # no step ever improves a product output of SWAP, so each restart is
         # one start and one stack of all 12 candidates per (sweep, party)
         swap, layout = gates.swap_gate()
-        calls = []
-        original = schmidt_number._state_singular_values
-
-        def spy(vectors, dims, cut):
-            calls.append(len(vectors))
-            return original(vectors, dims, cut)
-
-        monkeypatch.setattr(schmidt_number, "_state_singular_values", spy)
+        calls = self._stack_sizes(monkeypatch)
         result = max_output_schmidt_rank_search(swap, layout, (0,), restarts=8, seed=2)
         assert result.max_rank == 1
         assert len(calls) <= 6 * 8
         assert sum(calls) == 8 * (1 + 2 * 2 * 12)
+
+    def test_an_accepted_step_tries_again_one_direction_at_a_time(self, monkeypatch):
+        # steps are accepted here in every (sweep, party); past each, a stack holds the
+        # rest of that direction or one later direction, never all the remaining moves
+        u, layout = gates.random_controlled_unitary(4, 5, 3, seed=1)
+        calls = self._stack_sizes(monkeypatch)
+        result = max_output_schmidt_rank_search(u, layout, (0,), restarts=16, seed=0)
+        assert result.max_rank == 3  # the cap, reached in the first restart
+        assert calls[0] == 1 and calls.count(12) == 2 * 2
+        assert len(calls) > 1 + 2 * 2
+        assert set(calls[1:]) <= {1, 2, 3, 4, 12}
 
     def test_each_entry_point_groups_and_checks_its_gate_once(self, monkeypatch):
         # the unitarity check reads the entries once; the operator rank is read
