@@ -11,11 +11,11 @@ one by Bob, and exact shift or phase corrections.
 Each route is simulated once as a branch table: every measurement
 contracts the state with the stacked rows of its basis and keeps the
 outcome as a batch axis, so a few contractions give the probability and
-output of every branch.  By default every branch is compared against
-direct application of the gate, so the reported fidelity floor is a
-verified quantity rather than an estimate; the recorded run, and the
-sampled mode, draw their outcomes from the same table.  Global phase is
-quotiented out of all fidelities.
+output of every branch.  By default every branch is checked against the
+gate applied directly, so the fidelity floor is verified, not estimated.
+The recorded run and the sampled mode draw from the same table: one
+uniform per outcome, in ``Generator.choice``'s order, through the
+table's cdfs.  Global phase is quotiented out of all fidelities.
 """
 
 from __future__ import annotations
@@ -146,6 +146,8 @@ def _as_state(v, dim: int, name: str = "input") -> np.ndarray:
     arr = np.asarray(v, dtype=complex).reshape(-1)
     if arr.shape[0] != dim:
         raise ValueError(f"{name} must have dimension {dim}, got {arr.shape[0]}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} contains non-finite entries")
     norm = float(np.linalg.norm(arr))
     if norm < 1e-12:
         raise ValueError(f"{name} must be a nonzero state vector")
@@ -162,8 +164,14 @@ def _clock(dim: int) -> np.ndarray:
     return np.diag(np.exp(2j * np.pi * np.arange(dim) / dim))
 
 
-def _weyl(a: int, b: int, dim: int) -> np.ndarray:
-    return np.linalg.matrix_power(_shift(dim), a) @ np.linalg.matrix_power(_clock(dim), b)
+def _powers(base: np.ndarray) -> np.ndarray:
+    """``base^k`` for k = 0 .. len(base) - 1, stacked, each from ``matrix_power``."""
+    return np.stack([np.linalg.matrix_power(base, k) for k in range(len(base))])
+
+
+def _weyl_stack(dim: int) -> np.ndarray:
+    """X^a Z^b for every (a, b), stacked at index a * dim + b."""
+    return (_powers(_shift(dim))[:, None] @ _powers(_clock(dim))[None]).reshape(-1, dim, dim)
 
 
 def _sample_count(branches) -> int | None:
@@ -175,34 +183,36 @@ def _sample_count(branches) -> int | None:
     raise ValueError(f"branches must be 'all' or a positive integer, got {branches!r}")
 
 
-def _run_branches(table, expected, samples, rng):
-    """Branch-fidelity sweep and recorded run, both read off one branch table.
+def _draws(weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Index each uniform draws from its row of ``weights`` (or the one row), as ``Generator.choice`` does."""
+    if not (np.isfinite(weights).all() and (weights >= 0).all()):
+        raise ValueError("branch weights must be finite and non-negative")
+    cdf = (weights / weights.sum(axis=-1, keepdims=True)).cumsum(axis=-1)
+    return np.sum(cdf / cdf[..., -1:] <= uniforms[:, None], axis=-1)
 
-    ``table`` is ``(marginal, joint, outputs)``: the probability of each
-    first outcome, the joint probability of each (first, second) outcome
-    pair, and the unnormalized output state of each pair.  A recorded run
-    draws the first outcome from the marginal, then the second from its
-    conditional given the first.  With ``samples`` None every branch of
-    nonzero weight is checked and one recorded run follows; otherwise
-    ``samples`` recorded runs are checked.  Returns the fidelities and
-    ``(first, second, output)`` of the first recorded run.
+
+def _run_branches(table, expected, samples, rng):
+    """Branch-fidelity sweep and recorded runs, all read off one branch table.
+
+    ``table`` is ``(marginal, joint, outputs)``: the probability of each first
+    outcome, of each (first, second) pair, and the unnormalized output of each
+    pair.  A run draws the first outcome from the marginal, then the second
+    from its conditional, one uniform each, in ``Generator.choice``'s order.
+    With ``samples`` None every branch of nonzero weight is checked and one
+    run is recorded; otherwise ``samples`` recorded runs are checked.  Returns
+    the fidelities and ``(first, second, output)`` of the first run.
     """
     marginal, joint, outputs = table
-
-    def recorded():
-        first = int(rng.choice(len(marginal), p=marginal / marginal.sum()))
-        row = joint[first]
-        second = int(rng.choice(len(row), p=row / row.sum()))
-        return first, second, outputs[first, second] / math.sqrt(row[second])
-
+    uniforms = rng.random(2 * (samples or 1))
+    firsts = _draws(marginal, uniforms[0::2])
+    seconds = _draws(joint[firsts], uniforms[1::2])
+    runs = outputs[firsts, seconds] / np.sqrt(joint[firsts, seconds])[:, None]
     if samples is None:
         live = joint > 1e-30
         fidelities = np.abs(outputs[live] @ expected.conj()) / np.sqrt(joint[live])
-        runs = [recorded()]
     else:
-        runs = [recorded() for _ in range(samples)]
-        fidelities = [abs(np.vdot(expected, out)) for _, _, out in runs]
-    return fidelities, runs[0]
+        fidelities = [abs(np.vdot(expected, out)) for out in runs]
+    return fidelities, (int(firsts[0]), int(seconds[0]), runs[0])
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +229,7 @@ def _teleport_table(psi, u, d_a: int, d_b: int):
     state's axes are (outcome..., carrier, B); the shift/clock corrections
     X^a Z^b are stacked along the same outcome axis.
     """
-    weyl = np.stack([_weyl(a, b, d_a) for a in range(d_a) for b in range(d_a)])
+    weyl = _weyl_stack(d_a)
     bras = weyl.conj().transpose(0, 2, 1) / d_a
     n = len(weyl)
     first = bras @ psi.reshape(d_a, d_b)
@@ -249,9 +259,8 @@ def teleport_unitary_protocol(u, layout, input, seed: int = 0, branches="all"):
     psi = _as_state(input, d_a * d_b)
     expected = u @ psi
     samples = _sample_count(branches)
-    rng = make_rng(seed, stream=11)
     fidelities, (i, j, output) = _run_branches(
-        _teleport_table(psi, u, d_a, d_b), expected, samples, rng
+        _teleport_table(psi, u, d_a, d_b), expected, samples, make_rng(seed, stream=11)
     )
     first, second = divmod(i, d_a), divmod(j, d_a)
 
@@ -365,14 +374,6 @@ def _merge_blocks(blocks, d_t: int):
     return reps, group, phases
 
 
-def _recoil_shift(outcome: int, m: int) -> np.ndarray:
-    # |x> -> |outcome - x mod m>
-    op = np.zeros((m, m), dtype=complex)
-    for x in range(m):
-        op[(outcome - x) % m, x] = 1.0
-    return op
-
-
 def _controlled_table(psi, form: ControlledForm, reps, group, phases):
     """Branch table of the controlled route; outcomes (s, t) index the rank-m resource.
 
@@ -386,17 +387,18 @@ def _controlled_table(psi, form: ControlledForm, reps, group, phases):
     outcomes = np.arange(m)
     group = np.asarray(group)
     # Alice's entangler |k, j> -> |k, j + g(k) mod m> applied to |Phi> on (a, b)
-    shifts = np.stack([np.linalg.matrix_power(_shift(m), g) for g in outcomes])
-    resource = shifts[group] / math.sqrt(m)
+    resource = _powers(_shift(m))[group] / math.sqrt(m)
     state = (form.r @ psi.reshape(d_c, d_t))[:, :, None, None] * resource[:, None]
-    first = np.einsum("sa,ctab->sctb", np.eye(m), state)
+    # row s keeps Alice's half at a = s; contiguous, so the sums below keep one order
+    first = np.ascontiguousarray(state.transpose(2, 0, 1, 3))
     marginal = np.sum(np.abs(first) ** 2, axis=(1, 2, 3))
-    recoil = np.stack([_recoil_shift(s, m) for s in outcomes])
+    # Bob's recoil shift |x> -> |s - x mod m>
+    recoil = np.zeros((m, m, m), dtype=complex)
+    recoil[outcomes[:, None], (outcomes[:, None] - outcomes) % m, outcomes] = 1.0
     first = np.einsum("syb,sctb->scty", recoil, first)
     # Bob's half selects the target block: block g acts when it reads g
     first = np.einsum("bxt,sctb->scxb", np.stack(reps), first)
-    fourier = np.exp(2j * np.pi * outcomes[:, None] * outcomes[None, :] / m)
-    fourier_rows = fourier.conj() / math.sqrt(m)
+    fourier_rows = np.exp(2j * np.pi * outcomes[:, None] * outcomes[None, :] / m).conj() / math.sqrt(m)
     second = np.einsum("tb,scxb->stcx", fourier_rows, first)
     joint = np.sum(np.abs(second) ** 2, axis=(2, 3))
     correction = np.exp(2j * np.pi * outcomes[:, None] * group[None, :] / m) * np.asarray(phases)
@@ -416,13 +418,11 @@ def controlled_gate_protocol(form: ControlledForm, input, seed: int = 0, branche
     group the gate is a product and runs with no resource and no
     messages.
     """
-    psi_dim = np.asarray(input, dtype=complex).reshape(-1).shape[0]
-    d_c, d_t, blocks = _validate_form(form, psi_dim)
+    d_c, d_t, blocks = _validate_form(form, np.size(input))
     psi = _as_state(input, d_c * d_t)
     reps, group, phases = _merge_blocks(blocks, d_t)
     m = len(reps)
     expected = form.apply(psi)
-    rng = make_rng(seed, stream=13)
 
     if m == 1:
         output = ((form.q * phases) @ form.r @ psi.reshape(d_c, d_t) @ reps[0].T).reshape(-1)
@@ -447,7 +447,7 @@ def controlled_gate_protocol(form: ControlledForm, input, seed: int = 0, branche
 
     samples = _sample_count(branches)
     fidelities, (s, t, output) = _run_branches(
-        _controlled_table(psi, form, reps, group, phases), expected, samples, rng
+        _controlled_table(psi, form, reps, group, phases), expected, samples, make_rng(seed, stream=13)
     )
 
     steps = (

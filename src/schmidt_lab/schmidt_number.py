@@ -250,5 +250,6 @@ def ancilla_extended_check(u, layout, cut=(0,), tol: float = RANK_RTOL) -> Ancil
     # tensordot leaves (A, B, A-ancilla, B-ancilla); restore ancilla order
     output = output.transpose(0, 2, 1, 3).reshape(-1)
 
-    rank = state_schmidt_rank(output, (d_a, d_a, d_b, d_b), (0, 1), tol)
+    # the state holds no more entries than the gate, which has passed the cap check
+    rank = numerical_rank(_state_singular_values(output[None], (d_a, d_a, d_b, d_b), (0, 1))[0], tol)
     return AncillaExtensionReport(rank_with_ancillas=rank, operator_schmidt_rank=operator_rank)

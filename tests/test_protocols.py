@@ -172,6 +172,13 @@ class TestTeleportationRoute:
         with pytest.raises(ValueError):
             teleport_unitary_protocol(np.eye(4, dtype=complex), (2, 2), psi, branches=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_input_is_refused_by_name(self, bad):
+        psi = random_state(4, make_rng(1))
+        psi[2] = bad
+        with pytest.raises(ValueError, match="input contains non-finite entries"):
+            teleport_unitary_protocol(CNOT, (2, 2), psi)
+
 
 class TestControlledRoute:
     def test_cnot_detected_form_consumes_one_ebit(self):
@@ -301,6 +308,14 @@ class TestControlledRoute:
         with pytest.raises(ValueError):
             controlled_gate_protocol(good, psi, branches=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_input_is_refused_by_name(self, bad):
+        form = ControlledForm(side=(0,), q=I2, r=I2, blocks=(I2, X), grouped_dims=(2, 2))
+        psi = random_state(4, make_rng(1))
+        psi[0] = bad
+        with pytest.raises(ValueError, match="input contains non-finite entries"):
+            controlled_gate_protocol(form, psi)
+
 
 class TestRandomNumberContract:
     """Recorded outcomes of fixed seeds, and what the sampled mode checks.
@@ -314,10 +329,34 @@ class TestRandomNumberContract:
     TELEPORT = {
         2: [((0, 0), (0, 1)), ((1, 0), (1, 0)), ((0, 1), (0, 1)), ((1, 1), (1, 1)), ((1, 1), (1, 0))],
         3: [((0, 1), (0, 2)), ((1, 2), (2, 0)), ((0, 2), (1, 0)), ((2, 2), (2, 2)), ((2, 1), (2, 0))],
+        4: [((0, 3), (1, 0)), ((2, 1), (2, 3)), ((1, 0), (1, 2)), ((3, 2), (3, 2)), ((3, 1), (2, 2))],
     }
     CONTROLLED = {
         2: [(0, 0), (1, 1), (1, 1), (1, 0), (1, 1)],
         3: [(1, 0), (2, 2), (2, 2), (1, 0), (2, 1)],
+    }
+    # every run of an 8-sample call, seeds 0 and 1, as (first, second) table indices
+    EIGHT_SAMPLES = {
+        ("teleport", 2): [
+            [(0, 1), (2, 2), (2, 3), (2, 2), (1, 0), (0, 0), (0, 1), (2, 2)],
+            [(2, 2), (2, 3), (1, 1), (3, 3), (1, 2), (1, 2), (3, 0), (2, 2)],
+        ],
+        ("teleport", 3): [
+            [(1, 2), (6, 5), (5, 6), (6, 5), (4, 1), (1, 1), (1, 2), (5, 5)],
+            [(5, 6), (5, 7), (2, 4), (6, 7), (3, 5), (3, 5), (8, 0), (5, 6)],
+        ],
+        ("teleport", 4): [
+            [(3, 4), (11, 9), (9, 12), (10, 9), (7, 1), (3, 3), (2, 4), (8, 9)],
+            [(9, 11), (9, 12), (5, 7), (12, 14), (6, 10), (5, 10), (15, 0), (9, 11)],
+        ],
+        ("controlled", 2): [
+            [(0, 0), (1, 1), (1, 0), (0, 1), (0, 0), (1, 1), (1, 1), (1, 1)],
+            [(1, 1), (1, 1), (1, 0), (1, 1), (0, 1), (0, 1), (0, 0), (0, 1)],
+        ],
+        ("controlled", 3): [
+            [(1, 0), (1, 1), (2, 0), (0, 2), (1, 0), (2, 2), (2, 2), (2, 2)],
+            [(2, 2), (2, 1), (2, 0), (1, 2), (1, 2), (0, 2), (0, 0), (0, 2)],
+        ],
     }
 
     @staticmethod
@@ -336,6 +375,18 @@ class TestRandomNumberContract:
         return [s.payload["outcome"] for s in transcript.steps if s.kind == "measurement"]
 
     @staticmethod
+    def _sampled_outcomes(table, seed, stream, samples=8):
+        """Every recorded run's outcome pair, read back through outputs that encode their own index."""
+        marginal, joint, _ = table
+        n1, n2 = joint.shape
+        labels = np.sqrt(joint)[:, :, None] * np.eye(n1 * n2).reshape(n1, n2, n1 * n2)
+        index = np.arange(n1 * n2, dtype=complex)
+        fidelities, _ = protocols._run_branches(
+            (marginal, joint, labels), index, samples, make_rng(seed, stream=stream)
+        )
+        return [divmod(int(round(f)), n2) for f in fidelities]
+
+    @staticmethod
     def _assert_samples_are_branches(table, expected, seed, stream, transcript):
         sweep, _ = protocols._run_branches(table, expected, None, make_rng(seed, stream=stream))
         sampled, _ = protocols._run_branches(table, expected, 3, make_rng(seed, stream=stream))
@@ -345,7 +396,7 @@ class TestRandomNumberContract:
         assert transcript.min_branch_fidelity == pytest.approx(min(sampled), abs=1e-12)
         assert transcript.max_branch_fidelity == pytest.approx(max(sampled), abs=1e-12)
 
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("seed", range(5))
     def test_teleport_outcomes_are_pinned(self, d, seed):
         u, psi = self._teleport_case(d)
@@ -369,6 +420,123 @@ class TestRandomNumberContract:
         assert len(reps) == r
         table = protocols._controlled_table(psi, form, reps, group, phases)
         self._assert_samples_are_branches(table, form.operator() @ psi, seed, 13, transcript)
+
+    @pytest.mark.parametrize("route, size", sorted(EIGHT_SAMPLES))
+    def test_eight_sample_runs_are_pinned(self, route, size):
+        if route == "teleport":
+            u, psi = self._teleport_case(size)
+            table, stream = protocols._teleport_table(psi, u, size, size), 11
+        else:
+            form, psi = self._controlled_case(size)
+            table, stream = protocols._controlled_table(psi, form, *protocols._merge_blocks(form.blocks, 3)), 13
+        for seed, pinned in enumerate(self.EIGHT_SAMPLES[route, size]):
+            assert self._sampled_outcomes(table, seed, stream) == pinned
+
+
+def _random_table(rng, n1, n2, d):
+    """A branch table with random weights, some of them zero, and random outputs."""
+    joint = rng.random((n1, n2)) * (rng.random((n1, n2)) > 0.3)
+    joint[:, 0] += 1e-3
+    marginal = joint.sum(axis=1) * (1.0 + 1e-12 * rng.standard_normal(n1))
+    outputs = rng.standard_normal((n1, n2, d)) + 1j * rng.standard_normal((n1, n2, d))
+    return marginal, joint, outputs
+
+
+def _reference_run_branches(table, expected, samples, rng):
+    """The per-run loop over ``Generator.choice`` that the batched draws reproduce."""
+    marginal, joint, outputs = table
+
+    def recorded():
+        first = int(rng.choice(len(marginal), p=marginal / marginal.sum()))
+        row = joint[first]
+        second = int(rng.choice(len(row), p=row / row.sum()))
+        return first, second, outputs[first, second] / math.sqrt(row[second])
+
+    if samples is None:
+        live = joint > 1e-30
+        fidelities = np.abs(outputs[live] @ expected.conj()) / np.sqrt(joint[live])
+        runs = [recorded()]
+    else:
+        runs = [recorded() for _ in range(samples)]
+        fidelities = [abs(np.vdot(expected, out)) for _, _, out in runs]
+    return fidelities, runs[0]
+
+
+class TestBatchedConstruction:
+    """The stacked operators and the batched draws, byte for byte against the constructions they replace."""
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_weyl_stack_matches_each_power_product(self, d):
+        shift, clock = protocols._shift(d), protocols._clock(d)
+        reference = np.stack(
+            [
+                np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
+                for a in range(d)
+                for b in range(d)
+            ]
+        )
+        assert protocols._weyl_stack(d).tobytes() == reference.tobytes()
+
+    @staticmethod
+    def _reference_controlled_table(psi, form, reps, group, phases):
+        d_c, d_t = form.grouped_dims
+        m = len(reps)
+        outcomes = np.arange(m)
+        group = np.asarray(group)
+        shifts = np.stack([np.linalg.matrix_power(protocols._shift(m), g) for g in outcomes])
+        resource = shifts[group] / math.sqrt(m)
+        state = (form.r @ psi.reshape(d_c, d_t))[:, :, None, None] * resource[:, None]
+        first = np.einsum("sa,ctab->sctb", np.eye(m), state)
+        marginal = np.sum(np.abs(first) ** 2, axis=(1, 2, 3))
+        recoil = np.zeros((m, m, m), dtype=complex)
+        for s in range(m):
+            for x in range(m):
+                recoil[s, (s - x) % m, x] = 1.0
+        first = np.einsum("syb,sctb->scty", recoil, first)
+        first = np.einsum("bxt,sctb->scxb", np.stack(reps), first)
+        fourier_rows = np.exp(2j * np.pi * outcomes[:, None] * outcomes[None, :] / m).conj() / math.sqrt(m)
+        second = np.einsum("tb,scxb->stcx", fourier_rows, first)
+        joint = np.sum(np.abs(second) ** 2, axis=(2, 3))
+        correction = np.exp(2j * np.pi * outcomes[:, None] * group[None, :] / m) * np.asarray(phases)
+        outputs = np.einsum("yc,stcx->styx", form.q, second * correction[None, :, :, None])
+        return marginal, joint, outputs.reshape(m, m, -1)
+
+    @pytest.mark.parametrize(
+        "d_c, d_t, r", [(2, 2, 2), (3, 3, 3), (4, 4, 2), (5, 3, 3), (8, 8, 3), (9, 4, 3), (16, 16, 2)]
+    )
+    def test_controlled_table_matches_the_looped_recoil_and_identity_contraction(self, d_c, d_t, r):
+        for seed in range(2):
+            u, layout = gates.random_controlled_unitary(d_c, d_t, r, seed=seed)
+            form = is_controlled(u, layout, (0,)).form
+            psi = random_state(d_c * d_t, make_rng(seed, stream=5))
+            merged = protocols._merge_blocks(np.stack(form.blocks), d_t)
+            table = protocols._controlled_table(psi, form, *merged)
+            reference = self._reference_controlled_table(psi, form, *merged)
+            for got, want in zip(table, reference):
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_draws_match_a_loop_over_generator_choice(self, seed):
+        tables = make_rng(seed, stream=7)
+        for trial in range(40):
+            n1, n2 = (int(k) for k in tables.integers(1, 7, size=2))
+            table = _random_table(tables, n1, n2, 5)
+            expected = tables.standard_normal(5) + 1j * tables.standard_normal(5)
+            for samples in (None, *range(1, 10)):
+                got = protocols._run_branches(table, expected, samples, make_rng(trial, stream=11))
+                want = _reference_run_branches(table, expected, samples, make_rng(trial, stream=11))
+                assert np.asarray(got[0]).tobytes() == np.asarray(want[0]).tobytes()
+                assert got[1][:2] == want[1][:2]
+                assert got[1][2].tobytes() == want[1][2].tobytes()
+
+    def test_weights_that_choice_would_refuse_raise(self):
+        marginal, joint, outputs = _random_table(make_rng(3), 2, 3, 4)
+        expected = np.ones(4, dtype=complex)
+        for bad in (np.nan, np.inf, -0.5):
+            broken = marginal.copy()
+            broken[1] = bad
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                protocols._run_branches((broken, joint, outputs), expected, 2, make_rng(0))
 
 
 class TestVerification:
@@ -407,6 +575,15 @@ class TestVerification:
             verify_protocol(dataclasses.replace(transcript, ebits_consumed=2.5), CNOT, psi, out)
         with pytest.raises(ProtocolError):
             verify_protocol(dataclasses.replace(transcript, resource_rank=5), CNOT, psi, out)
+
+    @pytest.mark.parametrize("name", ["input", "output"])
+    def test_non_finite_states_are_refused_by_name(self, name):
+        psi = random_state(4, make_rng(8))
+        transcript, out = teleport_unitary_protocol(CNOT, (2, 2), psi, seed=4)
+        states = {"input": psi.copy(), "output": out.copy()}
+        states[name][1] = np.nan
+        with pytest.raises(ValueError, match=f"{name} contains non-finite entries"):
+            verify_protocol(transcript, CNOT, states["input"], states["output"])
 
     def test_flags_unknown_step_kind(self):
         psi = random_state(4, make_rng(8))

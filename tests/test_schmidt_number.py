@@ -18,6 +18,7 @@ import pytest
 from schmidt_lab import gates
 from schmidt_lab import matrices as mx
 from schmidt_lab import schmidt_number
+from schmidt_lab.errors import DimensionError
 from schmidt_lab.factorizations import numerical_rank, svd
 from schmidt_lab.randomness import haar_unitary, make_rng, random_state
 from schmidt_lab.schmidt import schmidt_rank
@@ -378,6 +379,25 @@ class TestAncillaExtension:
             report = ancilla_extended_check(u3, layout, cut)
             assert report.rank_with_ancillas == 3
             assert report.matches
+
+    def test_gates_above_the_square_root_of_the_cap_are_checked(self):
+        # the four-party output holds n^2 entries, as many as the gate: only
+        # the gate's total dimension n = 72 is held against the cap 4096
+        u, layout = gates.random_controlled_unitary(8, 9, 3, seed=1)
+        report = ancilla_extended_check(u, layout)
+        assert report.rank_with_ancillas == 3
+        assert report.operator_schmidt_rank == 3
+
+    def test_a_gate_above_the_cap_is_refused_before_allocating(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the ancilla state was built before the gate's layout was checked")
+
+        u, _ = gates.random_controlled_unitary(4, 5, 2, seed=2)
+        monkeypatch.setenv("SCHMIDT_LAB_MAX_DIM", "16")
+        monkeypatch.setattr(np, "kron", refuse)
+        monkeypatch.setattr(schmidt_number, "_state_singular_values", refuse)
+        with pytest.raises(DimensionError, match="total dimension 20 exceeds"):
+            ancilla_extended_check(u, (4, 5))
 
     def test_matches_constructed_ranks(self):
         for r in (1, 2, 3):
