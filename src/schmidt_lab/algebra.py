@@ -142,20 +142,15 @@ def singular_combination(a, b):
         return 1.0, 0.0, a.copy()
 
     evals = np.linalg.eigvals(np.linalg.solve(a, b))
-    candidates = []
-    for lam in evals:
-        c = b - lam * a
-        norm = mx.frobenius_norm(c)
-        ratio = svd(c)[1][-1] / norm if norm > 0 else 0.0
-        candidates.append((ratio, lam, c))
-    best = min(r for r, _, _ in candidates)
-    tied = [candidate for candidate in candidates if candidate[0] <= best + 1e-12]
-    ratio, lam, c = min(
-        tied, key=lambda t: (round(t[1].real, 12), round(t[1].imag, 12))
-    )
-    if ratio > SINGULAR_RTOL:
+    combos = b - evals[:, None, None] * a
+    norms = mx.frobenius_norms(combos)
+    smallest = svd(combos)[1][:, -1]
+    ratios = np.divide(smallest, norms, out=np.zeros_like(norms), where=norms > 0)
+    tied = np.flatnonzero(ratios <= ratios.min() + 1e-12)
+    k = min(tied, key=lambda i: (round(evals[i].real, 12), round(evals[i].imag, 12)))
+    if ratios[k] > SINGULAR_RTOL:
         raise NumericalError("pencil eigenvalue produced a non-singular combination")
-    return complex(-lam), 1.0, c
+    return complex(-evals[k]), 1.0, combos[k]
 
 
 def find_singular_basis(space):

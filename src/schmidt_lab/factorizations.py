@@ -1,6 +1,8 @@
 """Verified wrappers around the dense factorization backend.
 
-The SVD is economy-size; only ``null_space`` forms a full (right) factor.
+The backend is numpy. The SVD is economy-size; only ``null_space`` forms a
+full (right) factor, and an orthogonal complement is the kernel of the
+adjoint, so no library path needs a pivoted QR or scipy.
 ``leading_svd`` returns only the leading singular triplets of a matrix whose
 numerical rank is small against its shape, found by a randomized range
 finder, together with the exact Frobenius norm ``tau`` of what they leave
@@ -111,10 +113,12 @@ def eigh(m: np.ndarray):
     return w, v
 
 
+# No library path calls ``qr_pivoted`` or ``orthonormal_columns``; both stay
+# because ``bench/spans.py`` wraps them by name and ``tests/test_trace_names.py``
+# checks that they exist.
 def qr_pivoted(m: np.ndarray):
     """Column-pivoted QR ``m[:, piv] = q @ r``, verified."""
-    # scipy's only use: importing it here keeps it off every cold start that
-    # never reaches this QR.
+    # scipy is a test dependency, imported only when this QR is called.
     import scipy.linalg
 
     m = _require_finite(m, "qr input")
@@ -157,29 +161,19 @@ def orthonormal_columns(m: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     return u[:, : numerical_rank(s, rtol)]
 
 
-def orthonormal_complement(m: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
+def orthonormal_complement(m: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of the orthogonal complement of col(m).
 
-    Built from pivoted QR of the complementary projector with the column-phase
+    The complement is the kernel of ``m^H`` (``null_space``: one checked SVD,
+    ``d - rank(m)`` columns at ``RANK_RTOL``), with the column-phase
     convention (first significant entry real positive), so repeated calls on
     equal inputs return identical bases.
     """
     m = _require_finite(m, "orthonormal_complement input")
-    d = m.shape[0]
-    basis = orthonormal_columns(m, rtol)
-    r = basis.shape[1]
-    if r == d:
-        return np.zeros((d, 0), dtype=complex)
-    proj = np.eye(d, dtype=complex) - basis @ basis.conj().T
-    q, _, _ = qr_pivoted(proj)
-    comp = q[:, : d - r]
-    # QR columns can leak into col(m) at roundoff level; project out and renormalize.
-    comp = comp - basis @ (basis.conj().T @ comp)
-    comp, _ = np.linalg.qr(comp)
-    return _fix_column_phases(comp)
+    return _fix_column_phases(null_space(m.conj().T))
 
 
-def null_space(m: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
+def null_space(m: np.ndarray) -> np.ndarray:
     """Orthonormal basis of ``{x : m @ x = 0}`` as columns.
 
     The SVD is economy-size: the left factor of a tall system (a stacked
@@ -191,5 +185,4 @@ def null_space(m: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     """
     m = _require_finite(m, "null_space input")
     _, s, vh = _checked_svd(m, full_matrices=m.shape[0] < m.shape[1])
-    rank = numerical_rank(s, rtol)
-    return vh[rank:].conj().T
+    return vh[numerical_rank(s):].conj().T

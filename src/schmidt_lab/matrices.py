@@ -38,8 +38,9 @@ class SystemLayout:
 
     @classmethod
     def of(cls, layout) -> "SystemLayout":
+        """A checked layout; a given ``SystemLayout`` is rebuilt, so the current cap applies."""
         if isinstance(layout, SystemLayout):
-            return layout
+            return cls(layout.dims)
         return cls(tuple(int(d) for d in layout))
 
     @property

@@ -298,8 +298,8 @@ def schineq_check(a_ops, b_ops, tol: float = RANK_RTOL) -> SchineqReport:
     if any(b.shape != (d_b, d_b) for b in b_ops):
         raise ValueError("right factors must share one dimension")
 
-    total = mx.unrealign(_realigned_sum(1.0, a_ops, b_ops), (d_a, d_b))
-    rank = schmidt_rank(total, (d_a, d_b), (0,), tol).rank
+    SystemLayout.of((d_a, d_b))  # the cap, before the sum is formed
+    rank = _rank_report(_realigned_sum(1.0, a_ops, b_ops), tol).rank
     delta_a = span_dimension(a_ops, tol)
     delta_b = span_dimension(b_ops, tol)
     n = len(a_ops)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import schmidt_lab.algebra as alg
+import schmidt_lab.factorizations as fx
 import schmidt_lab.gates as gates
 import schmidt_lab.matrices as mx
 from schmidt_lab.errors import DimensionError, StructureError
@@ -171,6 +172,38 @@ def test_singular_combination_on_random_invertible_pairs():
         # oracle: the chosen combination matches an eigenvalue of a^-1 b
         evals = np.linalg.eigvals(np.linalg.inv(a) @ b)
         assert min(abs(-beta * ev - alpha) for ev in evals) < 1e-6
+
+
+def _singular_combination_loop(a, b):
+    # the per-eigenvalue loop that the stacked evaluation replaced
+    evals = np.linalg.eigvals(np.linalg.solve(a, b))
+    candidates = []
+    for lam in evals:
+        c = b - lam * a
+        norm = mx.frobenius_norm(c)
+        ratio = fx.svd(c)[1][-1] / norm if norm > 0 else 0.0
+        candidates.append((ratio, lam, c))
+    best = min(r for r, _, _ in candidates)
+    tied = [candidate for candidate in candidates if candidate[0] <= best + 1e-12]
+    _, lam, c = min(tied, key=lambda t: (round(t[1].real, 12), round(t[1].imag, 12)))
+    return complex(-lam), 1.0, c
+
+
+def test_singular_combination_matches_the_per_eigenvalue_loop_bitwise():
+    for i in range(400):
+        rng = make_rng(1000 + i)
+        dim = 2 + i % 7
+        a = random_complex_gaussian((dim, dim), rng)
+        if i % 4 == 3 and dim > 2:
+            # repeated pencil eigenvalues: the tie rule picks among equal ratios
+            values = np.repeat(random_complex_gaussian((dim // 2 + 1,), rng), 2)[:dim]
+            b = a @ random_normal_matrix(dim, rng, values)
+        else:
+            b = random_complex_gaussian((dim, dim), rng)
+        alpha, beta, c = alg.singular_combination(a, b)
+        ref_alpha, ref_beta, ref_c = _singular_combination_loop(a, b)
+        assert (alpha, beta) == (ref_alpha, ref_beta)
+        np.testing.assert_array_equal(c, ref_c)
 
 
 def test_singular_combination_rejects_dependent_inputs():

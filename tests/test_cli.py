@@ -431,9 +431,39 @@ class TestEmission:
             cli._dumps({"x": object()})
 
 
-def test_cold_import_leaves_scipy_unloaded():
+def _run_python(code: str) -> str:
     src = os.path.dirname(os.path.dirname(os.path.abspath(schmidt_lab.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, schmidt_lab, schmidt_lab.cli; print('scipy' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert done.stdout.strip() == "False"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+def test_cold_import_leaves_scipy_unloaded():
+    assert _run_python("import sys, schmidt_lab, schmidt_lab.cli; print('scipy' in sys.modules)") == "False"
+
+
+def test_the_library_runs_with_scipy_blocked():
+    # scipy is a test dependency: every library path, completions included, runs without it
+    code = """
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+from schmidt_lab import algebra, control, gates, protocols
+
+dec, v = algebra.normal_split(np.diag([1.0, 2.0, 0.0]).astype(complex))
+assert np.allclose(v.conj().T @ v, np.eye(3))
+# no member reaches the last row, so the right basis needs a completion
+assert algebra.simultaneous_svd([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 2.0, 0.0])]).ok
+u, layout = gates.random_controlled_unitary(3, 3, 3, seed=1)
+verdict = control.is_controlled(u, layout, (0,))
+assert verdict.controlled and control.is_bcu(u, layout, (0,)).bcu
+u3, layout3 = gates.u3()
+assert control.multipartite_control_analysis(u3, layout3).witness_subset == (0, 1)
+psi = np.zeros(9, dtype=complex)
+psi[0] = 1.0
+transcript, _ = protocols.controlled_gate_protocol(verdict.form, psi, seed=0)
+assert transcript.min_branch_fidelity >= 1.0 - 1e-10
+print("ok")
+"""
+    assert _run_python(code) == "ok"

@@ -81,18 +81,24 @@ def test_numerical_rank():
 
 def test_orthonormal_complement_properties():
     rng = make_rng(4)
-    m = random_complex_gaussian((6, 2), rng)
-    comp = fx.orthonormal_complement(m)
-    assert comp.shape == (6, 4)
-    assert np.linalg.norm(comp.conj().T @ comp - np.eye(4)) <= 1e-12
-    assert np.linalg.norm(m.conj().T @ comp) <= 1e-10
-    # determinism and the sign convention: first significant entry real positive
-    again = fx.orthonormal_complement(m)
-    np.testing.assert_array_equal(comp, again)
-    for j in range(comp.shape[1]):
-        col = comp[:, j]
-        first = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
-        assert abs(first.imag) <= 1e-12 and first.real > 0
+    cases = [
+        (random_complex_gaussian((6, 2), rng), 4),
+        # rank 2 in five columns: the complement follows the rank, not the width
+        (random_complex_gaussian((8, 2), rng) @ random_complex_gaussian((2, 5), rng), 6),
+        (np.zeros((5, 0), dtype=complex), 5),
+    ]
+    for m, width in cases:
+        comp = fx.orthonormal_complement(m)
+        assert comp.shape == (m.shape[0], width)
+        assert np.linalg.norm(comp.conj().T @ comp - np.eye(width)) <= 1e-12
+        assert np.linalg.norm(m.conj().T @ comp) <= 1e-10
+        # determinism and the sign convention: first significant entry real positive
+        again = fx.orthonormal_complement(m)
+        np.testing.assert_array_equal(comp, again)
+        for j in range(comp.shape[1]):
+            col = comp[:, j]
+            first = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
+            assert abs(first.imag) <= 1e-12 and first.real > 0
 
 
 def test_orthonormal_complement_of_full_space_is_empty():

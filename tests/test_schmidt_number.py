@@ -18,6 +18,7 @@ import pytest
 from schmidt_lab import gates
 from schmidt_lab import matrices as mx
 from schmidt_lab import schmidt_number
+from schmidt_lab.control import is_controlled
 from schmidt_lab.errors import DimensionError
 from schmidt_lab.factorizations import numerical_rank, svd
 from schmidt_lab.randomness import haar_unitary, make_rng, random_state
@@ -398,6 +399,14 @@ class TestAncillaExtension:
         monkeypatch.setattr(schmidt_number, "_state_singular_values", refuse)
         with pytest.raises(DimensionError, match="total dimension 20 exceeds"):
             ancilla_extended_check(u, (4, 5))
+
+    def test_a_layout_built_under_a_larger_cap_is_checked_again(self, monkeypatch):
+        u, layout = gates.random_controlled_unitary(4, 5, 2, seed=2)
+        monkeypatch.setenv("SCHMIDT_LAB_MAX_DIM", "16")
+        with pytest.raises(DimensionError, match="total dimension 20 exceeds"):
+            is_controlled(u, layout, (0,))
+        with pytest.raises(DimensionError, match="total dimension 20 exceeds"):
+            ancilla_extended_check(u, layout)
 
     def test_matches_constructed_ranks(self):
         for r in (1, 2, 3):
