@@ -7,7 +7,7 @@ standard error.  Exit codes are part of the contract:
     0  success, or a positive verdict
     1  negative verdict (the math says no)
     2  invalid input (bad files, flags, dimensions)
-    3  numerical or structural failure
+    3  numerical or structural failure, or out of memory
     4  inconclusive verdict (near-miss band)
 
 Floats are serialized at the shortest representation that round-trips a
@@ -216,15 +216,6 @@ def _cmd_construct(args) -> CommandResult:
     return CommandResult("ok", payload, diagnostics, EXIT_OK)
 
 
-def _verification_payload(report) -> dict:
-    return {
-        "fidelity": report.fidelity,
-        "ok": report.ok,
-        "measurements": report.measurements,
-        "messages": report.messages,
-    }
-
-
 def _cmd_protocol(args) -> CommandResult:
     u, layout = _load_matrix(args.path)
     branches = "all" if args.branches is None else args.branches
@@ -251,53 +242,51 @@ def _cmd_protocol(args) -> CommandResult:
         transcript, output = protocols.teleport_unitary_protocol(
             u, layout, psi, seed=args.seed, branches=branches
         )
-        report = protocols.verify_protocol(transcript, u, psi, output)
-        payload = {"transcript": transcript.to_json(), "verification": _verification_payload(report)}
-        if args.verbose:
-            payload["output"] = mx.state_to_json(output, layout.dims)
-        if not report.ok:
-            raise NumericalError(f"teleportation branch fidelity dropped to {report.fidelity}")
-        diagnostics = [
+        payload, route, dims = {}, "teleportation", layout.dims
+        summary = (
             f"teleportation: {transcript.branches_checked} branches, "
             f"min fidelity {transcript.min_branch_fidelity:.12f}, "
             f"{transcript.ebits_consumed:.6f} ebits"
-        ]
-        return CommandResult("ok", payload, diagnostics, EXIT_OK)
-
-    # controlled route: detect first, then run the protocol on the witness
-    side = _parse_side(args.side, layout)
-    verdict = control.is_controlled(u, layout, side)
-    if not verdict.controlled:
-        payload = {
-            "controlled": False,
-            "side": list(side),
-            "failed_check": verdict.failed_check,
-            "inconclusive": verdict.inconclusive,
-        }
-        summary = f"side {list(side)}: not controlled ({verdict.failed_check})"
-        return _verdict_result(payload, False, verdict.inconclusive, summary)
-    side = verdict.form.side
-    grouped_psi = _group_state(psi, layout, side)
-    transcript, output = protocols.controlled_gate_protocol(
-        verdict.form, grouped_psi, seed=args.seed, branches=branches
-    )
-    grouped_u, _ = mx.group_systems(u, layout, side)
-    report = protocols.verify_protocol(transcript, grouped_u, grouped_psi, output)
-    payload = {
-        "controlled": True,
-        "side": list(side),
-        "transcript": transcript.to_json(),
-        "verification": _verification_payload(report),
+        )
+    else:
+        # controlled route: detect first, then run the protocol on the witness
+        side = _parse_side(args.side, layout)
+        verdict = control.is_controlled(u, layout, side)
+        if not verdict.controlled:
+            payload = {
+                "controlled": False,
+                "side": list(side),
+                "failed_check": verdict.failed_check,
+                "inconclusive": verdict.inconclusive,
+            }
+            summary = f"side {list(side)}: not controlled ({verdict.failed_check})"
+            return _verdict_result(payload, False, verdict.inconclusive, summary)
+        side = verdict.form.side
+        psi = _group_state(psi, layout, side)
+        transcript, output = protocols.controlled_gate_protocol(
+            verdict.form, psi, seed=args.seed, branches=branches
+        )
+        u, _ = mx.group_systems(u, layout, side)
+        payload = {"controlled": True, "side": list(side)}
+        route, dims = "controlled-route", verdict.form.grouped_dims
+        summary = (
+            f"controlled route: resource rank {transcript.resource_rank}, "
+            f"{transcript.ebits_consumed:.6f} ebits, min fidelity {transcript.min_branch_fidelity:.12f}"
+        )
+    # u and psi are in the frame the route ran in: grouped, on the controlled route
+    report = protocols.verify_protocol(transcript, u, psi, output)
+    payload["transcript"] = transcript.to_json()
+    payload["verification"] = {
+        "fidelity": report.fidelity,
+        "ok": report.ok,
+        "measurements": report.measurements,
+        "messages": report.messages,
     }
     if args.verbose:
-        payload["output"] = mx.state_to_json(output, verdict.form.grouped_dims)
+        payload["output"] = mx.state_to_json(output, dims)
     if not report.ok:
-        raise NumericalError(f"controlled-route branch fidelity dropped to {report.fidelity}")
-    diagnostics = [
-        f"controlled route: resource rank {transcript.resource_rank}, "
-        f"{transcript.ebits_consumed:.6f} ebits, min fidelity {transcript.min_branch_fidelity:.12f}"
-    ]
-    return CommandResult("ok", payload, diagnostics, EXIT_OK)
+        raise NumericalError(f"{route} branch fidelity dropped to {report.fidelity}")
+    return CommandResult("ok", payload, [summary], EXIT_OK)
 
 
 def _cmd_schmidt_number(args) -> CommandResult:
@@ -430,6 +419,9 @@ def main(argv=None) -> int:
         result = CommandResult("error", None, [f"invalid input: {exc}"], EXIT_INVALID)
     except (NumericalError, StructureError, ProtocolError) as exc:
         result = CommandResult("error", None, [f"computation failed: {exc}"], EXIT_NUMERICAL)
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        result = CommandResult("error", None, [f"computation failed: out of memory{detail}"], EXIT_NUMERICAL)
     return _emit(result)
 
 

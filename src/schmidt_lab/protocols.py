@@ -21,7 +21,7 @@ table's cdfs.  Global phase is quotiented out of all fidelities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -71,18 +71,7 @@ class ProtocolTranscript:
     branches_checked: int
 
     def to_json(self) -> dict:
-        return {
-            "route": self.route,
-            "resources": list(self.resources),
-            "ebits_consumed": self.ebits_consumed,
-            "resource_rank": self.resource_rank,
-            "min_branch_fidelity": self.min_branch_fidelity,
-            "max_branch_fidelity": self.max_branch_fidelity,
-            "branches_checked": self.branches_checked,
-            "steps": [
-                {"actor": s.actor, "kind": s.kind, "payload": s.payload} for s in self.steps
-            ],
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -191,6 +180,20 @@ def _draws(weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return np.sum(cdf / cdf[..., -1:] <= uniforms[:, None], axis=-1)
 
 
+def _transcript(route, steps, resources, fidelities) -> ProtocolTranscript:
+    """A transcript whose ledger is derived from ``resources`` and whose fidelity fields summarize ``fidelities``."""
+    return ProtocolTranscript(
+        steps=steps,
+        resources=resources,
+        ebits_consumed=float(sum(math.log2(r) for r in resources)),
+        resource_rank=math.prod(resources),
+        route=route,
+        min_branch_fidelity=float(np.min(fidelities)),
+        max_branch_fidelity=float(np.max(fidelities)),
+        branches_checked=len(fidelities),
+    )
+
+
 def _run_branches(table, expected, samples, rng):
     """Branch-fidelity sweep and recorded runs, all read off one branch table.
 
@@ -240,6 +243,24 @@ def _teleport_table(psi, u, d_a: int, d_b: int):
     return marginal, joint, (weyl @ second).reshape(n, n, -1)
 
 
+def _teleport_leg(sender, receiver, measured, corrected, outcome, dim):
+    """Steps of one teleportation leg: Bell measurement, its announcement, the X^a Z^b correction."""
+    a, b = outcome
+    return (
+        ProtocolStep(
+            sender,
+            "measurement",
+            {"basis": "generalized-bell", "systems": measured, "outcome": [a, b], "dimension": dim},
+        ),
+        ProtocolStep(sender, "classical-message", {"to": receiver, "content": [a, b]}),
+        ProtocolStep(
+            receiver,
+            "local-unitary",
+            {"name": "shift-clock correction", "exponents": [a, b], "system": corrected},
+        ),
+    )
+
+
 def teleport_unitary_protocol(u, layout, input, seed: int = 0, branches="all"):
     """Implement u by teleporting the first system over and back.
 
@@ -262,54 +283,12 @@ def teleport_unitary_protocol(u, layout, input, seed: int = 0, branches="all"):
     fidelities, (i, j, output) = _run_branches(
         _teleport_table(psi, u, d_a, d_b), expected, samples, make_rng(seed, stream=11)
     )
-    first, second = divmod(i, d_a), divmod(j, d_a)
-
     steps = (
-        ProtocolStep(
-            "Alice",
-            "measurement",
-            {
-                "basis": "generalized-bell",
-                "systems": ["input-A", "resource1-alice"],
-                "outcome": [first[0], first[1]],
-                "dimension": d_a,
-            },
-        ),
-        ProtocolStep("Alice", "classical-message", {"to": "Bob", "content": [first[0], first[1]]}),
-        ProtocolStep(
-            "Bob",
-            "local-unitary",
-            {"name": "shift-clock correction", "exponents": [first[0], first[1]], "system": "resource1-bob"},
-        ),
+        *_teleport_leg("Alice", "Bob", ["input-A", "resource1-alice"], "resource1-bob", divmod(i, d_a), d_a),
         ProtocolStep("Bob", "local-unitary", {"name": "apply gate", "systems": ["resource1-bob", "input-B"]}),
-        ProtocolStep(
-            "Bob",
-            "measurement",
-            {
-                "basis": "generalized-bell",
-                "systems": ["resource1-bob", "resource2-bob"],
-                "outcome": [second[0], second[1]],
-                "dimension": d_a,
-            },
-        ),
-        ProtocolStep("Bob", "classical-message", {"to": "Alice", "content": [second[0], second[1]]}),
-        ProtocolStep(
-            "Alice",
-            "local-unitary",
-            {"name": "shift-clock correction", "exponents": [second[0], second[1]], "system": "resource2-alice"},
-        ),
+        *_teleport_leg("Bob", "Alice", ["resource1-bob", "resource2-bob"], "resource2-alice", divmod(j, d_a), d_a),
     )
-    transcript = ProtocolTranscript(
-        steps=steps,
-        resources=(d_a, d_a),
-        ebits_consumed=2.0 * math.log2(d_a),
-        resource_rank=d_a * d_a,
-        route="teleportation",
-        min_branch_fidelity=float(np.min(fidelities)),
-        max_branch_fidelity=float(np.max(fidelities)),
-        branches_checked=len(fidelities),
-    )
-    return transcript, output
+    return _transcript("teleportation", steps, (d_a, d_a), fidelities), output
 
 
 # ---------------------------------------------------------------------------
@@ -426,24 +405,13 @@ def controlled_gate_protocol(form: ControlledForm, input, seed: int = 0, branche
 
     if m == 1:
         output = ((form.q * phases) @ form.r @ psi.reshape(d_c, d_t) @ reps[0].T).reshape(-1)
-        fidelity = abs(np.vdot(expected, output))
         steps = (
             ProtocolStep("Alice", "local-unitary", {"name": "control-side rotation", "operand": "r", "system": "control"}),
             ProtocolStep("Alice", "local-unitary", {"name": "diagonal phase correction", "system": "control"}),
             ProtocolStep("Bob", "local-unitary", {"name": "apply target block", "system": "target"}),
             ProtocolStep("Alice", "local-unitary", {"name": "control-side rotation", "operand": "q", "system": "control"}),
         )
-        transcript = ProtocolTranscript(
-            steps=steps,
-            resources=(),
-            ebits_consumed=0.0,
-            resource_rank=1,
-            route="controlled",
-            min_branch_fidelity=fidelity,
-            max_branch_fidelity=fidelity,
-            branches_checked=1,
-        )
-        return transcript, output
+        return _transcript("controlled", steps, (), [abs(np.vdot(expected, output))]), output
 
     samples = _sample_count(branches)
     fidelities, (s, t, output) = _run_branches(
@@ -474,17 +442,7 @@ def controlled_gate_protocol(form: ControlledForm, input, seed: int = 0, branche
         ),
         ProtocolStep("Alice", "local-unitary", {"name": "control-side rotation", "operand": "q", "system": "control"}),
     )
-    transcript = ProtocolTranscript(
-        steps=steps,
-        resources=(m,),
-        ebits_consumed=math.log2(m),
-        resource_rank=m,
-        route="controlled",
-        min_branch_fidelity=float(np.min(fidelities)),
-        max_branch_fidelity=float(np.max(fidelities)),
-        branches_checked=len(fidelities),
-    )
-    return transcript, output
+    return _transcript("controlled", steps, (m,), fidelities), output
 
 
 # ---------------------------------------------------------------------------

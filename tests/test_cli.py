@@ -6,6 +6,8 @@ pipelines can branch on outcomes without parsing.  Standard output must
 be a single JSON object, byte-identical across runs for fixed seeds.
 """
 
+import argparse
+import importlib.util
 import json
 import math
 import os
@@ -222,6 +224,17 @@ class TestDetect:
         data, _ = _payload(out)
         assert data["status"] == "error"
         assert "product families" in data["diagnostics"][0]
+
+    def test_out_of_memory_is_a_failure_not_a_verdict(self, capsys, cnot_path, monkeypatch):
+        def exhausted(args):
+            raise MemoryError("Unable to allocate 3.00 GiB")
+
+        monkeypatch.setattr(cli, "_cmd_detect", exhausted)
+        code, out, _ = _run(capsys, "detect", cnot_path, "--side", "0")
+        assert code == 3
+        data, payload = _payload(out)
+        assert data["status"] == "error" and payload is None
+        assert "out of memory" in data["diagnostics"][0]
 
     def test_verbose_echoes_the_input(self, capsys, cnot_path):
         code, out, _ = _run(capsys, "detect", cnot_path, "--side", "0", "--verbose")
@@ -467,3 +480,19 @@ assert transcript.min_branch_fidelity >= 1.0 - 1e-10
 print("ok")
 """
     assert _run_python(code) == "ok"
+
+
+def test_the_stdout_set_covers_every_subcommand_and_route():
+    # tools/cli_stdout_set.py is the command list that byte-identical output is checked over
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools", "cli_stdout_set.py")
+    spec = importlib.util.spec_from_file_location("cli_stdout_set", path)
+    stdout_set = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(stdout_set)
+    argvs = stdout_set.commands()
+    (commands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert {argv[0] for argv in argvs} == set(commands.choices)
+    (route,) = [a for a in commands.choices["protocol"]._actions if a.dest == "route"]
+    routes = {argv[argv.index("--route") + 1] for argv in argvs if "--route" in argv}
+    assert routes == set(route.choices)
+    files = {f"$T/{name}" for name in stdout_set.gate_files()}
+    assert {arg for argv in argvs for arg in argv if arg.startswith("$T/")} - files == {"$T/missing.json"}

@@ -323,6 +323,17 @@ def test_witness_checks_are_banded_against_tol():
     assert tight.inconclusive and tight.form is None
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_near_miss_names_the_reconstruction_residual(seed):
+    # the off-diagonal mass of the rotated operator equals the reconstruction
+    # residual for unitary bases, so only the residual is checked, and named
+    u, layout = gates.random_controlled_unitary(4, 4, 2, seed=seed)
+    dressed = scipy.linalg.expm(1e-7j * random_hermitian(16, make_rng(8))) @ u
+    verdict = is_controlled(dressed, layout, (0,))
+    assert verdict.inconclusive and not verdict.controlled
+    assert verdict.failed_check.startswith("inconclusive: assembled form does not reconstruct the input")
+
+
 def test_clean_instance_is_not_inconclusive():
     u, layout = gates.random_controlled_unitary(3, 3, 3, seed=7)
     verdict = is_controlled(u, layout, (0,))
@@ -563,6 +574,22 @@ def test_multipartite_report_on_scrambled_even_qubit_gate():
     assert all(not report.pairs[(0, i)].controlled for i in (1, 2, 3))
     assert report.singles[(0,)].schmidt_rank == 2
     assert (0,) in report.low_rank_subsets
+
+
+@pytest.mark.parametrize("build, n", [(gates.even_qubit_rank3, 6), (gates.u_odd_n, 5)])
+def test_multipartite_report_keeps_only_the_witness_form(build, n):
+    u, layout = build(n)
+    report = multipartite_control_analysis(u, layout)
+    verdicts = {**report.singles, **report.pairs}
+    assert all(v.form is None for v in verdicts.values())
+    assert report.controlled_subsets == tuple(
+        subset for subset in verdicts if is_controlled(u, layout, subset).controlled
+    )
+    witness = report.witness
+    direct = is_controlled(u, layout, report.witness_subset).form
+    assert (witness.side, witness.grouped_dims) == (direct.side, direct.grouped_dims)
+    assert np.array_equal(witness.q, direct.q) and np.array_equal(witness.r, direct.r)
+    assert np.array_equal(witness.blocks, direct.blocks)
 
 
 def test_multipartite_report_checks_unitarity_once(monkeypatch):

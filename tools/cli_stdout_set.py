@@ -1,0 +1,137 @@
+"""Run a fixed list of CLI commands in-process and print what each wrote.
+
+Every command runs through ``schmidt_lab.cli.main`` with its standard output
+captured. The script prints one JSON line per command,
+``[argv, exit code, stdout]``, with the temporary directory that holds the
+gate files written as ``$T``, so the output does not depend on where it ran.
+Run it at two commits and compare the files to check that a change keeps
+the CLI's stdout and exit codes byte-identical:
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/cli_stdout_set.py > stdout_set.jsonl
+
+Keep the BLAS thread count the same at both commits: the `detect --bcu`
+projectors of the 8 x 8 gates move with it.
+
+The list covers every subcommand and every protocol route: random-controlled
+d x d gates (d = 2, 3, 4, 8, r = 1..min(3, d), seeds 0, 1, 5) and 3 x 5 of
+rank 3, the named multipartite gates, a Haar 9 x 9 gate as 3 x 3, three
+near misses of a rank-2 4 x 4 gate, the four fuzz suites, one construction
+and a missing file.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from schmidt_lab import cli, gates
+from schmidt_lab import matrices as mx
+from schmidt_lab.control import FUZZ_SUITES
+from schmidt_lab.matrices import SystemLayout
+from schmidt_lab.randomness import haar_unitary, make_rng, random_hermitian
+
+RANDOM_CONTROLLED = [
+    (d, d, r, seed) for d in (2, 3, 4, 8) for r in range(1, min(3, d) + 1) for seed in (0, 1, 5)
+] + [(3, 5, 3, 1)]
+
+NAMED = {
+    "u3": gates.u3,
+    "swap": gates.swap_gate,
+    "four-qubit": gates.four_qubit_example,
+    "even-qubit-rank3-6": lambda: gates.even_qubit_rank3(6),
+    "haar-9-as-3x3": lambda: (haar_unitary(9, make_rng(9)), SystemLayout.of((3, 3))),
+}
+
+# exp(1e-7 i H) times rc 4x4 r2, H = random_hermitian(16, make_rng(8)): near misses
+NEAR_MISS_SEEDS = (0, 1, 2)
+
+
+def _rc_name(d_c, d_t, r, seed):
+    return f"rc-{d_c}x{d_t}-r{r}-s{seed}"
+
+
+def _near_miss(seed):
+    u, layout = gates.random_controlled_unitary(4, 4, 2, seed=seed)
+    w, v = np.linalg.eigh(random_hermitian(16, make_rng(8)))
+    return (v * np.exp(1e-7j * w)) @ v.conj().T @ u, tuple(layout.dims)
+
+
+def gate_files() -> dict:
+    """``{file name: (matrix, dims)}`` for every gate a command reads."""
+    files = {}
+    for d_c, d_t, r, seed in RANDOM_CONTROLLED:
+        u, layout = gates.random_controlled_unitary(d_c, d_t, r, seed=seed)
+        files[_rc_name(d_c, d_t, r, seed) + ".json"] = (u, tuple(layout.dims))
+    for name, build in NAMED.items():
+        u, layout = build()
+        files[name + ".json"] = (u, tuple(layout.dims))
+    for seed in NEAR_MISS_SEEDS:
+        files[f"near-miss-s{seed}.json"] = _near_miss(seed)
+    return files
+
+
+def commands() -> list:
+    """Every argv of the set, with gate paths under ``$T``."""
+    argvs = []
+    for d_c, d_t, r, seed in RANDOM_CONTROLLED:
+        path = f"$T/{_rc_name(d_c, d_t, r, seed)}.json"
+        argvs += [
+            ["detect", path, "--side", "A"],
+            ["detect", path, "--side", "B"],
+            ["detect", path, "--side", "A", "--bcu"],
+            ["decompose", path, "--verbose"],
+            ["protocol", path, "--route", "controlled", "--seed", "3", "--verbose"],
+            ["protocol", path, "--route", "controlled", "--branches", "3", "--seed", "1"],
+            ["schmidt-number", path, "--ancilla"],
+            ["protocol", path, "--route", "teleport", "--verbose"],
+            ["protocol", path, "--route", "teleport", "--branches", "4"],
+            ["protocol", path, "--route", "cost"],
+            ["protocol", path, "--route", "cost", "--terms", str(r)],
+            ["schmidt-number", path, "--restarts", "4"],
+        ]
+    for name in NAMED:
+        path = f"$T/{name}.json"
+        argvs += [
+            ["detect", path, "--side", "0"],
+            ["detect", path, "--side", "0,1"],
+            ["detect", path, "--side", "0", "--bcu"],
+            ["decompose", path, "--verbose"],
+            ["protocol", path, "--route", "teleport", "--verbose"],
+            ["protocol", path, "--route", "controlled", "--side", "0", "--verbose"],
+            ["protocol", path, "--route", "controlled", "--side", "0,1"],
+            ["protocol", path, "--route", "cost"],
+        ]
+    for seed in NEAR_MISS_SEEDS:
+        path = f"$T/near-miss-s{seed}.json"
+        argvs += [
+            ["detect", path, "--side", "A"],
+            ["detect", path, "--side", "A", "--tol", "1e-5"],
+            ["protocol", path, "--route", "controlled"],
+        ]
+    argvs += [["fuzz", "--theorem", suite, "--trials", "20", "--seed", "4"] for suite in FUZZ_SUITES]
+    argvs += [
+        ["construct", "--gate", "u3"],
+        ["decompose", "$T/missing.json"],
+    ]
+    return argvs
+
+
+def run() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (u, dims) in gate_files().items():
+            Path(tmp, name).write_text(json.dumps(mx.matrix_to_json(u, dims)))
+        for argv in commands():
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main([arg.replace("$T", tmp) for arg in argv])
+            sys.stdout.write(json.dumps([argv, code, stdout.getvalue().replace(tmp, "$T")]) + "\n")
+
+
+if __name__ == "__main__":
+    run()
