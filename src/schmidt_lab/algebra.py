@@ -55,9 +55,12 @@ def _as_square_family(ops, name: str):
         raise DimensionError(
             f"{name} must be square matrices, got shape {stack.shape[1:]}"
         )
-    if not np.all(np.isfinite(stack.real)) or not np.all(np.isfinite(stack.imag)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return stack, stack.shape[1]
+    return mx._require_finite(stack, name), stack.shape[1]
+
+
+def _moments(z, left, right) -> np.ndarray:
+    """``sum_ij z[i][j] left[i] @ right[j]`` over two equal-length ``(n, d, d)`` stacks."""
+    return np.tensordot(z, left[:, None] @ right[None], 2)
 
 
 def _cluster_ascending(values: np.ndarray, gap: float):
@@ -201,7 +204,8 @@ def orthogonalize_pair(a1, a2, x1, y1, z1, x2, y2, z2):
     span of (a1, a2) with b1'b1 + b2'b2 = I and a b1 b1' + b b2 b2' = I,
     a, b > 0. Violated preconditions raise ValueError.
     """
-    (a1, a2), d = _as_square_family([a1, a2], "pair")
+    pair, d = _as_square_family([a1, a2], "pair")
+    a1, a2 = pair
     x1 = _require_positive(x1, "x1")
     y1 = _require_positive(y1, "y1")
     x2 = _require_positive(x2, "x2")
@@ -217,21 +221,9 @@ def orthogonalize_pair(a1, a2, x1, y1, z1, x2, y2, z2):
 
     eye = np.eye(d)
     tol = 1e-8 * math.sqrt(d)
-    lhs1 = (
-        x1 * a1.conj().T @ a1
-        + y1 * a2.conj().T @ a2
-        + z1 * a1.conj().T @ a2
-        + np.conj(z1) * a2.conj().T @ a1
-    )
-    if mx.frobenius_norm(lhs1 - eye) > tol:
+    if mx.frobenius_norm(_moments([[x1, z1], [np.conj(z1), y1]], _adjoints(pair), pair) - eye) > tol:
         raise ValueError("first moment identity does not hold for these inputs")
-    lhs2 = (
-        x2 * a1 @ a1.conj().T
-        + y2 * a2 @ a2.conj().T
-        + z2 * a1 @ a2.conj().T
-        + np.conj(z2) * a2 @ a1.conj().T
-    )
-    if mx.frobenius_norm(lhs2 - eye) > tol:
+    if mx.frobenius_norm(_moments([[x2, z2], [np.conj(z2), y2]], pair, _adjoints(pair)) - eye) > tol:
         raise ValueError("second moment identity does not hold for these inputs")
 
     # absorb the cross term of the first identity: a3, a4 satisfy
@@ -265,9 +257,10 @@ def orthogonalize_pair(a1, a2, x1, y1, z1, x2, y2, z2):
 
     if a_w <= 0.0 or b_w <= 0.0:
         raise NumericalError("orthogonalization weights collapsed")
-    if mx.frobenius_norm(b1.conj().T @ b1 + b2.conj().T @ b2 - eye) > tol:
+    pair = np.stack([b1, b2])
+    if mx.frobenius_norm(_moments(np.eye(2), _adjoints(pair), pair) - eye) > tol:
         raise NumericalError("orthogonalized pair lost the first identity")
-    if mx.frobenius_norm(a_w * b1 @ b1.conj().T + b_w * b2 @ b2.conj().T - eye) > tol:
+    if mx.frobenius_norm(_moments(np.diag([a_w, b_w]), pair, _adjoints(pair)) - eye) > tol:
         raise NumericalError("orthogonalized pair lost the second identity")
     return b1, b2, float(a_w), float(b_w)
 
@@ -304,8 +297,7 @@ def orthogonalization_inputs_from_unitary(u, layout, cut) -> HarvestedPair:
     raise ValueError.
     """
     layout = SystemLayout.of(layout)
-    u = mx.as_operator(u, "harvest input")
-    mx.assert_unitary(u, "harvest input")
+    u = mx.assert_unitary(u, "harvest input")
     dec = operator_schmidt_decompose(u, layout, cut)
     if dec.rank != 3:
         raise ValueError(f"harvest needs operator Schmidt rank 3, got {dec.rank}")
@@ -320,9 +312,7 @@ def orthogonalization_inputs_from_unitary(u, layout, cut) -> HarvestedPair:
     new_stack = np.array([_vec(op) for op in new_a])
     coeff = np.linalg.lstsq(new_stack.T, old_stack.T, rcond=None)[0]
     # old_j = sum_i coeff[i, j] new_i, so the complementary factors recombine as
-    new_b = [
-        sum(coeff[i, j] * b_ops[j] for j in range(3)) for i in range(3)
-    ]
+    new_b = np.tensordot(coeff, b_ops, 1)
 
     # compared in the realigned frame, which only permutes entries
     grouped, dims = mx.group_systems(u, layout, dec.cut)

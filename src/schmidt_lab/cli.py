@@ -334,10 +334,7 @@ def _cmd_fuzz(args) -> CommandResult:
             payload["first_counterexample"] = mx.matrix_to_json(
                 summary.first_counterexample, summary.first_counterexample_dims
             )
-    diagnostics = [f"{summary.suite}: {summary.passes}/{summary.trials} passed"]
-    if summary.ok:
-        return CommandResult("ok", payload, diagnostics, EXIT_OK)
-    return CommandResult("verdict-negative", payload, diagnostics, EXIT_NEGATIVE)
+    return _verdict_result(payload, summary.ok, False, f"{summary.suite}: {summary.passes}/{summary.trials} passed")
 
 
 # ---------------------------------------------------------------------------

@@ -35,11 +35,11 @@ SKETCH_WIDTH = 8
 SKETCH_MARGIN = 1e-3
 
 
-def _require_finite(m: np.ndarray, name: str) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return m
+def _check_residual(error: np.ndarray, m: np.ndarray, what: str, slack: float = 0.0, note: str = "") -> None:
+    """NumericalError naming ``what`` when ``||error||`` exceeds ``slack + RECONSTRUCTION_RTOL * ||m||``."""
+    residual = np.linalg.norm(error)
+    if residual > slack + RECONSTRUCTION_RTOL * max(np.linalg.norm(m), 1e-300):
+        raise NumericalError(f"{what} reconstruction residual {residual:.3e} too large{note}")
 
 
 def _checked_svd(m: np.ndarray, full_matrices: bool):
@@ -52,16 +52,14 @@ def _checked_svd(m: np.ndarray, full_matrices: bool):
         if bad.size:
             i = bad[0]
             raise NumericalError(f"svd reconstruction residual {residuals.flat[i]:.3e} too large in member {i}")
-        return u, s, vh
-    residual = np.linalg.norm(error)
-    if residual > RECONSTRUCTION_RTOL * max(np.linalg.norm(m), 1e-300):
-        raise NumericalError(f"svd reconstruction residual {residual:.3e} too large")
+    else:
+        _check_residual(error, m, "svd")
     return u, s, vh
 
 
 def svd(m: np.ndarray):
     """Economy-size SVD ``m = u @ diag(s) @ vh``, reconstruction-checked per member of a stack."""
-    return _checked_svd(_require_finite(m, "svd input"), full_matrices=False)
+    return _checked_svd(mx._require_finite(m, "svd input"), full_matrices=False)
 
 
 def leading_svd(m: np.ndarray, rtol: float):
@@ -83,7 +81,7 @@ def leading_svd(m: np.ndarray, rtol: float):
     """
     if 4 * SKETCH_WIDTH > min(np.shape(m)):
         return (*svd(m), 0.0)
-    m = _require_finite(m, "svd input")
+    m = mx._require_finite(m, "svd input")
     w = random_complex_gaussian((m.shape[1], SKETCH_WIDTH), make_rng(0))
     q, _ = np.linalg.qr(m @ w)
     b = q.conj().T @ m
@@ -91,25 +89,16 @@ def leading_svd(m: np.ndarray, rtol: float):
     u_b, s, vh = svd(b)
     if tau <= SKETCH_MARGIN * rtol * s[0] and s[-1] <= rtol * s[0]:
         u = q @ u_b
-        residual = np.linalg.norm(u @ (s[:, None] * vh) - m)
-        if residual > tau + RECONSTRUCTION_RTOL * max(np.linalg.norm(m), 1e-300):
-            raise NumericalError(
-                f"leading svd reconstruction residual {residual:.3e} too large"
-            )
+        _check_residual(u @ (s[:, None] * vh) - m, m, "leading svd", slack=tau)
         return u, s, vh, tau
     return (*svd(m), 0.0)
 
 
 def eigh(m: np.ndarray):
     """Hermitian eigendecomposition, eigenvalues ascending, verified."""
-    m = _require_finite(m, "eigh input")
+    m = mx._require_finite(m, "eigh input")
     w, v = np.linalg.eigh(m)
-    residual = np.linalg.norm((v * w[None, :]) @ v.conj().T - m)
-    if residual > RECONSTRUCTION_RTOL * max(np.linalg.norm(m), 1e-300):
-        raise NumericalError(
-            f"eigh reconstruction residual {residual:.3e} too large; "
-            "input is likely not Hermitian"
-        )
+    _check_residual((v * w[None, :]) @ v.conj().T - m, m, "eigh", note="; input is likely not Hermitian")
     return w, v
 
 
@@ -121,11 +110,9 @@ def qr_pivoted(m: np.ndarray):
     # scipy is a test dependency, imported only when this QR is called.
     import scipy.linalg
 
-    m = _require_finite(m, "qr input")
+    m = mx._require_finite(m, "qr input")
     q, r, piv = scipy.linalg.qr(m, pivoting=True)
-    residual = np.linalg.norm(q @ r - m[:, piv])
-    if residual > RECONSTRUCTION_RTOL * max(np.linalg.norm(m), 1e-300):
-        raise NumericalError(f"qr reconstruction residual {residual:.3e} too large")
+    _check_residual(q @ r - m[:, piv], m, "qr")
     return q, r, piv
 
 
@@ -156,7 +143,7 @@ def _fix_column_phases(q: np.ndarray) -> np.ndarray:
 
 def orthonormal_columns(m: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     """Orthonormal basis of the column space of ``m`` (d x rank)."""
-    m = _require_finite(m, "orthonormal_columns input")
+    m = mx._require_finite(m, "orthonormal_columns input")
     u, s, _ = svd(m)
     return u[:, : numerical_rank(s, rtol)]
 
@@ -169,7 +156,7 @@ def orthonormal_complement(m: np.ndarray) -> np.ndarray:
     convention (first significant entry real positive), so repeated calls on
     equal inputs return identical bases.
     """
-    m = _require_finite(m, "orthonormal_complement input")
+    m = mx._require_finite(m, "orthonormal_complement input")
     return _fix_column_phases(null_space(m.conj().T))
 
 
@@ -183,6 +170,6 @@ def null_space(m: np.ndarray) -> np.ndarray:
     economy factor leaves out. The reconstruction check runs on the factors
     computed.
     """
-    m = _require_finite(m, "null_space input")
+    m = mx._require_finite(m, "null_space input")
     _, s, vh = _checked_svd(m, full_matrices=m.shape[0] < m.shape[1])
     return vh[numerical_rank(s):].conj().T

@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from . import matrices as mx
+from .config import max_total_dimension
 from .matrices import SystemLayout
 from .randomness import haar_unitary, make_rng
 from .schmidt import schmidt_rank
@@ -53,7 +54,9 @@ def u_odd_n(n: int):
     """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"this family needs odd n >= 3, got {n}")
-    layout = SystemLayout.of((2,) * n)
+    # the layout stops where 2^k passes the cap, at k = cap.bit_length(); one entry past k gives the
+    # message (2,) * n would give, and the n-entry tuple is never built
+    layout = SystemLayout.of((2,) * min(n, max_total_dimension().bit_length() + 1))
     terms = [
         phase * mx.tensor_chain([_PAULI[idx]] * n) for idx, phase in ((0, 1.0), (1, 1j), (3, 1j))
     ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,11 +31,14 @@ class SystemLayout:
         for d in self.dims:
             if not isinstance(d, int) or d < 1:
                 raise ValueError(f"dimensions must be positive integers, got {self.dims}")
-        if self.total > max_total_dimension():
-            raise DimensionError(
-                f"total dimension {self.total} exceeds the configured cap "
-                f"{max_total_dimension()}"
-            )
+        # the product stops at the first partial product above the cap, so a
+        # long layout is refused before its total grows with it
+        total, cap = 1, max_total_dimension()
+        for i, d in enumerate(self.dims, 1):
+            total *= d
+            if total > cap:
+                bound = "" if i == len(self.dims) else "at least "
+                raise DimensionError(f"total dimension {bound}{total} exceeds the configured cap {cap}")
 
     @classmethod
     def of(cls, layout) -> "SystemLayout":
@@ -69,7 +73,13 @@ def as_operator(m, name: str = "operator") -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"{name} must be a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    return _require_finite(m, name)
+
+
+def _require_finite(m, name: str) -> np.ndarray:
+    """``m`` as a complex array, or ValueError naming ``name`` when an entry is nan or inf."""
+    m = np.asarray(m, dtype=complex)
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
@@ -120,10 +130,7 @@ def tensor_chain(factors: Sequence[np.ndarray]) -> np.ndarray:
     factors = list(factors)
     if not factors:
         raise ValueError("tensor_chain needs at least one factor")
-    out = np.asarray(factors[0], dtype=complex)
-    for f in factors[1:]:
-        out = tensor_product(out, f)
-    return out
+    return reduce(tensor_product, factors[1:], np.asarray(factors[0], dtype=complex))
 
 
 def control_sandwich(g: np.ndarray, dims, left=None, right=None) -> np.ndarray:

@@ -135,8 +135,7 @@ def _as_state(v, dim: int, name: str = "input") -> np.ndarray:
     arr = np.asarray(v, dtype=complex).reshape(-1)
     if arr.shape[0] != dim:
         raise ValueError(f"{name} must have dimension {dim}, got {arr.shape[0]}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite entries")
+    mx._require_finite(arr, name)
     norm = float(np.linalg.norm(arr))
     if norm < 1e-12:
         raise ValueError(f"{name} must be a nonzero state vector")
@@ -180,13 +179,19 @@ def _draws(weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return np.sum(cdf / cdf[..., -1:] <= uniforms[:, None], axis=-1)
 
 
+def _ledger(resources) -> tuple:
+    """``(resource rank, ebits)`` of maximally entangled pairs of the given ranks: their product and log2 sum."""
+    return math.prod(resources), float(sum(math.log2(r) for r in resources))
+
+
 def _transcript(route, steps, resources, fidelities) -> ProtocolTranscript:
     """A transcript whose ledger is derived from ``resources`` and whose fidelity fields summarize ``fidelities``."""
+    rank, ebits = _ledger(resources)
     return ProtocolTranscript(
         steps=steps,
         resources=resources,
-        ebits_consumed=float(sum(math.log2(r) for r in resources)),
-        resource_rank=math.prod(resources),
+        ebits_consumed=ebits,
+        resource_rank=rank,
         route=route,
         min_branch_fidelity=float(np.min(fidelities)),
         max_branch_fidelity=float(np.max(fidelities)),
@@ -275,8 +280,7 @@ def teleport_unitary_protocol(u, layout, input, seed: int = 0, branches="all"):
         raise ValueError(f"teleportation route needs a bipartite layout, got {len(lay)} systems")
     d_a, d_b = lay.dims
     u = mx.assert_unitary(u, "gate")
-    if u.shape[0] != d_a * d_b:
-        raise ValueError(f"gate dimension {u.shape[0]} does not match layout {lay.dims}")
+    mx._check_layout(u, lay, "gate")
     psi = _as_state(input, d_a * d_b)
     expected = u @ psi
     samples = _sample_count(branches)
@@ -458,13 +462,10 @@ def verify_protocol(transcript: ProtocolTranscript, u, input, output) -> Verific
     any inconsistency raises ProtocolError.  The returned report carries
     the fidelity between the transcript's output and u applied directly.
     """
-    expected_rank = 1
-    expected_ebits = 0.0
     for rank in transcript.resources:
         if not isinstance(rank, int) or rank < 1:
             raise ProtocolError(f"resource ranks must be positive integers, got {rank!r}")
-        expected_rank *= rank
-        expected_ebits += math.log2(rank)
+    expected_rank, expected_ebits = _ledger(transcript.resources)
     if transcript.resource_rank != expected_rank:
         raise ProtocolError(
             f"resource rank {transcript.resource_rank} does not match resources {transcript.resources}"

@@ -50,8 +50,7 @@ class ProductInput:
         if not states:
             raise ValueError("product input needs at least one local state")
         for i, state in enumerate(states):
-            if not np.all(np.isfinite(state)):
-                raise ValueError(f"local state {i} contains non-finite entries")
+            mx._require_finite(state, f"local state {i}")
             if abs(np.linalg.norm(state) - 1.0) > 1e-12:
                 raise ValueError(f"local state {i} is not normalized")
         object.__setattr__(self, "local_states", states)
@@ -123,8 +122,7 @@ def output_schmidt_rank(u, layout, input, cut, tol: float = RANK_RTOL) -> int:
     """Schmidt rank of u applied to a product input, across the cut; ``tol`` as for a state."""
     layout = SystemLayout.of(layout)
     u = mx.as_operator(u, "gate")
-    if u.shape[0] != layout.total:
-        raise ValueError(f"gate dimension {u.shape[0]} does not match layout {layout.dims}")
+    mx._check_layout(u, layout, "gate")
     cut = _strict_cut(layout, cut)
     input = _checked_product_input(input, layout)
     return numerical_rank(_output_spectra(u, input.local_states, layout.dims, cut)[0], mx.checked_tol(tol))
@@ -150,8 +148,7 @@ def _tail_weight(s: np.ndarray) -> float:
 def _checked_gate(u, layout: SystemLayout, cut, tol):
     """``(u, cut, grouped u, grouped dims, operator Schmidt rank)``: one check and one grouping."""
     u = mx.assert_unitary(u, "gate")
-    if u.shape[0] != layout.total:
-        raise ValueError(f"gate dimension {u.shape[0]} does not match layout {layout.dims}")
+    mx._check_layout(u, layout, "gate")
     cut = _strict_cut(layout, cut)
     grouped, dims = mx.group_systems(u, layout, cut)
     return u, cut, grouped, dims, schmidt._rank_report(mx._realigned(grouped, dims), tol).rank

@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -270,6 +271,16 @@ class TestConstruct:
         assert code == 0
         _, payload = _payload(out)
         assert payload["matrix"]["dims"] == [2, 2]
+
+    def test_an_oversized_family_is_refused_before_its_layout_grows(self, capsys, monkeypatch):
+        monkeypatch.delenv("SCHMIDT_LAB_MAX_DIM", raising=False)
+        start = time.perf_counter()
+        code, out, err = _run(capsys, "construct", "--gate", "u-odd-n", "--params", '{"n": 200001}')
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        diagnostic = json.loads(out)["diagnostics"][0]
+        assert "exceeds the configured cap 4096" in diagnostic
+        assert "integer string conversion" not in out + err
 
     def test_unknown_gate_is_invalid(self, capsys):
         code, out, _ = _run(capsys, "construct", "--gate", "warp-drive")

@@ -8,9 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schmidt_lab import factorizations as fx
 from schmidt_lab import matrices as mx
+from schmidt_lab.algebra import family_obstruction, simultaneous_svd
+from schmidt_lab.control import ControlledForm, is_controlled
 from schmidt_lab.errors import DimensionError
-from schmidt_lab.randomness import make_rng, random_complex_gaussian
+from schmidt_lab.protocols import controlled_gate_protocol, teleport_unitary_protocol, verify_protocol
+from schmidt_lab.randomness import make_rng, random_complex_gaussian, random_state
+from schmidt_lab.schmidt import operator_schmidt_decompose
+from schmidt_lab.schmidt_number import ProductInput
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -72,6 +78,70 @@ def test_system_layout_validation():
         layout.validate_subset((3,))
     with pytest.raises(ValueError):
         layout.validate_subset(())
+
+
+def test_layouts_over_the_cap_stop_at_the_first_partial_product(monkeypatch):
+    monkeypatch.setenv("SCHMIDT_LAB_MAX_DIM", "16")
+    with pytest.raises(DimensionError, match="^total dimension 20 exceeds the configured cap 16$"):
+        mx.SystemLayout.of((4, 5))
+    with pytest.raises(DimensionError, match="^total dimension at least 20 exceeds the configured cap 16$"):
+        mx.SystemLayout.of((4, 5, 10**4000))
+
+
+def _poisoned(m, index, bad):
+    m = np.array(m, dtype=complex)
+    m[index] = bad
+    return m
+
+
+def _verified_with_poisoned(name, bad):
+    psi = random_state(4, make_rng(8))
+    transcript, out = teleport_unitary_protocol(CNOT, (2, 2), psi, seed=4)
+    states = {"input": psi, "output": out}
+    states[name] = _poisoned(states[name], 1, bad)
+    verify_protocol(transcript, CNOT, states["input"], states["output"])
+
+
+_RNG = make_rng(30)
+_M = random_complex_gaussian((4, 6), _RNG)
+_STACK = random_complex_gaussian((3, 4, 6), _RNG)
+# 40 x 40 of rank 2: leading_svd sketches it instead of taking the dense svd
+_LOW_RANK = random_complex_gaussian((40, 2), _RNG) @ random_complex_gaussian((2, 40), _RNG)
+_PSI = random_state(4, _RNG)
+_FORM = ControlledForm(side=(0,), q=np.eye(2), r=np.eye(2), blocks=(np.eye(2), CNOT[2:, 2:]), grouped_dims=(2, 2))
+_ZERO = np.array([1.0, 0.0], dtype=complex)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)], ids=["nan", "inf", "imag-inf"])
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("svd input", lambda bad: fx.svd(_poisoned(_M, (1, 2), bad))),
+        ("svd input", lambda bad: fx.svd(_poisoned(_STACK, (1, 2, 3), bad))),
+        ("svd input", lambda bad: fx.leading_svd(_poisoned(_LOW_RANK, (5, 7), bad), fx.RANK_RTOL)),
+        ("eigh input", lambda bad: fx.eigh(_poisoned(np.eye(3), (1, 1), bad))),
+        ("null_space input", lambda bad: fx.null_space(_poisoned(_M, (0, 0), bad))),
+        ("orthonormal_complement input", lambda bad: fx.orthonormal_complement(_poisoned(_M.T, (2, 1), bad))),
+        ("family", lambda bad: family_obstruction(_poisoned(_STACK[:, :, :4], (2, 0, 0), bad))),
+        ("family", lambda bad: simultaneous_svd(_poisoned(_STACK[:, :, :4], (0, 3, 3), bad))),
+        ("detection input", lambda bad: is_controlled(_poisoned(CNOT, (3, 2), bad), (2, 2), (0,))),
+        ("decomposition input", lambda bad: operator_schmidt_decompose(_poisoned(CNOT, (0, 0), bad), (2, 2), (0,))),
+        ("input", lambda bad: teleport_unitary_protocol(CNOT, (2, 2), _poisoned(_PSI, 2, bad))),
+        ("input", lambda bad: controlled_gate_protocol(_FORM, _poisoned(_PSI, 0, bad))),
+        ("input", lambda bad: _verified_with_poisoned("input", bad)),
+        ("output", lambda bad: _verified_with_poisoned("output", bad)),
+        # abs(nan - 1) > 1e-12 is False, so the norm test alone lets nan through
+        ("local state 1", lambda bad: ProductInput.of([_ZERO, _poisoned(_ZERO, 0, bad)])),
+    ],
+    ids=[
+        "svd", "svd-stack", "leading_svd", "eigh", "null_space", "orthonormal_complement",
+        "family_obstruction", "simultaneous_svd", "is_controlled", "operator_schmidt_decompose",
+        "teleport-input", "controlled-input", "verify-input", "verify-output", "ProductInput",
+    ],
+)
+def test_non_finite_entries_are_refused_by_name(name, call, bad):
+    with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
+        call(bad)
 
 
 def test_realign_cnot_frozen():
