@@ -370,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gate", required=True, help="registry name")
     p.add_argument("--params", default=None, help="JSON object of builder parameters")
     p.add_argument("--out", default=None, help="write the matrix JSON to this file")
-    p.add_argument("--verbose", action="store_true")
     p.set_defaults(handler=_cmd_construct)
 
     p = sub.add_parser("protocol", help="simulate an implementation route or compute its cost")
@@ -391,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ancilla", action="store_true", help="run the ancilla-extended check instead")
     p.add_argument("--tol", type=float, default=None, help="relative rank tolerance")
-    p.add_argument("--verbose", action="store_true")
     p.set_defaults(handler=_cmd_schmidt_number)
 
     p = sub.add_parser("fuzz", help="randomized detection suites over structured instances")

@@ -36,8 +36,6 @@ NEAR_MISS_CEILING = 1e-5
 # which keeps borderline instances in the inconclusive band
 SIGNIFICANT_FLOOR = 1e-5
 
-FUZZ_SUITES = ("sch3", "sch2-diagonal", "multi", "even-qubit")
-
 
 @dataclass(frozen=True)
 class ControlledForm:
@@ -45,15 +43,16 @@ class ControlledForm:
 
     ``side`` records which systems form the control; the operator it
     reproduces is the input with those systems permuted to the front.
-    ``operator``, ``residual`` and ``apply`` share one expansion of the
-    factors ``(q, r, blocks)``; ``residual`` holds one full-size array and
-    ``apply`` none.
+    ``blocks`` is one ``(d_c, d_t, d_t)`` array (a sequence of ``d_c``
+    blocks is accepted too). ``operator``, ``residual`` and ``apply`` share
+    one expansion of the factors ``(q, r, blocks)``; ``residual`` holds one
+    full-size array and ``apply`` none.
     """
 
     side: tuple
     q: np.ndarray
     r: np.ndarray
-    blocks: tuple
+    blocks: np.ndarray
     grouped_dims: tuple
 
     def _slab(self) -> np.ndarray:
@@ -211,7 +210,7 @@ def _decide_control(cut, norm_u, tol) -> ControlVerdict:
         deviations = mx.unitarity_residuals(blocks)
         checks = [(f"target block {k} is not unitary", float(x)) for k, x in enumerate(deviations)]
         form = ControlledForm(
-            side=side, q=s.conj().T, r=t.conj().T, blocks=tuple(blocks), grouped_dims=(d_c, d_t)
+            side=side, q=s.conj().T, r=t.conj().T, blocks=blocks, grouped_dims=(d_c, d_t)
         )
         residual = form.residual(grouped) / norm_u
         checks.append(("assembled form does not reconstruct the input", residual))
@@ -406,6 +405,7 @@ _FUZZ_RUNNERS = {
     "multi": _fuzz_multi,
     "even-qubit": _fuzz_even_qubit,
 }
+FUZZ_SUITES = tuple(_FUZZ_RUNNERS)
 
 
 def fuzz_theorem_checks(theorem: str, trials: int, seed: int = 0) -> FuzzSummary:

@@ -46,6 +46,17 @@ def swap_gate():
     return _finish(u, (2, 2))
 
 
+def _odd_n_core(n: int):
+    """``(u, layout)`` of the odd-n family on n qubits, unchecked; a layout above the cap is refused first."""
+    # the layout stops where 2^k passes the cap, at k = cap.bit_length(); one entry past k gives the
+    # message (2,) * n would give, and the n-entry tuple is never built
+    layout = SystemLayout.of((2,) * min(n, max_total_dimension().bit_length() + 1))
+    terms = [
+        phase * mx.tensor_chain([_PAULI[idx]] * n) for idx, phase in ((0, 1.0), (1, 1j), (3, 1j))
+    ]
+    return sum(terms) / math.sqrt(3.0), layout
+
+
 def u_odd_n(n: int):
     """(1/sqrt 3) (s0^(xn) + i s1^(xn) + i s3^(xn)); unitary exactly when n is odd.
 
@@ -54,13 +65,7 @@ def u_odd_n(n: int):
     """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"this family needs odd n >= 3, got {n}")
-    # the layout stops where 2^k passes the cap, at k = cap.bit_length(); one entry past k gives the
-    # message (2,) * n would give, and the n-entry tuple is never built
-    layout = SystemLayout.of((2,) * min(n, max_total_dimension().bit_length() + 1))
-    terms = [
-        phase * mx.tensor_chain([_PAULI[idx]] * n) for idx, phase in ((0, 1.0), (1, 1j), (3, 1j))
-    ]
-    return _finish(sum(terms) / math.sqrt(3.0), layout)
+    return _finish(*_odd_n_core(n))
 
 
 def u3():
@@ -99,10 +104,10 @@ def padded_2x2xn(n: int):
 
 
 def even_qubit_rank3(n: int):
-    """Rank-3 gate on an even number of qubits, controlled by the first one."""
+    """Rank-3 gate on an even number of qubits, controlled by the first one; only the whole gate is checked unitary."""
     if n < 4 or n % 2 == 1:
         raise ValueError(f"this family needs even n >= 4, got {n}")
-    core, _ = u_odd_n(n - 1)
+    core, _ = _odd_n_core(n - 1)
     half = core.shape[0]
     u = np.zeros((2 * half, 2 * half), dtype=complex)
     u[:half, :half] = core

@@ -6,7 +6,9 @@ live, and moves it back, spending two maximally entangled pairs of the
 moved dimension.  The controlled route exploits block structure: a gate
 whose target blocks fall into m distinct groups needs only a rank-m
 resource, a computational-basis measurement by Alice and a Fourier-basis
-one by Bob, and exact shift or phase corrections.
+one by Bob, and exact shift or phase corrections.  Both routes run leg,
+local gate, leg, a leg being one party's measurement, its announcement and
+the other party's correction.
 
 Each route is simulated once as a branch table: every measurement
 contracts the state with the stacked rows of its basis and keeps the
@@ -26,8 +28,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import matrices as mx
-from .control import ControlledForm
-from .errors import DimensionError, ProtocolError
+from .control import VERDICT_RTOL, ControlledForm
+from .errors import ProtocolError
 from .matrices import SystemLayout
 from .randomness import make_rng
 
@@ -199,6 +201,21 @@ def _transcript(route, steps, resources, fidelities) -> ProtocolTranscript:
     )
 
 
+def _leg(sender, measured, basis, dim, outcome, correction):
+    """Steps of one leg: ``sender`` measures, announces ``outcome``, and the other party corrects.
+
+    ``correction`` is ``(name, key, system)``: the receiver's local unitary,
+    which carries the outcome under ``key``.
+    """
+    receiver = ACTORS[1 - ACTORS.index(sender)]
+    name, key, system = correction
+    return (
+        ProtocolStep(sender, "measurement", {"basis": basis, "systems": measured, "outcome": outcome, "dimension": dim}),
+        ProtocolStep(sender, "classical-message", {"to": receiver, "content": outcome}),
+        ProtocolStep(receiver, "local-unitary", {"name": name, key: outcome, "system": system}),
+    )
+
+
 def _run_branches(table, expected, samples, rng):
     """Branch-fidelity sweep and recorded runs, all read off one branch table.
 
@@ -248,24 +265,6 @@ def _teleport_table(psi, u, d_a: int, d_b: int):
     return marginal, joint, (weyl @ second).reshape(n, n, -1)
 
 
-def _teleport_leg(sender, receiver, measured, corrected, outcome, dim):
-    """Steps of one teleportation leg: Bell measurement, its announcement, the X^a Z^b correction."""
-    a, b = outcome
-    return (
-        ProtocolStep(
-            sender,
-            "measurement",
-            {"basis": "generalized-bell", "systems": measured, "outcome": [a, b], "dimension": dim},
-        ),
-        ProtocolStep(sender, "classical-message", {"to": receiver, "content": [a, b]}),
-        ProtocolStep(
-            receiver,
-            "local-unitary",
-            {"name": "shift-clock correction", "exponents": [a, b], "system": corrected},
-        ),
-    )
-
-
 def teleport_unitary_protocol(u, layout, input, seed: int = 0, branches="all"):
     """Implement u by teleporting the first system over and back.
 
@@ -288,9 +287,11 @@ def teleport_unitary_protocol(u, layout, input, seed: int = 0, branches="all"):
         _teleport_table(psi, u, d_a, d_b), expected, samples, make_rng(seed, stream=11)
     )
     steps = (
-        *_teleport_leg("Alice", "Bob", ["input-A", "resource1-alice"], "resource1-bob", divmod(i, d_a), d_a),
+        *_leg("Alice", ["input-A", "resource1-alice"], "generalized-bell", d_a, [*divmod(i, d_a)],
+              ("shift-clock correction", "exponents", "resource1-bob")),
         ProtocolStep("Bob", "local-unitary", {"name": "apply gate", "systems": ["resource1-bob", "input-B"]}),
-        *_teleport_leg("Bob", "Alice", ["resource1-bob", "resource2-bob"], "resource2-alice", divmod(j, d_a), d_a),
+        *_leg("Bob", ["resource1-bob", "resource2-bob"], "generalized-bell", d_a, [*divmod(j, d_a)],
+              ("shift-clock correction", "exponents", "resource2-alice")),
     )
     return _transcript("teleportation", steps, (d_a, d_a), fidelities), output
 
@@ -300,30 +301,29 @@ def teleport_unitary_protocol(u, layout, input, seed: int = 0, branches="all"):
 
 
 def _validate_form(form: ControlledForm, input_dim: int):
-    """``(d_c, d_t, blocks as one stack)`` of a form whose every factor is unitary."""
+    """``(d_c, d_t, blocks as one stack)`` of a form whose every factor is unitary within ``VERDICT_RTOL``.
+
+    That is the band ``is_controlled`` certifies its witnesses in by default,
+    so every form it returns runs. A block array of the right shape and
+    dtype is the stack itself, not a copy.
+    """
     if len(form.grouped_dims) != 2:
         raise ValueError(f"form must describe a control/target split, got dims {form.grouped_dims}")
     d_c, d_t = form.grouped_dims
     if d_c * d_t != input_dim:
         raise ValueError(f"input must have dimension {d_c * d_t}, got {input_dim}")
-    if len(form.blocks) != d_c:
-        raise ValueError(f"form needs {d_c} blocks, got {len(form.blocks)}")
-    q = mx.assert_unitary(form.q, "form.q")
-    r = mx.assert_unitary(form.r, "form.r")
+    q = mx.assert_unitary(form.q, "form.q", rtol=VERDICT_RTOL)
+    r = mx.assert_unitary(form.r, "form.r", rtol=VERDICT_RTOL)
     if q.shape[0] != d_c or r.shape[0] != d_c:
         raise ValueError(f"form rotations must act on dimension {d_c}")
-    blocks = [np.asarray(block, dtype=complex) for block in form.blocks]
-    for k, block in enumerate(blocks):
-        if block.ndim != 2 or block.shape[0] != block.shape[1]:
-            raise DimensionError(f"form block {k} must be a square matrix, got shape {block.shape}")
-        if block.shape[0] != d_t:
-            raise ValueError(f"form block {k} must act on dimension {d_t}")
-    stack = np.stack(blocks)
+    stack = np.asarray(form.blocks, dtype=complex)
+    if stack.shape != (d_c, d_t, d_t):
+        raise ValueError(f"form blocks must stack to shape {(d_c, d_t, d_t)}, got {stack.shape}")
     finite = np.isfinite(stack).all(axis=(1, 2))
     if not finite.all():
         raise ValueError(f"form block {np.argmin(finite)} contains non-finite entries")
     residuals = mx.unitarity_residuals(stack)
-    bad = np.flatnonzero(residuals > 1e-10)
+    bad = np.flatnonzero(residuals > VERDICT_RTOL)
     if bad.size:
         raise ValueError(f"form block {bad[0]} is not unitary (residual {residuals[bad[0]]:.3e})")
     return d_c, d_t, stack
@@ -389,6 +389,11 @@ def _controlled_table(psi, form: ControlledForm, reps, group, phases):
     return marginal, joint, outputs.reshape(m, m, -1)
 
 
+def _rotation(operand: str) -> ProtocolStep:
+    """Alice's control-side rotation by the form's ``q`` or ``r``."""
+    return ProtocolStep("Alice", "local-unitary", {"name": "control-side rotation", "operand": operand, "system": "control"})
+
+
 def controlled_gate_protocol(form: ControlledForm, input, seed: int = 0, branches="all"):
     """Implement a controlled form with a rank-m resource, m = distinct blocks.
 
@@ -405,15 +410,17 @@ def controlled_gate_protocol(form: ControlledForm, input, seed: int = 0, branche
     psi = _as_state(input, d_c * d_t)
     reps, group, phases = _merge_blocks(blocks, d_t)
     m = len(reps)
+    # a form within VERDICT_RTOL of unitary moves the norm of form.apply(psi) by as much
     expected = form.apply(psi)
+    expected /= np.linalg.norm(expected)
 
     if m == 1:
         output = ((form.q * phases) @ form.r @ psi.reshape(d_c, d_t) @ reps[0].T).reshape(-1)
         steps = (
-            ProtocolStep("Alice", "local-unitary", {"name": "control-side rotation", "operand": "r", "system": "control"}),
+            _rotation("r"),
             ProtocolStep("Alice", "local-unitary", {"name": "diagonal phase correction", "system": "control"}),
             ProtocolStep("Bob", "local-unitary", {"name": "apply target block", "system": "target"}),
-            ProtocolStep("Alice", "local-unitary", {"name": "control-side rotation", "operand": "q", "system": "control"}),
+            _rotation("q"),
         )
         return _transcript("controlled", steps, (), [abs(np.vdot(expected, output))]), output
 
@@ -423,28 +430,12 @@ def controlled_gate_protocol(form: ControlledForm, input, seed: int = 0, branche
     )
 
     steps = (
-        ProtocolStep("Alice", "local-unitary", {"name": "control-side rotation", "operand": "r", "system": "control"}),
+        _rotation("r"),
         ProtocolStep("Alice", "local-unitary", {"name": "group-index shift entangler", "systems": ["control", "resource-alice"]}),
-        ProtocolStep(
-            "Alice",
-            "measurement",
-            {"basis": "computational", "systems": ["resource-alice"], "outcome": s, "dimension": m},
-        ),
-        ProtocolStep("Alice", "classical-message", {"to": "Bob", "content": s}),
-        ProtocolStep("Bob", "local-unitary", {"name": "shift correction", "shift": s, "system": "resource-bob"}),
+        *_leg("Alice", ["resource-alice"], "computational", m, s, ("shift correction", "shift", "resource-bob")),
         ProtocolStep("Bob", "local-unitary", {"name": "apply grouped target blocks", "systems": ["resource-bob", "target"]}),
-        ProtocolStep(
-            "Bob",
-            "measurement",
-            {"basis": "fourier", "systems": ["resource-bob"], "outcome": t, "dimension": m},
-        ),
-        ProtocolStep("Bob", "classical-message", {"to": "Alice", "content": t}),
-        ProtocolStep(
-            "Alice",
-            "local-unitary",
-            {"name": "diagonal phase correction", "fourier-outcome": t, "system": "control"},
-        ),
-        ProtocolStep("Alice", "local-unitary", {"name": "control-side rotation", "operand": "q", "system": "control"}),
+        *_leg("Bob", ["resource-bob"], "fourier", m, t, ("diagonal phase correction", "fourier-outcome", "control")),
+        _rotation("q"),
     )
     return _transcript("controlled", steps, (m,), fidelities), output
 

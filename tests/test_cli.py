@@ -392,6 +392,12 @@ class TestPlumbing:
         code, _, _ = _run(capsys, "decompose", cnot_path, "--warp")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [("construct", "--gate", "u3"), ("schmidt-number", "CNOT", "--ancilla")])
+    def test_verbose_is_refused_where_nothing_reads_it(self, capsys, cnot_path, argv):
+        argv = [cnot_path if arg == "CNOT" else arg for arg in argv]
+        assert _run(capsys, *argv)[0] == 0
+        assert _run(capsys, *argv, "--verbose")[0] == 2
+
     def test_side_letters_require_two_systems(self, capsys, u3_path):
         code, out, _ = _run(capsys, "detect", u3_path, "--side", "A")
         assert code == 2

@@ -126,6 +126,26 @@ def test_even_qubit_rank3():
         gates.even_qubit_rank3(2)
 
 
+def test_even_qubit_rank3_checks_only_the_assembled_gate(monkeypatch):
+    references = {}
+    for n in range(4, 11, 2):
+        core, _ = gates.u_odd_n(n - 1)
+        references[n] = np.block([[core, np.zeros_like(core)], [np.zeros_like(core), core.conj().T]])
+    checked = []
+    check = mx.assert_unitary
+
+    def counted(u, *args, **kwargs):
+        checked.append(np.shape(u))
+        return check(u, *args, **kwargs)
+
+    monkeypatch.setattr(mx, "assert_unitary", counted)
+    for n, reference in references.items():
+        checked.clear()
+        u, _ = gates.even_qubit_rank3(n)
+        assert checked == [(2**n, 2**n)]
+        assert u.tobytes() == reference.tobytes()
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -133,8 +153,9 @@ def test_even_qubit_rank3():
         lambda: gates.u_odd_n(7),
         lambda: gates.padded_2x2xn(17),
         lambda: gates.even_qubit_rank3(8),
+        lambda: gates.even_qubit_rank3(200_000),
     ],
-    ids=["random-unitary", "u-odd-n", "padded-2x2xn", "even-qubit-rank3"],
+    ids=["random-unitary", "u-odd-n", "padded-2x2xn", "even-qubit-rank3", "even-qubit-rank3-huge"],
 )
 def test_builders_refuse_over_cap_sizes_before_allocating(monkeypatch, build):
     def refuse(*args, **kwargs):

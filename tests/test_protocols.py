@@ -18,17 +18,19 @@ import math
 import numpy as np
 import pytest
 
-from schmidt_lab import gates, protocols
+from schmidt_lab import cli, gates, protocols
+from schmidt_lab import matrices as mx
 from schmidt_lab.control import ControlledForm, is_controlled
 from schmidt_lab.errors import ProtocolError
 from schmidt_lab.protocols import (
+    FIDELITY_FLOOR,
     ProtocolStep,
     controlled_gate_protocol,
     entanglement_cost_upper,
     teleport_unitary_protocol,
     verify_protocol,
 )
-from schmidt_lab.randomness import haar_unitary, make_rng, random_state
+from schmidt_lab.randomness import haar_unitary, make_rng, random_hermitian, random_state
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -300,6 +302,45 @@ class TestControlledRoute:
             controlled_gate_protocol(good, random_state(6, make_rng(2)))
         with pytest.raises(ValueError):
             controlled_gate_protocol(good, psi, branches=0)
+
+
+def _near_miss_ladder(eps):
+    """``(u, layout)`` of every rc d x d rank-r gate times ``exp(i eps H)``, H a fixed Hermitian of side d^2."""
+    for d, r in ((4, 2), (4, 3), (8, 3)):
+        w, v = np.linalg.eigh(random_hermitian(d * d, make_rng(8)))
+        for seed in range(6):
+            u, layout = gates.random_controlled_unitary(d, d, r, seed=seed)
+            yield (v * np.exp(1j * eps * w)) @ v.conj().T @ u, layout
+
+
+class TestCertifiedWitnesses:
+    """Every form ``is_controlled`` certifies runs: the protocol bounds form unitarity by the same band."""
+
+    @pytest.mark.parametrize("eps", [1e-9, 3e-9, 1e-8, 3e-8])
+    def test_near_miss_witnesses_run_on_every_branch(self, eps, tmp_path, capsys):
+        positives = 0
+        for k, (u, layout) in enumerate(_near_miss_ladder(eps)):
+            verdict = is_controlled(u, layout, (0,))
+            if not verdict.controlled:
+                continue
+            positives += 1
+            psi = random_state(layout.total, make_rng(k, stream=5))
+            for branches in ("all", 3):
+                transcript, out = controlled_gate_protocol(verdict.form, psi, branches=branches)
+                assert abs(transcript.min_branch_fidelity - 1.0) <= 1e-12
+                assert abs(transcript.max_branch_fidelity - 1.0) <= 1e-12
+                assert verify_protocol(transcript, u, psi, out).fidelity >= FIDELITY_FLOOR
+            path = tmp_path / f"gate-{k}.json"
+            path.write_text(json.dumps(mx.matrix_to_json(u, layout.dims)))
+            assert cli.main(["protocol", str(path), "--route", "controlled"]) == 0
+            capsys.readouterr()
+        assert positives > 0
+
+    def test_a_detector_built_form_runs_on_its_own_block_stack(self):
+        u, layout = gates.random_controlled_unitary(4, 4, 2, seed=1)
+        form = is_controlled(u, layout, (0,)).form
+        _, _, stack = protocols._validate_form(form, layout.total)
+        assert np.shares_memory(stack, form.blocks)
 
 
 class TestRandomNumberContract:

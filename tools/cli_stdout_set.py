@@ -15,8 +15,9 @@ projectors of the 8 x 8 gates move with it.
 The list covers every subcommand and every protocol route: random-controlled
 d x d gates (d = 2, 3, 4, 8, r = 1..min(3, d), seeds 0, 1, 5) and 3 x 5 of
 rank 3, the named multipartite gates, a Haar 9 x 9 gate as 3 x 3, three
-near misses of a rank-2 4 x 4 gate, the four fuzz suites, one construction
-and a missing file.
+near misses of a rank-2 4 x 4 gate at 1e-7 and three within the verdict
+tolerance at 3e-9, the four fuzz suites, one construction and a missing
+file: 469 commands.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ NAMED = {
     "haar-9-as-3x3": lambda: (haar_unitary(9, make_rng(9)), SystemLayout.of((3, 3))),
 }
 
-# exp(1e-7 i H) times rc 4x4 r2, H = random_hermitian(16, make_rng(8)): near misses
+# exp(eps i H) times rc 4x4 r2, H = random_hermitian(16, make_rng(8)): near misses at 1e-7,
+# and at 3e-9 gates the detector certifies with witnesses up to 1.2e-10 off unitary
 NEAR_MISS_SEEDS = (0, 1, 2)
 
 
@@ -56,10 +58,10 @@ def _rc_name(d_c, d_t, r, seed):
     return f"rc-{d_c}x{d_t}-r{r}-s{seed}"
 
 
-def _near_miss(seed):
+def _near_miss(seed, eps):
     u, layout = gates.random_controlled_unitary(4, 4, 2, seed=seed)
     w, v = np.linalg.eigh(random_hermitian(16, make_rng(8)))
-    return (v * np.exp(1e-7j * w)) @ v.conj().T @ u, tuple(layout.dims)
+    return (v * np.exp(1j * eps * w)) @ v.conj().T @ u, tuple(layout.dims)
 
 
 def gate_files() -> dict:
@@ -72,7 +74,8 @@ def gate_files() -> dict:
         u, layout = build()
         files[name + ".json"] = (u, tuple(layout.dims))
     for seed in NEAR_MISS_SEEDS:
-        files[f"near-miss-s{seed}.json"] = _near_miss(seed)
+        files[f"near-miss-s{seed}.json"] = _near_miss(seed, 1e-7)
+        files[f"certified-near-miss-s{seed}.json"] = _near_miss(seed, 3e-9)
     return files
 
 
@@ -112,6 +115,11 @@ def commands() -> list:
         argvs += [
             ["detect", path, "--side", "A"],
             ["detect", path, "--side", "A", "--tol", "1e-5"],
+            ["protocol", path, "--route", "controlled"],
+        ]
+        path = f"$T/certified-near-miss-s{seed}.json"
+        argvs += [
+            ["detect", path, "--side", "A"],
             ["protocol", path, "--route", "controlled"],
         ]
     argvs += [["fuzz", "--theorem", suite, "--trials", "20", "--seed", "4"] for suite in FUZZ_SUITES]
