@@ -21,7 +21,7 @@ from .errors import DimensionError, NumericalError, StructureError
 from .factorizations import eigh, null_space, orthonormal_complement, span_dimension, svd
 from .matrices import SystemLayout
 from .randomness import make_rng
-from .schmidt import _realigned_sum, operator_schmidt_decompose
+from .schmidt import _cut_realigned, _expansion, _realigned_sum
 
 # default tolerance for a family's relative commutator mass, and the fixed
 # bound on the residuals of the bases simultaneous_svd builds
@@ -30,10 +30,6 @@ COMMUTE_RTOL = 1e-8
 SINGULAR_RTOL = 1e-8
 # eigenvalues closer than this (times scale) belong to one cluster
 CLUSTER_GAP = 1e-7
-
-
-def _vec(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m, dtype=complex).reshape(-1)
 
 
 def _adjoints(ops: np.ndarray) -> np.ndarray:
@@ -298,26 +294,21 @@ def orthogonalization_inputs_from_unitary(u, layout, cut) -> HarvestedPair:
     """
     layout = SystemLayout.of(layout)
     u = mx.assert_unitary(u, "harvest input")
-    dec = operator_schmidt_decompose(u, layout, cut)
-    if dec.rank != 3:
-        raise ValueError(f"harvest needs operator Schmidt rank 3, got {dec.rank}")
+    _, _, realigned, dims = _cut_realigned(u, layout, cut, "harvest input")
+    coefficients, lefts, rights = _expansion(realigned, dims)
+    if len(coefficients) != 3:
+        raise ValueError(f"harvest needs operator Schmidt rank 3, got {len(coefficients)}")
 
-    a_ops = [s * f for s, f in zip(dec.coefficients, dec.left_factors)]
-    b_ops = list(dec.right_factors)
+    a_ops = coefficients[:, None, None] * lefts
     alpha, beta, c = singular_combination(a_ops[0], a_ops[1])
     kept = a_ops[0] if abs(beta) >= abs(alpha) else a_ops[1]
-    new_a = [c, kept, a_ops[2]]
-
-    old_stack = np.array([_vec(op) for op in a_ops])
-    new_stack = np.array([_vec(op) for op in new_a])
-    coeff = np.linalg.lstsq(new_stack.T, old_stack.T, rcond=None)[0]
+    new_a = np.stack([c, kept, a_ops[2]])
+    coeff = np.linalg.lstsq(new_a.reshape(3, -1).T, a_ops.reshape(3, -1).T, rcond=None)[0]
     # old_j = sum_i coeff[i, j] new_i, so the complementary factors recombine as
-    new_b = np.tensordot(coeff, b_ops, 1)
+    new_b = np.tensordot(coeff, rights, 1)
 
     # compared in the realigned frame, which only permutes entries
-    grouped, dims = mx.group_systems(u, layout, dec.cut)
-    rebuilt = _realigned_sum(1.0, new_a, new_b)
-    if mx.frobenius_norm(rebuilt - mx.realign(grouped, dims)) > 1e-8 * mx.frobenius_norm(u):
+    if mx.frobenius_norm(_realigned_sum(1.0, new_a, new_b) - realigned) > 1e-8 * mx.frobenius_norm(u):
         raise NumericalError("re-expanded decomposition failed to reconstruct")
 
     kernel = null_space(c)

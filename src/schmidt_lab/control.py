@@ -158,7 +158,7 @@ def _control_cut(u, layout, side):
     side = layout.validate_subset(side)
     grouped, dims = mx.group_systems(u, layout, side)
     coefficients, lefts, _ = _expansion(mx._realigned(grouped, dims), dims)
-    factors = np.array(lefts)[coefficients > SIGNIFICANT_FLOOR * coefficients[0]]
+    factors = lefts[coefficients > SIGNIFICANT_FLOOR * coefficients[0]]
     return side, grouped, dims, len(coefficients), factors
 
 

@@ -46,11 +46,16 @@ def swap_gate():
     return _finish(u, (2, 2))
 
 
-def _odd_n_core(n: int):
-    """``(u, layout)`` of the odd-n family on n qubits, unchecked; a layout above the cap is refused first."""
+def _qubits(n: int) -> SystemLayout:
+    """The layout of n qubits; one above the cap is refused before anything of size n is built."""
     # the layout stops where 2^k passes the cap, at k = cap.bit_length(); one entry past k gives the
     # message (2,) * n would give, and the n-entry tuple is never built
-    layout = SystemLayout.of((2,) * min(n, max_total_dimension().bit_length() + 1))
+    return SystemLayout.of((2,) * min(n, max_total_dimension().bit_length() + 1))
+
+
+def _odd_n_core(n: int):
+    """``(u, layout)`` of the odd-n family on n qubits, unchecked; a layout above the cap is refused first."""
+    layout = _qubits(n)
     terms = [
         phase * mx.tensor_chain([_PAULI[idx]] * n) for idx, phase in ((0, 1.0), (1, 1j), (3, 1j))
     ]
@@ -107,12 +112,10 @@ def even_qubit_rank3(n: int):
     """Rank-3 gate on an even number of qubits, controlled by the first one; only the whole gate is checked unitary."""
     if n < 4 or n % 2 == 1:
         raise ValueError(f"this family needs even n >= 4, got {n}")
+    layout = _qubits(n)
     core, _ = _odd_n_core(n - 1)
-    half = core.shape[0]
-    u = np.zeros((2 * half, 2 * half), dtype=complex)
-    u[:half, :half] = core
-    u[half:, half:] = core.conj().T
-    return _finish(u, (2,) * n)
+    zero = np.zeros_like(core)
+    return _finish(np.block([[core, zero], [zero, core.conj().T]]), layout)
 
 
 def tensor_extension(u: np.ndarray, layout, extra_dims):

@@ -403,8 +403,8 @@ def controlled_gate_protocol(form: ControlledForm, input, seed: int = 0, branche
     measures that half in the Fourier basis; Alice closes with a diagonal
     phase correction and q.  Blocks equal up to a global phase share a
     group, the phase being part of Alice's final correction.  With one
-    group the gate is a product and runs with no resource and no
-    messages.
+    group the gate is a product: the same table runs it with no resource
+    and no messages, and ``branches`` applies to it too.
     """
     d_c, d_t, blocks = _validate_form(form, np.size(input))
     psi = _as_state(input, d_c * d_t)
@@ -414,20 +414,18 @@ def controlled_gate_protocol(form: ControlledForm, input, seed: int = 0, branche
     expected = form.apply(psi)
     expected /= np.linalg.norm(expected)
 
+    samples = _sample_count(branches)
+    fidelities, (s, t, output) = _run_branches(
+        _controlled_table(psi, form, reps, group, phases), expected, samples, make_rng(seed, stream=13)
+    )
     if m == 1:
-        output = ((form.q * phases) @ form.r @ psi.reshape(d_c, d_t) @ reps[0].T).reshape(-1)
         steps = (
             _rotation("r"),
             ProtocolStep("Alice", "local-unitary", {"name": "diagonal phase correction", "system": "control"}),
             ProtocolStep("Bob", "local-unitary", {"name": "apply target block", "system": "target"}),
             _rotation("q"),
         )
-        return _transcript("controlled", steps, (), [abs(np.vdot(expected, output))]), output
-
-    samples = _sample_count(branches)
-    fidelities, (s, t, output) = _run_branches(
-        _controlled_table(psi, form, reps, group, phases), expected, samples, make_rng(seed, stream=13)
-    )
+        return _transcript("controlled", steps, (), fidelities), output
 
     steps = (
         _rotation("r"),

@@ -32,14 +32,15 @@ ALS_RESTARTS = 32
 class SchmidtDecomposition:
     """Descending coefficients with matched orthonormal factor pairs.
 
-    Factors live on the grouped frame (cut systems merged on the left,
-    complement merged on the right); ``reconstruct`` returns the operator in
-    the original system order.
+    ``left_factors`` and ``right_factors`` are ``(rank, d, d)`` stacks, pair
+    ``i`` at index ``i``. Factors live on the grouped frame (cut systems merged
+    on the left, complement merged on the right); ``reconstruct`` returns the
+    operator in the original system order.
     """
 
     coefficients: np.ndarray
-    left_factors: tuple
-    right_factors: tuple
+    left_factors: np.ndarray
+    right_factors: np.ndarray
     cut: tuple
     layout: SystemLayout
 
@@ -49,7 +50,7 @@ class SchmidtDecomposition:
 
     def grouped_operator(self) -> np.ndarray:
         """sum_i s_i A_i (x) B_i on the grouped frame, unrealigned from one matmul."""
-        dims = (self.left_factors[0].shape[0], self.right_factors[0].shape[0])
+        dims = (self.left_factors.shape[1], self.right_factors.shape[1])
         return mx.unrealign(
             _realigned_sum(self.coefficients, self.left_factors, self.right_factors), dims
         )
@@ -94,9 +95,7 @@ class RankBounds:
 
 def _realigned_sum(c, lefts, rights) -> np.ndarray:
     """The realignment of sum_i c_i A_i (x) B_i: sum_i c_i vec(A_i) vec(B_i)^T."""
-    lefts_vec = np.stack([np.reshape(a, -1) for a in lefts], axis=1)
-    rights_vec = np.stack([np.reshape(b, -1) for b in rights])
-    return (lefts_vec * c) @ rights_vec
+    return (np.reshape(lefts, (len(lefts), -1)).T * c) @ np.reshape(rights, (len(rights), -1))
 
 
 def _lex_key(factor: np.ndarray):
@@ -123,25 +122,18 @@ def _expansion(realigned, dims, tol=RANK_RTOL):
     if r == 0:
         raise ValueError("decomposition input must be nonzero")
 
-    coeffs = []
-    lefts = []
-    rights = []
-    for i in range(r):
-        # realignment splits as sum_i s_i vec(A_i) outer vec(B_i); numpy's svd
-        # hands back exactly that with vec(B_i) as a row of right_h
-        a = left[:, i].reshape(d_a, d_a)
-        b = right_h[i, :].reshape(d_b, d_b)
-        # rotate the pair so the left factor leads with a real positive entry
-        v = a.reshape(-1)
-        lead = v[np.abs(v) > 1e-12 * np.max(np.abs(v))][0]
-        phase = lead / abs(lead)
-        coeffs.append(s[i])
-        lefts.append(a * phase.conjugate())
-        rights.append(b * phase)
-    order = sorted(range(r), key=lambda i: (-round(coeffs[i], 9), _lex_key(lefts[i])))
-    coefficients = np.array([coeffs[i] for i in order])
-    lefts = tuple(lefts[i] for i in order)
-    rights = tuple(rights[i] for i in order)
+    # realignment splits as sum_i s_i vec(A_i) outer vec(B_i); numpy's svd
+    # hands back exactly that with vec(B_i) as a row of right_h
+    vecs = np.ascontiguousarray(left[:, :r].T)
+    # rotate each pair so the left factor leads with a real positive entry; the
+    # phase is a scalar division per factor, which an array division does not match bitwise
+    mags = np.abs(vecs)
+    leads = vecs[np.arange(r), np.argmax(mags > 1e-12 * mags.max(axis=1, keepdims=True), axis=1)]
+    phases = np.array([lead / abs(lead) for lead in leads])[:, None, None]
+    lefts = vecs.reshape(r, d_a, d_a) * phases.conj()
+    rights = right_h[:r].reshape(r, d_b, d_b) * phases
+    order = sorted(range(r), key=lambda i: (-round(s[i], 9), _lex_key(lefts[i])))
+    coefficients, lefts, rights = s[order], lefts[order], rights[order]
     # realignment only permutes entries, so the residual of the returned
     # expansion is read in the realigned frame
     residual = mx.frobenius_norm(_realigned_sum(coefficients, lefts, rights) - realigned)

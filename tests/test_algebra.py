@@ -342,6 +342,20 @@ def test_harvest_requires_rank_three():
         alg.orthogonalization_inputs_from_unitary(u, layout, (0,))
 
 
+def test_harvest_groups_the_gate_once(monkeypatch):
+    # the re-expansion is checked against the realigned matrix the expansion read
+    u, layout = gates.random_controlled_unitary(3, 3, 3, seed=55)
+    calls = {"group_systems": 0, "as_operator": 0}
+    for name in calls:
+        def counted(*args, _inner=getattr(mx, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(mx, name, counted)
+    alg.orthogonalization_inputs_from_unitary(u, layout, (1,))
+    assert calls == {"group_systems": 1, "as_operator": 2}
+
+
 def test_harvest_identities_are_tight():
     u, layout = gates.random_controlled_unitary(3, 3, 3, seed=55)
     h = alg.orthogonalization_inputs_from_unitary(u, layout, (1,))

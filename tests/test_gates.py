@@ -147,21 +147,26 @@ def test_even_qubit_rank3_checks_only_the_assembled_gate(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "build",
+    "build, cap",
     [
-        lambda: gates.random_unitary(65, seed=0),
-        lambda: gates.u_odd_n(7),
-        lambda: gates.padded_2x2xn(17),
-        lambda: gates.even_qubit_rank3(8),
-        lambda: gates.even_qubit_rank3(200_000),
+        (lambda: gates.random_unitary(65, seed=0), 64),
+        (lambda: gates.u_odd_n(7), 64),
+        (lambda: gates.padded_2x2xn(17), 64),
+        (lambda: gates.even_qubit_rank3(8), 64),
+        (lambda: gates.even_qubit_rank3(200_000), 64),
+        # the 32 x 32 core fits under the cap, the 64 x 64 gate does not
+        (lambda: gates.even_qubit_rank3(6), 48),
     ],
-    ids=["random-unitary", "u-odd-n", "padded-2x2xn", "even-qubit-rank3", "even-qubit-rank3-huge"],
+    ids=[
+        "random-unitary", "u-odd-n", "padded-2x2xn", "even-qubit-rank3", "even-qubit-rank3-huge",
+        "even-qubit-rank3-core-fits",
+    ],
 )
-def test_builders_refuse_over_cap_sizes_before_allocating(monkeypatch, build):
+def test_builders_refuse_over_cap_sizes_before_allocating(monkeypatch, build, cap):
     def refuse(*args, **kwargs):
         raise AssertionError("the gate was built before its layout was checked")
 
-    monkeypatch.setenv("SCHMIDT_LAB_MAX_DIM", "64")
+    monkeypatch.setenv("SCHMIDT_LAB_MAX_DIM", str(cap))
     monkeypatch.setattr(gates, "haar_unitary", refuse)
     monkeypatch.setattr(np, "kron", refuse)
     with pytest.raises(DimensionError):

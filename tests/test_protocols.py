@@ -240,6 +240,26 @@ class TestControlledRoute:
         assert not [s for s in transcript.steps if s.kind in ("measurement", "classical-message")]
         assert _fid(form.operator() @ psi, out) >= 1.0 - 1e-10
 
+    def test_rank_one_forms_read_branches_like_every_form(self, tmp_path, capsys):
+        # one group runs through the same branch table, so branches is checked and sampled there too
+        v = haar_unitary(3, make_rng(44))
+        form = ControlledForm(side=(0,), q=I2, r=I2, blocks=(v, 1j * v), grouped_dims=(2, 3))
+        psi = random_state(6, make_rng(45))
+        for bad in (0, -3, "bogus", True):
+            with pytest.raises(ValueError, match="branches must be"):
+                controlled_gate_protocol(form, psi, branches=bad)
+        transcript, out = controlled_gate_protocol(form, psi, seed=2, branches=3)
+        assert transcript.branches_checked == 3
+        assert transcript.resources == ()
+        assert [step.kind for step in transcript.steps] == ["local-unitary"] * 4
+        assert transcript.min_branch_fidelity >= FIDELITY_FLOOR
+        assert _fid(form.operator() @ psi, out) >= FIDELITY_FLOOR
+        u, layout = gates.random_controlled_unitary(3, 3, 1, seed=0)
+        path = tmp_path / "rank-one.json"
+        path.write_text(json.dumps(mx.matrix_to_json(u, layout.dims)))
+        assert cli.main(["protocol", str(path), "--route", "controlled", "--branches", "0"]) == 2
+        capsys.readouterr()
+
     def test_phase_proportional_blocks_share_a_group(self):
         # blocks v and i*v span one direction; the phase is a free local
         # correction on the control side, so no entanglement is needed

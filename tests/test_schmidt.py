@@ -43,6 +43,41 @@ def test_grouped_operator_matches_the_kron_loop(d_a, d_b, r, seed):
     assert np.max(np.abs(dec.grouped_operator() - reconstruct_bipartite(dec))) <= 1e-13
 
 
+def loop_expansion(u, layout, cut):
+    """The expansion one factor at a time: slice, rotate by the lead phase, collect, sort."""
+    grouped, (d_a, d_b) = mx.group_systems(u, layout, cut)
+    left, s, right_h, _ = fx.leading_svd(mx.realign(grouped, (d_a, d_b)), fx.RANK_RTOL)
+    pairs = []
+    for i in range(fx.numerical_rank(s, fx.RANK_RTOL)):
+        a = left[:, i].reshape(d_a, d_a)
+        v = a.reshape(-1)
+        lead = v[np.abs(v) > 1e-12 * np.max(np.abs(v))][0]
+        phase = lead / abs(lead)
+        pairs.append((s[i], a * phase.conjugate(), right_h[i, :].reshape(d_b, d_b) * phase))
+    pairs.sort(key=lambda p: (-round(p[0], 9), tuple(np.round(p[1].reshape(-1).view(float), 9))))
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "u, layout, cut",
+    [
+        (*gates.random_controlled_unitary(d, d, r, seed=d + r), (0,))
+        for d, r in ((2, 1), (3, 3), (4, 2), (8, 3))
+    ]
+    + [(haar_unitary(d * d, make_rng(d)), (d, d), (0,)) for d in (2, 3, 5)]
+    + [(*gates.u_odd_n(5), (1,)), (*gates.even_qubit_rank3(6), (0,)), (*gates.four_qubit_example(), (0, 2))],
+)
+def test_factors_are_stacks_equal_to_the_per_factor_loop(u, layout, cut):
+    dec = sch.operator_schmidt_decompose(u, layout, cut)
+    d_a = dec.left_factors.shape[1]
+    assert dec.left_factors.shape == (dec.rank, d_a, d_a)
+    assert dec.right_factors.shape == (dec.rank, u.shape[0] // d_a, u.shape[0] // d_a)
+    pairs = loop_expansion(u, layout, cut)
+    assert dec.coefficients.tobytes() == np.array([c for c, _, _ in pairs]).tobytes()
+    assert dec.left_factors.tobytes() == np.array([a for _, a, _ in pairs]).tobytes()
+    assert dec.right_factors.tobytes() == np.array([b for _, _, b in pairs]).tobytes()
+
+
 def test_identity_is_a_product_operator():
     u = np.eye(4, dtype=complex)
     dec = sch.operator_schmidt_decompose(u, (2, 2), (0,))

@@ -16,8 +16,9 @@ The list covers every subcommand and every protocol route: random-controlled
 d x d gates (d = 2, 3, 4, 8, r = 1..min(3, d), seeds 0, 1, 5) and 3 x 5 of
 rank 3, the named multipartite gates, a Haar 9 x 9 gate as 3 x 3, three
 near misses of a rank-2 4 x 4 gate at 1e-7 and three within the verdict
-tolerance at 3e-9, the four fuzz suites, one construction and a missing
-file: 469 commands.
+tolerance at 3e-9, the four fuzz suites, one construction, a rank-one
+controlled run with ``--branches 0`` (refused like every form) and a
+missing file: 470 commands.
 """
 
 from __future__ import annotations
@@ -125,6 +126,7 @@ def commands() -> list:
     argvs += [["fuzz", "--theorem", suite, "--trials", "20", "--seed", "4"] for suite in FUZZ_SUITES]
     argvs += [
         ["construct", "--gate", "u3"],
+        ["protocol", f"$T/{_rc_name(3, 3, 1, 0)}.json", "--route", "controlled", "--branches", "0"],
         ["decompose", "$T/missing.json"],
     ]
     return argvs
