@@ -19,7 +19,6 @@ from . import matrices as mx
 from .config import max_total_dimension
 from .errors import DimensionError, NumericalError, StructureError
 from .factorizations import eigh, null_space, orthonormal_complement, span_dimension, svd
-from .matrices import SystemLayout
 from .randomness import make_rng
 from .schmidt import _cut_realigned, _expansion, _realigned_sum
 
@@ -117,7 +116,7 @@ def normal_split(a):
     norm = mx.frobenius_norm(a)
     if mx.frobenius_norm(dec.weighted_sum(0.5) @ v - a) > 1e-10 * max(norm, 1.0):
         raise NumericalError("polar-style split failed to reconstruct the input")
-    if mx.frobenius_norm(v.conj().T @ v - np.eye(d)) > 1e-10 * math.sqrt(d):
+    if mx.unitarity_residuals(v[None])[0] > 1e-10:
         raise NumericalError("polar-style split produced a non-unitary factor")
     return dec, v
 
@@ -292,9 +291,7 @@ def orthogonalization_inputs_from_unitary(u, layout, cut) -> HarvestedPair:
     example when the analyzed cut is itself a commuting family), which
     raise ValueError.
     """
-    layout = SystemLayout.of(layout)
-    u = mx.assert_unitary(u, "harvest input")
-    _, _, realigned, dims = _cut_realigned(u, layout, cut, "harvest input")
+    u, _, _, realigned, dims = _cut_realigned(u, layout, cut, "harvest input", unitary=True)
     coefficients, lefts, rights = _expansion(realigned, dims)
     if len(coefficients) != 3:
         raise ValueError(f"harvest needs operator Schmidt rank 3, got {len(coefficients)}")
@@ -555,7 +552,7 @@ def simultaneous_svd(family, tol: float = COMMUTE_RTOL) -> SimultaneousSvdResult
     if not filled.all():
         t[:, ~filled] = orthonormal_complement(t[:, filled])[:, : d - np.count_nonzero(filled)]
 
-    residual = mx.frobenius_norm(t.conj().T @ t - np.eye(d)) / math.sqrt(d)
+    residual = float(mx.unitarity_residuals(t[None])[0])
     if residual > COMMUTE_RTOL:
         return _failure(f"derived right basis is not unitary (violation {residual:.3e})", residual)
 

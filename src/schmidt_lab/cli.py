@@ -116,12 +116,6 @@ def _single_system_json(m: np.ndarray) -> dict:
     return mx.matrix_to_json(m, (m.shape[0],))
 
 
-def _group_state(psi: np.ndarray, layout, side) -> np.ndarray:
-    """Reorder a state vector so the side systems come first."""
-    order = list(side) + [i for i in range(len(layout)) if i not in side]
-    return psi.reshape(layout.dims).transpose(order).reshape(-1)
-
-
 # ---------------------------------------------------------------------------
 # command handlers
 
@@ -231,10 +225,8 @@ def _cmd_protocol(args) -> CommandResult:
 
     if args.input:
         psi, state_layout = _load_state(args.input)
-        if state_layout.total != layout.total:
-            raise ValueError(
-                f"input state dimension {state_layout.total} does not match gate dims {layout.dims}"
-            )
+        if state_layout.dims != layout.dims:
+            raise ValueError(f"input state dims {state_layout.dims} do not match gate dims {layout.dims}")
     else:
         psi = random_state(layout.total, make_rng(args.seed, stream=23))
 
@@ -262,7 +254,7 @@ def _cmd_protocol(args) -> CommandResult:
             summary = f"side {list(side)}: not controlled ({verdict.failed_check})"
             return _verdict_result(payload, False, verdict.inconclusive, summary)
         side = verdict.form.side
-        psi = _group_state(psi, layout, side)
+        psi = mx.group_states(psi[None], layout, *mx.cut_order(layout, side)).reshape(-1)
         transcript, output = protocols.controlled_gate_protocol(
             verdict.form, psi, seed=args.seed, branches=branches
         )

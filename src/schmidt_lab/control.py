@@ -152,32 +152,31 @@ def _control_cut(u, layout, side):
     """Group a unitary's ``side`` to the front and keep its significant factors.
 
     Returns ``(side, grouped, (d_c, d_t), Schmidt rank, factors)``, the factors
-    as one ``(n, d_c, d_c)`` stack. The caller has checked that ``u`` is unitary.
+    as one ``(n, d_c, d_c)`` stack. ``u`` and ``layout`` come from ``_checked``.
     """
-    layout = SystemLayout.of(layout)
-    side = layout.validate_subset(side)
-    grouped, dims = mx.group_systems(u, layout, side)
+    side, grouped, dims = mx.cut_frame(u, layout, side)
     coefficients, lefts, _ = _expansion(mx._realigned(grouped, dims), dims)
     factors = lefts[coefficients > SIGNIFICANT_FLOOR * coefficients[0]]
     return side, grouped, dims, len(coefficients), factors
 
 
-def _checked(u, tol, name):
-    """``u`` checked unitary, once ``tol`` is checked, and its norm."""
+def _checked(u, layout, tol, name):
+    """``(u, layout, norm of u)``: ``tol`` checked, then ``u`` checked unitary on the layout."""
     mx.checked_tol(tol)
-    u = mx.assert_unitary(u, name)
-    return u, mx.frobenius_norm(u)
+    u, layout = mx.on_layout(u, layout, name, unitary=True)
+    return u, layout, mx.frobenius_norm(u)
 
 
-def _band(violation, description, tol):
+def _band(violation, description, tol, witnessed=True):
     """Band a worst relative check value: (passed, failed_check, inconclusive).
 
-    At or below ``tol`` it passes; up to NEAR_MISS_CEILING it is a near miss,
-    reported with an ``inconclusive: `` prefix; above that it refutes.
+    At or below ``tol`` it passes, unless no witness was found; up to
+    NEAR_MISS_CEILING (or ``tol``, for a value with no witness) it is a near
+    miss, reported with an ``inconclusive: `` prefix; above that it refutes.
     """
-    if violation <= tol:
+    if violation <= tol and witnessed:
         return True, None, False
-    if violation <= NEAR_MISS_CEILING:
+    if violation <= max(tol, NEAR_MISS_CEILING):
         return False, f"inconclusive: {description}", True
     return False, description, False
 
@@ -193,7 +192,7 @@ def is_controlled(u, layout, side, tol: float = VERDICT_RTOL) -> ControlVerdict:
     assembled form is verified against the input before any positive verdict.
     A ``tol`` that is not a finite number in (0, 1) raises ValueError.
     """
-    u, norm_u = _checked(u, tol, "detection input")
+    u, layout, norm_u = _checked(u, layout, tol, "detection input")
     return _decide_control(_control_cut(u, layout, side), norm_u, tol)
 
 
@@ -218,10 +217,7 @@ def _decide_control(cut, norm_u, tol) -> ControlVerdict:
         description = f"{name} (violation {violation:.3e})"
     else:
         violation, description = result.violation, result.failed_check
-    passed, failed_check, inconclusive = _band(violation, description, tol)
-    if passed and form is None:
-        # a basis residual within a loose tol still left no witness
-        passed, failed_check, inconclusive = False, f"inconclusive: {description}", True
+    passed, failed_check, inconclusive = _band(violation, description, tol, form is not None)
     return ControlVerdict(
         controlled=passed,
         form=form if passed else None,
@@ -266,7 +262,7 @@ def is_bcu(u, layout, side, tol: float = VERDICT_RTOL) -> BcuVerdict:
     decision; the tolerance band applies to how well the blocks capture u
     (``tol`` as in ``is_controlled``). Only the input products are formed.
     """
-    u, norm_u = _checked(u, tol, "detection input")
+    u, layout, norm_u = _checked(u, layout, tol, "detection input")
     side, grouped, dims, _, factors = _control_cut(u, layout, side)
 
     projectors = algebra.commutant_blocks(algebra._input_products(factors))
@@ -305,7 +301,7 @@ def multipartite_control_analysis(u, layout, tol: float = VERDICT_RTOL) -> Multi
     layout = SystemLayout.of(layout)
     if len(layout) < 3:
         raise ValueError(f"multipartite analysis needs at least 3 systems, got {len(layout)}")
-    u, norm_u = _checked(u, tol, "analysis input")
+    u, layout, norm_u = _checked(u, layout, tol, "analysis input")
 
     singles = {}
     pairs = {}
@@ -417,9 +413,8 @@ def fuzz_theorem_checks(theorem: str, trials: int, seed: int = 0) -> FuzzSummary
     """
     if theorem not in _FUZZ_RUNNERS:
         raise ValueError(f"unknown suite {theorem!r}; choose one of {FUZZ_SUITES}")
-    trials = int(trials)
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    if not mx._is_int(trials) or trials < 1:
+        raise ValueError(f"trials must be a positive integer, got {trials!r}")
     runner = _FUZZ_RUNNERS[theorem]
     passes = 0
     failures = []

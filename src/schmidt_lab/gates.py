@@ -125,13 +125,13 @@ def tensor_extension(u: np.ndarray, layout, extra_dims):
     statements lift from small layouts to padded ones.
     """
     layout = SystemLayout.of(layout)
-    extra = tuple(int(e) for e in extra_dims)
+    extra = tuple(extra_dims)
     if len(extra) != len(layout):
         raise ValueError(
             f"need one ancilla dimension per system: got {len(extra)} for {len(layout)}"
         )
-    if any(e < 1 for e in extra):
-        raise ValueError(f"ancilla dimensions must be positive, got {extra}")
+    if not all(mx._is_int(e) and e >= 1 for e in extra):
+        raise ValueError(f"ancilla dimensions must be positive integers, got {extra}")
     u = mx.as_operator(u, "tensor_extension input")
     n = len(layout)
     total_extra = math.prod(extra)
@@ -151,8 +151,7 @@ def random_unitary(dim: int, seed: int):
 
 def random_local_scramble(u: np.ndarray, layout, seed: int) -> np.ndarray:
     """Dress an operator with independent Haar locals on every system, both sides."""
-    layout = SystemLayout.of(layout)
-    u = mx.as_operator(u, "scramble input")
+    u, layout = mx.on_layout(u, layout, "scramble input")
     left = mx.tensor_chain(
         [haar_unitary(d, make_rng(seed, stream=2 * i)) for i, d in enumerate(layout.dims)]
     )

@@ -29,7 +29,7 @@ class SystemLayout:
         if not self.dims:
             raise ValueError("layout needs at least one system")
         for d in self.dims:
-            if not isinstance(d, int) or d < 1:
+            if not _is_int(d) or d < 1:
                 raise ValueError(f"dimensions must be positive integers, got {self.dims}")
         # the product stops at the first partial product above the cap, so a
         # long layout is refused before its total grows with it
@@ -45,7 +45,7 @@ class SystemLayout:
         """A checked layout; a given ``SystemLayout`` is rebuilt, so the current cap applies."""
         if isinstance(layout, SystemLayout):
             return cls(layout.dims)
-        return cls(tuple(int(d) for d in layout))
+        return cls(tuple(int(d) if _is_int(d) else d for d in layout))
 
     @property
     def total(self) -> int:
@@ -56,6 +56,9 @@ class SystemLayout:
 
     def validate_subset(self, subset: Iterable[int]) -> tuple[int, ...]:
         """Sorted, deduplicated system indices; must be a nonempty strict-or-full subset."""
+        subset = tuple(subset)
+        if not all(map(_is_int, subset)):
+            raise ValueError(f"system indices must be integers, got {subset}")
         subset = tuple(sorted({int(i) for i in subset}))
         if not subset:
             raise ValueError("system subset must be nonempty")
@@ -64,9 +67,17 @@ class SystemLayout:
                 raise ValueError(f"system index {i} out of range for {len(self.dims)} systems")
         return subset
 
-    def complement(self, subset: Iterable[int]) -> tuple[int, ...]:
-        subset = self.validate_subset(subset)
-        return tuple(i for i in range(len(self.dims)) if i not in subset)
+    def split(self, front: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``(front, rest)`` of a cut: ``front`` sorted and strict, ``rest`` the other systems in order."""
+        front = self.validate_subset(front)
+        if len(front) == len(self.dims):
+            raise ValueError("grouped subset must be a strict subset of the systems")
+        return front, tuple(i for i in range(len(self.dims)) if i not in front)
+
+
+def _is_int(value) -> bool:
+    """An integer that is not a bool: Python and numpy ints pass, floats and strings do not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def as_operator(m, name: str = "operator") -> np.ndarray:
@@ -84,11 +95,16 @@ def _require_finite(m, name: str) -> np.ndarray:
     return m
 
 
-def _check_layout(m: np.ndarray, layout: SystemLayout, name: str = "operator") -> None:
-    if m.shape[0] != layout.total:
-        raise DimensionError(
-            f"{name} has side {m.shape[0]} but layout {layout.dims} implies {layout.total}"
-        )
+def on_layout(u, layout, name: str = "operator", unitary: bool = False):
+    """``(u, layout)``: ``layout`` checked, ``u`` a finite square matrix (unitary, if asked) of its side.
+
+    The one check that a gate fits its layout; every entry point that takes both calls it once.
+    """
+    layout = SystemLayout.of(layout)
+    u = assert_unitary(u, name) if unitary else as_operator(u, name)
+    if u.shape[0] != layout.total:
+        raise DimensionError(f"{name} has side {u.shape[0]} but layout {layout.dims} implies {layout.total}")
+    return u, layout
 
 
 def frobenius_norm(m: np.ndarray) -> float:
@@ -97,8 +113,8 @@ def frobenius_norm(m: np.ndarray) -> float:
 
 def frobenius_norms(stack: np.ndarray) -> np.ndarray:
     """``frobenius_norm`` of each matrix of a stack, bitwise: the same two BLAS dots each."""
-    re, im = (part.reshape(*np.shape(stack)[:-2], 1, -1) for part in (stack.real, stack.imag))
-    return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
+    re, im = stack.real.reshape(*stack.shape[:-2], 1, -1), stack.imag.reshape(*stack.shape[:-2], 1, -1)
+    return np.sqrt((re @ re.mT + im @ im.mT)[..., 0, 0])
 
 
 def checked_tol(tol, name: str = "tol"):
@@ -151,8 +167,7 @@ def control_sandwich(g: np.ndarray, dims, left=None, right=None) -> np.ndarray:
 
 def assert_unitary(u: np.ndarray, name: str = "operator", rtol: float = 1e-10) -> np.ndarray:
     u = as_operator(u, name)
-    d = u.shape[0]
-    residual = np.linalg.norm(u.conj().T @ u - np.eye(d)) / math.sqrt(d)
+    residual = unitarity_residuals(u[None])[0]
     if residual > rtol:
         raise ValueError(f"{name} is not unitary (residual {residual:.3e})")
     return u
@@ -164,11 +179,9 @@ def realign(u: np.ndarray, layout) -> np.ndarray:
     For u = A (x) B this is the rank-one matrix vec(A) vec(B)^T, so the SVD of
     the realignment is the operator Schmidt decomposition.
     """
-    layout = SystemLayout.of(layout)
+    u, layout = on_layout(u, layout, "realign input")
     if len(layout) != 2:
         raise DimensionError(f"realign needs a bipartite layout, got {layout.dims}")
-    u = as_operator(u, "realign input")
-    _check_layout(u, layout, "realign input")
     return _realigned(u, layout.dims)
 
 
@@ -194,19 +207,24 @@ def unrealign(m: np.ndarray, layout) -> np.ndarray:
 
 def permute_systems(u: np.ndarray, layout, perm: Sequence[int]) -> np.ndarray:
     """Reorder tensor factors: factor ``k`` of the result is factor ``perm[k]`` of ``u``."""
-    layout = SystemLayout.of(layout)
-    u = as_operator(u, "permute input")
-    _check_layout(u, layout, "permute input")
+    u, layout = on_layout(u, layout, "permute input")
     n = len(layout)
-    perm = tuple(int(p) for p in perm)
-    if sorted(perm) != list(range(n)):
+    perm = tuple(perm)
+    if not all(map(_is_int, perm)) or sorted(perm) != list(range(n)):
         raise ValueError(f"perm {perm} is not a permutation of 0..{n - 1}")
-    return _permuted(u, layout, perm)
+    return _permuted(u, layout.dims, tuple(map(int, perm)))
 
 
-def _permuted(u: np.ndarray, layout: SystemLayout, perm: tuple) -> np.ndarray:
+def _permuted(u: np.ndarray, dims: tuple, perm: tuple) -> np.ndarray:
     axes = perm + tuple(len(perm) + p for p in perm)
-    return u.reshape(layout.dims * 2).transpose(axes).reshape(layout.total, layout.total)
+    return u.reshape(dims * 2).transpose(axes).reshape(u.shape)
+
+
+def cut_order(layout: SystemLayout, front) -> tuple[tuple, tuple]:
+    """``(front + rest, (d_front, d_rest))``: the one system order of a cut's grouped frame."""
+    front, rest = layout.split(front)
+    d_front = math.prod(layout.dims[i] for i in front)
+    return front + rest, (d_front, layout.total // d_front)
 
 
 def group_systems(u: np.ndarray, layout, front: Iterable[int]):
@@ -216,24 +234,29 @@ def group_systems(u: np.ndarray, layout, front: Iterable[int]):
     frame every cut-based routine works in. Only the shape of ``u`` is checked, not its entries.
     """
     layout = SystemLayout.of(layout)
-    front = layout.validate_subset(front)
-    rest = layout.complement(front)
-    if not rest:
-        raise ValueError("grouped subset must be a strict subset of the systems")
+    order, dims = cut_order(layout, front)
     u = np.asarray(u, dtype=complex)
     if u.shape != (layout.total,) * 2:
         raise DimensionError(f"grouped operator has shape {u.shape}, layout {layout.dims}")
-    grouped = _permuted(u, layout, front + rest)
-    d_front = math.prod(layout.dims[i] for i in front)
-    return grouped, (d_front, layout.total // d_front)
+    return _permuted(u, layout.dims, order), dims
+
+
+def cut_frame(u: np.ndarray, layout: SystemLayout, cut):
+    """``(cut, grouped u, grouped dims)`` of a ``u`` and layout from ``on_layout``, the cut sorted."""
+    grouped, dims = group_systems(u, layout, cut)
+    return layout.validate_subset(cut), grouped, dims
+
+
+def group_states(vectors: np.ndarray, layout: SystemLayout, order: tuple, dims: tuple) -> np.ndarray:
+    """A ``(k, D)`` stack of states on ``layout`` as ``(k, d_front, d_rest)`` matrices, by a cut's ``cut_order``."""
+    axes = (0, *(1 + i for i in order))
+    return vectors.reshape(-1, *layout.dims).transpose(axes).reshape(len(vectors), *dims)
 
 
 def partial_trace(u: np.ndarray, layout, keep: Iterable[int]) -> np.ndarray:
     """Trace out every system not listed in ``keep`` (original order preserved)."""
-    layout = SystemLayout.of(layout)
+    u, layout = on_layout(u, layout, "partial_trace input")
     keep = layout.validate_subset(keep)
-    u = as_operator(u, "partial_trace input")
-    _check_layout(u, layout, "partial_trace input")
     n = len(layout)
     t = u.reshape(layout.dims + layout.dims)
     # Trace discarded systems from the highest axis down so indices stay valid.
@@ -266,12 +289,8 @@ def _first_bad_pair(pairs, name: str) -> str:
     return f"{name} is not a list of finite [re, im] pairs"
 
 
-def _is_json_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _layout_from_json(dims) -> SystemLayout:
-    if not isinstance(dims, list) or not all(_is_json_int(d) for d in dims):
+    if not isinstance(dims, list) or not all(_is_int(d) for d in dims):
         raise ValueError("dims must be a list of positive integers")
     return SystemLayout.of(dims)
 
@@ -297,9 +316,7 @@ def _complex_to_pairs(values: np.ndarray) -> list[list[float]]:
 
 
 def matrix_to_json(m: np.ndarray, dims: Sequence[int]) -> dict:
-    m = as_operator(m, "matrix")
-    layout = SystemLayout.of(dims)
-    _check_layout(m, layout, "matrix")
+    m, layout = on_layout(m, dims, "matrix")
     return {
         "dims": list(layout.dims),
         "rows": int(m.shape[0]),
@@ -316,7 +333,7 @@ def matrix_from_json(obj: dict) -> tuple[np.ndarray, SystemLayout]:
             raise ValueError(f"matrix JSON missing key {key!r}")
     layout = _layout_from_json(obj["dims"])
     rows, cols = obj["rows"], obj["cols"]
-    if not (_is_json_int(rows) and _is_json_int(cols)):
+    if not (_is_int(rows) and _is_int(cols)):
         raise ValueError("rows and cols must be integers")
     if rows != cols or rows != layout.total:
         raise ValueError(

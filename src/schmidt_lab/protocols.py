@@ -30,7 +30,6 @@ import numpy as np
 from . import matrices as mx
 from .control import VERDICT_RTOL, ControlledForm
 from .errors import ProtocolError
-from .matrices import SystemLayout
 from .randomness import make_rng
 
 FIDELITY_FLOOR = 1.0 - 1e-10
@@ -111,13 +110,13 @@ def entanglement_cost_upper(d_a: int, d_b: int, controlled_terms: int | None = N
 
     Callers must label the smaller side d_a; d_a > d_b raises ValueError.
     """
-    if not isinstance(d_a, int) or not isinstance(d_b, int) or d_a < 1 or d_b < 1:
+    if not (mx._is_int(d_a) and mx._is_int(d_b)) or d_a < 1 or d_b < 1:
         raise ValueError(f"dimensions must be positive integers, got ({d_a}, {d_b})")
     if d_a > d_b:
         raise ValueError(f"label the smaller side first: got d_a={d_a} > d_b={d_b}")
     candidate = d_b
     if controlled_terms is not None:
-        if not isinstance(controlled_terms, int) or controlled_terms < 1:
+        if not mx._is_int(controlled_terms) or controlled_terms < 1:
             raise ValueError(f"controlled_terms must be a positive integer, got {controlled_terms}")
         if controlled_terms > d_a * d_b:
             raise ValueError(
@@ -168,7 +167,7 @@ def _sample_count(branches) -> int | None:
     """None for the exhaustive sweep, else the number of Born-sampled runs."""
     if branches == "all":
         return None
-    if isinstance(branches, int) and not isinstance(branches, bool) and branches >= 1:
+    if mx._is_int(branches) and branches >= 1:
         return branches
     raise ValueError(f"branches must be 'all' or a positive integer, got {branches!r}")
 
@@ -274,12 +273,10 @@ def teleport_unitary_protocol(u, layout, input, seed: int = 0, branches="all"):
     recorded run and its output state; the transcript's fidelity fields
     cover all d_a^4 measurement branches (or ``branches`` sampled runs).
     """
-    lay = SystemLayout.of(layout)
-    if len(lay) != 2:
-        raise ValueError(f"teleportation route needs a bipartite layout, got {len(lay)} systems")
-    d_a, d_b = lay.dims
-    u = mx.assert_unitary(u, "gate")
-    mx._check_layout(u, lay, "gate")
+    u, layout = mx.on_layout(u, layout, "gate", unitary=True)
+    if len(layout) != 2:
+        raise ValueError(f"teleportation route needs a bipartite layout, got {len(layout)} systems")
+    d_a, d_b = layout.dims
     psi = _as_state(input, d_a * d_b)
     expected = u @ psi
     samples = _sample_count(branches)
@@ -312,10 +309,12 @@ def _validate_form(form: ControlledForm, input_dim: int):
     d_c, d_t = form.grouped_dims
     if d_c * d_t != input_dim:
         raise ValueError(f"input must have dimension {d_c * d_t}, got {input_dim}")
-    q = mx.assert_unitary(form.q, "form.q", rtol=VERDICT_RTOL)
-    r = mx.assert_unitary(form.r, "form.r", rtol=VERDICT_RTOL)
+    q, r = mx.as_operator(form.q, "form.q"), mx.as_operator(form.r, "form.r")
     if q.shape[0] != d_c or r.shape[0] != d_c:
         raise ValueError(f"form rotations must act on dimension {d_c}")
+    for name, residual in zip(("form.q", "form.r"), mx.unitarity_residuals(np.stack([q, r]))):
+        if residual > VERDICT_RTOL:
+            raise ValueError(f"{name} is not unitary (residual {residual:.3e})")
     stack = np.asarray(form.blocks, dtype=complex)
     if stack.shape != (d_c, d_t, d_t):
         raise ValueError(f"form blocks must stack to shape {(d_c, d_t, d_t)}, got {stack.shape}")

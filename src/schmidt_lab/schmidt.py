@@ -56,13 +56,9 @@ class SchmidtDecomposition:
         )
 
     def reconstruct(self) -> np.ndarray:
-        grouped = self.grouped_operator()
-        front = self.layout.validate_subset(self.cut)
-        rest = self.layout.complement(front)
-        perm = front + rest
-        grouped_dims = tuple(self.layout.dims[i] for i in perm)
-        inverse = tuple(perm.index(i) for i in range(len(perm)))
-        return mx.permute_systems(grouped, grouped_dims, inverse)
+        order, _ = mx.cut_order(self.layout, self.cut)
+        inverse = tuple(order.index(i) for i in range(len(order)))
+        return mx._permuted(self.grouped_operator(), tuple(self.layout.dims[i] for i in order), inverse)
 
 
 @dataclass(frozen=True)
@@ -102,13 +98,11 @@ def _lex_key(factor: np.ndarray):
     return tuple(np.round(factor.reshape(-1).view(float), 9))
 
 
-def _cut_realigned(u, layout, cut, name: str):
-    """(layout, cut, realigned operator, grouped dims); the one check of ``u`` on this path."""
-    layout = SystemLayout.of(layout)
-    u = mx.as_operator(u, name)
-    cut = layout.validate_subset(cut)
-    grouped, dims = mx.group_systems(u, layout, cut)
-    return layout, cut, mx._realigned(grouped, dims), dims
+def _cut_realigned(u, layout, cut, name: str, unitary: bool = False):
+    """(u, layout, cut, realigned operator, grouped dims); the one check of ``u`` on this path."""
+    u, layout = mx.on_layout(u, layout, name, unitary)
+    cut, grouped, dims = mx.cut_frame(u, layout, cut)
+    return u, layout, cut, mx._realigned(grouped, dims), dims
 
 
 def _expansion(realigned, dims, tol=RANK_RTOL):
@@ -156,7 +150,7 @@ def operator_schmidt_decompose(u, layout, cut, tol: float = RANK_RTOL) -> Schmid
     so repeated calls and round-tripped inputs produce identical output. A
     ``tol`` that is not a finite number in (0, 1) raises ValueError.
     """
-    layout, cut, realigned, dims = _cut_realigned(u, layout, cut, "decomposition input")
+    _, layout, cut, realigned, dims = _cut_realigned(u, layout, cut, "decomposition input")
     return SchmidtDecomposition(*_expansion(realigned, dims, mx.checked_tol(tol)), cut=cut, layout=layout)
 
 
@@ -167,7 +161,7 @@ def schmidt_rank(u, layout, cut, tol: float = RANK_RTOL) -> RankReport:
     on a cut too small to sketch, otherwise only the leading values (see
     ``RankReport``). A ``tol`` outside (0, 1) raises ValueError.
     """
-    return _rank_report(_cut_realigned(u, layout, cut, "rank input")[2], tol)
+    return _rank_report(_cut_realigned(u, layout, cut, "rank input")[3], tol)
 
 
 def _rank_report(realigned, tol) -> RankReport:

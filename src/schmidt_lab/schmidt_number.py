@@ -18,7 +18,6 @@ are enumerated.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import reduce
 
@@ -72,28 +71,17 @@ def random_product_input(layout, rng) -> ProductInput:
     return ProductInput.of([random_state(d, rng) for d in layout.dims])
 
 
-def _strict_cut(layout: SystemLayout, cut) -> tuple:
-    cut = layout.validate_subset(cut)
-    if len(cut) == len(layout):
-        raise ValueError("cut must leave at least one system on the other side")
-    return cut
+def _state_singular_values(vectors: np.ndarray, layout: SystemLayout, grouping) -> np.ndarray:
+    """Schmidt spectra of a ``(k, D)`` stack of state vectors, one row each, across a cut's ``mx.cut_order``."""
+    return svd(mx.group_states(vectors, layout, *grouping))[1]
 
 
-def _state_singular_values(vectors: np.ndarray, dims, cut) -> np.ndarray:
-    """Schmidt spectra across the cut of a ``(k, D)`` stack of state vectors, one row each."""
-    rest = [a for a in range(len(dims)) if a not in cut]
-    d_cut = math.prod(dims[a] for a in cut)
-    axes = [0] + [1 + a for a in list(cut) + rest]
-    matrices = vectors.reshape(-1, *dims).transpose(axes).reshape(len(vectors), d_cut, -1)
-    return svd(matrices)[1]
-
-
-def _output_spectra(u: np.ndarray, factors, dims, cut) -> np.ndarray:
-    """Spectra across the cut of ``u`` on the row-wise products of the factors (states or stacks)."""
-    stacks = [np.reshape(f, (-1, d)) for f, d in zip(factors, dims)]
+def _output_spectra(u: np.ndarray, factors, layout: SystemLayout, grouping) -> np.ndarray:
+    """Spectra across a cut's ``grouping`` of ``u`` on the row-wise products of the factors (states or stacks)."""
+    stacks = [np.reshape(f, (-1, d)) for f, d in zip(factors, layout.dims)]
     # row-wise np.kron, the same products in the same association; one row broadcasts
     vectors = reduce(lambda a, b: (a[:, :, None] * b[:, None]).reshape(-1, a.shape[1] * b.shape[1]), stacks)
-    return _state_singular_values((u[None] @ vectors[:, :, None])[:, :, 0], dims, cut)
+    return _state_singular_values((u[None] @ vectors[:, :, None])[:, :, 0], layout, grouping)
 
 
 def state_schmidt_rank(vector, layout, cut, tol: float = RANK_RTOL) -> int:
@@ -103,11 +91,11 @@ def state_schmidt_rank(vector, layout, cut, tol: float = RANK_RTOL) -> int:
     operator-rank computation uses; a ``tol`` outside (0, 1) raises ValueError.
     """
     layout = SystemLayout.of(layout)
-    cut = _strict_cut(layout, cut)
+    grouping = mx.cut_order(layout, cut)
     vector = np.asarray(vector, dtype=complex).reshape(1, -1)
     if vector.shape[1] != layout.total:
         raise ValueError(f"state must have dimension {layout.total}, got {vector.shape[1]}")
-    return numerical_rank(_state_singular_values(vector, layout.dims, cut)[0], mx.checked_tol(tol))
+    return numerical_rank(_state_singular_values(vector, layout, grouping)[0], mx.checked_tol(tol))
 
 
 def _checked_product_input(input, layout: SystemLayout) -> ProductInput:
@@ -120,12 +108,10 @@ def _checked_product_input(input, layout: SystemLayout) -> ProductInput:
 
 def output_schmidt_rank(u, layout, input, cut, tol: float = RANK_RTOL) -> int:
     """Schmidt rank of u applied to a product input, across the cut; ``tol`` as for a state."""
-    layout = SystemLayout.of(layout)
-    u = mx.as_operator(u, "gate")
-    mx._check_layout(u, layout, "gate")
-    cut = _strict_cut(layout, cut)
+    u, layout = mx.on_layout(u, layout, "gate")
+    grouping = mx.cut_order(layout, cut)
     input = _checked_product_input(input, layout)
-    return numerical_rank(_output_spectra(u, input.local_states, layout.dims, cut)[0], mx.checked_tol(tol))
+    return numerical_rank(_output_spectra(u, input.local_states, layout, grouping)[0], mx.checked_tol(tol))
 
 
 @dataclass(frozen=True)
@@ -145,13 +131,11 @@ def _tail_weight(s: np.ndarray) -> float:
     return total - float(s[0] * s[0])
 
 
-def _checked_gate(u, layout: SystemLayout, cut, tol):
-    """``(u, cut, grouped u, grouped dims, operator Schmidt rank)``: one check and one grouping."""
-    u = mx.assert_unitary(u, "gate")
-    mx._check_layout(u, layout, "gate")
-    cut = _strict_cut(layout, cut)
-    grouped, dims = mx.group_systems(u, layout, cut)
-    return u, cut, grouped, dims, schmidt._rank_report(mx._realigned(grouped, dims), tol).rank
+def _checked_gate(u, layout, cut, tol):
+    """``(u, layout, cut, grouped u, grouped dims, operator Schmidt rank)``: one check and one grouping."""
+    u, layout = mx.on_layout(u, layout, "gate", unitary=True)
+    cut, grouped, dims = mx.cut_frame(u, layout, cut)
+    return u, layout, cut, grouped, dims, schmidt._rank_report(mx._realigned(grouped, dims), tol).rank
 
 
 def max_output_schmidt_rank_search(
@@ -167,10 +151,10 @@ def max_output_schmidt_rank_search(
     The result is a lower bound on the achievable maximum; restarts stop
     early once the dimension or operator-rank cap is reached.
     """
-    if not isinstance(restarts, numbers.Integral) or isinstance(restarts, bool) or restarts < 1:
+    if not mx._is_int(restarts) or restarts < 1:
         raise ValueError(f"restarts must be a positive integer, got {restarts!r}")
-    layout = SystemLayout.of(layout)
-    u, cut, _, grouped_dims, operator_rank = _checked_gate(u, layout, cut, tol)
+    u, layout, cut, _, grouped_dims, operator_rank = _checked_gate(u, layout, cut, tol)
+    grouping = mx.cut_order(layout, cut)
     dims = layout.dims
     cap = min(*grouped_dims, operator_rank)
     rng = make_rng(seed, stream=17)
@@ -181,7 +165,7 @@ def max_output_schmidt_rank_search(
     best_spectrum = None
     for _ in range(restarts):
         states = [random_state(d, rng) for d in dims]
-        s = _output_spectra(u, states, dims, cut)[0]
+        s = _output_spectra(u, states, layout, grouping)[0]
         tail = _tail_weight(s)
         for _ in range(SEARCH_SWEEPS):
             for party in range(len(dims)):
@@ -194,7 +178,7 @@ def max_output_schmidt_rank_search(
                     candidates = [states[party] + step * direction for direction, step in moves[:size]]
                     candidates = np.array([c / np.linalg.norm(c) for c in candidates])
                     trial = states[:party] + [candidates] + states[party + 1 :]
-                    spectra = _output_spectra(u, trial, dims, cut)
+                    spectra = _output_spectra(u, trial, layout, grouping)
                     tails = [_tail_weight(x) for x in spectra]
                     better = [j for j, trial_tail in enumerate(tails) if trial_tail > tail + 1e-15]
                     if better:
@@ -236,7 +220,7 @@ def ancilla_extended_check(u, layout, cut=(0,), tol: float = RANK_RTOL) -> Ancil
     a plain state rank and reported next to the operator Schmidt rank it
     must reproduce.
     """
-    _, _, grouped, (d_a, d_b), operator_rank = _checked_gate(u, SystemLayout.of(layout), cut, tol)
+    _, _, _, grouped, (d_a, d_b), operator_rank = _checked_gate(u, layout, cut, tol)
 
     pair_a = np.eye(d_a, dtype=complex).reshape(-1) / math.sqrt(d_a)
     pair_b = np.eye(d_b, dtype=complex).reshape(-1) / math.sqrt(d_b)
@@ -244,9 +228,9 @@ def ancilla_extended_check(u, layout, cut=(0,), tol: float = RANK_RTOL) -> Ancil
     state = np.kron(pair_a, pair_b).reshape(d_a, d_a, d_b, d_b)
     gate = grouped.reshape(d_a, d_b, d_a, d_b)
     output = np.tensordot(gate, state, axes=((2, 3), (0, 2)))
-    # tensordot leaves (A, B, A-ancilla, B-ancilla); restore ancilla order
-    output = output.transpose(0, 2, 1, 3).reshape(-1)
+    # tensordot leaves (A, B, A-ancilla, B-ancilla); the state is read as (A, A-ancilla) x (B, B-ancilla)
+    output = output.transpose(0, 2, 1, 3).reshape(1, d_a * d_a, d_b * d_b)
 
     # the state holds no more entries than the gate, which has passed the cap check
-    rank = numerical_rank(_state_singular_values(output[None], (d_a, d_a, d_b, d_b), (0, 1))[0], tol)
+    rank = numerical_rank(svd(output)[1][0], tol)
     return AncillaExtensionReport(rank_with_ancillas=rank, operator_schmidt_rank=operator_rank)

@@ -23,7 +23,7 @@ import schmidt_lab
 from schmidt_lab import cli, gates
 from schmidt_lab import matrices as mx
 from schmidt_lab.cli import main
-from schmidt_lab.randomness import haar_unitary, make_rng, random_hermitian
+from schmidt_lab.randomness import haar_unitary, make_rng, random_hermitian, random_state
 
 CNOT = np.array(
     [
@@ -167,6 +167,33 @@ class TestDecompose:
         assert data["status"] == "error"
         assert data["diagnostics"][0].startswith(f"invalid input: {named}")
         assert "invalid input" in err
+
+
+@pytest.mark.parametrize(
+    "cut, message",
+    [
+        ("", "system subset must be nonempty"),
+        ("3", "system index 3 out of range for 3 systems"),
+        ("0,1,2", "grouped subset must be a strict subset of the systems"),
+    ],
+    ids=["empty", "out-of-range", "full"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["decompose", "--cut"],
+        ["detect", "--side"],
+        ["detect", "--bcu", "--side"],
+        ["schmidt-number", "--restarts", "1", "--cut"],
+        ["schmidt-number", "--ancilla", "--cut"],
+        ["protocol", "--route", "controlled", "--side"],
+    ],
+    ids=["decompose", "detect", "detect-bcu", "schmidt-number", "schmidt-number-ancilla", "protocol"],
+)
+def test_every_cut_command_refuses_an_invalid_cut(capsys, u3_path, command, cut, message):
+    code, out, _ = _run(capsys, command[0], u3_path, *command[1:], cut)
+    assert code == 2
+    assert json.loads(out)["diagnostics"] == [f"invalid input: {message}"]
 
 
 class TestDetect:
@@ -323,6 +350,20 @@ class TestProtocol:
         code, out, _ = _run(capsys, "protocol", cnot_path, "--route", "teleport", "--input", str(path))
         assert code == 2
         assert json.loads(out)["diagnostics"][0].startswith("invalid input: dims")
+
+    @pytest.mark.parametrize("route", ["teleport", "controlled"])
+    def test_a_state_on_other_dims_is_invalid(self, capsys, tmp_path, route):
+        # a [3, 2] state has the total of a [2, 3] gate; its amplitudes were read in the gate's layout
+        u, layout = gates.random_controlled_unitary(2, 3, 2, seed=0)
+        gate = _write_matrix(tmp_path, "g.json", u, layout.dims)
+        state = _write_state(tmp_path, "in.json", random_state(6, make_rng(1)), (3, 2))
+        code, out, _ = _run(capsys, "protocol", gate, "--route", route, "--input", state)
+        assert code == 2
+        assert json.loads(out)["diagnostics"] == [
+            "invalid input: input state dims (3, 2) do not match gate dims (2, 3)"
+        ]
+        state = _write_state(tmp_path, "in.json", random_state(6, make_rng(1)), (2, 3))
+        assert _run(capsys, "protocol", gate, "--route", route, "--input", state)[0] == 0
 
     def test_controlled_route_refuses_uncontrolled_gates(self, capsys, swap_path):
         code, out, _ = _run(capsys, "protocol", "--route", "controlled", swap_path)
@@ -511,5 +552,5 @@ def test_the_stdout_set_covers_every_subcommand_and_route():
     (route,) = [a for a in commands.choices["protocol"]._actions if a.dest == "route"]
     routes = {argv[argv.index("--route") + 1] for argv in argvs if "--route" in argv}
     assert routes == set(route.choices)
-    files = {f"$T/{name}" for name in stdout_set.gate_files()}
+    files = {f"$T/{name}" for name in [*stdout_set.gate_files(), *stdout_set.state_files()]}
     assert {arg for argv in argvs for arg in argv if arg.startswith("$T/")} - files == {"$T/missing.json"}

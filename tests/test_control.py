@@ -259,6 +259,15 @@ def test_tiny_global_perturbation_is_inconclusive_not_negative():
     assert 1e-8 < verdict.violation <= 1e-5
 
 
+def test_a_check_within_tol_without_a_witness_is_a_near_miss():
+    # a basis residual in (1e-8, tol] passes no verdict; with tol above the
+    # near-miss ceiling it stays inconclusive up to tol
+    assert control._band(1e-4, "x", 1e-3) == (True, None, False)
+    assert control._band(1e-4, "x", 1e-3, witnessed=False) == (False, "inconclusive: x", True)
+    assert control._band(1e-6, "x", 1e-8, witnessed=False) == (False, "inconclusive: x", True)
+    assert control._band(1e-2, "x", 1e-3, witnessed=False) == (False, "x", False)
+
+
 def _band(verdict):
     return 0 if verdict.controlled else 1 if verdict.inconclusive else 2
 
@@ -667,3 +676,8 @@ def test_fuzz_rejects_bad_arguments():
         fuzz_theorem_checks("unknown-suite", trials=3, seed=0)
     with pytest.raises(ValueError):
         fuzz_theorem_checks("sch3", trials=0, seed=0)
+    for trials in (2.7, "3", True):
+        # int() used to run 2.7 as 2 trials and "3" as 3
+        with pytest.raises(ValueError, match="trials must be a positive integer"):
+            fuzz_theorem_checks("sch3", trials=trials, seed=0)
+    assert fuzz_theorem_checks("sch3", trials=np.int64(2), seed=0).passes == 2

@@ -3,20 +3,28 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from schmidt_lab import factorizations as fx
+from schmidt_lab import gates
 from schmidt_lab import matrices as mx
 from schmidt_lab.algebra import family_obstruction, simultaneous_svd
-from schmidt_lab.control import ControlledForm, is_controlled
+from schmidt_lab.control import ControlledForm, is_bcu, is_controlled
 from schmidt_lab.errors import DimensionError
 from schmidt_lab.protocols import controlled_gate_protocol, teleport_unitary_protocol, verify_protocol
 from schmidt_lab.randomness import make_rng, random_complex_gaussian, random_state
-from schmidt_lab.schmidt import operator_schmidt_decompose
-from schmidt_lab.schmidt_number import ProductInput
+from schmidt_lab.schmidt import operator_schmidt_decompose, schmidt_rank
+from schmidt_lab.schmidt_number import (
+    ProductInput,
+    ancilla_extended_check,
+    max_output_schmidt_rank_search,
+    output_schmidt_rank,
+    state_schmidt_rank,
+)
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -71,13 +79,92 @@ def test_tensor_product_respects_dimension_cap(monkeypatch):
 def test_system_layout_validation():
     layout = mx.SystemLayout.of([2, 3, 2])
     assert layout.total == 12
-    assert layout.complement((1,)) == (0, 2)
+    assert layout.split((1,)) == ((1,), (0, 2))
     with pytest.raises(ValueError):
         mx.SystemLayout.of([2, 0])
     with pytest.raises(ValueError):
         layout.validate_subset((3,))
     with pytest.raises(ValueError):
         layout.validate_subset(())
+
+
+@pytest.mark.parametrize("dims", [(2.9, 3), ("3",), (True, 4), (2, np.float64(3.0)), (np.bool_(True), 2)])
+def test_layout_dimensions_are_integers_not_bools(dims):
+    # int() used to turn these into (2, 3), (3,), (1, 4) and (2, 3)
+    with pytest.raises(ValueError, match="^dimensions must be positive integers"):
+        mx.SystemLayout.of(dims)
+
+
+@pytest.mark.parametrize("subset", [(0.9,), ("1",), (True,), (0, 1.0)])
+def test_system_indices_are_integers_not_bools(subset):
+    layout = mx.SystemLayout.of((2, 3, 2))
+    for check in (layout.validate_subset, layout.split):
+        with pytest.raises(ValueError, match="^system indices must be integers"):
+            check(subset)
+
+
+def test_numpy_integers_pass_as_dimensions_and_indices():
+    layout = mx.SystemLayout.of((np.int64(2), np.int32(3), np.uint8(2)))
+    assert layout == mx.SystemLayout.of((2, 3, 2))
+    assert all(type(d) is int for d in layout.dims)
+    assert layout.split((np.int64(2), np.int16(0))) == ((0, 2), (1,))
+    u = mx.permute_systems(np.eye(12), layout, (np.int64(1), 0, 2))
+    assert np.array_equal(u, np.eye(12))
+
+
+def test_a_float_layout_or_side_is_refused_by_the_detector():
+    u, _ = gates.random_controlled_unitary(2, 3, 2, seed=0)
+    with pytest.raises(ValueError, match="^dimensions must be positive integers"):
+        is_controlled(u, (2.9, 3), (0,))
+    with pytest.raises(ValueError, match="^system indices must be integers"):
+        is_controlled(u, (2, 3), (0.9,))
+
+
+def test_float_permutations_and_ancilla_dimensions_are_refused():
+    with pytest.raises(ValueError, match="is not a permutation"):
+        mx.permute_systems(np.eye(4), (2, 2), (0.9, 1))
+    with pytest.raises(ValueError, match="ancilla dimensions must be positive integers"):
+        gates.tensor_extension(CNOT, (2, 2), (1.5, 1))
+
+
+_ZERO3 = [np.array([1.0, 0.0])] * 3
+
+# every entry point that reads a cut, as (gate, layout, cut) -> anything
+_CUT_ENTRIES = {
+    "operator_schmidt_decompose": operator_schmidt_decompose,
+    "schmidt_rank": schmidt_rank,
+    "is_controlled": is_controlled,
+    "is_bcu": is_bcu,
+    "output_schmidt_rank": lambda u, layout, cut: output_schmidt_rank(u, layout, _ZERO3, cut),
+    "state_schmidt_rank": lambda u, layout, cut: state_schmidt_rank(u[:, 0], layout, cut),
+    "max_output_schmidt_rank_search": lambda u, layout, cut: max_output_schmidt_rank_search(
+        u, layout, cut, restarts=1
+    ),
+    "ancilla_extended_check": ancilla_extended_check,
+}
+
+
+@pytest.mark.parametrize(
+    "cut, message",
+    [
+        ((), "system subset must be nonempty"),
+        ((3,), "system index 3 out of range for 3 systems"),
+        ((-1, 0), "system index -1 out of range for 3 systems"),
+        ((0, 1, 2), "grouped subset must be a strict subset of the systems"),
+        ((2, 0, 1, 0), "grouped subset must be a strict subset of the systems"),
+    ],
+    ids=["empty", "out-of-range", "negative", "full", "full-repeated"],
+)
+@pytest.mark.parametrize("entry", sorted(_CUT_ENTRIES))
+def test_every_cut_entry_point_refuses_an_invalid_cut(entry, cut, message):
+    u, layout = gates.u3()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _CUT_ENTRIES[entry](u, layout, cut)
+
+
+def test_a_scramble_checks_its_layout_before_multiplying():
+    with pytest.raises(DimensionError, match=r"^scramble input has side 6 but layout \(2, 2\) implies 4$"):
+        gates.random_local_scramble(np.eye(6), (2, 2), seed=0)
 
 
 def test_layouts_over_the_cap_stop_at_the_first_partial_product(monkeypatch):

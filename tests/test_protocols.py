@@ -105,6 +105,14 @@ class TestCostCalculator:
         with pytest.raises(ValueError):
             entanglement_cost_upper(2, 3, controlled_terms=0)
 
+    def test_integer_arguments_follow_one_rule(self):
+        # numpy integers pass; bools and floats do not (True used to run as k = 1)
+        rep = entanglement_cost_upper(np.int64(2), np.int32(3), controlled_terms=np.int64(2))
+        assert (rep.k, rep.ebits, rep.route) == (2, 1.0, "controlled")
+        for args, kwargs in [((True, 4), {}), ((2, 3.0), {}), ((2, 3), {"controlled_terms": True})]:
+            with pytest.raises(ValueError, match="must be positive integers|must be a positive integer"):
+                entanglement_cost_upper(*args, **kwargs)
+
 
 class TestTeleportationRoute:
     def test_identity_round_trip_is_the_identity_channel(self):

@@ -17,8 +17,10 @@ d x d gates (d = 2, 3, 4, 8, r = 1..min(3, d), seeds 0, 1, 5) and 3 x 5 of
 rank 3, the named multipartite gates, a Haar 9 x 9 gate as 3 x 3, three
 near misses of a rank-2 4 x 4 gate at 1e-7 and three within the verdict
 tolerance at 3e-9, the four fuzz suites, one construction, a rank-one
-controlled run with ``--branches 0`` (refused like every form) and a
-missing file: 470 commands.
+controlled run with ``--branches 0`` (refused like every form), a missing
+file, an empty, an out-of-range and a full cut through every command that
+reads one, and the 3 x 5 gate fed a state on dims [3, 5] and one on [5, 3]
+(refused): 492 commands.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from schmidt_lab import cli, gates
 from schmidt_lab import matrices as mx
 from schmidt_lab.control import FUZZ_SUITES
 from schmidt_lab.matrices import SystemLayout
-from schmidt_lab.randomness import haar_unitary, make_rng, random_hermitian
+from schmidt_lab.randomness import haar_unitary, make_rng, random_hermitian, random_state
 
 RANDOM_CONTROLLED = [
     (d, d, r, seed) for d in (2, 3, 4, 8) for r in range(1, min(3, d) + 1) for seed in (0, 1, 5)
@@ -53,6 +55,7 @@ NAMED = {
 # exp(eps i H) times rc 4x4 r2, H = random_hermitian(16, make_rng(8)): near misses at 1e-7,
 # and at 3e-9 gates the detector certifies with witnesses up to 1.2e-10 off unitary
 NEAR_MISS_SEEDS = (0, 1, 2)
+
 
 
 def _rc_name(d_c, d_t, r, seed):
@@ -78,6 +81,12 @@ def gate_files() -> dict:
         files[f"near-miss-s{seed}.json"] = _near_miss(seed, 1e-7)
         files[f"certified-near-miss-s{seed}.json"] = _near_miss(seed, 3e-9)
     return files
+
+
+def state_files() -> dict:
+    """``{file name: state JSON}``: one state of the 3 x 5 gate's total on its dims and on [5, 3]."""
+    psi = random_state(15, make_rng(15))
+    return {f"state-{a}x{b}.json": mx.state_to_json(psi, (a, b)) for a, b in ((3, 5), (5, 3))}
 
 
 def commands() -> list:
@@ -129,6 +138,23 @@ def commands() -> list:
         ["protocol", f"$T/{_rc_name(3, 3, 1, 0)}.json", "--route", "controlled", "--branches", "0"],
         ["decompose", "$T/missing.json"],
     ]
+    for cut in ("", "3", "0,1,2"):
+        argvs += [
+            [*command, cut]
+            for command in (
+                ["decompose", "$T/u3.json", "--cut"],
+                ["detect", "$T/u3.json", "--side"],
+                ["detect", "$T/u3.json", "--bcu", "--side"],
+                ["schmidt-number", "$T/u3.json", "--restarts", "1", "--cut"],
+                ["schmidt-number", "$T/u3.json", "--ancilla", "--cut"],
+                ["protocol", "$T/u3.json", "--route", "controlled", "--side"],
+            )
+        ]
+    argvs += [
+        ["protocol", f"$T/{_rc_name(3, 5, 3, 1)}.json", "--route", route, "--input", f"$T/{state}"]
+        for state in state_files()
+        for route in ("teleport", "controlled")
+    ]
     return argvs
 
 
@@ -136,6 +162,8 @@ def run() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for name, (u, dims) in gate_files().items():
             Path(tmp, name).write_text(json.dumps(mx.matrix_to_json(u, dims)))
+        for name, state in state_files().items():
+            Path(tmp, name).write_text(json.dumps(state))
         for argv in commands():
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
