@@ -254,7 +254,7 @@ def _cmd_protocol(args) -> CommandResult:
             summary = f"side {list(side)}: not controlled ({verdict.failed_check})"
             return _verdict_result(payload, False, verdict.inconclusive, summary)
         side = verdict.form.side
-        psi = mx.group_states(psi[None], layout, *mx.cut_order(layout, side)).reshape(-1)
+        psi = mx.group_states(psi[None], layout, *mx.cut_order(layout, side)[1:]).reshape(-1)
         transcript, output = protocols.controlled_gate_protocol(
             verdict.form, psi, seed=args.seed, branches=branches
         )

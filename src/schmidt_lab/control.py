@@ -154,7 +154,7 @@ def _control_cut(u, layout, side):
     Returns ``(side, grouped, (d_c, d_t), Schmidt rank, factors)``, the factors
     as one ``(n, d_c, d_c)`` stack. ``u`` and ``layout`` come from ``_checked``.
     """
-    side, grouped, dims = mx.cut_frame(u, layout, side)
+    side, _, grouped, dims = mx.cut_frame(u, layout, side)
     coefficients, lefts, _ = _expansion(mx._realigned(grouped, dims), dims)
     factors = lefts[coefficients > SIGNIFICANT_FLOOR * coefficients[0]]
     return side, grouped, dims, len(coefficients), factors

@@ -114,7 +114,7 @@ def frobenius_norm(m: np.ndarray) -> float:
 def frobenius_norms(stack: np.ndarray) -> np.ndarray:
     """``frobenius_norm`` of each matrix of a stack, bitwise: the same two BLAS dots each."""
     re, im = stack.real.reshape(*stack.shape[:-2], 1, -1), stack.imag.reshape(*stack.shape[:-2], 1, -1)
-    return np.sqrt((re @ re.mT + im @ im.mT)[..., 0, 0])
+    return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
 
 
 def checked_tol(tol, name: str = "tol"):
@@ -220,11 +220,11 @@ def _permuted(u: np.ndarray, dims: tuple, perm: tuple) -> np.ndarray:
     return u.reshape(dims * 2).transpose(axes).reshape(u.shape)
 
 
-def cut_order(layout: SystemLayout, front) -> tuple[tuple, tuple]:
-    """``(front + rest, (d_front, d_rest))``: the one system order of a cut's grouped frame."""
+def cut_order(layout: SystemLayout, front) -> tuple[tuple, tuple, tuple]:
+    """``(front, front + rest, (d_front, d_rest))``: a cut checked, and the one system order of its grouped frame."""
     front, rest = layout.split(front)
     d_front = math.prod(layout.dims[i] for i in front)
-    return front + rest, (d_front, layout.total // d_front)
+    return front, front + rest, (d_front, layout.total // d_front)
 
 
 def group_systems(u: np.ndarray, layout, front: Iterable[int]):
@@ -234,7 +234,7 @@ def group_systems(u: np.ndarray, layout, front: Iterable[int]):
     frame every cut-based routine works in. Only the shape of ``u`` is checked, not its entries.
     """
     layout = SystemLayout.of(layout)
-    order, dims = cut_order(layout, front)
+    _, order, dims = cut_order(layout, front)
     u = np.asarray(u, dtype=complex)
     if u.shape != (layout.total,) * 2:
         raise DimensionError(f"grouped operator has shape {u.shape}, layout {layout.dims}")
@@ -242,13 +242,17 @@ def group_systems(u: np.ndarray, layout, front: Iterable[int]):
 
 
 def cut_frame(u: np.ndarray, layout: SystemLayout, cut):
-    """``(cut, grouped u, grouped dims)`` of a ``u`` and layout from ``on_layout``, the cut sorted."""
-    grouped, dims = group_systems(u, layout, cut)
-    return layout.validate_subset(cut), grouped, dims
+    """``(front, order, grouped u, grouped dims)`` of a ``u`` and layout from ``on_layout``.
+
+    The cut's ``cut_order`` is worked out here, once; the grouping itself is the one
+    ``group_systems`` call per cut, whose own checks of its public inputs pass at once.
+    """
+    front, order, dims = cut_order(layout, cut)
+    return front, order, group_systems(u, layout, front)[0], dims
 
 
 def group_states(vectors: np.ndarray, layout: SystemLayout, order: tuple, dims: tuple) -> np.ndarray:
-    """A ``(k, D)`` stack of states on ``layout`` as ``(k, d_front, d_rest)`` matrices, by a cut's ``cut_order``."""
+    """A ``(k, D)`` stack of states on ``layout`` as ``(k, d_front, d_rest)`` matrices, in a cut's order."""
     axes = (0, *(1 + i for i in order))
     return vectors.reshape(-1, *layout.dims).transpose(axes).reshape(len(vectors), *dims)
 

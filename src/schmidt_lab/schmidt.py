@@ -56,7 +56,7 @@ class SchmidtDecomposition:
         )
 
     def reconstruct(self) -> np.ndarray:
-        order, _ = mx.cut_order(self.layout, self.cut)
+        _, order, _ = mx.cut_order(self.layout, self.cut)
         inverse = tuple(order.index(i) for i in range(len(order)))
         return mx._permuted(self.grouped_operator(), tuple(self.layout.dims[i] for i in order), inverse)
 
@@ -101,7 +101,7 @@ def _lex_key(factor: np.ndarray):
 def _cut_realigned(u, layout, cut, name: str, unitary: bool = False):
     """(u, layout, cut, realigned operator, grouped dims); the one check of ``u`` on this path."""
     u, layout = mx.on_layout(u, layout, name, unitary)
-    cut, grouped, dims = mx.cut_frame(u, layout, cut)
+    cut, _, grouped, dims = mx.cut_frame(u, layout, cut)
     return u, layout, cut, mx._realigned(grouped, dims), dims
 
 

@@ -72,7 +72,7 @@ def random_product_input(layout, rng) -> ProductInput:
 
 
 def _state_singular_values(vectors: np.ndarray, layout: SystemLayout, grouping) -> np.ndarray:
-    """Schmidt spectra of a ``(k, D)`` stack of state vectors, one row each, across a cut's ``mx.cut_order``."""
+    """Schmidt spectra of a ``(k, D)`` stack of state vectors, one row each, across a cut's ``(order, dims)``."""
     return svd(mx.group_states(vectors, layout, *grouping))[1]
 
 
@@ -91,7 +91,7 @@ def state_schmidt_rank(vector, layout, cut, tol: float = RANK_RTOL) -> int:
     operator-rank computation uses; a ``tol`` outside (0, 1) raises ValueError.
     """
     layout = SystemLayout.of(layout)
-    grouping = mx.cut_order(layout, cut)
+    grouping = mx.cut_order(layout, cut)[1:]
     vector = np.asarray(vector, dtype=complex).reshape(1, -1)
     if vector.shape[1] != layout.total:
         raise ValueError(f"state must have dimension {layout.total}, got {vector.shape[1]}")
@@ -109,7 +109,7 @@ def _checked_product_input(input, layout: SystemLayout) -> ProductInput:
 def output_schmidt_rank(u, layout, input, cut, tol: float = RANK_RTOL) -> int:
     """Schmidt rank of u applied to a product input, across the cut; ``tol`` as for a state."""
     u, layout = mx.on_layout(u, layout, "gate")
-    grouping = mx.cut_order(layout, cut)
+    grouping = mx.cut_order(layout, cut)[1:]
     input = _checked_product_input(input, layout)
     return numerical_rank(_output_spectra(u, input.local_states, layout, grouping)[0], mx.checked_tol(tol))
 
@@ -132,10 +132,10 @@ def _tail_weight(s: np.ndarray) -> float:
 
 
 def _checked_gate(u, layout, cut, tol):
-    """``(u, layout, cut, grouped u, grouped dims, operator Schmidt rank)``: one check and one grouping."""
+    """``(u, layout, cut order, grouped u, grouped dims, operator Schmidt rank)``: one check and one grouping."""
     u, layout = mx.on_layout(u, layout, "gate", unitary=True)
-    cut, grouped, dims = mx.cut_frame(u, layout, cut)
-    return u, layout, cut, grouped, dims, schmidt._rank_report(mx._realigned(grouped, dims), tol).rank
+    _, order, grouped, dims = mx.cut_frame(u, layout, cut)
+    return u, layout, order, grouped, dims, schmidt._rank_report(mx._realigned(grouped, dims), tol).rank
 
 
 def max_output_schmidt_rank_search(
@@ -153,8 +153,8 @@ def max_output_schmidt_rank_search(
     """
     if not mx._is_int(restarts) or restarts < 1:
         raise ValueError(f"restarts must be a positive integer, got {restarts!r}")
-    u, layout, cut, _, grouped_dims, operator_rank = _checked_gate(u, layout, cut, tol)
-    grouping = mx.cut_order(layout, cut)
+    u, layout, order, _, grouped_dims, operator_rank = _checked_gate(u, layout, cut, tol)
+    grouping = (order, grouped_dims)
     dims = layout.dims
     cap = min(*grouped_dims, operator_rank)
     rng = make_rng(seed, stream=17)

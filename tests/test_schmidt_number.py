@@ -390,7 +390,7 @@ class TestAncillaExtension:
         u, _ = gates.random_controlled_unitary(4, 5, 2, seed=2)
         monkeypatch.setenv("SCHMIDT_LAB_MAX_DIM", "16")
         monkeypatch.setattr(np, "kron", refuse)
-        monkeypatch.setattr(schmidt_number, "_state_singular_values", refuse)
+        monkeypatch.setattr(schmidt_number, "svd", refuse)
         with pytest.raises(DimensionError, match="total dimension 20 exceeds"):
             ancilla_extended_check(u, (4, 5))
 
