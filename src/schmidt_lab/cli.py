@@ -83,14 +83,6 @@ def _load_json(path: str):
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_matrix(path: str):
-    return mx.matrix_from_json(_load_json(path))
-
-
-def _load_state(path: str):
-    return mx.state_from_json(_load_json(path))
-
-
 def _parse_indices(raw: str, what: str):
     try:
         return tuple(int(token) for token in raw.split(",") if token.strip() != "")
@@ -121,7 +113,7 @@ def _single_system_json(m: np.ndarray) -> dict:
 
 
 def _cmd_decompose(args) -> CommandResult:
-    u, layout = _load_matrix(args.path)
+    u, layout = mx.matrix_from_json(_load_json(args.path))
     cut = _parse_indices(args.cut, "cut")
     dec = schmidt.operator_schmidt_decompose(u, layout, cut, **_tol_kwargs(args))
     payload = {
@@ -147,7 +139,7 @@ def _verdict_result(payload: dict, positive: bool, inconclusive: bool, summary: 
 
 
 def _cmd_detect(args) -> CommandResult:
-    u, layout = _load_matrix(args.path)
+    u, layout = mx.matrix_from_json(_load_json(args.path))
     side = _parse_side(args.side, layout)
     if args.bcu:
         verdict = control.is_bcu(u, layout, side, **_tol_kwargs(args))
@@ -211,7 +203,7 @@ def _cmd_construct(args) -> CommandResult:
 
 
 def _cmd_protocol(args) -> CommandResult:
-    u, layout = _load_matrix(args.path)
+    u, layout = mx.matrix_from_json(_load_json(args.path))
     branches = "all" if args.branches is None else args.branches
 
     if args.route == "cost":
@@ -224,7 +216,7 @@ def _cmd_protocol(args) -> CommandResult:
         return CommandResult("ok", payload, diagnostics, EXIT_OK)
 
     if args.input:
-        psi, state_layout = _load_state(args.input)
+        psi, state_layout = mx.state_from_json(_load_json(args.input))
         if state_layout.dims != layout.dims:
             raise ValueError(f"input state dims {state_layout.dims} do not match gate dims {layout.dims}")
     else:
@@ -282,7 +274,7 @@ def _cmd_protocol(args) -> CommandResult:
 
 
 def _cmd_schmidt_number(args) -> CommandResult:
-    u, layout = _load_matrix(args.path)
+    u, layout = mx.matrix_from_json(_load_json(args.path))
     cut = _parse_indices(args.cut, "cut")
     if args.ancilla:
         report = schmidt_number.ancilla_extended_check(u, layout, cut, **_tol_kwargs(args))

@@ -151,13 +151,13 @@ class FuzzSummary:
 def _control_cut(u, layout, side):
     """Group a unitary's ``side`` to the front and keep its significant factors.
 
-    Returns ``(side, grouped, (d_c, d_t), Schmidt rank, factors)``, the factors
+    Returns ``(side, grouped, (d_c, d_t), kept coefficients, factors)``, the factors
     as one ``(n, d_c, d_c)`` stack. ``u`` and ``layout`` come from ``_checked``.
     """
     side, _, grouped, dims = mx.cut_frame(u, layout, side)
     coefficients, lefts, _ = _expansion(mx._realigned(grouped, dims), dims)
     factors = lefts[coefficients > SIGNIFICANT_FLOOR * coefficients[0]]
-    return side, grouped, dims, len(coefficients), factors
+    return side, grouped, dims, coefficients, factors
 
 
 def _checked(u, layout, tol, name):
@@ -184,9 +184,12 @@ def _band(violation, description, tol, witnessed=True):
 def is_controlled(u, layout, side, tol: float = VERDICT_RTOL) -> ControlVerdict:
     """Decide whether ``u`` is controlled from the ``side`` systems.
 
-    The candidate control systems are grouped to the front, the operator is
-    Schmidt-decomposed across that cut, and the control-side factors are fed
-    to the simultaneous singular value decomposition. Its witness pair fixes
+    The candidate control systems are grouped to the front and the operator is
+    Schmidt-decomposed across that cut. With more significant factors than
+    control levels, a coefficient tail past ``d_c`` above the band refutes at
+    once: it bounds the relative distance to every controlled unitary
+    (Eckart-Young). Otherwise the control-side factors are fed to the
+    simultaneous singular value decomposition. Its witness pair fixes
     the bases; the target blocks are then read directly off the rotated
     operator, so rank-deficient factor spans still fill in correctly. The
     assembled form is verified against the input before any positive verdict.
@@ -198,8 +201,14 @@ def is_controlled(u, layout, side, tol: float = VERDICT_RTOL) -> ControlVerdict:
 
 def _decide_control(cut, norm_u, tol) -> ControlVerdict:
     """The verdict of ``is_controlled`` on a cut from ``_control_cut`` of a ``u`` of norm ``norm_u``."""
-    side, grouped, (d_c, d_t), rank, factors = cut
-    result = algebra.simultaneous_svd(factors, tol=tol)
+    side, grouped, (d_c, d_t), coefficients, factors = cut
+    # a controlled unitary's realignment has rank at most d_c, so by Eckart-Young every one lies
+    # at least this far from u; the mass left out of the kept coefficients makes it a lower bound
+    distance = float(np.linalg.norm(coefficients[d_c:])) / norm_u
+    if len(factors) > d_c and distance > max(tol, NEAR_MISS_CEILING):
+        result = algebra._failure(f"Schmidt rank exceeds the control dimension (distance {distance:.3e})", distance)
+    else:
+        result = algebra.simultaneous_svd(factors, tol=tol)
     form = None
     if result.ok:
         s, t = result.s, result.t
@@ -224,7 +233,7 @@ def _decide_control(cut, norm_u, tol) -> ControlVerdict:
         failed_check=failed_check,
         inconclusive=inconclusive,
         violation=violation,
-        schmidt_rank=rank,
+        schmidt_rank=len(coefficients),
     )
 
 

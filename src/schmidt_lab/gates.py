@@ -203,12 +203,14 @@ GATE_BUILDERS = {
 
 
 def build_gate(name: str, **params):
-    """Construct a registered gate; unknown names or bad parameters raise ValueError."""
+    """Construct a registered gate; unknown names or bad parameters (each must be an integer) raise ValueError."""
     try:
         builder = GATE_BUILDERS[name]
     except KeyError:
         known = ", ".join(sorted(GATE_BUILDERS))
         raise ValueError(f"unknown gate {name!r}; known gates: {known}") from None
+    if not all(map(mx._is_int, params.values())):
+        raise ValueError(f"gate parameters must be integers, got {params}")
     try:
         return builder(**params)
     except TypeError as exc:

@@ -112,7 +112,11 @@ def frobenius_norm(m: np.ndarray) -> float:
 
 
 def frobenius_norms(stack: np.ndarray) -> np.ndarray:
-    """``frobenius_norm`` of each matrix of a stack, bitwise: the same two BLAS dots each."""
+    """``frobenius_norm`` of each matrix of a stack, from two BLAS dots each.
+
+    Bitwise equal to ``frobenius_norm`` on Gram deviations of unitaries; on
+    general complex stacks the two may differ in the last bits.
+    """
     re, im = stack.real.reshape(*stack.shape[:-2], 1, -1), stack.imag.reshape(*stack.shape[:-2], 1, -1)
     return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
 
@@ -257,6 +261,8 @@ def group_states(vectors: np.ndarray, layout: SystemLayout, order: tuple, dims: 
     return vectors.reshape(-1, *layout.dims).transpose(axes).reshape(len(vectors), *dims)
 
 
+# No library path calls ``partial_trace``; it stays because ``bench/spans.py`` wraps it by name
+# and the tests use it as the reference formula of a control-side trace.
 def partial_trace(u: np.ndarray, layout, keep: Iterable[int]) -> np.ndarray:
     """Trace out every system not listed in ``keep`` (original order preserved)."""
     u, layout = on_layout(u, layout, "partial_trace input")

@@ -216,7 +216,9 @@ class TestDetect:
         data, payload = _payload(out)
         assert data["status"] == "verdict-negative"
         assert payload["controlled"] is False
-        assert "products" in payload["failed_check"]
+        # one of u3's three equal Schmidt coefficients lies past the two control levels
+        assert payload["failed_check"] == "Schmidt rank exceeds the control dimension (distance 5.774e-01)"
+        assert payload["violation"] == pytest.approx(1 / np.sqrt(3), abs=1e-12)
 
     def test_three_qubit_pair_is_positive(self, capsys, u3_path):
         code, out, _ = _run(capsys, "detect", u3_path, "--side", "0,1")
@@ -245,13 +247,14 @@ class TestDetect:
         assert payload["bcu"] is True
 
     def test_product_families_over_the_cap_exit_2(self, capsys, tmp_path, monkeypatch):
-        path = _write_matrix(tmp_path, "haar.json", haar_unitary(16, make_rng(5)), (4, 4))
+        # on an 8x2 cut the 4 factors fit the 8 control levels, so the families form
+        path = _write_matrix(tmp_path, "haar.json", haar_unitary(16, make_rng(5)), (8, 2))
         monkeypatch.setenv("SCHMIDT_LAB_MAX_DIM", "16")
         code, out, _ = _run(capsys, "detect", path, "--side", "0")
         assert code == 2
         data, _ = _payload(out)
         assert data["status"] == "error"
-        assert "product families" in data["diagnostics"][0]
+        assert "product families of 2048 entries" in data["diagnostics"][0]
 
     def test_out_of_memory_is_a_failure_not_a_verdict(self, capsys, cnot_path, monkeypatch):
         def exhausted(args):
@@ -308,6 +311,17 @@ class TestConstruct:
         diagnostic = json.loads(out)["diagnostics"][0]
         assert "exceeds the configured cap 4096" in diagnostic
         assert "integer string conversion" not in out + err
+
+    @pytest.mark.parametrize(
+        "gate, params", [("pauli", '{"i": true}'), ("u-odd-n", '{"n": 5.0}'), ("u-odd-n", '{"n": "5"}')]
+    )
+    def test_a_parameter_that_is_not_an_integer_is_invalid(self, capsys, gate, params):
+        # a bool would build sigma_1 from {"i": true}; a float or a string would fail deep in the builder
+        code, out, _ = _run(capsys, "construct", "--gate", gate, "--params", params)
+        assert code == 2
+        data = json.loads(out)
+        assert data["status"] == "error"
+        assert "gate parameters must be integers" in data["diagnostics"][0]
 
     def test_unknown_gate_is_invalid(self, capsys):
         code, out, _ = _run(capsys, "construct", "--gate", "warp-drive")
@@ -554,3 +568,7 @@ def test_the_stdout_set_covers_every_subcommand_and_route():
     assert routes == set(route.choices)
     files = {f"$T/{name}" for name in [*stdout_set.gate_files(), *stdout_set.state_files()]}
     assert {arg for argv in argvs for arg in argv if arg.startswith("$T/")} - files == {"$T/missing.json"}
+    # a Haar gate refuted by its Schmidt tail, and a far gate with too few factors for that rule
+    for name in ("haar-4x4", "few-factors-far-6x6"):
+        assert ["detect", f"$T/{name}.json", "--side", "A"] in argvs
+    assert f"{len(argvs)} commands." in stdout_set.__doc__

@@ -2,7 +2,8 @@
 
 Positive oracles are gates whose controlled structure is known by
 construction (CNOT, padded products, the random controlled family);
-negative oracles are SWAP and the odd-qubit family, whose factor algebras
+negative oracles are SWAP and the odd-qubit family, whose Schmidt ranks
+exceed every single-system control dimension, and gates whose factor algebras
 obstruct every would-be control basis. Detection must recover both through
 local scrambling, and perturbations too small to refute must come back
 inconclusive rather than negative.
@@ -162,17 +163,16 @@ def test_cnot_controlled_from_target_side_too():
 
 
 def test_swap_not_controlled_from_either_side():
-    # the factor span of SWAP is the full one-qubit operator space, whose
-    # product family cannot be normal and commuting; which member trips
-    # first depends on the basis the degenerate spectrum hands back
+    # SWAP has four Schmidt coefficients of 1 and norm 2, so two of them lie
+    # past either qubit's control dimension: distance sqrt(2) / 2
     swap, layout = gates.swap_gate()
     for side in ((0,), (1,)):
         verdict = is_controlled(swap, layout, side)
         assert not verdict.controlled
         assert verdict.form is None
-        assert "products" in verdict.failed_check
+        assert verdict.failed_check == "Schmidt rank exceeds the control dimension (distance 7.071e-01)"
         assert not verdict.inconclusive
-        assert verdict.violation > 1e-5
+        assert verdict.violation == pytest.approx(np.sqrt(0.5), abs=1e-12)
 
 
 def test_scrambled_swap_still_not_controlled():
@@ -183,12 +183,14 @@ def test_scrambled_swap_still_not_controlled():
 
 
 def test_three_qubit_gate_has_no_single_control():
+    # three equal coefficients across every single-qubit cut: one of them lies
+    # past the two control levels, distance 1 / sqrt(3)
     u, layout = gates.u3()
     for i in range(3):
         verdict = is_controlled(u, layout, (i,))
         assert not verdict.controlled
-        assert "products" in verdict.failed_check
-        assert verdict.violation > 1e-5
+        assert verdict.failed_check == "Schmidt rank exceeds the control dimension (distance 5.774e-01)"
+        assert verdict.violation == pytest.approx(1 / np.sqrt(3), abs=1e-12)
 
 
 def test_three_qubit_gate_controlled_by_every_pair():
@@ -343,6 +345,71 @@ def test_near_miss_names_the_reconstruction_residual(seed):
     assert verdict.failed_check.startswith("inconclusive: assembled form does not reconstruct the input")
 
 
+# ------------------------------------------------------ distance refutation
+
+DISTANCE_CHECK = "Schmidt rank exceeds the control dimension"
+
+
+def _never_reached(*args, **kwargs):
+    raise AssertionError("simultaneous_svd called")
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_haar_cuts_are_refuted_by_their_distance_before_any_product_family(d, monkeypatch):
+    # every controlled unitary's realignment has rank at most d_c, so by
+    # Eckart-Young it lies at least ||s[d_c:]|| / ||u|| from u
+    monkeypatch.setattr(control.algebra, "simultaneous_svd", _never_reached)
+    u = haar_unitary(d * d, make_rng(d))
+    for side in ((0,), (1,)):
+        realigned = mx.realign(*mx.group_systems(u, (d, d), side))
+        s = np.linalg.svd(realigned, compute_uv=False)
+        verdict = is_controlled(u, (d, d), side)
+        assert not verdict.controlled and not verdict.inconclusive
+        assert verdict.failed_check.startswith(DISTANCE_CHECK)
+        assert abs(verdict.violation - np.linalg.norm(s[d:]) / np.linalg.norm(u)) <= 1e-12
+        assert verdict.schmidt_rank == d * d
+
+
+def test_a_tail_past_the_ceiling_with_few_significant_factors_runs_the_product_route():
+    # two factors clear SIGNIFICANT_FLOOR, so the product families form and
+    # the near miss stays inconclusive, although the tail past the six
+    # control levels (1.24e-5 relative) is above the ceiling
+    u, layout = gates.random_controlled_unitary(6, 6, 2, seed=0)
+    dressed = scipy.linalg.expm(1e-4j * random_hermitian(36, make_rng(8))) @ u
+    *_, coefficients, factors = control._control_cut(dressed, layout, (0,))
+    assert len(factors) == 2
+    assert np.linalg.norm(coefficients[6:]) / mx.frobenius_norm(dressed) == pytest.approx(1.24e-5, rel=1e-2)
+    verdict = is_controlled(dressed, layout, (0,))
+    assert verdict.inconclusive
+    assert verdict.failed_check.startswith("inconclusive: left basis is not a joint eigenbasis")
+
+
+@pytest.mark.parametrize("d_c, d_t", [(3, 3), (3, 4), (4, 4), (4, 5)])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_the_distance_refutes_only_where_the_product_route_refutes(d_c, d_t, rank):
+    # the route the rule skips is replayed on the same cut with its tail cut
+    # off, which leaves nothing past d_c: wherever the rule fires, that route
+    # refutes too, above the ceiling
+    u, layout = gates.random_controlled_unitary(d_c, d_t, rank, seed=rank)
+    h = random_hermitian(d_c * d_t, make_rng(100 + rank))
+    norm_u = mx.frobenius_norm(u)
+    fired = 0
+    for eps in (0.0, 1e-9, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0):
+        dressed = scipy.linalg.expm(1j * eps * h) @ u
+        for side, d_side in (((0,), d_c), ((1,), d_t)):
+            *frame, coefficients, factors = control._control_cut(dressed, layout, side)
+            verdict = control._decide_control((*frame, coefficients, factors), norm_u, control.VERDICT_RTOL)
+            if not (verdict.failed_check or "").startswith(DISTANCE_CHECK):
+                continue
+            fired += 1
+            skipped = control._decide_control(
+                (*frame, coefficients[:d_side], factors), norm_u, control.VERDICT_RTOL
+            )
+            assert not skipped.controlled and not skipped.inconclusive
+            assert skipped.violation > control.NEAR_MISS_CEILING
+    assert fired
+
+
 def test_clean_instance_is_not_inconclusive():
     u, layout = gates.random_controlled_unitary(3, 3, 3, seed=7)
     verdict = is_controlled(u, layout, (0,))
@@ -400,12 +467,15 @@ def test_each_cut_is_grouped_once_and_its_input_checked_once(monkeypatch):
 
 
 def test_product_families_over_the_cap_are_refused_before_allocating(monkeypatch):
-    # a full-rank 4x4 cut has 16 factors of side 4: 16 * 4 > 16
+    # a full-rank 4x4 cut has 16 factors of side 4: 16 * 4 > 16. is_controlled
+    # refutes that cut by its distance first, so it is given an 8x2 cut: 4
+    # factors of side 8, no more than the 8 control levels, and 4 * 8 > 16
     monkeypatch.setenv("SCHMIDT_LAB_MAX_DIM", "16")
     haar = haar_unitary(16, make_rng(5))
-    for detector in (is_controlled, is_bcu):
-        with pytest.raises(DimensionError, match="product families"):
-            detector(haar, (4, 4), (0,))
+    with pytest.raises(DimensionError, match="product families of 2048 entries"):
+        is_controlled(haar, (8, 2), (0,))
+    with pytest.raises(DimensionError, match="product families"):
+        is_bcu(haar, (4, 4), (0,))
     u, layout = gates.random_controlled_unitary(4, 4, 3, seed=5)
     assert is_controlled(u, layout, (0,)).controlled
 

@@ -16,11 +16,14 @@ The list covers every subcommand and every protocol route: random-controlled
 d x d gates (d = 2, 3, 4, 8, r = 1..min(3, d), seeds 0, 1, 5) and 3 x 5 of
 rank 3, the named multipartite gates, a Haar 9 x 9 gate as 3 x 3, three
 near misses of a rank-2 4 x 4 gate at 1e-7 and three within the verdict
-tolerance at 3e-9, the four fuzz suites, one construction, a rank-one
+tolerance at 3e-9, a Haar 4 x 4 gate, which its Schmidt tail refutes, a
+rank-2 6 x 6 gate at 1e-4, whose tail past the control levels lies above
+the near-miss ceiling but which has only two significant Schmidt factors,
+the four fuzz suites, one construction, a rank-one
 controlled run with ``--branches 0`` (refused like every form), a missing
 file, an empty, an out-of-range and a full cut through every command that
 reads one, and the 3 x 5 gate fed a state on dims [3, 5] and one on [5, 3]
-(refused): 492 commands.
+(refused): 494 commands.
 """
 
 from __future__ import annotations
@@ -52,8 +55,8 @@ NAMED = {
     "haar-9-as-3x3": lambda: (haar_unitary(9, make_rng(9)), SystemLayout.of((3, 3))),
 }
 
-# exp(eps i H) times rc 4x4 r2, H = random_hermitian(16, make_rng(8)): near misses at 1e-7,
-# and at 3e-9 gates the detector certifies with witnesses up to 1.2e-10 off unitary
+# exp(eps i H) times rc d x d r2, H = random_hermitian(d^2, make_rng(8)): for d = 4, near misses
+# at 1e-7, and at 3e-9 gates the detector certifies with witnesses up to 1.2e-10 off unitary
 NEAR_MISS_SEEDS = (0, 1, 2)
 
 
@@ -62,9 +65,9 @@ def _rc_name(d_c, d_t, r, seed):
     return f"rc-{d_c}x{d_t}-r{r}-s{seed}"
 
 
-def _near_miss(seed, eps):
-    u, layout = gates.random_controlled_unitary(4, 4, 2, seed=seed)
-    w, v = np.linalg.eigh(random_hermitian(16, make_rng(8)))
+def _near_miss(seed, eps, d=4):
+    u, layout = gates.random_controlled_unitary(d, d, 2, seed=seed)
+    w, v = np.linalg.eigh(random_hermitian(d * d, make_rng(8)))
     return (v * np.exp(1j * eps * w)) @ v.conj().T @ u, tuple(layout.dims)
 
 
@@ -80,6 +83,8 @@ def gate_files() -> dict:
     for seed in NEAR_MISS_SEEDS:
         files[f"near-miss-s{seed}.json"] = _near_miss(seed, 1e-7)
         files[f"certified-near-miss-s{seed}.json"] = _near_miss(seed, 3e-9)
+    files["haar-4x4.json"] = (haar_unitary(16, make_rng(4)), (4, 4))
+    files["few-factors-far-6x6.json"] = _near_miss(0, 1e-4, d=6)
     return files
 
 
@@ -132,6 +137,7 @@ def commands() -> list:
             ["detect", path, "--side", "A"],
             ["protocol", path, "--route", "controlled"],
         ]
+    argvs += [["detect", f"$T/{name}.json", "--side", "A"] for name in ("haar-4x4", "few-factors-far-6x6")]
     argvs += [["fuzz", "--theorem", suite, "--trials", "20", "--seed", "4"] for suite in FUZZ_SUITES]
     argvs += [
         ["construct", "--gate", "u3"],
