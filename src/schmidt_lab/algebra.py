@@ -10,6 +10,7 @@ decision procedures are assembled from.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,7 +19,7 @@ import numpy as np
 from . import matrices as mx
 from .config import max_total_dimension
 from .errors import DimensionError, NumericalError, StructureError
-from .factorizations import eigh, null_space, orthonormal_complement, span_dimension, svd
+from .factorizations import RANK_RTOL, eigh, leading_svd, null_space, orthonormal_complement, span_dimension, svd
 from .randomness import make_rng
 from .schmidt import _cut_realigned, _expansion, _realigned_sum
 
@@ -292,7 +293,7 @@ def orthogonalization_inputs_from_unitary(u, layout, cut) -> HarvestedPair:
     raise ValueError.
     """
     u, _, _, realigned, dims = _cut_realigned(u, layout, cut, "harvest input", unitary=True)
-    coefficients, lefts, rights = _expansion(realigned, dims)
+    coefficients, lefts, rights = _expansion(realigned, dims, leading_svd(realigned, RANK_RTOL))
     if len(coefficients) != 3:
         raise ValueError(f"harvest needs operator Schmidt rank 3, got {len(coefficients)}")
 
@@ -369,8 +370,12 @@ def family_obstruction(family) -> float:
     mixing of the members. A family closed under adjoint (both product
     families are) holds ``[P_k, P_k^dagger]`` among its pairs, so its mass
     vanishes exactly when it is normal and commuting; callers compare it
-    with their tolerance. The sum runs over the span generators one row of
-    pairs at a time, in less working memory than the family itself.
+    with their tolerance. The sum runs over the m span generators in row
+    blocks: the commutators of a block of rows with every later generator
+    come from two batched products holding at most ``max(m d^2, 2^16)``
+    entries together (one row at least), so the working memory stays below
+    twice the family's own size. Each row's squared norm is one ``vdot``,
+    added in row order: the summation order of a row-by-row loop.
     """
     return _commutator_mass(_as_square_family(family, "family")[0])
 
@@ -383,11 +388,20 @@ def _commutator_mass(stack: np.ndarray) -> float:
     denom = max(scale * scale, np.finfo(float).tiny)
 
     gens = _span_generators(stack)
+    m = len(gens)
+    budget = max(gens.size, 1 << 16)
     mass = 0.0
-    for k in range(len(gens) - 1):
-        commutators = gens[k] @ gens[k + 1 :] - gens[k + 1 :] @ gens[k]
-        # each unordered pair stands for both orders
-        mass += 2.0 * float(np.vdot(commutators, commutators).real)
+    k = 0
+    while k < m - 1:
+        later = gens[k + 1 :]
+        block = gens[k : min(k + max(1, budget // (2 * later.size)), m - 1), None]
+        # commutators[i, j] = [G_{k+i}, G_{k+1+j}]: row i pairs G_{k+i} with its later generators from j = i on
+        commutators = block @ later - later @ block
+        for i in range(len(block)):
+            # each unordered pair stands for both orders
+            mass += 2.0 * float(np.vdot(commutators[i, i:], commutators[i, i:]).real)
+        k += len(block)
+        del commutators  # freed before the next block is formed
     return math.sqrt(mass) / denom
 
 
@@ -413,42 +427,58 @@ def joint_diagonalize_commuting(family):
     return q
 
 
-def _diagonal_residual(rotated, ops) -> float:
-    """Largest off-diagonal mass of the rotated members, each over max(||M||, 1)."""
+def _diagonal_residual(rotated, norms) -> float:
+    """Largest off-diagonal mass of the rotated members, each over max(||M||, 1), ``norms`` the ``||M||``."""
     off = np.asarray(rotated) * (1.0 - np.eye(np.shape(rotated)[-1]))
-    scales = np.maximum(mx.frobenius_norms(np.asarray(ops)), 1.0)
-    return float(np.max(mx.frobenius_norms(off) / scales))
+    return float(np.max(mx.frobenius_norms(off) / np.maximum(norms, 1.0)))
 
 
-def _is_scalar(stack: np.ndarray) -> np.ndarray:
+def _is_scalar(stack: np.ndarray, norms: np.ndarray) -> np.ndarray:
     k = stack.shape[1]
     dev = mx.frobenius_norms(stack - (stack.trace(axis1=1, axis2=2) / k)[:, None, None] * np.eye(k))
-    return dev <= CLUSTER_GAP * np.maximum(math.sqrt(k), mx.frobenius_norms(stack))
+    return dev <= CLUSTER_GAP * np.maximum(math.sqrt(k), norms)
+
+
+@functools.lru_cache(maxsize=64)
+def _combination_weights(seed: int, attempt: int, n: int) -> np.ndarray:
+    """The ``(n, 2)`` normal weights of attempt ``attempt``, drawn once from stream ``attempt`` of ``seed``."""
+    weights = make_rng(seed, stream=attempt).normal(size=(n, 2))
+    weights.flags.writeable = False
+    return weights
 
 
 def _joint_diagonalize(ops: np.ndarray, seed: int):
     """(q, residual): eigenvectors of one random Hermitian combination per attempt.
 
     A generic element of a normal commuting family's span has the members'
-    joint eigenbasis (He & Kressner, SIMAX 2024). Attempt k draws from stream k;
-    the first of three within COMMUTE_RTOL is kept, else the best. Multiples of I keep q = I.
+    joint eigenbasis (He & Kressner, SIMAX 2024). Attempt k weighs the
+    Hermitian and anti-Hermitian parts of the members with normal draws from
+    stream k of ``seed``, drawn once per ``(seed, attempt, n)`` and kept
+    read-only; the first of three attempts within COMMUTE_RTOL is kept, else
+    the best. Multiples of I keep q = I.
     """
     n, d, _ = ops.shape
-    if _is_scalar(ops).all():
-        return np.eye(d, dtype=complex), _diagonal_residual(ops, ops)
-    hermitian = (ops + _adjoints(ops)) / 2.0
-    antihermitian = (ops - _adjoints(ops)) / 2.0j
+    norms = mx.frobenius_norms(ops)
+    if _is_scalar(ops, norms).all():
+        return np.eye(d, dtype=complex), _diagonal_residual(ops, norms)
+    # parts[i] = ((M_i + M_i^dagger) / 2, (M_i - M_i^dagger) / 2i), interleaved member by member and
+    # written in place, so no more than the parts, the adjoints and the members are held at once
+    parts = np.empty((n, 2, d, d), dtype=complex)
+    adjoints = _adjoints(ops)
+    np.add(ops, adjoints, out=parts[:, 0])
+    np.subtract(ops, adjoints, out=parts[:, 1])
+    del adjoints
+    parts[:, 0] /= 2.0
+    parts[:, 1] /= 2.0j
     best = None
     for attempt in range(3):
-        weights = make_rng(seed, stream=attempt).normal(size=(n, 2))
-        h = np.zeros((d, d), dtype=complex)
-        # summed member by member: a reordered sum moves h, and q, at roundoff
-        for (w_re, w_im), a, b in zip(weights, hermitian, antihermitian):
-            h += w_re * a
-            h += w_im * b
+        weighted = (_combination_weights(seed, attempt, n)[:, :, None, None] * parts).reshape(2 * n, d, d)
+        # one ordered sum from 0, part by part: a reordered sum moves h, and q, at roundoff
+        h = np.add.reduce(weighted, axis=0, initial=0.0)
+        del weighted
         # + 0.0 turns the eigensolver's -0.0 entries into +0.0, which witnesses print as 0.0
         q = np.linalg.eigh(h)[1] + 0.0
-        residual = _diagonal_residual(q.conj().T @ ops @ q, ops)
+        residual = _diagonal_residual(q.conj().T @ ops @ q, norms)
         if best is None or residual < best[1]:
             best = (q, residual)
         if residual <= COMMUTE_RTOL:
@@ -540,17 +570,19 @@ def simultaneous_svd(family, tol: float = COMMUTE_RTOL) -> SimultaneousSvdResult
         return _failure(f"left basis is not a joint eigenbasis (violation {residual:.3e})", residual)
     s = q.conj().T
     rotated = s @ ops
-    scale = max(float(np.max(mx.frobenius_norms(ops))), 1e-300)
+    norms = mx.frobenius_norms(ops)
+    scale = max(float(np.max(norms)), 1e-300)
 
-    # column r of t is the largest row r among the rotated members, conjugated and normalized
+    # column r of t is the largest row r among the rotated members, conjugated and normalized;
+    # the row norms are numpy's own, sqrt(re . re + im . im) from two BLAS dots
     t = np.zeros((d, d), dtype=complex)
     row_norms = mx.frobenius_norms(rotated[..., None])
     best = np.argmax(row_norms, axis=0)
     filled = row_norms[best, np.arange(d)] > 1e-9 * scale
-    for r in np.flatnonzero(filled):
-        t[:, r] = rotated[best[r], r].conj() / np.linalg.norm(rotated[best[r], r])
+    rows = np.flatnonzero(filled)
+    t[:, rows] = (rotated[best[rows], rows].conj() / row_norms[best[rows], rows, None]).T
     if not filled.all():
-        t[:, ~filled] = orthonormal_complement(t[:, filled])[:, : d - np.count_nonzero(filled)]
+        t[:, ~filled] = orthonormal_complement(t[:, filled])[:, : d - len(rows)]
 
     residual = float(mx.unitarity_residuals(t[None])[0])
     if residual > COMMUTE_RTOL:
@@ -564,7 +596,7 @@ def simultaneous_svd(family, tol: float = COMMUTE_RTOL) -> SimultaneousSvdResult
         t[:, idx[0]] *= np.conj(pivot) / abs(pivot)
 
     products = rotated @ t
-    residual = _diagonal_residual(products, ops)
+    residual = _diagonal_residual(products, norms)
     if residual > COMMUTE_RTOL:
         return _failure(f"family resists joint diagonal form (violation {residual:.3e})", residual)
     diagonals = tuple(np.diagonal(products, axis1=1, axis2=2).copy())

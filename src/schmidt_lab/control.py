@@ -22,6 +22,7 @@ import numpy as np
 
 from . import algebra, gates
 from . import matrices as mx
+from .factorizations import RANK_RTOL, leading_svd, numerical_rank
 from .matrices import SystemLayout
 from .randomness import make_rng
 from .schmidt import _expansion
@@ -149,15 +150,21 @@ class FuzzSummary:
 
 
 def _control_cut(u, layout, side):
-    """Group a unitary's ``side`` to the front and keep its significant factors.
+    """Group a unitary's ``side`` to the front and take the one SVD of its realignment.
 
-    Returns ``(side, grouped, (d_c, d_t), kept coefficients, factors)``, the factors
-    as one ``(n, d_c, d_c)`` stack. ``u`` and ``layout`` come from ``_checked``.
+    Returns ``(side, grouped, (d_c, d_t), realigned, svd)``, ``svd`` the verified
+    ``leading_svd`` of ``realigned``. ``u`` and ``layout`` come from ``_checked``.
     """
     side, _, grouped, dims = mx.cut_frame(u, layout, side)
-    coefficients, lefts, _ = _expansion(mx._realigned(grouped, dims), dims)
-    factors = lefts[coefficients > SIGNIFICANT_FLOOR * coefficients[0]]
-    return side, grouped, dims, coefficients, factors
+    realigned = mx._realigned(grouped, dims)
+    return side, grouped, dims, realigned, leading_svd(realigned, RANK_RTOL)
+
+
+def _cut_factors(cut):
+    """The cut's control-side Schmidt factors above SIGNIFICANT_FLOOR, one ``(n, d_c, d_c)`` stack."""
+    _, _, dims, realigned, svd = cut
+    coefficients, lefts, _ = _expansion(realigned, dims, svd)
+    return lefts[coefficients > SIGNIFICANT_FLOOR * coefficients[0]]
 
 
 def _checked(u, layout, tol, name):
@@ -184,11 +191,12 @@ def _band(violation, description, tol, witnessed=True):
 def is_controlled(u, layout, side, tol: float = VERDICT_RTOL) -> ControlVerdict:
     """Decide whether ``u`` is controlled from the ``side`` systems.
 
-    The candidate control systems are grouped to the front and the operator is
-    Schmidt-decomposed across that cut. With more significant factors than
-    control levels, a coefficient tail past ``d_c`` above the band refutes at
-    once: it bounds the relative distance to every controlled unitary
-    (Eckart-Young). Otherwise the control-side factors are fed to the
+    The candidate control systems are grouped to the front and the realigned
+    operator's spectrum is taken across that cut. With more significant
+    values than control levels, a tail past ``d_c`` above the band refutes at
+    once, before any Schmidt factor is formed: it bounds the relative distance
+    to every controlled unitary (Eckart-Young). Otherwise the spectrum is
+    expanded and the control-side factors are fed to the
     simultaneous singular value decomposition. Its witness pair fixes
     the bases; the target blocks are then read directly off the rotated
     operator, so rank-deficient factor spans still fill in correctly. The
@@ -200,32 +208,21 @@ def is_controlled(u, layout, side, tol: float = VERDICT_RTOL) -> ControlVerdict:
 
 
 def _decide_control(cut, norm_u, tol) -> ControlVerdict:
-    """The verdict of ``is_controlled`` on a cut from ``_control_cut`` of a ``u`` of norm ``norm_u``."""
-    side, grouped, (d_c, d_t), coefficients, factors = cut
+    """The verdict of ``is_controlled`` on a cut from ``_control_cut`` of a ``u`` of norm ``norm_u``.
+
+    The distance rule reads only the cut's verified spectrum, so a cut it refutes forms
+    no Schmidt factor; every other cut expands that same SVD for ``_product_route``.
+    """
+    _, _, (d_c, _), _, (_, s, _, _) = cut
+    r = numerical_rank(s)
     # a controlled unitary's realignment has rank at most d_c, so by Eckart-Young every one lies
-    # at least this far from u; the mass left out of the kept coefficients makes it a lower bound
-    distance = float(np.linalg.norm(coefficients[d_c:])) / norm_u
-    if len(factors) > d_c and distance > max(tol, NEAR_MISS_CEILING):
-        result = algebra._failure(f"Schmidt rank exceeds the control dimension (distance {distance:.3e})", distance)
+    # at least this far from u; the mass left out of the kept spectrum makes it a lower bound
+    distance = float(np.linalg.norm(s[d_c:r])) / norm_u
+    if np.count_nonzero(s[:r] > SIGNIFICANT_FLOOR * s[0]) > d_c and distance > max(tol, NEAR_MISS_CEILING):
+        violation, form = distance, None
+        description = f"Schmidt rank exceeds the control dimension (distance {distance:.3e})"
     else:
-        result = algebra.simultaneous_svd(factors, tol=tol)
-    form = None
-    if result.ok:
-        s, t = result.s, result.t
-        rotated = mx.control_sandwich(grouped, (d_c, d_t), s, t).reshape(d_c, d_t, d_c, d_t)
-        diagonal = np.arange(d_c)
-        blocks = rotated[diagonal, :, diagonal, :]
-        deviations = mx.unitarity_residuals(blocks)
-        checks = [(f"target block {k} is not unitary", float(x)) for k, x in enumerate(deviations)]
-        form = ControlledForm(
-            side=side, q=s.conj().T, r=t.conj().T, blocks=blocks, grouped_dims=(d_c, d_t)
-        )
-        residual = form.residual(grouped) / norm_u
-        checks.append(("assembled form does not reconstruct the input", residual))
-        name, violation = max(checks, key=lambda item: item[1])
-        description = f"{name} (violation {violation:.3e})"
-    else:
-        violation, description = result.violation, result.failed_check
+        violation, description, form = _product_route(cut, norm_u, tol)
     passed, failed_check, inconclusive = _band(violation, description, tol, form is not None)
     return ControlVerdict(
         controlled=passed,
@@ -233,8 +230,27 @@ def _decide_control(cut, norm_u, tol) -> ControlVerdict:
         failed_check=failed_check,
         inconclusive=inconclusive,
         violation=violation,
-        schmidt_rank=len(coefficients),
+        schmidt_rank=r,
     )
+
+
+def _product_route(cut, norm_u, tol):
+    """``(violation, description, witness or None)`` from the simultaneous SVD of the cut's factors."""
+    side, grouped, (d_c, d_t), _, _ = cut
+    result = algebra.simultaneous_svd(_cut_factors(cut), tol=tol)
+    if not result.ok:
+        return result.violation, result.failed_check, None
+    s, t = result.s, result.t
+    rotated = mx.control_sandwich(grouped, (d_c, d_t), s, t).reshape(d_c, d_t, d_c, d_t)
+    diagonal = np.arange(d_c)
+    blocks = rotated[diagonal, :, diagonal, :]
+    deviations = mx.unitarity_residuals(blocks)
+    checks = [(f"target block {k} is not unitary", float(x)) for k, x in enumerate(deviations)]
+    form = ControlledForm(side=side, q=s.conj().T, r=t.conj().T, blocks=blocks, grouped_dims=(d_c, d_t))
+    residual = form.residual(grouped) / norm_u
+    checks.append(("assembled form does not reconstruct the input", residual))
+    name, violation = max(checks, key=lambda item: item[1])
+    return violation, f"{name} (violation {violation:.3e})", form
 
 
 def _split_attempt(grouped, dims, projectors, norm_u):
@@ -272,9 +288,10 @@ def is_bcu(u, layout, side, tol: float = VERDICT_RTOL) -> BcuVerdict:
     (``tol`` as in ``is_controlled``). Only the input products are formed.
     """
     u, layout, norm_u = _checked(u, layout, tol, "detection input")
-    side, grouped, dims, _, factors = _control_cut(u, layout, side)
+    cut = _control_cut(u, layout, side)
+    side, grouped, dims, _, _ = cut
 
-    projectors = algebra.commutant_blocks(algebra._input_products(factors))
+    projectors = algebra.commutant_blocks(algebra._input_products(_cut_factors(cut)))
     if projectors is None:
         return BcuVerdict(
             bcu=False,
@@ -359,7 +376,7 @@ def _fuzz_sch3(trial, trial_seed):
     verdict = _decide_control(cut, mx.frobenius_norm(u), VERDICT_RTOL)
     if not verdict.controlled:
         return u, layout.dims, f"rank-3 instance not detected: {verdict.failed_check}"
-    disagreement = _criteria_agree(cut[-1], verdict)
+    disagreement = _criteria_agree(_cut_factors(cut), verdict)
     if disagreement:
         return u, layout.dims, disagreement
     return u, layout.dims, None

@@ -94,10 +94,6 @@ def _realigned_sum(c, lefts, rights) -> np.ndarray:
     return (np.reshape(lefts, (len(lefts), -1)).T * c) @ np.reshape(rights, (len(rights), -1))
 
 
-def _lex_key(factor: np.ndarray):
-    return tuple(np.round(factor.reshape(-1).view(float), 9))
-
-
 def _cut_realigned(u, layout, cut, name: str, unitary: bool = False):
     """(u, layout, cut, realigned operator, grouped dims); the one check of ``u`` on this path."""
     u, layout = mx.on_layout(u, layout, name, unitary)
@@ -105,13 +101,14 @@ def _cut_realigned(u, layout, cut, name: str, unitary: bool = False):
     return u, layout, cut, mx._realigned(grouped, dims), dims
 
 
-def _expansion(realigned, dims, tol=RANK_RTOL):
+def _expansion(realigned, dims, svd, tol=RANK_RTOL):
     """``(coefficients, left factors, right factors)`` of a realigned operator, verified.
 
-    The one Schmidt-expansion rule; ``operator_schmidt_decompose`` says what it keeps.
+    ``svd`` is the ``leading_svd`` of ``realigned`` at ``tol``, taken by the caller. The one
+    Schmidt-expansion rule; ``operator_schmidt_decompose`` says what it keeps.
     """
     d_a, d_b = dims
-    left, s, right_h, tau = leading_svd(realigned, tol)
+    left, s, right_h, tau = svd
     r = numerical_rank(s, tol)
     if r == 0:
         raise ValueError("decomposition input must be nonzero")
@@ -126,7 +123,9 @@ def _expansion(realigned, dims, tol=RANK_RTOL):
     phases = np.array([lead / abs(lead) for lead in leads])[:, None, None]
     lefts = vecs.reshape(r, d_a, d_a) * phases.conj()
     rights = right_h[:r].reshape(r, d_b, d_b) * phases
-    order = sorted(range(r), key=lambda i: (-round(s[i], 9), _lex_key(lefts[i])))
+    # ties at 9 digits go to the vectorized left factor, its entries rounded as plain floats
+    keys = np.round(lefts.reshape(r, -1).view(float), 9).tolist()
+    order = sorted(range(r), key=lambda i: (-round(s[i], 9), keys[i]))
     coefficients, lefts, rights = s[order], lefts[order], rights[order]
     # realignment only permutes entries, so the residual of the returned
     # expansion is read in the realigned frame
@@ -151,7 +150,8 @@ def operator_schmidt_decompose(u, layout, cut, tol: float = RANK_RTOL) -> Schmid
     ``tol`` that is not a finite number in (0, 1) raises ValueError.
     """
     _, layout, cut, realigned, dims = _cut_realigned(u, layout, cut, "decomposition input")
-    return SchmidtDecomposition(*_expansion(realigned, dims, mx.checked_tol(tol)), cut=cut, layout=layout)
+    svd = leading_svd(realigned, mx.checked_tol(tol))
+    return SchmidtDecomposition(*_expansion(realigned, dims, svd, tol), cut=cut, layout=layout)
 
 
 def schmidt_rank(u, layout, cut, tol: float = RANK_RTOL) -> RankReport:

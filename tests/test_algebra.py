@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -469,7 +470,7 @@ def refined_joint_diagonalize(ops, seed):
     best = None
     for attempt in range(3):
         q = _refine_basis(ops, np.eye(d, dtype=complex), make_rng(seed, stream=attempt), alg.CLUSTER_GAP)
-        residual = alg._diagonal_residual([q.conj().T @ m @ q for m in ops], ops)
+        residual = alg._diagonal_residual([q.conj().T @ m @ q for m in ops], mx.frobenius_norms(ops))
         if best is None or residual < best[1]:
             best = (q, residual)
         if residual <= alg.COMMUTE_RTOL:
@@ -594,6 +595,100 @@ def test_family_obstruction_is_basis_independent():
         assert not res.ok
         assert "commutator mass" in res.failed_check
         assert not re.search(r"\d+ and \d+|matri(x|ces) \d", res.failed_check)
+
+
+def row_loop_commutator_mass(stack):
+    # the mass as one Python row at a time, kept as the bitwise reference of the blocked kernel
+    n = stack.shape[0]
+    scale = max(float(np.max(np.linalg.norm(stack.reshape(n, -1), axis=1))), 1e-300)
+    denom = max(scale * scale, np.finfo(float).tiny)
+    gens = alg._span_generators(stack)
+    mass = 0.0
+    for k in range(len(gens) - 1):
+        commutators = gens[k] @ gens[k + 1 :] - gens[k + 1 :] @ gens[k]
+        mass += 2.0 * float(np.vdot(commutators, commutators).real)
+    return math.sqrt(mass) / denom
+
+
+def member_sum_combination(ops, seed, attempt):
+    # the Hermitian combination summed member by member, the reference of the one ordered reduction
+    n, d, _ = ops.shape
+    hermitian = (ops + alg._adjoints(ops)) / 2.0
+    antihermitian = (ops - alg._adjoints(ops)) / 2.0j
+    h = np.zeros((d, d), dtype=complex)
+    for (w_re, w_im), a, b in zip(make_rng(seed, stream=attempt).normal(size=(n, 2)), hermitian, antihermitian):
+        h += w_re * a
+        h += w_im * b
+    return h
+
+
+def kernel_families():
+    # left and right products of random-controlled cuts, and Gaussian stacks on both
+    # sides of d^2 members (past it the mass runs over the span generators)
+    for d in range(2, 9):
+        for r in range(1, min(3, d) + 1):
+            for seed in range(4):
+                u, layout = gates.random_controlled_unitary(d, d, r, seed=seed)
+                yield from alg.product_families(operator_schmidt_decompose(u, layout, (0,)).left_factors)
+    rng = make_rng(41)
+    for d in (2, 3, 4, 5, 6):
+        for n in (1, 2, d * d - 1, d * d, d * d + 1, 2 * d * d, 3 * d * d + 2):
+            for scale in (1e-3, 1.0, 1e3):
+                yield scale * random_complex_gaussian((n, d, d), rng)
+
+
+def test_blocked_commutator_mass_equals_the_row_loop_bitwise():
+    families = 0
+    past_span = 0
+    for family in kernel_families():
+        assert alg._commutator_mass(family) == row_loop_commutator_mass(family)
+        families += 1
+        past_span += len(family) > family.shape[1] ** 2
+    assert families >= 200
+    assert past_span >= 30
+
+
+def test_ordered_reduction_equals_the_member_by_member_sum(monkeypatch):
+    # every Hermitian combination handed to the eigensolver is compared with the member loop
+    seen = []
+    eigh = np.linalg.eigh
+
+    def spy(h):
+        seen.append(h.copy())
+        return eigh(h)
+
+    monkeypatch.setattr(alg.np.linalg, "eigh", spy)
+    families = 0
+    for family in kernel_families():
+        if alg._is_scalar(family, mx.frobenius_norms(family)).all():
+            continue
+        for seed in (0, 3):
+            seen.clear()
+            alg._joint_diagonalize(family, seed)
+            assert seen
+            for attempt, h in enumerate(seen):
+                assert h.tobytes() == member_sum_combination(family, seed, attempt).tobytes()
+        families += 1
+    assert families >= 200
+
+
+def test_combination_weights_are_drawn_once_and_read_only():
+    weights = alg._combination_weights(0, 1, 7)
+    assert alg._combination_weights(0, 1, 7) is weights
+    assert weights.tobytes() == make_rng(0, stream=1).normal(size=(7, 2)).tobytes()
+    with pytest.raises(ValueError):
+        weights[0, 0] = 1.0
+
+
+def test_commutator_mass_peak_stays_within_twice_the_family():
+    gens = random_complex_gaussian((256, 16, 16), make_rng(7))
+    tracemalloc.start()
+    try:
+        alg._commutator_mass(gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * gens.nbytes
 
 
 # ------------------------------------------------------------ simultaneous_svd
@@ -762,7 +857,7 @@ def test_diagonal_residual_of_a_stack_matches_the_member_formula():
             rotated = w.conj().T @ ops @ w
             want = loop_diagonal_residual(list(rotated), ops)
             for given in (rotated, list(rotated)):
-                assert alg._diagonal_residual(given, ops) == pytest.approx(want, rel=1e-15)
+                assert alg._diagonal_residual(given, mx.frobenius_norms(ops)) == pytest.approx(want, rel=1e-15)
 
 
 def test_stacked_scalar_test_agrees_with_the_block_test():
@@ -777,7 +872,7 @@ def test_stacked_scalar_test_agrees_with_the_block_test():
         ]
         stack = np.concatenate([stack, np.array(extra)])
         want = [_is_scalar_block(m, alg.CLUSTER_GAP) for m in stack]
-        assert alg._is_scalar(stack).tolist() == want
+        assert alg._is_scalar(stack, mx.frobenius_norms(stack)).tolist() == want
         checked += 1
     assert checked >= 40
 

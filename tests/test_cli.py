@@ -554,12 +554,17 @@ print("ok")
     assert _run_python(code) == "ok"
 
 
-def test_the_stdout_set_covers_every_subcommand_and_route():
-    # tools/cli_stdout_set.py is the command list that byte-identical output is checked over
+def _stdout_set():
     path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools", "cli_stdout_set.py")
     spec = importlib.util.spec_from_file_location("cli_stdout_set", path)
     stdout_set = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(stdout_set)
+    return stdout_set
+
+
+def test_the_stdout_set_covers_every_subcommand_and_route():
+    # tools/cli_stdout_set.py is the command list that byte-identical output is checked over
+    stdout_set = _stdout_set()
     argvs = stdout_set.commands()
     (commands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     assert {argv[0] for argv in argvs} == set(commands.choices)
@@ -572,3 +577,36 @@ def test_the_stdout_set_covers_every_subcommand_and_route():
     for name in ("haar-4x4", "few-factors-far-6x6"):
         assert ["detect", f"$T/{name}.json", "--side", "A"] in argvs
     assert f"{len(argvs)} commands." in stdout_set.__doc__
+
+
+def test_the_stdout_set_comparison_names_each_moved_command(tmp_path, capsys):
+    stdout_set = _stdout_set()
+    parent = [
+        [["detect", "$T/a.json"], 0, '{"violation": 0.5, "rank": 3}\n'],
+        [["detect", "$T/b.json"], 1, "refuted (distance 6.402e-01)\n"],
+        [["decompose", "$T/a.json"], 0, "rank 3\n"],
+        [["fuzz"], 0, "ok\n"],
+        [["construct"], 0, "u3\n"],
+    ]
+    change = [
+        [["detect", "$T/a.json"], 0, '{"violation": 0.5000000000000001, "rank": 3}\n'],
+        [["detect", "$T/b.json"], 4, "refuted (distance 6.402e-01)\n"],
+        [["decompose", "$T/a.json"], 0, "rank three\n"],
+        [["fuzz"], 0, "ok\n"],
+        [["schmidt-number"], 0, "1\n"],
+    ]
+    paths = []
+    for name, lines in (("parent", parent), ("change", change)):
+        paths.append(tmp_path / f"{name}.jsonl")
+        paths[-1].write_text("".join(json.dumps(line) + "\n" for line in lines))
+    assert stdout_set.main(["--compare", str(paths[0]), str(paths[0])]) == 0
+    assert capsys.readouterr().out == "0 of 5 commands differ\n"
+    assert stdout_set.main(["--compare", *map(str, paths)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "detect $T/a.json: largest relative change 2.220e-16",
+        "detect $T/b.json: exit 1 -> 4",
+        "decompose $T/a.json: text differs",
+        f"construct: only in {paths[0]}",
+        f"schmidt-number: only in {paths[1]}",
+        "5 of 6 commands differ",
+    ]

@@ -318,7 +318,8 @@ def test_near_miss_ladder_on_the_sketch_path_matches_the_dense_svd(monkeypatch, 
     tiny = scipy.linalg.expm(1e-12j * h) @ u
     assert len(schmidt.schmidt_rank(tiny, layout, (0,)).singular_values) < 64
     sketched = _ladder_bands(u, layout, h, tol, top=-3)
-    monkeypatch.setattr(schmidt, "leading_svd", lambda m, rtol: (*fx.svd(m), 0.0))
+    for module in (schmidt, control):
+        monkeypatch.setattr(module, "leading_svd", lambda m, rtol: (*fx.svd(m), 0.0))
     assert len(schmidt.schmidt_rank(tiny, layout, (0,)).singular_values) == 64
     assert _ladder_bands(u, layout, h, tol, top=-3) == sketched
     assert 1 in sketched
@@ -351,7 +352,7 @@ DISTANCE_CHECK = "Schmidt rank exceeds the control dimension"
 
 
 def _never_reached(*args, **kwargs):
-    raise AssertionError("simultaneous_svd called")
+    raise AssertionError("a skipped step was called")
 
 
 @pytest.mark.parametrize("d", range(2, 17))
@@ -370,15 +371,38 @@ def test_haar_cuts_are_refuted_by_their_distance_before_any_product_family(d, mo
         assert verdict.schmidt_rank == d * d
 
 
+def test_each_cut_takes_one_svd_and_a_refuted_cut_forms_no_factors(monkeypatch):
+    svds = _count_calls(monkeypatch, control, ("leading_svd", "_expansion"))
+    # the expansion builds from the cut's SVD and takes none of its own
+    monkeypatch.setattr(schmidt, "leading_svd", _never_reached)
+    u, layout = gates.u3()
+    multipartite_control_analysis(u, layout)
+    # three singletons and three pairs; only the pairs reach the product route
+    assert svds == {"leading_svd": 6, "_expansion": 3}
+    for subsets, expansions in (([(0,), (1,), (2,)], 0), ([(0, 1), (0, 2), (1, 2)], 3)):
+        svds.update(dict.fromkeys(svds, 0))
+        for subset in subsets:
+            is_controlled(u, layout, subset)
+        assert svds == {"leading_svd": 3, "_expansion": expansions}
+    for d in range(2, 7):
+        for side in ((0,), (1,)):
+            svds.update(dict.fromkeys(svds, 0))
+            verdict = is_controlled(haar_unitary(d * d, make_rng(d)), (d, d), side)
+            assert verdict.failed_check.startswith(DISTANCE_CHECK)
+            assert svds == {"leading_svd": 1, "_expansion": 0}
+
+
 def test_a_tail_past_the_ceiling_with_few_significant_factors_runs_the_product_route():
     # two factors clear SIGNIFICANT_FLOOR, so the product families form and
     # the near miss stays inconclusive, although the tail past the six
     # control levels (1.24e-5 relative) is above the ceiling
     u, layout = gates.random_controlled_unitary(6, 6, 2, seed=0)
     dressed = scipy.linalg.expm(1e-4j * random_hermitian(36, make_rng(8))) @ u
-    *_, coefficients, factors = control._control_cut(dressed, layout, (0,))
-    assert len(factors) == 2
-    assert np.linalg.norm(coefficients[6:]) / mx.frobenius_norm(dressed) == pytest.approx(1.24e-5, rel=1e-2)
+    cut = control._control_cut(dressed, layout, (0,))
+    spectrum = cut[-1][1]
+    assert len(control._cut_factors(cut)) == 2
+    kept = spectrum[6 : fx.numerical_rank(spectrum)]
+    assert np.linalg.norm(kept) / mx.frobenius_norm(dressed) == pytest.approx(1.24e-5, rel=1e-2)
     verdict = is_controlled(dressed, layout, (0,))
     assert verdict.inconclusive
     assert verdict.failed_check.startswith("inconclusive: left basis is not a joint eigenbasis")
@@ -387,26 +411,25 @@ def test_a_tail_past_the_ceiling_with_few_significant_factors_runs_the_product_r
 @pytest.mark.parametrize("d_c, d_t", [(3, 3), (3, 4), (4, 4), (4, 5)])
 @pytest.mark.parametrize("rank", [1, 2, 3])
 def test_the_distance_refutes_only_where_the_product_route_refutes(d_c, d_t, rank):
-    # the route the rule skips is replayed on the same cut with its tail cut
-    # off, which leaves nothing past d_c: wherever the rule fires, that route
-    # refutes too, above the ceiling
+    # the route the rule skips is replayed on the same cut, its factors
+    # expanded from the same SVD: wherever the rule fires, that route refutes
+    # too, above the ceiling
     u, layout = gates.random_controlled_unitary(d_c, d_t, rank, seed=rank)
     h = random_hermitian(d_c * d_t, make_rng(100 + rank))
     norm_u = mx.frobenius_norm(u)
     fired = 0
     for eps in (0.0, 1e-9, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0):
         dressed = scipy.linalg.expm(1j * eps * h) @ u
-        for side, d_side in (((0,), d_c), ((1,), d_t)):
-            *frame, coefficients, factors = control._control_cut(dressed, layout, side)
-            verdict = control._decide_control((*frame, coefficients, factors), norm_u, control.VERDICT_RTOL)
+        for side in ((0,), (1,)):
+            cut = control._control_cut(dressed, layout, side)
+            verdict = control._decide_control(cut, norm_u, control.VERDICT_RTOL)
             if not (verdict.failed_check or "").startswith(DISTANCE_CHECK):
                 continue
             fired += 1
-            skipped = control._decide_control(
-                (*frame, coefficients[:d_side], factors), norm_u, control.VERDICT_RTOL
-            )
-            assert not skipped.controlled and not skipped.inconclusive
-            assert skipped.violation > control.NEAR_MISS_CEILING
+            violation, description, form = control._product_route(cut, norm_u, control.VERDICT_RTOL)
+            controlled, _, inconclusive = control._band(violation, description, control.VERDICT_RTOL, form is not None)
+            assert not controlled and not inconclusive
+            assert violation > control.NEAR_MISS_CEILING
     assert fired
 
 
@@ -574,7 +597,7 @@ def test_is_bcu_solves_one_commutant(monkeypatch):
 def test_is_bcu_forms_only_the_input_products(monkeypatch):
     # the output products M_i M_j^dagger serve no decision of is_bcu
     u, layout = gates.random_controlled_unitary(4, 4, 3, seed=2)
-    factors = control._control_cut(u, layout, (0,))[-1]
+    factors = control._cut_factors(control._control_cut(u, layout, (0,)))
     _, want = control.algebra.product_families(factors)
     seen = []
     solve = control.algebra.commutant_blocks
@@ -669,6 +692,35 @@ def test_multipartite_report_keeps_only_the_witness_form(build, n):
     assert (witness.side, witness.grouped_dims) == (direct.side, direct.grouped_dims)
     assert np.array_equal(witness.q, direct.q) and np.array_equal(witness.r, direct.r)
     assert np.array_equal(witness.blocks, direct.blocks)
+
+
+def _permuted_scrambled_u3(seed):
+    base, layout = gates.u3()
+    u = gates.random_local_scramble(base, layout, seed=seed)
+    perm = tuple(int(i) for i in make_rng(seed, stream=99).permutation(3))
+    return mx.permute_systems(u, layout, perm), layout
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        gates.u3,
+        *(lambda seed=seed: _permuted_scrambled_u3(seed) for seed in range(4)),
+        lambda: gates.padded_2x2xn(3),
+        lambda: gates.padded_2x2xn(4),
+        lambda: gates.u_odd_n(5),
+        lambda: gates.even_qubit_rank3(4),
+        lambda: gates.even_qubit_rank3(6),
+        gates.four_qubit_example,
+    ],
+)
+def test_sweep_verdicts_equal_is_controlled_field_by_field(build):
+    u, layout = build()
+    report = multipartite_control_analysis(u, layout)
+    for subset, verdict in {**report.singles, **report.pairs}.items():
+        direct = is_controlled(u, layout, subset)
+        fields = ("controlled", "inconclusive", "failed_check", "violation", "schmidt_rank")
+        assert [getattr(verdict, f) for f in fields] == [getattr(direct, f) for f in fields], subset
 
 
 def test_multipartite_report_checks_unitarity_once(monkeypatch):

@@ -10,7 +10,12 @@ the CLI's stdout and exit codes byte-identical:
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/cli_stdout_set.py > stdout_set.jsonl
 
 Keep the BLAS thread count the same at both commits: the `detect --bcu`
-projectors of the 8 x 8 gates move with it.
+projectors of the 8 x 8 gates move with it. Then
+
+    python tools/cli_stdout_set.py --compare parent.jsonl change.jsonl
+
+prints each command whose exit code or stdout differs, with the largest
+relative change of any number in its stdout, and exits 1 on any difference.
 
 The list covers every subcommand and every protocol route: random-controlled
 d x d gates (d = 2, 3, 4, 8, r = 1..min(3, d), seeds 0, 1, 5) and 3 x 5 of
@@ -28,9 +33,11 @@ reads one, and the 3 x 5 gate fed a state on dims [3, 5] and one on [5, 3]
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -177,5 +184,55 @@ def run() -> None:
             sys.stdout.write(json.dumps([argv, code, stdout.getvalue().replace(tmp, "$T")]) + "\n")
 
 
-if __name__ == "__main__":
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def largest_relative_change(a: str, b: str) -> float | None:
+    """Largest ``|x - y| / max(|x|, |y|)`` over the numbers of two texts, paired in order.
+
+    None when the texts differ anywhere but in their numbers.
+    """
+    if NUMBER.split(a) != NUMBER.split(b):
+        return None
+    pairs = [(float(x), float(y)) for x, y in zip(NUMBER.findall(a), NUMBER.findall(b))]
+    return max((abs(x - y) / max(abs(x), abs(y)) for x, y in pairs if x != y), default=0.0)
+
+
+def _results(path) -> dict:
+    with open(path) as f:
+        return {tuple(argv): (code, stdout) for argv, code, stdout in map(json.loads, f)}
+
+
+def compare(path_a, path_b) -> int:
+    """Print every command whose exit code or stdout differs between two sets; 1 if any does."""
+    a, b = _results(path_a), _results(path_b)
+    differing = 0
+    for argv in [*a, *(argv for argv in b if argv not in a)]:
+        if a.get(argv) == b.get(argv):
+            continue
+        differing += 1
+        if argv not in a or argv not in b:
+            print(f"{' '.join(argv)}: only in {path_a if argv in a else path_b}")
+            continue
+        (code_a, out_a), (code_b, out_b) = a[argv], b[argv]
+        notes = [f"exit {code_a} -> {code_b}"] if code_a != code_b else []
+        if out_a != out_b:
+            change = largest_relative_change(out_a, out_b)
+            notes.append("text differs" if change is None else f"largest relative change {change:.3e}")
+        print(f"{' '.join(argv)}: {'; '.join(notes)}")
+    print(f"{differing} of {len(a.keys() | b.keys())} commands differ")
+    return 1 if differing else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Run the CLI stdout set, or compare two of its outputs.")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="two JSONL outputs of this script")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
     run()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
