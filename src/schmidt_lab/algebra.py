@@ -19,9 +19,9 @@ import numpy as np
 from . import matrices as mx
 from .config import max_total_dimension
 from .errors import DimensionError, NumericalError, StructureError
-from .factorizations import RANK_RTOL, eigh, leading_svd, null_space, orthonormal_complement, span_dimension, svd
+from .factorizations import eigh, null_space, orthonormal_complement, span_dimension, svd
 from .randomness import make_rng
-from .schmidt import _cut_realigned, _expansion, _realigned_sum
+from .schmidt import Cut, _realigned_sum
 
 # default tolerance for a family's relative commutator mass, and the fixed
 # bound on the residuals of the bases simultaneous_svd builds
@@ -292,8 +292,9 @@ def orthogonalization_inputs_from_unitary(u, layout, cut) -> HarvestedPair:
     example when the analyzed cut is itself a commuting family), which
     raise ValueError.
     """
-    u, _, _, realigned, dims = _cut_realigned(u, layout, cut, "harvest input", unitary=True)
-    coefficients, lefts, rights = _expansion(realigned, dims, leading_svd(realigned, RANK_RTOL))
+    u, layout = mx.on_layout(u, layout, "harvest input", unitary=True)
+    cut = Cut.of(u, layout, cut)
+    coefficients, lefts, rights = cut.expansion
     if len(coefficients) != 3:
         raise ValueError(f"harvest needs operator Schmidt rank 3, got {len(coefficients)}")
 
@@ -306,7 +307,7 @@ def orthogonalization_inputs_from_unitary(u, layout, cut) -> HarvestedPair:
     new_b = np.tensordot(coeff, rights, 1)
 
     # compared in the realigned frame, which only permutes entries
-    if mx.frobenius_norm(_realigned_sum(1.0, new_a, new_b) - realigned) > 1e-8 * mx.frobenius_norm(u):
+    if mx.frobenius_norm(_realigned_sum(1.0, new_a, new_b) - cut.realigned) > 1e-8 * mx.frobenius_norm(u):
         raise NumericalError("re-expanded decomposition failed to reconstruct")
 
     kernel = null_space(c)

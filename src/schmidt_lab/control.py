@@ -22,10 +22,10 @@ import numpy as np
 
 from . import algebra, gates
 from . import matrices as mx
-from .factorizations import RANK_RTOL, leading_svd, numerical_rank
+from .factorizations import numerical_rank
 from .matrices import SystemLayout
 from .randomness import make_rng
-from .schmidt import _expansion
+from .schmidt import Cut
 
 # checks pass below this relative violation
 VERDICT_RTOL = 1e-8
@@ -149,21 +149,9 @@ class FuzzSummary:
         return self.passes == self.trials
 
 
-def _control_cut(u, layout, side):
-    """Group a unitary's ``side`` to the front and take the one SVD of its realignment.
-
-    Returns ``(side, grouped, (d_c, d_t), realigned, svd)``, ``svd`` the verified
-    ``leading_svd`` of ``realigned``. ``u`` and ``layout`` come from ``_checked``.
-    """
-    side, _, grouped, dims = mx.cut_frame(u, layout, side)
-    realigned = mx._realigned(grouped, dims)
-    return side, grouped, dims, realigned, leading_svd(realigned, RANK_RTOL)
-
-
-def _cut_factors(cut):
-    """The cut's control-side Schmidt factors above SIGNIFICANT_FLOOR, one ``(n, d_c, d_c)`` stack."""
-    _, _, dims, realigned, svd = cut
-    coefficients, lefts, _ = _expansion(realigned, dims, svd)
+def _cut_factors(cut: Cut):
+    """The control-side factors of ``cut.expansion`` above SIGNIFICANT_FLOOR, one ``(n, d_c, d_c)`` stack."""
+    coefficients, lefts, _ = cut.expansion
     return lefts[coefficients > SIGNIFICANT_FLOOR * coefficients[0]]
 
 
@@ -204,16 +192,16 @@ def is_controlled(u, layout, side, tol: float = VERDICT_RTOL) -> ControlVerdict:
     A ``tol`` that is not a finite number in (0, 1) raises ValueError.
     """
     u, layout, norm_u = _checked(u, layout, tol, "detection input")
-    return _decide_control(_control_cut(u, layout, side), norm_u, tol)
+    return _decide_control(Cut.of(u, layout, side), norm_u, tol)
 
 
-def _decide_control(cut, norm_u, tol) -> ControlVerdict:
-    """The verdict of ``is_controlled`` on a cut from ``_control_cut`` of a ``u`` of norm ``norm_u``.
+def _decide_control(cut: Cut, norm_u, tol) -> ControlVerdict:
+    """The verdict of ``is_controlled`` on a ``Cut`` of a ``u`` of norm ``norm_u``.
 
-    The distance rule reads only the cut's verified spectrum, so a cut it refutes forms
-    no Schmidt factor; every other cut expands that same SVD for ``_product_route``.
+    The distance rule reads only ``cut.svd``, so a cut it refutes forms no Schmidt
+    factor; on every other cut ``_product_route`` reads ``cut.expansion`` of that same SVD.
     """
-    _, _, (d_c, _), _, (_, s, _, _) = cut
+    d_c, s = cut.dims[0], cut.svd[1]
     r = numerical_rank(s)
     # a controlled unitary's realignment has rank at most d_c, so by Eckart-Young every one lies
     # at least this far from u; the mass left out of the kept spectrum makes it a lower bound
@@ -236,18 +224,18 @@ def _decide_control(cut, norm_u, tol) -> ControlVerdict:
 
 def _product_route(cut, norm_u, tol):
     """``(violation, description, witness or None)`` from the simultaneous SVD of the cut's factors."""
-    side, grouped, (d_c, d_t), _, _ = cut
+    d_c, d_t = cut.dims
     result = algebra.simultaneous_svd(_cut_factors(cut), tol=tol)
     if not result.ok:
         return result.violation, result.failed_check, None
     s, t = result.s, result.t
-    rotated = mx.control_sandwich(grouped, (d_c, d_t), s, t).reshape(d_c, d_t, d_c, d_t)
+    rotated = mx.control_sandwich(cut.grouped, cut.dims, s, t).reshape(d_c, d_t, d_c, d_t)
     diagonal = np.arange(d_c)
     blocks = rotated[diagonal, :, diagonal, :]
     deviations = mx.unitarity_residuals(blocks)
     checks = [(f"target block {k} is not unitary", float(x)) for k, x in enumerate(deviations)]
-    form = ControlledForm(side=side, q=s.conj().T, r=t.conj().T, blocks=blocks, grouped_dims=(d_c, d_t))
-    residual = form.residual(grouped) / norm_u
+    form = ControlledForm(side=cut.front, q=s.conj().T, r=t.conj().T, blocks=blocks, grouped_dims=cut.dims)
+    residual = form.residual(cut.grouped) / norm_u
     checks.append(("assembled form does not reconstruct the input", residual))
     name, violation = max(checks, key=lambda item: item[1])
     return violation, f"{name} (violation {violation:.3e})", form
@@ -288,26 +276,24 @@ def is_bcu(u, layout, side, tol: float = VERDICT_RTOL) -> BcuVerdict:
     (``tol`` as in ``is_controlled``). Only the input products are formed.
     """
     u, layout, norm_u = _checked(u, layout, tol, "detection input")
-    cut = _control_cut(u, layout, side)
-    side, grouped, dims, _, _ = cut
-
+    cut = Cut.of(u, layout, side)
     projectors = algebra.commutant_blocks(algebra._input_products(_cut_factors(cut)))
     if projectors is None:
         return BcuVerdict(
             bcu=False,
-            side=side,
+            side=cut.front,
             input_projectors=None,
             output_projectors=None,
             failed_check="factor products act irreducibly: no invariant split exists",
         )
 
-    outs, worst = _split_attempt(grouped, dims, projectors, norm_u)
+    outs, worst = _split_attempt(cut.grouped, cut.dims, projectors, norm_u)
     passed, failed_check, inconclusive = _band(
         worst, f"input-commutant split does not capture the blocks (violation {worst:.3e})", tol
     )
     return BcuVerdict(
         bcu=passed,
-        side=side,
+        side=cut.front,
         input_projectors=projectors if passed else None,
         output_projectors=outs if passed else None,
         failed_check=failed_check,
@@ -336,7 +322,7 @@ def multipartite_control_analysis(u, layout, tol: float = VERDICT_RTOL) -> Multi
     witness = None
     subsets = [(i,) for i in range(len(layout))] + list(combinations(range(len(layout)), 2))
     for subset in subsets:
-        verdict = _decide_control(_control_cut(u, layout, subset), norm_u, tol)
+        verdict = _decide_control(Cut.of(u, layout, subset), norm_u, tol)
         if verdict.controlled and witness_subset is None:
             witness_subset = subset
             witness = verdict.form
@@ -372,14 +358,11 @@ def _criteria_agree(factors, verdict) -> str | None:
 def _fuzz_sch3(trial, trial_seed):
     d_a, d_b = [(3, 3), (3, 4), (4, 5)][trial % 3]
     u, layout = gates.random_controlled_unitary(d_a, d_b, 3, seed=trial_seed)
-    cut = _control_cut(u, layout, (0,))
+    cut = Cut.of(u, layout, (0,))
     verdict = _decide_control(cut, mx.frobenius_norm(u), VERDICT_RTOL)
     if not verdict.controlled:
         return u, layout.dims, f"rank-3 instance not detected: {verdict.failed_check}"
-    disagreement = _criteria_agree(_cut_factors(cut), verdict)
-    if disagreement:
-        return u, layout.dims, disagreement
-    return u, layout.dims, None
+    return u, layout.dims, _criteria_agree(_cut_factors(cut), verdict)
 
 
 def _fuzz_sch2_diagonal(trial, trial_seed):

@@ -245,16 +245,6 @@ def group_systems(u: np.ndarray, layout, front: Iterable[int]):
     return _permuted(u, layout.dims, order), dims
 
 
-def cut_frame(u: np.ndarray, layout: SystemLayout, cut):
-    """``(front, order, grouped u, grouped dims)`` of a ``u`` and layout from ``on_layout``.
-
-    The cut's ``cut_order`` is worked out here, once; the grouping itself is the one
-    ``group_systems`` call per cut, whose own checks of its public inputs pass at once.
-    """
-    front, order, dims = cut_order(layout, cut)
-    return front, order, group_systems(u, layout, front)[0], dims
-
-
 def group_states(vectors: np.ndarray, layout: SystemLayout, order: tuple, dims: tuple) -> np.ndarray:
     """A ``(k, D)`` stack of states on ``layout`` as ``(k, d_front, d_rest)`` matrices, in a cut's order."""
     axes = (0, *(1 + i for i in order))

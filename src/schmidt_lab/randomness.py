@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 
+from .matrices import _is_int
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -21,7 +23,10 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
     Distinct streams under one seed give independent sequences, which is how
     per-trial and per-restart substreams are derived without correlation.
+    A seed or stream that is not an integer raises ValueError.
     """
+    if not (_is_int(seed) and _is_int(stream)):
+        raise ValueError(f"seed and stream must be integers, got {seed!r} and {stream!r}")
     key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

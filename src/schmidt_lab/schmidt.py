@@ -12,7 +12,7 @@ constructive upper bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations
 
 import numpy as np
@@ -94,11 +94,35 @@ def _realigned_sum(c, lefts, rights) -> np.ndarray:
     return (np.reshape(lefts, (len(lefts), -1)).T * c) @ np.reshape(rights, (len(rights), -1))
 
 
-def _cut_realigned(u, layout, cut, name: str, unitary: bool = False):
-    """(u, layout, cut, realigned operator, grouped dims); the one check of ``u`` on this path."""
-    u, layout = mx.on_layout(u, layout, name, unitary)
-    cut, _, grouped, dims = mx.cut_frame(u, layout, cut)
-    return u, layout, cut, mx._realigned(grouped, dims), dims
+@dataclass(frozen=True)
+class Cut:
+    """One cut of a checked gate: its ``front`` systems grouped to the left, then realigned.
+
+    ``order`` is the grouped frame's system order and ``dims`` its ``(d_front, d_rest)``. ``svd`` (the
+    verified ``leading_svd`` of ``realigned`` at ``RANK_RTOL``) and ``expansion`` (its ``_expansion``)
+    are computed on first read and kept: at most one of each per cut, however many readers it has.
+    """
+
+    front: tuple
+    order: tuple
+    dims: tuple
+    grouped: np.ndarray
+    realigned: np.ndarray
+
+    @classmethod
+    def of(cls, u, layout: SystemLayout, front) -> "Cut":
+        """The cut ``front`` of a ``u`` and ``layout`` that ``mx.on_layout`` has checked."""
+        front, order, dims = mx.cut_order(layout, front)
+        grouped = mx.group_systems(u, layout, front)[0]
+        return cls(front, order, dims, grouped, mx._realigned(grouped, dims))
+
+    @cached_property
+    def svd(self):
+        return leading_svd(self.realigned, RANK_RTOL)
+
+    @cached_property
+    def expansion(self):
+        return _expansion(self.realigned, self.dims, self.svd)
 
 
 def _expansion(realigned, dims, svd, tol=RANK_RTOL):
@@ -149,9 +173,11 @@ def operator_schmidt_decompose(u, layout, cut, tol: float = RANK_RTOL) -> Schmid
     so repeated calls and round-tripped inputs produce identical output. A
     ``tol`` that is not a finite number in (0, 1) raises ValueError.
     """
-    _, layout, cut, realigned, dims = _cut_realigned(u, layout, cut, "decomposition input")
-    svd = leading_svd(realigned, mx.checked_tol(tol))
-    return SchmidtDecomposition(*_expansion(realigned, dims, svd, tol), cut=cut, layout=layout)
+    mx.checked_tol(tol)
+    u, layout = mx.on_layout(u, layout, "decomposition input")
+    cut = Cut.of(u, layout, cut)
+    svd = leading_svd(cut.realigned, tol)
+    return SchmidtDecomposition(*_expansion(cut.realigned, cut.dims, svd, tol), cut=cut.front, layout=layout)
 
 
 def schmidt_rank(u, layout, cut, tol: float = RANK_RTOL) -> RankReport:
@@ -161,12 +187,14 @@ def schmidt_rank(u, layout, cut, tol: float = RANK_RTOL) -> RankReport:
     on a cut too small to sketch, otherwise only the leading values (see
     ``RankReport``). A ``tol`` outside (0, 1) raises ValueError.
     """
-    return _rank_report(_cut_realigned(u, layout, cut, "rank input")[3], tol)
+    mx.checked_tol(tol)
+    u, layout = mx.on_layout(u, layout, "rank input")
+    return _rank_report(Cut.of(u, layout, cut).realigned, tol)
 
 
 def _rank_report(realigned, tol) -> RankReport:
-    """The one operator-rank rule, on a realigned operator; ``schmidt_rank`` says what it reads."""
-    _, s, _, _ = leading_svd(realigned, mx.checked_tol(tol))
+    """The one operator-rank rule, on a realigned operator at a checked ``tol``; ``schmidt_rank`` says what it reads."""
+    _, s, _, _ = leading_svd(realigned, tol)
     return RankReport(
         rank=numerical_rank(s, tol),
         singular_values=s,
@@ -269,6 +297,7 @@ class SchineqReport:
 
 def schineq_check(a_ops, b_ops, tol: float = RANK_RTOL) -> SchineqReport:
     """Evaluate the span-dimension inequalities for a two-sided term list."""
+    mx.checked_tol(tol)
     if len(a_ops) != len(b_ops):
         raise ValueError(
             f"term lists must match: {len(a_ops)} left vs {len(b_ops)} right"

@@ -28,6 +28,7 @@ from . import schmidt
 from .factorizations import RANK_RTOL, numerical_rank, svd
 from .matrices import SystemLayout
 from .randomness import make_rng, random_state
+from .schmidt import Cut
 
 SEARCH_RESTARTS = 64
 
@@ -90,12 +91,13 @@ def state_schmidt_rank(vector, layout, cut, tol: float = RANK_RTOL) -> int:
     Counts singular values above tol times the largest, the same rule the
     operator-rank computation uses; a ``tol`` outside (0, 1) raises ValueError.
     """
+    mx.checked_tol(tol)
     layout = SystemLayout.of(layout)
     grouping = mx.cut_order(layout, cut)[1:]
     vector = np.asarray(vector, dtype=complex).reshape(1, -1)
     if vector.shape[1] != layout.total:
         raise ValueError(f"state must have dimension {layout.total}, got {vector.shape[1]}")
-    return numerical_rank(_state_singular_values(vector, layout, grouping)[0], mx.checked_tol(tol))
+    return numerical_rank(_state_singular_values(vector, layout, grouping)[0], tol)
 
 
 def _checked_product_input(input, layout: SystemLayout) -> ProductInput:
@@ -108,10 +110,11 @@ def _checked_product_input(input, layout: SystemLayout) -> ProductInput:
 
 def output_schmidt_rank(u, layout, input, cut, tol: float = RANK_RTOL) -> int:
     """Schmidt rank of u applied to a product input, across the cut; ``tol`` as for a state."""
+    mx.checked_tol(tol)
     u, layout = mx.on_layout(u, layout, "gate")
     grouping = mx.cut_order(layout, cut)[1:]
     input = _checked_product_input(input, layout)
-    return numerical_rank(_output_spectra(u, input.local_states, layout, grouping)[0], mx.checked_tol(tol))
+    return numerical_rank(_output_spectra(u, input.local_states, layout, grouping)[0], tol)
 
 
 @dataclass(frozen=True)
@@ -131,13 +134,6 @@ def _tail_weight(s: np.ndarray) -> float:
     return total - float(s[0] * s[0])
 
 
-def _checked_gate(u, layout, cut, tol):
-    """``(u, layout, cut order, grouped u, grouped dims, operator Schmidt rank)``: one check and one grouping."""
-    u, layout = mx.on_layout(u, layout, "gate", unitary=True)
-    _, order, grouped, dims = mx.cut_frame(u, layout, cut)
-    return u, layout, order, grouped, dims, schmidt._rank_report(mx._realigned(grouped, dims), tol).rank
-
-
 def max_output_schmidt_rank_search(
     u, layout, cut, restarts: int = SEARCH_RESTARTS, seed: int = 0, tol: float = RANK_RTOL
 ) -> SearchResult:
@@ -153,10 +149,12 @@ def max_output_schmidt_rank_search(
     """
     if not mx._is_int(restarts) or restarts < 1:
         raise ValueError(f"restarts must be a positive integer, got {restarts!r}")
-    u, layout, order, _, grouped_dims, operator_rank = _checked_gate(u, layout, cut, tol)
-    grouping = (order, grouped_dims)
+    mx.checked_tol(tol)
+    u, layout = mx.on_layout(u, layout, "gate", unitary=True)
+    cut = Cut.of(u, layout, cut)
+    grouping = (cut.order, cut.dims)
     dims = layout.dims
-    cap = min(*grouped_dims, operator_rank)
+    cap = min(*cut.dims, schmidt._rank_report(cut.realigned, tol).rank)
     rng = make_rng(seed, stream=17)
 
     best_states = None
@@ -220,7 +218,12 @@ def ancilla_extended_check(u, layout, cut=(0,), tol: float = RANK_RTOL) -> Ancil
     a plain state rank and reported next to the operator Schmidt rank it
     must reproduce.
     """
-    _, _, _, grouped, (d_a, d_b), operator_rank = _checked_gate(u, layout, cut, tol)
+    mx.checked_tol(tol)
+    u, layout = mx.on_layout(u, layout, "gate", unitary=True)
+    cut = Cut.of(u, layout, cut)
+    operator_rank = schmidt._rank_report(cut.realigned, tol).rank
+    grouped, (d_a, d_b) = cut.grouped, cut.dims
+    del cut  # its realignment, as large as the gate, is not read past the operator rank
 
     pair_a = np.eye(d_a, dtype=complex).reshape(-1) / math.sqrt(d_a)
     pair_b = np.eye(d_b, dtype=complex).reshape(-1) / math.sqrt(d_b)

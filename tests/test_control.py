@@ -318,8 +318,8 @@ def test_near_miss_ladder_on_the_sketch_path_matches_the_dense_svd(monkeypatch, 
     tiny = scipy.linalg.expm(1e-12j * h) @ u
     assert len(schmidt.schmidt_rank(tiny, layout, (0,)).singular_values) < 64
     sketched = _ladder_bands(u, layout, h, tol, top=-3)
-    for module in (schmidt, control):
-        monkeypatch.setattr(module, "leading_svd", lambda m, rtol: (*fx.svd(m), 0.0))
+    # every cut's SVD, ``Cut.svd`` included, is taken in ``schmidt``
+    monkeypatch.setattr(schmidt, "leading_svd", lambda m, rtol: (*fx.svd(m), 0.0))
     assert len(schmidt.schmidt_rank(tiny, layout, (0,)).singular_values) == 64
     assert _ladder_bands(u, layout, h, tol, top=-3) == sketched
     assert 1 in sketched
@@ -372,9 +372,8 @@ def test_haar_cuts_are_refuted_by_their_distance_before_any_product_family(d, mo
 
 
 def test_each_cut_takes_one_svd_and_a_refuted_cut_forms_no_factors(monkeypatch):
-    svds = _count_calls(monkeypatch, control, ("leading_svd", "_expansion"))
-    # the expansion builds from the cut's SVD and takes none of its own
-    monkeypatch.setattr(schmidt, "leading_svd", _never_reached)
+    # every SVD is counted, the expansion's own included: it builds from the cut's
+    svds = _count_calls(monkeypatch, schmidt, ("leading_svd", "_expansion"))
     u, layout = gates.u3()
     multipartite_control_analysis(u, layout)
     # three singletons and three pairs; only the pairs reach the product route
@@ -392,14 +391,37 @@ def test_each_cut_takes_one_svd_and_a_refuted_cut_forms_no_factors(monkeypatch):
             assert svds == {"leading_svd": 1, "_expansion": 0}
 
 
+def test_a_cut_read_twice_takes_one_svd_and_one_expansion(monkeypatch):
+    u, layout = gates.random_controlled_unitary(3, 4, 3, seed=2)
+    counts = _count_calls(monkeypatch, schmidt, ("leading_svd", "_expansion"))
+    cut = schmidt.Cut.of(u, layout, (1,))
+    assert (cut.front, cut.order, cut.dims) == ((1,), (1, 0), (4, 3))
+    assert counts == {"leading_svd": 0, "_expansion": 0}
+    first = cut.svd, cut.expansion
+    assert cut.svd is first[0] and cut.expansion is first[1]
+    assert counts == {"leading_svd": 1, "_expansion": 1}
+    coefficients, lefts, rights = cut.expansion
+    dec = schmidt.operator_schmidt_decompose(u, layout, (1,))
+    assert coefficients.tobytes() == dec.coefficients.tobytes()
+    assert lefts.tobytes() == dec.left_factors.tobytes() and rights.tobytes() == dec.right_factors.tobytes()
+
+
+@pytest.mark.parametrize("trials", [1, 3, 6])
+def test_the_sch3_suite_expands_each_trial_cut_once(trials, monkeypatch):
+    # the verdict and the product-family cross-check read one cached expansion
+    counts = _count_calls(monkeypatch, schmidt, ("_expansion",))
+    assert fuzz_theorem_checks("sch3", trials, seed=2).ok
+    assert counts == {"_expansion": trials}
+
+
 def test_a_tail_past_the_ceiling_with_few_significant_factors_runs_the_product_route():
     # two factors clear SIGNIFICANT_FLOOR, so the product families form and
     # the near miss stays inconclusive, although the tail past the six
     # control levels (1.24e-5 relative) is above the ceiling
     u, layout = gates.random_controlled_unitary(6, 6, 2, seed=0)
     dressed = scipy.linalg.expm(1e-4j * random_hermitian(36, make_rng(8))) @ u
-    cut = control._control_cut(dressed, layout, (0,))
-    spectrum = cut[-1][1]
+    cut = schmidt.Cut.of(dressed, layout, (0,))
+    spectrum = cut.svd[1]
     assert len(control._cut_factors(cut)) == 2
     kept = spectrum[6 : fx.numerical_rank(spectrum)]
     assert np.linalg.norm(kept) / mx.frobenius_norm(dressed) == pytest.approx(1.24e-5, rel=1e-2)
@@ -421,7 +443,7 @@ def test_the_distance_refutes_only_where_the_product_route_refutes(d_c, d_t, ran
     for eps in (0.0, 1e-9, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0):
         dressed = scipy.linalg.expm(1j * eps * h) @ u
         for side in ((0,), (1,)):
-            cut = control._control_cut(dressed, layout, side)
+            cut = schmidt.Cut.of(dressed, layout, side)
             verdict = control._decide_control(cut, norm_u, control.VERDICT_RTOL)
             if not (verdict.failed_check or "").startswith(DISTANCE_CHECK):
                 continue
@@ -597,7 +619,7 @@ def test_is_bcu_solves_one_commutant(monkeypatch):
 def test_is_bcu_forms_only_the_input_products(monkeypatch):
     # the output products M_i M_j^dagger serve no decision of is_bcu
     u, layout = gates.random_controlled_unitary(4, 4, 3, seed=2)
-    factors = control._cut_factors(control._control_cut(u, layout, (0,)))
+    factors = control._cut_factors(schmidt.Cut.of(u, layout, (0,)))
     _, want = control.algebra.product_families(factors)
     seen = []
     solve = control.algebra.commutant_blocks

@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 
+from schmidt_lab import gates
+from schmidt_lab.control import fuzz_theorem_checks
+from schmidt_lab.protocols import teleport_unitary_protocol
 from schmidt_lab.randomness import (
     haar_unitary,
     make_rng,
     random_hermitian,
     random_state,
 )
+from schmidt_lab.schmidt_number import max_output_schmidt_rank_search
 
 
 def test_same_key_reproduces_stream():
@@ -54,3 +58,22 @@ def test_bad_dimension_rejected():
         haar_unitary(0, make_rng(1))
     with pytest.raises(ValueError):
         random_state(0, make_rng(1))
+
+
+@pytest.mark.parametrize("seed, stream", [(0.5, 0), (1, 1.5), ("a", 0), (True, 0), (None, 0)])
+def test_seeds_and_streams_must_be_integers(seed, stream):
+    with pytest.raises(ValueError, match="seed and stream must be integers"):
+        make_rng(seed, stream)
+
+
+def test_seeded_entry_points_refuse_a_non_integer_seed():
+    u, layout = gates.random_controlled_unitary(2, 2, 2, seed=0)
+    psi = random_state(4, make_rng(1))
+    calls = [
+        lambda: fuzz_theorem_checks("sch3", 2, seed=0.5),
+        lambda: max_output_schmidt_rank_search(u, layout, (0,), restarts=1, seed=1.5),
+        lambda: teleport_unitary_protocol(u, layout, psi, seed="a"),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="seed and stream must be integers"):
+            call()

@@ -366,3 +366,40 @@ def test_rank_inequalities_reject_mismatched_lists():
         sch.schineq_check([], [])
     with pytest.raises(ValueError):
         sch.schineq_check([np.eye(2), np.eye(3)], [np.eye(2), np.eye(2)])
+
+
+def _tol_checks():
+    from schmidt_lab import schmidt_number as sn
+
+    swap = gates.swap_gate()[0]
+    psi = np.eye(4, dtype=complex)[0]
+    product = ([1.0, 0.0], [0.0, 1.0])
+    return {
+        "decompose": lambda cut, tol: sch.operator_schmidt_decompose(swap, (2, 2), cut, tol=tol),
+        "schmidt_rank": lambda cut, tol: sch.schmidt_rank(swap, (2, 2), cut, tol=tol),
+        "state_rank": lambda cut, tol: sn.state_schmidt_rank(psi, (2, 2), cut, tol=tol),
+        "output_rank": lambda cut, tol: sn.output_schmidt_rank(swap, (2, 2), product, cut, tol=tol),
+        "search": lambda cut, tol: sn.max_output_schmidt_rank_search(swap, (2, 2), cut, restarts=1, tol=tol),
+        "ancilla": lambda cut, tol: sn.ancilla_extended_check(swap, (2, 2), cut, tol=tol),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_tol_checks()))
+def test_a_bad_tol_is_named_before_the_cut_is_grouped(name, monkeypatch):
+    call = _tol_checks()[name]
+    with pytest.raises(ValueError, match="tol must be a finite number"):
+        call((5,), 2.0)
+
+    def never(*args, **kwargs):
+        raise AssertionError("grouped before the tol check")
+
+    monkeypatch.setattr(mx, "group_systems", never)
+    monkeypatch.setattr(mx, "group_states", never)
+    for tol in (0.0, 1.0, float("nan")):
+        with pytest.raises(ValueError, match="tol must be a finite number"):
+            call((0,), tol)
+
+
+def test_schineq_check_names_a_bad_tol_before_its_term_lists():
+    with pytest.raises(ValueError, match="tol must be a finite number"):
+        sch.schineq_check([np.eye(2)], [], tol=2.0)

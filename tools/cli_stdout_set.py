@@ -27,8 +27,9 @@ the near-miss ceiling but which has only two significant Schmidt factors,
 the four fuzz suites, one construction, a rank-one
 controlled run with ``--branches 0`` (refused like every form), a missing
 file, an empty, an out-of-range and a full cut through every command that
-reads one, and the 3 x 5 gate fed a state on dims [3, 5] and one on [5, 3]
-(refused): 494 commands.
+reads one, an out-of-range cut with a bad ``--tol`` through ``decompose`` and
+both ``schmidt-number`` modes (the tolerance is named), and the 3 x 5 gate
+fed a state on dims [3, 5] and one on [5, 3] (refused): 497 commands.
 """
 
 from __future__ import annotations
@@ -163,6 +164,10 @@ def commands() -> list:
                 ["protocol", "$T/u3.json", "--route", "controlled", "--side"],
             )
         ]
+    argvs += [
+        [*command, "--tol", "2", "--cut", "5"]
+        for command in (["decompose", "$T/u3.json"], ["schmidt-number", "$T/u3.json"], ["schmidt-number", "$T/u3.json", "--ancilla"])
+    ]
     argvs += [
         ["protocol", f"$T/{_rc_name(3, 5, 3, 1)}.json", "--route", route, "--input", f"$T/{state}"]
         for state in state_files()
