@@ -414,8 +414,8 @@ def joint_diagonalize_commuting(family):
     """Unitary q with q^dagger M q diagonal for every member of the family.
 
     The commutator mass of the family with its adjoints over COMMUTE_RTOL
-    (not a normal commuting family) raises StructureError, which detection
-    treats as a verdict. q is built by ``_joint_diagonalize`` from seed 0; a
+    (not a normal commuting family) raises StructureError; no detector calls
+    this function. q is built by ``_joint_diagonalize`` from seed 0; a
     residual over COMMUTE_RTOL on every attempt raises NumericalError.
     """
     ops, _ = _as_square_family(family, "family")

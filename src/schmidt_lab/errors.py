@@ -16,8 +16,8 @@ class NumericalError(SchmidtLabError, RuntimeError):
 class StructureError(SchmidtLabError, RuntimeError):
     """A structured-family precondition (normality, commutation) is violated.
 
-    This is a detection signal, not a crash: callers that probe whether a
-    family admits joint structure catch it and turn it into a verdict.
+    Only ``algebra.joint_diagonalize_commuting`` raises it; the detectors
+    band their check values into verdicts and never see it.
     """
 
 

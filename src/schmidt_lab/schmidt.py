@@ -99,8 +99,9 @@ class Cut:
     """One cut of a checked gate: its ``front`` systems grouped to the left, then realigned.
 
     ``order`` is the grouped frame's system order and ``dims`` its ``(d_front, d_rest)``. ``svd`` (the
-    verified ``leading_svd`` of ``realigned`` at ``RANK_RTOL``) and ``expansion`` (its ``_expansion``)
-    are computed on first read and kept: at most one of each per cut, however many readers it has.
+    verified ``leading_svd`` of ``realigned`` at the rank cutoff ``tol``), ``report`` (its
+    ``RankReport``) and ``expansion`` (its ``_expansion``) are computed on first read and kept: at most
+    one of each per cut, however many readers it has.
     """
 
     front: tuple
@@ -108,24 +109,31 @@ class Cut:
     dims: tuple
     grouped: np.ndarray
     realigned: np.ndarray
+    tol: float
 
     @classmethod
-    def of(cls, u, layout: SystemLayout, front) -> "Cut":
-        """The cut ``front`` of a ``u`` and ``layout`` that ``mx.on_layout`` has checked."""
+    def of(cls, u, layout: SystemLayout, front, tol: float = RANK_RTOL) -> "Cut":
+        """The cut ``front`` of a ``u`` and ``layout`` that ``mx.on_layout`` has checked, at a checked ``tol``."""
         front, order, dims = mx.cut_order(layout, front)
         grouped = mx.group_systems(u, layout, front)[0]
-        return cls(front, order, dims, grouped, mx._realigned(grouped, dims))
+        return cls(front, order, dims, grouped, mx._realigned(grouped, dims), tol)
 
     @cached_property
     def svd(self):
-        return leading_svd(self.realigned, RANK_RTOL)
+        return leading_svd(self.realigned, self.tol)
+
+    @cached_property
+    def report(self) -> RankReport:
+        """The one operator-rank rule; ``schmidt_rank`` says what it reads."""
+        s = self.svd[1]
+        return RankReport(numerical_rank(s, self.tol), s, self.tol * (s[0] if len(s) else 0.0))
 
     @cached_property
     def expansion(self):
-        return _expansion(self.realigned, self.dims, self.svd)
+        return _expansion(self.realigned, self.dims, self.svd, self.tol)
 
 
-def _expansion(realigned, dims, svd, tol=RANK_RTOL):
+def _expansion(realigned, dims, svd, tol):
     """``(coefficients, left factors, right factors)`` of a realigned operator, verified.
 
     ``svd`` is the ``leading_svd`` of ``realigned`` at ``tol``, taken by the caller. The one
@@ -175,9 +183,8 @@ def operator_schmidt_decompose(u, layout, cut, tol: float = RANK_RTOL) -> Schmid
     """
     mx.checked_tol(tol)
     u, layout = mx.on_layout(u, layout, "decomposition input")
-    cut = Cut.of(u, layout, cut)
-    svd = leading_svd(cut.realigned, tol)
-    return SchmidtDecomposition(*_expansion(cut.realigned, cut.dims, svd, tol), cut=cut.front, layout=layout)
+    cut = Cut.of(u, layout, cut, tol)
+    return SchmidtDecomposition(*cut.expansion, cut=cut.front, layout=layout)
 
 
 def schmidt_rank(u, layout, cut, tol: float = RANK_RTOL) -> RankReport:
@@ -189,17 +196,7 @@ def schmidt_rank(u, layout, cut, tol: float = RANK_RTOL) -> RankReport:
     """
     mx.checked_tol(tol)
     u, layout = mx.on_layout(u, layout, "rank input")
-    return _rank_report(Cut.of(u, layout, cut).realigned, tol)
-
-
-def _rank_report(realigned, tol) -> RankReport:
-    """The one operator-rank rule, on a realigned operator at a checked ``tol``; ``schmidt_rank`` says what it reads."""
-    _, s, _, _ = leading_svd(realigned, tol)
-    return RankReport(
-        rank=numerical_rank(s, tol),
-        singular_values=s,
-        tolerance_used=tol * (s[0] if len(s) else 0.0),
-    )
+    return Cut.of(u, layout, cut, tol).report
 
 
 def _operator_tensor(u: np.ndarray, layout: SystemLayout) -> np.ndarray:
@@ -244,18 +241,20 @@ def multipartite_rank_bounds(u, layout, tol: float = RANK_RTOL, seed: int = 0) -
     accepting the first rank at which one of 32 seeded alternating least
     squares restarts reaches a relative residual of 1e-8. Ranks up to lower+8
     are tried; beyond that the result is flagged unconfirmed with upper = cap+1.
+    A ``tol`` outside (0, 1) or a non-integer seed raises ValueError before the gate is read.
     """
-    layout = SystemLayout.of(layout)
-    u = mx.as_operator(u, "rank bounds input")
+    mx.checked_tol(tol)
+    make_rng(seed)  # a non-integer seed is refused before any bipartition is scanned
+    u, layout = mx.on_layout(u, layout, "rank bounds input")
     n = len(layout)
     if n < 2:
         raise ValueError(f"rank bounds need at least two systems, got {n}")
 
-    lower = 0
-    for size in range(1, n):
-        for rest in combinations(range(1, n), size - 1):
-            cut = (0,) + rest
-            lower = max(lower, schmidt_rank(u, layout, cut, tol).rank)
+    lower = max(
+        Cut.of(u, layout, (0,) + rest, tol).report.rank
+        for size in range(1, n)
+        for rest in combinations(range(1, n), size - 1)
+    )
 
     tensor = _operator_tensor(u, layout)
     norm = np.linalg.norm(tensor)
@@ -314,7 +313,7 @@ def schineq_check(a_ops, b_ops, tol: float = RANK_RTOL) -> SchineqReport:
         raise ValueError("right factors must share one dimension")
 
     SystemLayout.of((d_a, d_b))  # the cap, before the sum is formed
-    rank = _rank_report(_realigned_sum(1.0, a_ops, b_ops), tol).rank
+    rank = numerical_rank(leading_svd(_realigned_sum(1.0, a_ops, b_ops), tol)[1], tol)
     delta_a = span_dimension(a_ops, tol)
     delta_b = span_dimension(b_ops, tol)
     n = len(a_ops)

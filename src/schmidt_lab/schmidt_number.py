@@ -24,7 +24,6 @@ from functools import reduce
 import numpy as np
 
 from . import matrices as mx
-from . import schmidt
 from .factorizations import RANK_RTOL, numerical_rank, svd
 from .matrices import SystemLayout
 from .randomness import make_rng, random_state
@@ -151,10 +150,10 @@ def max_output_schmidt_rank_search(
         raise ValueError(f"restarts must be a positive integer, got {restarts!r}")
     mx.checked_tol(tol)
     u, layout = mx.on_layout(u, layout, "gate", unitary=True)
-    cut = Cut.of(u, layout, cut)
+    cut = Cut.of(u, layout, cut, tol)
     grouping = (cut.order, cut.dims)
     dims = layout.dims
-    cap = min(*cut.dims, schmidt._rank_report(cut.realigned, tol).rank)
+    cap = min(*cut.dims, cut.report.rank)
     rng = make_rng(seed, stream=17)
 
     best_states = None
@@ -220,8 +219,8 @@ def ancilla_extended_check(u, layout, cut=(0,), tol: float = RANK_RTOL) -> Ancil
     """
     mx.checked_tol(tol)
     u, layout = mx.on_layout(u, layout, "gate", unitary=True)
-    cut = Cut.of(u, layout, cut)
-    operator_rank = schmidt._rank_report(cut.realigned, tol).rank
+    cut = Cut.of(u, layout, cut, tol)
+    operator_rank = cut.report.rank
     grouped, (d_a, d_b) = cut.grouped, cut.dims
     del cut  # its realignment, as large as the gate, is not read past the operator rank
 

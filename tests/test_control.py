@@ -406,9 +406,23 @@ def test_a_cut_read_twice_takes_one_svd_and_one_expansion(monkeypatch):
     assert lefts.tobytes() == dec.left_factors.tobytes() and rights.tobytes() == dec.right_factors.tobytes()
 
 
+def test_a_verdict_tol_never_reaches_the_cut_spectrum(monkeypatch):
+    # the verdict band widens to 1e-5; the cut's one SVD stays at the rank cutoff
+    u, layout = gates.random_controlled_unitary(3, 4, 3, seed=2)
+    rtols = []
+
+    def spy(m, rtol, _original=fx.leading_svd):
+        rtols.append(rtol)
+        return _original(m, rtol)
+
+    monkeypatch.setattr(schmidt, "leading_svd", spy)
+    assert is_controlled(u, layout, (0,), tol=1e-5).controlled
+    assert rtols == [fx.RANK_RTOL]
+
+
 @pytest.mark.parametrize("trials", [1, 3, 6])
 def test_the_sch3_suite_expands_each_trial_cut_once(trials, monkeypatch):
-    # the verdict and the product-family cross-check read one cached expansion
+    # each trial's verdict reads one cached expansion of its cut
     counts = _count_calls(monkeypatch, schmidt, ("_expansion",))
     assert fuzz_theorem_checks("sch3", trials, seed=2).ok
     assert counts == {"_expansion": trials}

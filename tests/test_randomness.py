@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from schmidt_lab import gates
-from schmidt_lab.control import fuzz_theorem_checks
+from schmidt_lab import gates, schmidt
+from schmidt_lab.control import FUZZ_SUITES, fuzz_theorem_checks
 from schmidt_lab.protocols import teleport_unitary_protocol
 from schmidt_lab.randomness import (
     haar_unitary,
@@ -12,6 +12,7 @@ from schmidt_lab.randomness import (
     random_hermitian,
     random_state,
 )
+from schmidt_lab.schmidt import multipartite_rank_bounds
 from schmidt_lab.schmidt_number import max_output_schmidt_rank_search
 
 
@@ -76,4 +77,19 @@ def test_seeded_entry_points_refuse_a_non_integer_seed():
     ]
     for call in calls:
         with pytest.raises(ValueError, match="seed and stream must be integers"):
+            call()
+
+
+def test_a_non_integer_seed_is_named_before_any_gate_or_spectrum(monkeypatch):
+    # refused as given: no trial builds a gate and no bipartition takes an SVD first
+    u, layout = gates.four_qubit_example()
+
+    def never(*args, **kwargs):
+        raise AssertionError("reached past the seed check")
+
+    for module, name in ((gates, "random_controlled_unitary"), (gates, "even_qubit_rank3"), (schmidt, "leading_svd")):
+        monkeypatch.setattr(module, name, never)
+    calls = [lambda suite=suite: fuzz_theorem_checks(suite, 2, seed=0.5) for suite in FUZZ_SUITES]
+    for call in calls + [lambda: multipartite_rank_bounds(u, layout, seed=0.5)]:
+        with pytest.raises(ValueError, match=r"^seed and stream must be integers, got 0\.5 and 0$"):
             call()

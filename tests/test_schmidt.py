@@ -195,6 +195,29 @@ def test_schmidt_layer_refuses_a_tol_outside_the_open_unit_interval(call, tol):
     assert call(u, layout, (0,), tol=1e-5).rank == 3
 
 
+def test_a_cut_takes_its_one_spectrum_at_the_callers_tol(monkeypatch):
+    # a sketched 64 x 64 realignment: its rank report and its expansion read one SVD, at the cut's tol
+    u, layout = gates.random_controlled_unitary(8, 8, 3, seed=1)
+    rtols = []
+
+    def spy(m, rtol, _original=fx.leading_svd):
+        rtols.append(rtol)
+        return _original(m, rtol)
+
+    monkeypatch.setattr(sch, "leading_svd", spy)
+    cut = sch.Cut.of(u, layout, (0,), tol=1e-5)
+    report, (coefficients, _, _) = cut.report, cut.expansion
+    assert cut.report is report and cut.svd[3] > 0.0
+    assert rtols == [1e-5]
+    assert report.rank == len(coefficients) == 3
+    assert report.tolerance_used == 1e-5 * report.singular_values[0]
+    rtols.clear()
+    # the public entry points read the same Cut, one SVD each
+    assert sch.schmidt_rank(u, layout, (0,), tol=1e-5).singular_values.tobytes() == report.singular_values.tobytes()
+    assert sch.operator_schmidt_decompose(u, layout, (0,), tol=1e-5).coefficients.tobytes() == coefficients.tobytes()
+    assert rtols == [1e-5, 1e-5]
+
+
 def test_truncation_leaves_exactly_the_dropped_tail():
     # tol 1e-3 keeps only the product term; the rest of the spectrum is
     # dropped and the residual is its norm (Eckart-Young), not an error
@@ -321,6 +344,21 @@ def test_rank_bounds_even_four_qubit():
     bounds = sch.multipartite_rank_bounds(u, layout, seed=4)
     assert (bounds.lower, bounds.upper) == (3, 3)
     assert bounds.confirmed
+
+
+def test_rank_bounds_check_the_gate_once_for_every_bipartition(monkeypatch):
+    # seven bipartitions of four qubits, each grouped once from the one checked gate
+    u, layout = gates.four_qubit_example()
+    counts = dict.fromkeys(("as_operator", "group_systems"), 0)
+    for name in counts:
+
+        def spy(*args, _name=name, _original=getattr(mx, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(mx, name, spy)
+    assert sch.multipartite_rank_bounds(u, layout).lower == 16
+    assert counts == {"as_operator": 1, "group_systems": 7}
 
 
 def test_rank_bounds_needs_multiple_systems():

@@ -28,8 +28,12 @@ the four fuzz suites, one construction, a rank-one
 controlled run with ``--branches 0`` (refused like every form), a missing
 file, an empty, an out-of-range and a full cut through every command that
 reads one, an out-of-range cut with a bad ``--tol`` through ``decompose`` and
-both ``schmidt-number`` modes (the tolerance is named), and the 3 x 5 gate
-fed a state on dims [3, 5] and one on [5, 3] (refused): 497 commands.
+both ``schmidt-number`` modes (the tolerance is named), ``decompose
+--verbose``, ``schmidt-number --ancilla`` and ``schmidt-number --restarts 2``
+at ``--tol`` 1e-5 and 1e-3 on the 8 x 8 gates of rank 3 (seed 1) and rank 2
+(seed 0), whose cuts are sketched, ``decompose`` of the four-qubit gate across
+``0,1`` at 1e-5, and the 3 x 5 gate fed a state on dims [3, 5] and one on
+[5, 3] (refused): 510 commands.
 """
 
 from __future__ import annotations
@@ -168,6 +172,17 @@ def commands() -> list:
         [*command, "--tol", "2", "--cut", "5"]
         for command in (["decompose", "$T/u3.json"], ["schmidt-number", "$T/u3.json"], ["schmidt-number", "$T/u3.json", "--ancilla"])
     ]
+    argvs += [
+        [*command, "--tol", tol]
+        for name in (_rc_name(8, 8, 3, 1), _rc_name(8, 8, 2, 0))
+        for tol in ("1e-5", "1e-3")
+        for command in (
+            ["decompose", f"$T/{name}.json", "--verbose"],
+            ["schmidt-number", f"$T/{name}.json", "--ancilla"],
+            ["schmidt-number", f"$T/{name}.json", "--restarts", "2"],
+        )
+    ]
+    argvs.append(["decompose", "$T/four-qubit.json", "--cut", "0,1", "--tol", "1e-5"])
     argvs += [
         ["protocol", f"$T/{_rc_name(3, 5, 3, 1)}.json", "--route", route, "--input", f"$T/{state}"]
         for state in state_files()
