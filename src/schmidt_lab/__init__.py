@@ -26,7 +26,6 @@ from .errors import (
     NumericalError,
     ProtocolError,
     SchmidtLabError,
-    StructureError,
 )
 from .gates import GATE_BUILDERS, build_gate
 from .matrices import (
@@ -81,7 +80,6 @@ __all__ = [
     "SchmidtDecomposition",
     "SchmidtLabError",
     "SearchResult",
-    "StructureError",
     "SystemLayout",
     "VerificationReport",
     "ancilla_extended_check",

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import matrices as mx
 from .config import max_total_dimension
-from .errors import DimensionError, NumericalError, StructureError
+from .errors import DimensionError, NumericalError
 from .factorizations import eigh, null_space, orthonormal_complement, span_dimension, svd
 from .randomness import make_rng
 from .schmidt import Cut, _realigned_sum
@@ -414,14 +414,14 @@ def joint_diagonalize_commuting(family):
     """Unitary q with q^dagger M q diagonal for every member of the family.
 
     The commutator mass of the family with its adjoints over COMMUTE_RTOL
-    (not a normal commuting family) raises StructureError; no detector calls
+    (not a normal commuting family) raises ValueError; no detector calls
     this function. q is built by ``_joint_diagonalize`` from seed 0; a
     residual over COMMUTE_RTOL on every attempt raises NumericalError.
     """
     ops, _ = _as_square_family(family, "family")
     mass = _commutator_mass(np.concatenate([ops, _adjoints(ops)]))
     if mass > COMMUTE_RTOL:
-        raise StructureError(_obstruction_text(mass))
+        raise ValueError(_obstruction_text(mass))
     q, residual = _joint_diagonalize(ops, 0)
     if residual > COMMUTE_RTOL:
         raise NumericalError(f"joint diagonalization failed verification (residual {residual:.3e})")
@@ -524,16 +524,6 @@ def _check_budget(what: str, entries: int) -> None:
 def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a_i @ b_j`` at index ``i * n + j``: one broadcast matmul, bitwise a pairwise loop."""
     return (a[:, None] @ b[None]).reshape(-1, *a.shape[1:])
-
-
-def product_families(family):
-    """The stacked products ``(M_i M_j^dagger, M_i^dagger M_j)``, index ``i * n + j``.
-
-    More than ``2 cap^2`` entries in all (n d > cap) raise DimensionError first.
-    """
-    ops, d = _as_square_family(family, "family")
-    _check_budget("product families", 2 * len(ops) ** 2 * d * d)
-    return _products(ops, _adjoints(ops)), _products(_adjoints(ops), ops)
 
 
 def _input_products(ops: np.ndarray) -> np.ndarray:

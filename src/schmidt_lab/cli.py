@@ -7,7 +7,7 @@ standard error.  Exit codes are part of the contract:
     0  success, or a positive verdict
     1  negative verdict (the math says no)
     2  invalid input (bad files, flags, dimensions)
-    3  numerical or structural failure, or out of memory
+    3  numerical failure or an inconsistent protocol transcript, or out of memory
     4  inconclusive verdict (near-miss band)
 
 Floats are serialized at the shortest representation that round-trips a
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import control, gates, protocols, schmidt, schmidt_number
 from . import matrices as mx
-from .errors import NumericalError, ProtocolError, StructureError
+from .errors import NumericalError, SchmidtLabError
 from .randomness import make_rng, random_state
 
 EXIT_OK = 0
@@ -143,9 +143,10 @@ def _cmd_detect(args) -> CommandResult:
     side = _parse_side(args.side, layout)
     if args.bcu:
         verdict = control.is_bcu(u, layout, side, **_tol_kwargs(args))
+        side = verdict.side
         payload = {
             "bcu": verdict.bcu,
-            "side": list(verdict.side),
+            "side": list(side),
             "failed_check": verdict.failed_check,
             "inconclusive": verdict.inconclusive,
             "violation": verdict.violation,
@@ -159,6 +160,7 @@ def _cmd_detect(args) -> CommandResult:
         result = _verdict_result(payload, verdict.bcu, verdict.inconclusive, summary)
     else:
         verdict = control.is_controlled(u, layout, side, **_tol_kwargs(args))
+        side = layout.split(side)[0]
         payload = {
             "controlled": verdict.controlled,
             "side": list(side),
@@ -236,6 +238,7 @@ def _cmd_protocol(args) -> CommandResult:
         # controlled route: detect first, then run the protocol on the witness
         side = _parse_side(args.side, layout)
         verdict = control.is_controlled(u, layout, side)
+        side = layout.split(side)[0]
         if not verdict.controlled:
             payload = {
                 "controlled": False,
@@ -245,7 +248,6 @@ def _cmd_protocol(args) -> CommandResult:
             }
             summary = f"side {list(side)}: not controlled ({verdict.failed_check})"
             return _verdict_result(payload, False, verdict.inconclusive, summary)
-        side = verdict.form.side
         psi = mx.group_states(psi[None], layout, *mx.cut_order(layout, side)[1:]).reshape(-1)
         transcript, output = protocols.controlled_gate_protocol(
             verdict.form, psi, seed=args.seed, branches=branches
@@ -396,7 +398,7 @@ def main(argv=None) -> int:
         result = args.handler(args)
     except (ValueError, OSError) as exc:
         result = CommandResult("error", None, [f"invalid input: {exc}"], EXIT_INVALID)
-    except (NumericalError, StructureError, ProtocolError) as exc:
+    except SchmidtLabError as exc:
         result = CommandResult("error", None, [f"computation failed: {exc}"], EXIT_NUMERICAL)
     except MemoryError as exc:
         detail = f" ({exc})" if str(exc) else ""

@@ -267,6 +267,24 @@ class TestDetect:
         assert data["status"] == "error" and payload is None
         assert "out of memory" in data["diagnostics"][0]
 
+    @pytest.mark.parametrize(
+        "argv, side",
+        [
+            (("detect", "--side", "1,0"), [0, 1]),
+            (("detect", "--bcu", "--side", "1,0"), [0, 1]),
+            (("detect", "--side", "0,0"), [0]),
+            (("detect", "--bcu", "--side", "0,0"), [0]),
+            (("protocol", "--route", "controlled", "--side", "0,0"), [0]),
+        ],
+    )
+    def test_prints_the_cut_it_analyzed(self, capsys, u3_path, argv, side):
+        code, out, err = _run(capsys, argv[0], u3_path, *argv[1:])
+        assert code in (0, 1)
+        data, payload = _payload(out)
+        assert payload["side"] == side
+        assert data["diagnostics"][0].startswith(f"side {side}: ")
+        assert err.startswith(f"side {side}: ")
+
     def test_verbose_echoes_the_input(self, capsys, cnot_path):
         code, out, _ = _run(capsys, "detect", cnot_path, "--side", "0", "--verbose")
         assert code == 0

@@ -634,21 +634,19 @@ def test_is_bcu_forms_only_the_input_products(monkeypatch):
     # the output products M_i M_j^dagger serve no decision of is_bcu
     u, layout = gates.random_controlled_unitary(4, 4, 3, seed=2)
     factors = control._cut_factors(schmidt.Cut.of(u, layout, (0,)))
-    _, want = control.algebra.product_families(factors)
+    adjoints = control.algebra._adjoints(factors)
+    want = control.algebra._products(adjoints, factors)
     seen = []
-    solve = control.algebra.commutant_blocks
+    form = control.algebra._products
 
-    def spy(generators):
-        seen.append(generators)
-        return solve(generators)
+    def spy(a, b):
+        seen.append((a, b))
+        return form(a, b)
 
-    def refuse(family):
-        raise AssertionError("is_bcu formed both product families")
-
-    monkeypatch.setattr(control.algebra, "commutant_blocks", spy)
-    monkeypatch.setattr(control.algebra, "product_families", refuse)
+    monkeypatch.setattr(control.algebra, "_products", spy)
     assert is_bcu(u, layout, (0,)).bcu
-    assert len(seen) == 1 and seen[0].tobytes() == want.tobytes()
+    assert len(seen) == 1 and seen[0][0].tobytes() == adjoints.tobytes()
+    assert form(*seen[0]).tobytes() == want.tobytes()
 
 
 def test_near_miss_split_is_scored_on_the_input_commutant():

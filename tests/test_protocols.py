@@ -171,6 +171,31 @@ class TestTeleportationRoute:
         second, _ = teleport_unitary_protocol(CNOT, (2, 2), psi, seed=9)
         assert json.dumps(first.to_json(), sort_keys=True) == json.dumps(second.to_json(), sort_keys=True)
 
+    def test_ledger_cannot_disagree_with_the_resources(self):
+        psi = random_state(4, make_rng(8))
+        transcript, _ = teleport_unitary_protocol(CNOT, (2, 2), psi, seed=4)
+        for field in ("ebits_consumed", "resource_rank"):
+            with pytest.raises(TypeError):
+                dataclasses.replace(transcript, **{field: 2.5})
+        with pytest.raises(TypeError):
+            dataclasses.replace(entanglement_cost_upper(2, 3), ebits=0.0)
+
+    def test_transcript_json_reads_the_ledger_off_the_resources(self):
+        z = np.diag([1.0, -1.0]).astype(complex)
+        runs = [teleport_unitary_protocol(np.eye(d * d), (d, d), random_state(d * d, make_rng(d)))[0] for d in (2, 3)]
+        for blocks in ((I2, I2, I2), (I2, X, X), (I2, X, z)):
+            form = ControlledForm(side=(0,), q=np.eye(3), r=np.eye(3), blocks=blocks, grouped_dims=(3, 2))
+            runs.append(controlled_gate_protocol(form, random_state(6, make_rng(6)))[0])
+        assert [t.resources for t in runs] == [(2, 2), (3, 3), (), (2,), (3,)]
+        for transcript in runs:
+            payload = transcript.to_json()
+            assert set(payload) == {
+                "steps", "resources", "ebits_consumed", "resource_rank", "route",
+                "min_branch_fidelity", "max_branch_fidelity", "branches_checked",
+            }
+            assert payload["resource_rank"] == math.prod(transcript.resources)
+            assert payload["ebits_consumed"] == float(sum(math.log2(r) for r in transcript.resources))
+
     def test_rejects_bad_arguments(self):
         psi = random_state(4, make_rng(1))
         with pytest.raises(ValueError):
@@ -602,7 +627,7 @@ class TestVerification:
         assert report.ok
         assert report.measurements == 2
         assert report.messages == 2
-        assert report.ebits_consumed == 2.0
+        assert (transcript.resource_rank, transcript.ebits_consumed) == (4, 2.0)
 
     def test_controlled_route_passes_verification(self):
         form = ControlledForm(side=(0,), q=I2, r=I2, blocks=(I2, X), grouped_dims=(2, 2))
@@ -622,13 +647,12 @@ class TestVerification:
         with pytest.raises(ProtocolError):
             verify_protocol(corrupted, CNOT, psi, out)
 
-    def test_flags_ledger_mismatch(self):
+    def test_flags_resource_ranks_that_are_not_positive_integers(self):
         psi = random_state(4, make_rng(8))
         transcript, out = teleport_unitary_protocol(CNOT, (2, 2), psi, seed=4)
-        with pytest.raises(ProtocolError):
-            verify_protocol(dataclasses.replace(transcript, ebits_consumed=2.5), CNOT, psi, out)
-        with pytest.raises(ProtocolError):
-            verify_protocol(dataclasses.replace(transcript, resource_rank=5), CNOT, psi, out)
+        for resources in ((2, 0), (2, 2.0), (-3,)):
+            with pytest.raises(ProtocolError, match="positive integers"):
+                verify_protocol(dataclasses.replace(transcript, resources=resources), CNOT, psi, out)
 
     def test_flags_unknown_step_kind(self):
         psi = random_state(4, make_rng(8))

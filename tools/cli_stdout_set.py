@@ -26,14 +26,15 @@ rank-2 6 x 6 gate at 1e-4, whose tail past the control levels lies above
 the near-miss ceiling but which has only two significant Schmidt factors,
 the four fuzz suites, one construction, a rank-one
 controlled run with ``--branches 0`` (refused like every form), a missing
-file, an empty, an out-of-range and a full cut through every command that
-reads one, an out-of-range cut with a bad ``--tol`` through ``decompose`` and
+file, an empty, an out-of-range, a full, an unsorted (``1,0``) and a repeated
+(``0,0``) cut through every command that reads one, ``detect --verbose``,
+an out-of-range cut with a bad ``--tol`` through ``decompose`` and
 both ``schmidt-number`` modes (the tolerance is named), ``decompose
 --verbose``, ``schmidt-number --ancilla`` and ``schmidt-number --restarts 2``
 at ``--tol`` 1e-5 and 1e-3 on the 8 x 8 gates of rank 3 (seed 1) and rank 2
 (seed 0), whose cuts are sketched, ``decompose`` of the four-qubit gate across
 ``0,1`` at 1e-5, and the 3 x 5 gate fed a state on dims [3, 5] and one on
-[5, 3] (refused): 510 commands.
+[5, 3] (refused): 523 commands.
 """
 
 from __future__ import annotations
@@ -155,8 +156,9 @@ def commands() -> list:
         ["construct", "--gate", "u3"],
         ["protocol", f"$T/{_rc_name(3, 3, 1, 0)}.json", "--route", "controlled", "--branches", "0"],
         ["decompose", "$T/missing.json"],
+        ["detect", "$T/u3.json", "--side", "0", "--verbose"],
     ]
-    for cut in ("", "3", "0,1,2"):
+    for cut in ("", "3", "0,1,2", "1,0", "0,0"):
         argvs += [
             [*command, cut]
             for command in (
