@@ -38,12 +38,15 @@ EXIT_INCONCLUSIVE = 4
 
 @dataclass(frozen=True)
 class CommandResult:
-    """One command's outcome: a status, its JSON payload, and human lines."""
+    """One command's outcome: its JSON payload, human lines and exit code, which indexes ``status``."""
 
-    status: str
     payload: dict | None
     diagnostics: list
     exit_code: int
+
+    @property
+    def status(self) -> str:
+        return ("ok", "verdict-negative", "error", "error", "inconclusive")[self.exit_code]
 
 
 def _json_default(value):
@@ -127,15 +130,11 @@ def _cmd_decompose(args) -> CommandResult:
         payload["right_factors"] = [_single_system_json(f) for f in dec.right_factors]
         payload["input"] = mx.matrix_to_json(u, layout.dims)
     diagnostics = [f"rank {dec.rank} across cut {list(dec.cut)} of dims {list(layout.dims)}"]
-    return CommandResult("ok", payload, diagnostics, EXIT_OK)
+    return CommandResult(payload, diagnostics, EXIT_OK)
 
 
 def _verdict_result(payload: dict, positive: bool, inconclusive: bool, summary: str) -> CommandResult:
-    if positive:
-        return CommandResult("ok", payload, [summary], EXIT_OK)
-    if inconclusive:
-        return CommandResult("inconclusive", payload, [summary], EXIT_INCONCLUSIVE)
-    return CommandResult("verdict-negative", payload, [summary], EXIT_NEGATIVE)
+    return CommandResult(payload, [summary], EXIT_OK if positive else EXIT_INCONCLUSIVE if inconclusive else EXIT_NEGATIVE)
 
 
 def _cmd_detect(args) -> CommandResult:
@@ -201,7 +200,7 @@ def _cmd_construct(args) -> CommandResult:
             handle.write(_dumps(matrix_json))
     payload = {"gate": args.gate, "params": params, "matrix": matrix_json}
     diagnostics = [f"built {args.gate} on dims {list(layout.dims)}"]
-    return CommandResult("ok", payload, diagnostics, EXIT_OK)
+    return CommandResult(payload, diagnostics, EXIT_OK)
 
 
 def _cmd_protocol(args) -> CommandResult:
@@ -215,7 +214,7 @@ def _cmd_protocol(args) -> CommandResult:
         report = protocols.entanglement_cost_upper(d_a, d_b, controlled_terms=args.terms)
         payload = {"k": report.k, "ebits": report.ebits, "route": report.route}
         diagnostics = [f"resource rank {report.k} ({report.ebits:.6f} ebits) via {report.route}"]
-        return CommandResult("ok", payload, diagnostics, EXIT_OK)
+        return CommandResult(payload, diagnostics, EXIT_OK)
 
     if args.input:
         psi, state_layout = mx.state_from_json(_load_json(args.input))
@@ -272,7 +271,7 @@ def _cmd_protocol(args) -> CommandResult:
         payload["output"] = mx.state_to_json(output, dims)
     if not report.ok:
         raise NumericalError(f"{route} branch fidelity dropped to {report.fidelity}")
-    return CommandResult("ok", payload, [summary], EXIT_OK)
+    return CommandResult(payload, [summary], EXIT_OK)
 
 
 def _cmd_schmidt_number(args) -> CommandResult:
@@ -291,7 +290,7 @@ def _cmd_schmidt_number(args) -> CommandResult:
             "matches": report.matches,
         }
         diagnostics = [f"ancilla-extended rank {report.rank_with_ancillas} matches the operator rank"]
-        return CommandResult("ok", payload, diagnostics, EXIT_OK)
+        return CommandResult(payload, diagnostics, EXIT_OK)
     result = schmidt_number.max_output_schmidt_rank_search(
         u, layout, cut, restarts=args.restarts, seed=args.seed, **_tol_kwargs(args)
     )
@@ -301,7 +300,7 @@ def _cmd_schmidt_number(args) -> CommandResult:
         "singular_values": [float(s) for s in result.singular_values],
     }
     diagnostics = [f"best output rank found: {result.max_rank}"]
-    return CommandResult("ok", payload, diagnostics, EXIT_OK)
+    return CommandResult(payload, diagnostics, EXIT_OK)
 
 
 def _cmd_fuzz(args) -> CommandResult:
@@ -327,8 +326,15 @@ def _cmd_fuzz(args) -> CommandResult:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise ValueError, so they reach stdout as an envelope; subparsers inherit it."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="schmidt-lab",
         description=(
             "Operator Schmidt structure, controlled-unitary detection, gate "
@@ -389,20 +395,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_OK if exc.code in (0, None) else EXIT_INVALID
-    try:
+        args = build_parser().parse_args(argv)
         result = args.handler(args)
+    except SystemExit:
+        return EXIT_OK  # only --help exits the parser, once its text is on stdout
     except (ValueError, OSError) as exc:
-        result = CommandResult("error", None, [f"invalid input: {exc}"], EXIT_INVALID)
+        result = CommandResult(None, [f"invalid input: {exc}"], EXIT_INVALID)
     except SchmidtLabError as exc:
-        result = CommandResult("error", None, [f"computation failed: {exc}"], EXIT_NUMERICAL)
+        result = CommandResult(None, [f"computation failed: {exc}"], EXIT_NUMERICAL)
     except MemoryError as exc:
         detail = f" ({exc})" if str(exc) else ""
-        result = CommandResult("error", None, [f"computation failed: out of memory{detail}"], EXIT_NUMERICAL)
+        result = CommandResult(None, [f"computation failed: out of memory{detail}"], EXIT_NUMERICAL)
     return _emit(result)
 
 

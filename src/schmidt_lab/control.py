@@ -43,17 +43,20 @@ class ControlledForm:
 
     ``side`` records which systems form the control; the operator it
     reproduces is the input with those systems permuted to the front.
-    ``blocks`` is one ``(d_c, d_t, d_t)`` array (a sequence of ``d_c``
-    blocks is accepted too). ``operator``, ``residual`` and ``apply`` share
-    one expansion of the factors ``(q, r, blocks)``; ``residual`` holds one
-    full-size array and ``apply`` none.
+    ``blocks`` is one ``(d_c, d_t, d_t)`` array (a sequence of ``d_c`` blocks is accepted
+    too); ``grouped_dims``, ``(d_c, d_t)``, is read off the shapes of ``q`` and ``blocks``.
+    ``operator``, ``residual`` and ``apply`` share one expansion of the factors
+    ``(q, r, blocks)``; ``residual`` holds one full-size array and ``apply`` none.
     """
 
     side: tuple
     q: np.ndarray
     r: np.ndarray
     blocks: np.ndarray
-    grouped_dims: tuple
+
+    @property
+    def grouped_dims(self) -> tuple:
+        return len(self.q), np.shape(self.blocks)[-1]
 
     def _slab(self) -> np.ndarray:
         """``slab[a, b] = sum_k q[a, k] r[k, b] V_k``: one ``(d_c^2, d_c) @ (d_c, d_t^2)`` matmul."""
@@ -83,29 +86,30 @@ class ControlledForm:
 class ControlVerdict:
     """Outcome of one controlled-structure decision.
 
-    From ``is_controlled``, ``controlled`` holds exactly when ``form`` is
-    present; the verdicts of a ``MultipartiteControlReport`` carry no form,
-    the report's ``witness`` being the one it keeps. A refutation or a
-    near-miss carries ``failed_check``, with ``violation`` giving the worst
-    relative check value either way.
+    ``controlled`` is ``failed_check is None``; from ``is_controlled`` it holds exactly
+    when ``form`` is present (a ``MultipartiteControlReport``'s verdicts carry no form, the
+    report keeping its ``witness``). A refutation or a near-miss carries ``failed_check``,
+    with ``violation`` giving the worst relative check value either way.
     """
 
-    controlled: bool
     form: ControlledForm | None
     failed_check: str | None
     inconclusive: bool = False
     violation: float | None = None
     schmidt_rank: int = 0
 
+    @property
+    def controlled(self) -> bool:
+        return self.failed_check is None
+
 
 @dataclass(frozen=True)
 class BcuVerdict:
     """Outcome of the invariant-block-split decision for one side.
 
-    The projector pairs (P_k, Q_k) are present exactly when ``bcu`` holds.
+    ``bcu`` is ``failed_check is None``; the projector pairs (P_k, Q_k) are present exactly then.
     """
 
-    bcu: bool
     side: tuple
     input_projectors: tuple | None
     output_projectors: tuple | None
@@ -113,39 +117,51 @@ class BcuVerdict:
     inconclusive: bool = False
     violation: float | None = None
 
+    @property
+    def bcu(self) -> bool:
+        return self.failed_check is None
+
 
 @dataclass
 class MultipartiteControlReport:
-    """Per-singleton and per-pair verdicts, without forms, and the first positive subset's form."""
+    """Per-singleton and per-pair verdicts, without forms, and the first positive subset's form and side."""
 
     layout: SystemLayout
     singles: dict
     pairs: dict
-    witness_subset: tuple | None
     witness: ControlledForm | None
-    low_rank_subsets: tuple
+
+    @property
+    def witness_subset(self) -> tuple | None:
+        return None if self.witness is None else self.witness.side
 
     @property
     def controlled_subsets(self) -> tuple:
-        ordered = list(self.singles.items()) + list(self.pairs.items())
-        return tuple(subset for subset, verdict in ordered if verdict.controlled)
+        return tuple(subset for subset, verdict in {**self.singles, **self.pairs}.items() if verdict.controlled)
+
+    @property
+    def low_rank_subsets(self) -> tuple:
+        return tuple(subset for subset, verdict in {**self.singles, **self.pairs}.items() if verdict.schmidt_rank <= 2)
 
 
 @dataclass(frozen=True)
 class FuzzSummary:
-    """Randomized-suite outcome; any failure keeps its first counterexample."""
+    """Randomized-suite outcome; any failure keeps its first counterexample, and ``passes`` counts the rest."""
 
     suite: str
     trials: int
-    passes: int
     failures: tuple
     first_counterexample: np.ndarray | None
     first_counterexample_dims: tuple | None
     seed: int
 
     @property
+    def passes(self) -> int:
+        return self.trials - len(self.failures)
+
+    @property
     def ok(self) -> bool:
-        return self.passes == self.trials
+        return not self.failures
 
 
 def _cut_factors(cut: Cut):
@@ -211,7 +227,6 @@ def _decide_control(cut: Cut, norm_u, tol) -> ControlVerdict:
         violation, description, form = _product_route(cut, norm_u, tol)
     passed, failed_check, inconclusive = _band(violation, description, tol, form is not None)
     return ControlVerdict(
-        controlled=passed,
         form=form if passed else None,
         failed_check=failed_check,
         inconclusive=inconclusive,
@@ -232,7 +247,7 @@ def _product_route(cut, norm_u, tol):
     blocks = rotated[diagonal, :, diagonal, :]
     deviations = mx.unitarity_residuals(blocks)
     checks = [(f"target block {k} is not unitary", float(x)) for k, x in enumerate(deviations)]
-    form = ControlledForm(side=cut.front, q=s.conj().T, r=t.conj().T, blocks=blocks, grouped_dims=cut.dims)
+    form = ControlledForm(side=cut.front, q=s.conj().T, r=t.conj().T, blocks=blocks)
     residual = form.residual(cut.grouped) / norm_u
     checks.append(("assembled form does not reconstruct the input", residual))
     name, violation = max(checks, key=lambda item: item[1])
@@ -278,7 +293,6 @@ def is_bcu(u, layout, side, tol: float = VERDICT_RTOL) -> BcuVerdict:
     projectors = algebra.commutant_blocks(algebra._input_products(_cut_factors(cut)))
     if projectors is None:
         return BcuVerdict(
-            bcu=False,
             side=cut.front,
             input_projectors=None,
             output_projectors=None,
@@ -290,7 +304,6 @@ def is_bcu(u, layout, side, tol: float = VERDICT_RTOL) -> BcuVerdict:
         worst, f"input-commutant split does not capture the blocks (violation {worst:.3e})", tol
     )
     return BcuVerdict(
-        bcu=passed,
         side=cut.front,
         input_projectors=projectors if passed else None,
         output_projectors=outs if passed else None,
@@ -315,27 +328,15 @@ def multipartite_control_analysis(u, layout, tol: float = VERDICT_RTOL) -> Multi
 
     singles = {}
     pairs = {}
-    low_rank = []
-    witness_subset = None
     witness = None
     subsets = [(i,) for i in range(len(layout))] + list(combinations(range(len(layout)), 2))
     for subset in subsets:
         verdict = _decide_control(Cut.of(u, layout, subset), norm_u, tol)
-        if verdict.controlled and witness_subset is None:
-            witness_subset = subset
+        if witness is None:
             witness = verdict.form
         # one form per controlled subset would outgrow the gate itself near the cap
         (singles if len(subset) == 1 else pairs)[subset] = replace(verdict, form=None)
-        if verdict.schmidt_rank <= 2:
-            low_rank.append(subset)
-    return MultipartiteControlReport(
-        layout=layout,
-        singles=singles,
-        pairs=pairs,
-        witness_subset=witness_subset,
-        witness=witness,
-        low_rank_subsets=tuple(low_rank),
-    )
+    return MultipartiteControlReport(layout=layout, singles=singles, pairs=pairs, witness=witness)
 
 
 # ------------------------------------------------------------- fuzz suites
@@ -411,15 +412,12 @@ def fuzz_theorem_checks(theorem: str, trials: int, seed: int = 0) -> FuzzSummary
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
     make_rng(seed)  # a non-integer seed is refused before any trial
     runner = _FUZZ_RUNNERS[theorem]
-    passes = 0
     failures = []
     first = None
     first_dims = None
     for trial in range(trials):
         u, dims, problem = runner(trial, seed * 1_000_003 + trial)
-        if problem is None:
-            passes += 1
-        else:
+        if problem is not None:
             failures.append(f"trial {trial}: {problem}")
             if first is None:
                 first = u
@@ -427,7 +425,6 @@ def fuzz_theorem_checks(theorem: str, trials: int, seed: int = 0) -> FuzzSummary
     return FuzzSummary(
         suite=theorem,
         trials=trials,
-        passes=passes,
         failures=tuple(failures),
         first_counterexample=first,
         first_counterexample_dims=first_dims,

@@ -300,18 +300,15 @@ def _validate_form(form: ControlledForm, input_dim: int):
     """``(d_c, d_t, blocks as one stack)`` of a form whose every factor is unitary within ``VERDICT_RTOL``.
 
     That is the band ``is_controlled`` certifies its witnesses in by default,
-    so every form it returns runs. A block array of the right shape and
-    dtype is the stack itself, not a copy.
+    so every form it returns runs; ``d_c`` and ``d_t`` are read off ``q`` and the blocks.
+    A block array of the right shape and dtype is the stack itself, not a copy.
     """
-    if len(form.grouped_dims) != 2:
-        raise ValueError(f"form must describe a control/target split, got dims {form.grouped_dims}")
     d_c, d_t = form.grouped_dims
     if d_c * d_t != input_dim:
         raise ValueError(f"input must have dimension {d_c * d_t}, got {input_dim}")
-    q = mx.assert_unitary(form.q, "form.q", rtol=VERDICT_RTOL)
-    r = mx.assert_unitary(form.r, "form.r", rtol=VERDICT_RTOL)
-    if q.shape[0] != d_c or r.shape[0] != d_c:
-        raise ValueError(f"form rotations must act on dimension {d_c}")
+    mx.assert_unitary(form.q, "form.q", rtol=VERDICT_RTOL)
+    if mx.assert_unitary(form.r, "form.r", rtol=VERDICT_RTOL).shape[0] != d_c:
+        raise ValueError(f"form.r must act on dimension {d_c}")
     stack = np.asarray(form.blocks, dtype=complex)
     if stack.shape != (d_c, d_t, d_t):
         raise ValueError(f"form blocks must stack to shape {(d_c, d_t, d_t)}, got {stack.shape}")
@@ -449,7 +446,7 @@ def verify_protocol(transcript: ProtocolTranscript, u, input, output) -> Verific
     applied directly.
     """
     for rank in transcript.resources:
-        if not isinstance(rank, int) or rank < 1:
+        if not mx._is_int(rank) or rank < 1:
             raise ProtocolError(f"resource ranks must be positive integers, got {rank!r}")
 
     unannounced = {actor: [] for actor in ACTORS}

@@ -722,6 +722,25 @@ def test_simultaneous_svd_of_diagonal_family():
     check_witness(res, family)
 
 
+def test_simultaneous_svd_fills_an_empty_column_from_the_complement():
+    # no member has a row in the third direction, so t's third column comes from orthonormal_complement
+    family = [np.diag([1.0, 0.0, 0.0]).astype(complex), np.diag([0.0, 1.0, 0.0]).astype(complex)]
+    res = alg.simultaneous_svd(family)
+    check_witness(res, family)
+    assert mx.unitarity_residuals(res.t[None])[0] <= 1e-12
+
+
+def test_simultaneous_svd_names_the_right_products_when_only_they_fail():
+    # P0 = |0><0| and E01 = |0><1|: every left product M_i M_j^dagger is a multiple of P0,
+    # while the right products M_i^dagger M_j do not commute
+    p0 = np.diag([1.0, 0.0]).astype(complex)
+    e01 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    res = alg.simultaneous_svd([p0, e01])
+    assert not res.ok
+    assert res.failed_check == "right products: family is not normal and commuting (commutator mass 3.464e+00)"
+    assert res.s is None and res.t is None
+
+
 def test_simultaneous_svd_single_unitary():
     u = haar_unitary(4, make_rng(10))
     res = alg.simultaneous_svd([u])

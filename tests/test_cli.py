@@ -7,6 +7,7 @@ be a single JSON object, byte-identical across runs for fixed seeds.
 """
 
 import argparse
+import dataclasses
 import importlib.util
 import json
 import math
@@ -20,9 +21,10 @@ import pytest
 import scipy.linalg
 
 import schmidt_lab
-from schmidt_lab import cli, gates
+from schmidt_lab import cli, control, gates, schmidt
 from schmidt_lab import matrices as mx
 from schmidt_lab.cli import main
+from schmidt_lab.errors import NumericalError
 from schmidt_lab.randomness import haar_unitary, make_rng, random_hermitian, random_state
 
 CNOT = np.array(
@@ -446,6 +448,24 @@ class TestFuzz:
         code, out, _ = _run(capsys, "fuzz", "--theorem", "perpetual-motion", "--trials", "1")
         assert code == 2
 
+    def test_a_failing_trial_is_a_negative_verdict_with_its_counterexample(self, capsys, monkeypatch):
+        def odd_trials_fail(trial, trial_seed):
+            return (CNOT, (2, 2), "forced") if trial % 2 else (np.eye(4, dtype=complex), (2, 2), None)
+
+        monkeypatch.setitem(control._FUZZ_RUNNERS, "sch3", odd_trials_fail)
+        code, out, _ = _run(capsys, "fuzz", "--theorem", "sch3", "--trials", "5")
+        assert code == 1
+        data, payload = _payload(out)
+        assert data["status"] == "verdict-negative"
+        assert payload["failures"] == ["trial 1: forced", "trial 3: forced"]
+        assert payload["passes"] == payload["trials"] - len(payload["failures"]) == 3
+        assert payload["ok"] is False
+        assert payload["first_counterexample_dims"] == [2, 2]
+        assert "first_counterexample" not in payload
+        code, out, _ = _run(capsys, "fuzz", "--theorem", "sch3", "--trials", "5", "--verbose")
+        assert code == 1
+        assert _payload(out)[1]["first_counterexample"] == mx.matrix_to_json(CNOT, (2, 2))
+
 
 class TestPlumbing:
     def test_fixed_seeds_give_byte_identical_output(self, capsys, cnot_path):
@@ -464,6 +484,44 @@ class TestPlumbing:
     def test_unknown_flags_are_rejected(self, capsys, cnot_path):
         code, _, _ = _run(capsys, "decompose", cnot_path, "--warp")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("decompose", "CNOT", "--warp"), "unrecognized arguments: --warp"),
+            (("protocol", "CNOT"), "the following arguments are required: --route"),
+            (("fuzz", "--trials", "x"), "argument --trials: invalid int value: 'x'"),
+            ((), "the following arguments are required: command"),
+        ],
+    )
+    def test_a_usage_error_prints_one_envelope(self, capsys, cnot_path, argv, message):
+        code, out, err = _run(capsys, *[cnot_path if arg == "CNOT" else arg for arg in argv])
+        assert code == 2
+        assert json.loads(out) == {"status": "error", "diagnostics": [f"invalid input: {message}"]}
+        assert err == f"invalid input: {message}\n"
+
+    def test_help_keeps_its_text_on_stdout(self, capsys):
+        for argv in (("--help",), ("detect", "--help")):
+            code, out, _ = _run(capsys, *argv)
+            assert code == 0
+            assert out.startswith("usage: schmidt-lab")
+
+    def test_a_library_failure_inside_a_command_exits_3(self, capsys, cnot_path, monkeypatch):
+        def fails(*args, **kwargs):
+            raise NumericalError("forced")
+
+        monkeypatch.setattr(schmidt, "operator_schmidt_decompose", fails)
+        code, out, err = _run(capsys, "decompose", cnot_path)
+        assert code == 3
+        data, payload = _payload(out)
+        assert data == {"status": "error", "diagnostics": ["computation failed: forced"]}
+        assert payload is None
+        assert err == "computation failed: forced\n"
+
+    def test_a_result_status_is_read_off_its_exit_code(self):
+        assert "status" not in {field.name for field in dataclasses.fields(cli.CommandResult)}
+        statuses = [cli.CommandResult(None, [], code).status for code in range(5)]
+        assert statuses == ["ok", "verdict-negative", "error", "error", "inconclusive"]
 
     @pytest.mark.parametrize("argv", [("construct", "--gate", "u3"), ("schmidt-number", "CNOT", "--ancilla")])
     def test_verbose_is_refused_where_nothing_reads_it(self, capsys, cnot_path, argv):
@@ -590,7 +648,9 @@ def test_the_stdout_set_covers_every_subcommand_and_route():
     routes = {argv[argv.index("--route") + 1] for argv in argvs if "--route" in argv}
     assert routes == set(route.choices)
     files = {f"$T/{name}" for name in [*stdout_set.gate_files(), *stdout_set.state_files()]}
-    assert {arg for argv in argvs for arg in argv if arg.startswith("$T/")} - files == {"$T/missing.json"}
+    # a file no command writes, one that construct --out writes, and one that does not parse
+    unlisted = {"$T/missing.json", "$T/u3-out.json", f"$T/{stdout_set.INVALID_JSON}"}
+    assert {arg for argv in argvs for arg in argv if arg.startswith("$T/")} - files == unlisted
     # a Haar gate refuted by its Schmidt tail, and a far gate with too few factors for that rule
     for name in ("haar-4x4", "few-factors-far-6x6"):
         assert ["detect", f"$T/{name}.json", "--side", "A"] in argvs

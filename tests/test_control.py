@@ -9,6 +9,8 @@ local scrambling, and perturbations too small to refute must come back
 inconclusive rather than negative.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -84,7 +86,7 @@ def _factor_form(d_c, d_t, r, seed):
     q, rot = haar_unitary(d_c, rng), haar_unitary(d_c, rng)
     distinct = [haar_unitary(d_t, rng) for _ in range(r)]
     blocks = tuple(distinct[k % r] for k in range(d_c))
-    return control.ControlledForm(side=(0,), q=q, r=rot, blocks=blocks, grouped_dims=(d_c, d_t))
+    return control.ControlledForm(side=(0,), q=q, r=rot, blocks=blocks)
 
 
 def _forms(d_c, d_t):
@@ -728,6 +730,37 @@ def test_multipartite_report_keeps_only_the_witness_form(build, n):
     assert np.array_equal(witness.blocks, direct.blocks)
 
 
+@pytest.mark.parametrize("build", [gates.u3, lambda: gates.even_qubit_rank3(4)])
+def test_multipartite_witness_subset_is_the_witness_side(build):
+    report = multipartite_control_analysis(*build())
+    assert report.witness_subset == report.witness.side
+    assert report.witness_subset == report.controlled_subsets[0]
+
+
+def test_results_store_no_copy_of_what_they_restate():
+    verdict = is_controlled(CNOT, (2, 2), (0,))
+    with pytest.raises(TypeError):
+        dataclasses.replace(verdict, controlled=True)
+    with pytest.raises(TypeError):
+        dataclasses.replace(verdict.form, grouped_dims=(1, 4))
+    copies = {"controlled", "bcu", "grouped_dims", "witness_subset", "low_rank_subsets", "passes"}
+    for kind in (
+        control.ControlledForm,
+        control.ControlVerdict,
+        control.BcuVerdict,
+        control.MultipartiteControlReport,
+        control.FuzzSummary,
+    ):
+        assert not copies & {field.name for field in dataclasses.fields(kind)}
+    # a verdict is positive exactly when no check failed
+    swap, layout = gates.swap_gate()
+    refuted, split = is_controlled(swap, layout, (0,)), is_bcu(CNOT, (2, 2), (0,))
+    assert (verdict.controlled, verdict.failed_check) == (True, None)
+    assert refuted.failed_check is not None and not refuted.controlled and refuted.form is None
+    assert (split.bcu, split.failed_check) == (True, None)
+    assert not is_bcu(swap, layout, (0,)).bcu
+
+
 def _permuted_scrambled_u3(seed):
     base, layout = gates.u3()
     u = gates.random_local_scramble(base, layout, seed=seed)
@@ -818,6 +851,20 @@ def test_fuzz_even_qubit_suite_smoke():
     summary = fuzz_theorem_checks("even-qubit", trials=4, seed=14)
     assert summary.ok
     assert summary.passes == 4
+
+
+def test_fuzz_keeps_the_first_counterexample_of_a_failing_suite(monkeypatch):
+    def fail_from_trial_two(trial, trial_seed):
+        u = np.eye(4, dtype=complex) if trial < 2 else CNOT * (1j ** trial)
+        return u, (2, 2), None if trial < 2 else f"forced at seed {trial_seed}"
+
+    monkeypatch.setitem(control._FUZZ_RUNNERS, "sch3", fail_from_trial_two)
+    summary = fuzz_theorem_checks("sch3", trials=4, seed=1)
+    assert summary.failures == ("trial 2: forced at seed 1000005", "trial 3: forced at seed 1000006")
+    assert summary.passes == summary.trials - len(summary.failures) == 2
+    assert not summary.ok
+    assert np.array_equal(summary.first_counterexample, -CNOT)
+    assert summary.first_counterexample_dims == (2, 2)
 
 
 def test_fuzz_is_deterministic():

@@ -195,7 +195,7 @@ _STACK = random_complex_gaussian((3, 4, 6), _RNG)
 # 40 x 40 of rank 2: leading_svd sketches it instead of taking the dense svd
 _LOW_RANK = random_complex_gaussian((40, 2), _RNG) @ random_complex_gaussian((2, 40), _RNG)
 _PSI = random_state(4, _RNG)
-_FORM = ControlledForm(side=(0,), q=np.eye(2), r=np.eye(2), blocks=(np.eye(2), CNOT[2:, 2:]), grouped_dims=(2, 2))
+_FORM = ControlledForm(side=(0,), q=np.eye(2), r=np.eye(2), blocks=(np.eye(2), CNOT[2:, 2:]))
 _ZERO = np.array([1.0, 0.0], dtype=complex)
 
 

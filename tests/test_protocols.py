@@ -184,7 +184,7 @@ class TestTeleportationRoute:
         z = np.diag([1.0, -1.0]).astype(complex)
         runs = [teleport_unitary_protocol(np.eye(d * d), (d, d), random_state(d * d, make_rng(d)))[0] for d in (2, 3)]
         for blocks in ((I2, I2, I2), (I2, X, X), (I2, X, z)):
-            form = ControlledForm(side=(0,), q=np.eye(3), r=np.eye(3), blocks=blocks, grouped_dims=(3, 2))
+            form = ControlledForm(side=(0,), q=np.eye(3), r=np.eye(3), blocks=blocks)
             runs.append(controlled_gate_protocol(form, random_state(6, make_rng(6)))[0])
         assert [t.resources for t in runs] == [(2, 2), (3, 3), (), (2,), (3,)]
         for transcript in runs:
@@ -224,7 +224,7 @@ class TestControlledRoute:
         assert _fid(BELL, out) >= 1.0 - 1e-8
 
     def test_hand_built_form_runs_exactly(self):
-        form = ControlledForm(side=(0,), q=I2, r=I2, blocks=(I2, X), grouped_dims=(2, 2))
+        form = ControlledForm(side=(0,), q=I2, r=I2, blocks=(I2, X))
         psi = random_state(4, make_rng(12))
         transcript, out = controlled_gate_protocol(form, psi, seed=1)
         assert _fid(CNOT @ psi, out) >= 1.0 - 1e-12
@@ -262,7 +262,6 @@ class TestControlledRoute:
             q=haar_unitary(2, rng),
             r=haar_unitary(2, rng),
             blocks=(v, v),
-            grouped_dims=(2, 3),
         )
         psi = random_state(6, make_rng(41))
         transcript, out = controlled_gate_protocol(form, psi, seed=3)
@@ -276,7 +275,7 @@ class TestControlledRoute:
     def test_rank_one_forms_read_branches_like_every_form(self, tmp_path, capsys):
         # one group runs through the same branch table, so branches is checked and sampled there too
         v = haar_unitary(3, make_rng(44))
-        form = ControlledForm(side=(0,), q=I2, r=I2, blocks=(v, 1j * v), grouped_dims=(2, 3))
+        form = ControlledForm(side=(0,), q=I2, r=I2, blocks=(v, 1j * v))
         psi = random_state(6, make_rng(45))
         for bad in (0, -3, "bogus", True):
             with pytest.raises(ValueError, match="branches must be"):
@@ -297,7 +296,7 @@ class TestControlledRoute:
         # blocks v and i*v span one direction; the phase is a free local
         # correction on the control side, so no entanglement is needed
         v = haar_unitary(2, make_rng(42))
-        form = ControlledForm(side=(0,), q=I2, r=I2, blocks=(v, 1j * v), grouped_dims=(2, 2))
+        form = ControlledForm(side=(0,), q=I2, r=I2, blocks=(v, 1j * v))
         psi = random_state(4, make_rng(43))
         transcript, out = controlled_gate_protocol(form, psi, seed=4)
         assert transcript.resource_rank == 1
@@ -330,12 +329,12 @@ class TestControlledRoute:
     def test_rejects_invalid_forms(self):
         psi = random_state(4, make_rng(1))
         bad_block = ControlledForm(
-            side=(0,), q=I2, r=I2, blocks=(I2, np.diag([1.0, 2.0]).astype(complex)), grouped_dims=(2, 2)
+            side=(0,), q=I2, r=I2, blocks=(I2, np.diag([1.0, 2.0]).astype(complex))
         )
         with pytest.raises(ValueError):
             controlled_gate_protocol(bad_block, psi)
         bad_q = ControlledForm(
-            side=(0,), q=np.ones((2, 2), dtype=complex), r=I2, blocks=(I2, X), grouped_dims=(2, 2)
+            side=(0,), q=np.ones((2, 2), dtype=complex), r=I2, blocks=(I2, X)
         )
         with pytest.raises(ValueError):
             controlled_gate_protocol(bad_q, psi)
@@ -344,13 +343,20 @@ class TestControlledRoute:
             (np.array([[1.0, np.nan], [0.0, 1.0]], dtype=complex), "non-finite"),
             (np.diag([1.0, 1.5]).astype(complex), "not unitary"),
         ):
-            form = ControlledForm(side=(0,), q=I2, r=I2, blocks=(X, block), grouped_dims=(2, 2))
+            form = ControlledForm(side=(0,), q=I2, r=I2, blocks=(X, block))
             with pytest.raises(ValueError, match=f"form block 1 (contains|is) {text}"):
                 controlled_gate_protocol(form, psi)
-        short = ControlledForm(side=(0,), q=I2, r=I2, blocks=(I2,), grouped_dims=(2, 2))
+        short = ControlledForm(side=(0,), q=I2, r=I2, blocks=(I2,))
         with pytest.raises(ValueError):
             controlled_gate_protocol(short, psi)
-        good = ControlledForm(side=(0,), q=I2, r=I2, blocks=(I2, X), grouped_dims=(2, 2))
+        # the form's dims are read off q and the blocks, so an empty or ragged stack is refused too,
+        # and so is an r on another dimension than q
+        for blocks in ((), (I2, np.eye(3))):
+            with pytest.raises(ValueError):
+                controlled_gate_protocol(ControlledForm(side=(0,), q=I2, r=I2, blocks=blocks), psi)
+        with pytest.raises(ValueError, match="form.r must act on dimension 2"):
+            controlled_gate_protocol(ControlledForm(side=(0,), q=I2, r=np.eye(3), blocks=(I2, X)), psi)
+        good = ControlledForm(side=(0,), q=I2, r=I2, blocks=(I2, X))
         with pytest.raises(ValueError):
             controlled_gate_protocol(good, random_state(6, make_rng(2)))
         with pytest.raises(ValueError):
@@ -630,7 +636,7 @@ class TestVerification:
         assert (transcript.resource_rank, transcript.ebits_consumed) == (4, 2.0)
 
     def test_controlled_route_passes_verification(self):
-        form = ControlledForm(side=(0,), q=I2, r=I2, blocks=(I2, X), grouped_dims=(2, 2))
+        form = ControlledForm(side=(0,), q=I2, r=I2, blocks=(I2, X))
         psi = random_state(4, make_rng(9))
         transcript, out = controlled_gate_protocol(form, psi, seed=6)
         report = verify_protocol(transcript, CNOT, psi, out)
@@ -653,6 +659,28 @@ class TestVerification:
         for resources in ((2, 0), (2, 2.0), (-3,)):
             with pytest.raises(ProtocolError, match="positive integers"):
                 verify_protocol(dataclasses.replace(transcript, resources=resources), CNOT, psi, out)
+
+    def test_resource_ranks_follow_the_library_integer_rule(self):
+        # a bool is not a rank; a numpy integer is
+        psi = random_state(4, make_rng(8))
+        transcript, out = teleport_unitary_protocol(CNOT, (2, 2), psi, seed=4)
+        with pytest.raises(ProtocolError, match="positive integers, got True"):
+            verify_protocol(dataclasses.replace(transcript, resources=(True, 2)), CNOT, psi, out)
+        numpy_ranks = dataclasses.replace(transcript, resources=(np.int64(2), 2))
+        assert verify_protocol(numpy_ranks, CNOT, psi, out).ok
+
+    def test_flags_unknown_actor_and_outcome_free_measurement(self):
+        psi = random_state(4, make_rng(8))
+        transcript, out = teleport_unitary_protocol(CNOT, (2, 2), psi, seed=4)
+        index = [step.kind for step in transcript.steps].index("measurement")
+        measurement = transcript.steps[index]
+        for step, message in (
+            (dataclasses.replace(measurement, actor="Eve"), f"step {index} has unknown actor 'Eve'"),
+            (dataclasses.replace(measurement, payload={}), f"measurement step {index} carries no outcome"),
+        ):
+            steps = (*transcript.steps[:index], step, *transcript.steps[index + 1 :])
+            with pytest.raises(ProtocolError, match=message):
+                verify_protocol(dataclasses.replace(transcript, steps=steps), CNOT, psi, out)
 
     def test_flags_unknown_step_kind(self):
         psi = random_state(4, make_rng(8))

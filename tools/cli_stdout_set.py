@@ -24,7 +24,11 @@ near misses of a rank-2 4 x 4 gate at 1e-7 and three within the verdict
 tolerance at 3e-9, a Haar 4 x 4 gate, which its Schmidt tail refutes, a
 rank-2 6 x 6 gate at 1e-4, whose tail past the control levels lies above
 the near-miss ceiling but which has only two significant Schmidt factors,
-the four fuzz suites, one construction, a rank-one
+the four fuzz suites, one construction of every registered gate with fixed
+``--params`` (``u3`` also with ``--out``), six refused constructions (an
+unknown gate, then ``u-odd-n`` with bad ``--params``), ``detect --side A`` and
+``--side x`` on the three-qubit gate, a gate file of invalid JSON, two usage
+errors (``protocol`` with no ``--route``, ``decompose --warp``), a rank-one
 controlled run with ``--branches 0`` (refused like every form), a missing
 file, an empty, an out-of-range, a full, an unsorted (``1,0``) and a repeated
 (``0,0``) cut through every command that reads one, ``detect --verbose``,
@@ -34,7 +38,7 @@ both ``schmidt-number`` modes (the tolerance is named), ``decompose
 at ``--tol`` 1e-5 and 1e-3 on the 8 x 8 gates of rank 3 (seed 1) and rank 2
 (seed 0), whose cuts are sketched, ``decompose`` of the four-qubit gate across
 ``0,1`` at 1e-5, and the 3 x 5 gate fed a state on dims [3, 5] and one on
-[5, 3] (refused): 523 commands.
+[5, 3] (refused): 543 commands.
 """
 
 from __future__ import annotations
@@ -72,6 +76,19 @@ NAMED = {
 # at 1e-7, and at 3e-9 gates the detector certifies with witnesses up to 1.2e-10 off unitary
 NEAR_MISS_SEEDS = (0, 1, 2)
 
+# one fixed parameter set per registered gate besides u3
+CONSTRUCT_PARAMS = {
+    "pauli": {"i": 2},
+    "swap": {},
+    "u-odd-n": {"n": 5},
+    "four-qubit": {},
+    "padded-2x2xn": {"n": 3},
+    "even-qubit-rank3": {"n": 4},
+    "random-controlled": {"d_ctrl": 3, "d_tgt": 2, "r": 2, "seed": 7},
+    "random-unitary": {"dim": 4, "seed": 3},
+}
+# a file written next to the gates that does not parse
+INVALID_JSON = "invalid.json"
 
 
 def _rc_name(d_c, d_t, r, seed):
@@ -152,6 +169,18 @@ def commands() -> list:
         ]
     argvs += [["detect", f"$T/{name}.json", "--side", "A"] for name in ("haar-4x4", "few-factors-far-6x6")]
     argvs += [["fuzz", "--theorem", suite, "--trials", "20", "--seed", "4"] for suite in FUZZ_SUITES]
+    argvs += [["construct", "--gate", gate, "--params", json.dumps(params)] for gate, params in CONSTRUCT_PARAMS.items()]
+    argvs += [["construct", "--gate", "perpetual-motion"], ["construct", "--gate", "u3", "--out", "$T/u3-out.json"]]
+    argvs += [
+        ["construct", "--gate", "u-odd-n", "--params", params]
+        for params in ("not json", "[5]", '{"n": 5.0}', '{"m": 5}', '{"n": 4}')
+    ]
+    argvs += [["detect", "$T/u3.json", "--side", side] for side in ("A", "x")]
+    argvs += [
+        ["detect", f"$T/{INVALID_JSON}", "--side", "0"],
+        ["protocol", "$T/u3.json"],
+        ["decompose", "$T/u3.json", "--warp"],
+    ]
     argvs += [
         ["construct", "--gate", "u3"],
         ["protocol", f"$T/{_rc_name(3, 3, 1, 0)}.json", "--route", "controlled", "--branches", "0"],
@@ -199,6 +228,7 @@ def run() -> None:
             Path(tmp, name).write_text(json.dumps(mx.matrix_to_json(u, dims)))
         for name, state in state_files().items():
             Path(tmp, name).write_text(json.dumps(state))
+        Path(tmp, INVALID_JSON).write_text("{not json")
         for argv in commands():
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
