@@ -21,7 +21,7 @@ from .config import max_total_dimension
 from .errors import DimensionError, NumericalError
 from .factorizations import eigh, null_space, orthonormal_complement, span_dimension, svd
 from .randomness import make_rng
-from .schmidt import Cut, _realigned_sum
+from .schmidt import Cut
 
 # default tolerance for a family's relative commutator mass, and the fixed
 # bound on the residuals of the bases simultaneous_svd builds
@@ -307,7 +307,7 @@ def orthogonalization_inputs_from_unitary(u, layout, cut) -> HarvestedPair:
     new_b = np.tensordot(coeff, rights, 1)
 
     # compared in the realigned frame, which only permutes entries
-    if mx.frobenius_norm(_realigned_sum(1.0, new_a, new_b) - cut.realigned) > 1e-8 * mx.frobenius_norm(u):
+    if mx.frobenius_norm(mx._realigned_sum(1.0, new_a, new_b) - cut.realigned) > 1e-8 * mx.frobenius_norm(u):
         raise NumericalError("re-expanded decomposition failed to reconstruct")
 
     kernel = null_space(c)

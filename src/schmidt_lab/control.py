@@ -45,8 +45,9 @@ class ControlledForm:
     reproduces is the input with those systems permuted to the front.
     ``blocks`` is one ``(d_c, d_t, d_t)`` array (a sequence of ``d_c`` blocks is accepted
     too); ``grouped_dims``, ``(d_c, d_t)``, is read off the shapes of ``q`` and ``blocks``.
-    ``operator``, ``residual`` and ``apply`` share one expansion of the factors
-    ``(q, r, blocks)``; ``residual`` holds one full-size array and ``apply`` none.
+    The form is ``sum_k (q e_k)(e_k^T r) (x) V_k``, so its realignment is ``mx._realigned_sum`` of those
+    rank-one control factors and the blocks; ``operator`` unrealigns it, ``residual`` holds it as its one
+    full-size array, and ``apply`` forms none.
     """
 
     side: tuple
@@ -58,22 +59,19 @@ class ControlledForm:
     def grouped_dims(self) -> tuple:
         return len(self.q), np.shape(self.blocks)[-1]
 
-    def _slab(self) -> np.ndarray:
-        """``slab[a, b] = sum_k q[a, k] r[k, b] V_k``: one ``(d_c^2, d_c) @ (d_c, d_t^2)`` matmul."""
-        d_c, d_t = self.grouped_dims
-        weights = (self.q[:, None, :] * self.r.T).reshape(d_c * d_c, d_c)
-        return (weights @ np.reshape(self.blocks, (d_c, d_t * d_t))).reshape(d_c, d_c, d_t, d_t)
+    def _realigned(self) -> np.ndarray:
+        """The ``(d_c^2, d_t^2)`` realignment: one ``(d_c^2, d_c) @ (d_c, d_t^2)`` matmul."""
+        return mx._realigned_sum(1.0, self.q.T[:, :, None] * self.r[:, None, :], self.blocks)
 
     def operator(self) -> np.ndarray:
-        d_c, d_t = self.grouped_dims
-        return self._slab().transpose(0, 2, 1, 3).reshape(d_c * d_t, d_c * d_t)
+        return mx.unrealign(self._realigned(), self.grouped_dims)
 
     def residual(self, grouped) -> float:
-        """``||operator() - grouped||_F``, subtracted in place from the one slab."""
-        d_c, d_t = self.grouped_dims
-        slab = self._slab()
-        slab -= np.reshape(grouped, (d_c, d_t, d_c, d_t)).transpose(0, 2, 1, 3)
-        return mx.frobenius_norm(slab)
+        """``||operator() - grouped||_F``, read in the realigned frame, where ``grouped`` is subtracted in place."""
+        view = mx._realigned_view(grouped, self.grouped_dims)
+        m = self._realigned().reshape(view.shape)
+        m -= view
+        return mx.frobenius_norm(m)
 
     def apply(self, psi) -> np.ndarray:
         """``operator() @ psi`` as ``q (V_k (r Psi)_k)``, with Psi the ``(d_c, d_t)`` view of psi."""
@@ -321,10 +319,9 @@ def multipartite_control_analysis(u, layout, tol: float = VERDICT_RTOL) -> Multi
     structure analysis. The witness is the first positive subset in order:
     singletons ascending, then pairs lexicographically (``tol`` as in ``is_controlled``).
     """
-    layout = SystemLayout.of(layout)
+    u, layout, norm_u = _checked(u, layout, tol, "analysis input")
     if len(layout) < 3:
         raise ValueError(f"multipartite analysis needs at least 3 systems, got {len(layout)}")
-    u, layout, norm_u = _checked(u, layout, tol, "analysis input")
 
     singles = {}
     pairs = {}

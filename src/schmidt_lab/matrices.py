@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -189,9 +190,20 @@ def realign(u: np.ndarray, layout) -> np.ndarray:
     return _realigned(u, layout.dims)
 
 
+def _realigned_view(u, dims) -> np.ndarray:
+    """The ``(i_1, j_1, ..., i_n, j_n)`` view of ``u`` on ``dims``: each system's row and column index side by side."""
+    n = len(dims)
+    return np.reshape(u, tuple(dims) * 2).transpose(tuple(x for i in range(n) for x in (i, n + i)))
+
+
 def _realigned(u: np.ndarray, dims) -> np.ndarray:
-    da, db = dims  # u has indices (i, j, k, l)
-    return u.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
+    """The realignment of ``u`` on any number of systems: one axis of ``d_i^2`` per system."""
+    return _realigned_view(u, dims).reshape(tuple(d * d for d in dims))
+
+
+def _realigned_sum(c, lefts, rights) -> np.ndarray:
+    """The realignment of sum_i c_i A_i (x) B_i: sum_i c_i vec(A_i) vec(B_i)^T."""
+    return (np.reshape(lefts, (len(lefts), -1)).T * c) @ np.reshape(rights, (len(rights), -1))
 
 
 def unrealign(m: np.ndarray, layout) -> np.ndarray:
@@ -275,14 +287,21 @@ def partial_trace(u: np.ndarray, layout, keep: Iterable[int]) -> np.ndarray:
 # State:  {"dims": [d1, ...], "amplitudes": [[re, im], ...]}.
 
 
+def _only_numbers(values) -> bool:
+    """Every value is an int or a float, numpy's included; a bool, a string and null are not."""
+    return all(issubclass(t, (int, float, np.integer, np.floating)) and t is not bool for t in set(map(type, values)))
+
+
 def _first_bad_pair(pairs, name: str) -> str:
     """Describe the first entry of ``pairs`` that is not a finite [re, im] pair."""
     for idx, entry in enumerate(pairs):
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             return f"{name}[{idx}] is not a [re, im] pair"
+        if not _only_numbers(entry):
+            return f"{name}[{idx}] is not a pair of numbers"
         try:
             re, im = float(entry[0]), float(entry[1])
-        except (TypeError, ValueError, OverflowError):
+        except OverflowError:  # an int past the float range
             return f"{name}[{idx}] is not a pair of numbers"
         if not (math.isfinite(re) and math.isfinite(im)):
             return f"{name}[{idx}] is not finite"
@@ -300,7 +319,8 @@ def _pairs_to_complex(pairs, count: int, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be a list of {count} [re, im] pairs")
     try:
         arr = np.array(pairs, dtype=float)
-        ok = arr.shape == (count, 2) and bool(np.isfinite(arr).all())
+        # numpy also reads numeric strings and bools as numbers; the type scan refuses them
+        ok = arr.shape == (count, 2) and bool(np.isfinite(arr).all()) and _only_numbers(chain.from_iterable(pairs))
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:

@@ -51,9 +51,7 @@ class SchmidtDecomposition:
     def grouped_operator(self) -> np.ndarray:
         """sum_i s_i A_i (x) B_i on the grouped frame, unrealigned from one matmul."""
         dims = (self.left_factors.shape[1], self.right_factors.shape[1])
-        return mx.unrealign(
-            _realigned_sum(self.coefficients, self.left_factors, self.right_factors), dims
-        )
+        return mx.unrealign(mx._realigned_sum(self.coefficients, self.left_factors, self.right_factors), dims)
 
     def reconstruct(self) -> np.ndarray:
         _, order, _ = mx.cut_order(self.layout, self.cut)
@@ -87,11 +85,6 @@ class RankBounds:
     lower: int
     upper: int
     confirmed: bool
-
-
-def _realigned_sum(c, lefts, rights) -> np.ndarray:
-    """The realignment of sum_i c_i A_i (x) B_i: sum_i c_i vec(A_i) vec(B_i)^T."""
-    return (np.reshape(lefts, (len(lefts), -1)).T * c) @ np.reshape(rights, (len(rights), -1))
 
 
 @dataclass(frozen=True)
@@ -161,7 +154,7 @@ def _expansion(realigned, dims, svd, tol):
     coefficients, lefts, rights = s[order], lefts[order], rights[order]
     # realignment only permutes entries, so the residual of the returned
     # expansion is read in the realigned frame
-    residual = mx.frobenius_norm(_realigned_sum(coefficients, lefts, rights) - realigned)
+    residual = mx.frobenius_norm(mx._realigned_sum(coefficients, lefts, rights) - realigned)
     # the spectrum the leading SVD left out weighs at most tau
     dropped = float(np.hypot(np.linalg.norm(s[r:]), tau))
     if residual > dropped + 1e-10 * max(mx.frobenius_norm(realigned), 1e-300):
@@ -197,15 +190,6 @@ def schmidt_rank(u, layout, cut, tol: float = RANK_RTOL) -> RankReport:
     mx.checked_tol(tol)
     u, layout = mx.on_layout(u, layout, "rank input")
     return Cut.of(u, layout, cut, tol).report
-
-
-def _operator_tensor(u: np.ndarray, layout: SystemLayout) -> np.ndarray:
-    """Reshape an n-party operator into an n-way tensor, one axis of d_i^2 per system."""
-    dims = layout.dims
-    n = len(dims)
-    t = u.reshape(dims + dims)
-    order = tuple(x for i in range(n) for x in (i, n + i))
-    return t.transpose(order).reshape(tuple(d * d for d in dims))
 
 
 def _khatri_rao(factors) -> np.ndarray:
@@ -256,7 +240,7 @@ def multipartite_rank_bounds(u, layout, tol: float = RANK_RTOL, seed: int = 0) -
         for rest in combinations(range(1, n), size - 1)
     )
 
-    tensor = _operator_tensor(u, layout)
+    tensor = mx._realigned(u, layout.dims)
     norm = np.linalg.norm(tensor)
     unfoldings = [
         np.moveaxis(tensor, i, 0).reshape(tensor.shape[i], -1) for i in range(n)
@@ -301,7 +285,7 @@ def schineq_check(a_ops, b_ops, tol: float = RANK_RTOL) -> SchineqReport:
         raise ValueError(
             f"term lists must match: {len(a_ops)} left vs {len(b_ops)} right"
         )
-    if not a_ops:
+    if len(a_ops) == 0:
         raise ValueError("need at least one term")
     a_ops = [mx.as_operator(a, "left factor") for a in a_ops]
     b_ops = [mx.as_operator(b, "right factor") for b in b_ops]
@@ -313,7 +297,7 @@ def schineq_check(a_ops, b_ops, tol: float = RANK_RTOL) -> SchineqReport:
         raise ValueError("right factors must share one dimension")
 
     SystemLayout.of((d_a, d_b))  # the cap, before the sum is formed
-    rank = numerical_rank(leading_svd(_realigned_sum(1.0, a_ops, b_ops), tol)[1], tol)
+    rank = numerical_rank(leading_svd(mx._realigned_sum(1.0, a_ops, b_ops), tol)[1], tol)
     delta_a = span_dimension(a_ops, tol)
     delta_b = span_dimension(b_ops, tol)
     n = len(a_ops)

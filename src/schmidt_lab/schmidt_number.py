@@ -215,24 +215,15 @@ def ancilla_extended_check(u, layout, cut=(0,), tol: float = RANK_RTOL) -> Ancil
     the Schmidt rank of the resulting four-party state across the
     (side, its ancilla) : (other side, its ancilla) split is computed as
     a plain state rank and reported next to the operator Schmidt rank it
-    must reproduce.
+    must reproduce.  Read as a (side, ancilla) x (other side, ancilla)
+    matrix, that state is the cut's realignment over sqrt(d_a d_b).
     """
     mx.checked_tol(tol)
     u, layout = mx.on_layout(u, layout, "gate", unitary=True)
     cut = Cut.of(u, layout, cut, tol)
     operator_rank = cut.report.rank
-    grouped, (d_a, d_b) = cut.grouped, cut.dims
-    del cut  # its realignment, as large as the gate, is not read past the operator rank
-
-    pair_a = np.eye(d_a, dtype=complex).reshape(-1) / math.sqrt(d_a)
-    pair_b = np.eye(d_b, dtype=complex).reshape(-1) / math.sqrt(d_b)
-    # systems (A, A-ancilla, B, B-ancilla); the gate acts on (A, B)
-    state = np.kron(pair_a, pair_b).reshape(d_a, d_a, d_b, d_b)
-    gate = grouped.reshape(d_a, d_b, d_a, d_b)
-    output = np.tensordot(gate, state, axes=((2, 3), (0, 2)))
-    # tensordot leaves (A, B, A-ancilla, B-ancilla); the state is read as (A, A-ancilla) x (B, B-ancilla)
-    output = output.transpose(0, 2, 1, 3).reshape(1, d_a * d_a, d_b * d_b)
-
+    d_a, d_b = cut.dims
     # the state holds no more entries than the gate, which has passed the cap check
-    rank = numerical_rank(svd(output)[1][0], tol)
+    state = cut.realigned * ((1 / math.sqrt(d_a)) * (1 / math.sqrt(d_b)))
+    rank = numerical_rank(svd(state[None])[1][0], tol)
     return AncillaExtensionReport(rank_with_ancillas=rank, operator_schmidt_rank=operator_rank)

@@ -647,7 +647,8 @@ def test_the_stdout_set_covers_every_subcommand_and_route():
     (route,) = [a for a in commands.choices["protocol"]._actions if a.dest == "route"]
     routes = {argv[argv.index("--route") + 1] for argv in argvs if "--route" in argv}
     assert routes == set(route.choices)
-    files = {f"$T/{name}" for name in [*stdout_set.gate_files(), *stdout_set.state_files()]}
+    written = [*stdout_set.gate_files(), *stdout_set.state_files(), *stdout_set.refused_entry_files()]
+    files = {f"$T/{name}" for name in written}
     # a file no command writes, one that construct --out writes, and one that does not parse
     unlisted = {"$T/missing.json", "$T/u3-out.json", f"$T/{stdout_set.INVALID_JSON}"}
     assert {arg for argv in argvs for arg in argv if arg.startswith("$T/")} - files == unlisted

@@ -135,6 +135,31 @@ def test_witness_residual_matches_the_dense_formula(d_c, d_t, r, seed):
     assert abs(verdict.form.residual(grouped) - dense) <= 1e-12 * mx.frobenius_norm(grouped)
 
 
+def _slab(form):
+    """``slab[a, b] = sum_k q[a, k] r[k, b] V_k``, the form's realignment as a ``(d_c, d_c, d_t, d_t)`` array."""
+    d_c, d_t = form.grouped_dims
+    weights = (form.q[:, None, :] * form.r.T).reshape(d_c * d_c, d_c)
+    return (weights @ np.reshape(form.blocks, (d_c, d_t * d_t))).reshape(d_c, d_c, d_t, d_t)
+
+
+@pytest.mark.parametrize("d_c", (2, 3, 5, 8))
+@pytest.mark.parametrize("d_t", (2, 3, 5))
+def test_operator_and_residual_match_the_slab_formulas_bytewise(d_c, d_t):
+    # the realigned frame reads the same products in the same order as the written-out slab
+    for r in range(1, min(3, d_c) + 1):
+        for seed in (0, 1):
+            u, layout = gates.random_controlled_unitary(d_c, d_t, r, seed=seed)
+            form = is_controlled(u, layout, (0,)).form
+            n = d_c * d_t
+            assert form.operator().tobytes() == _slab(form).transpose(0, 2, 1, 3).reshape(n, n).tobytes()
+            witnessed = mx.group_systems(u, layout, (0,))[0]
+            noise = random_complex_gaussian((n, n), make_rng(seed, stream=43))
+            for grouped in (witnessed, witnessed + 1e-3 * noise):
+                slab = _slab(form)
+                slab -= grouped.reshape(d_c, d_t, d_c, d_t).transpose(0, 2, 1, 3)
+                assert form.residual(grouped) == mx.frobenius_norm(slab)
+
+
 # ------------------------------------------------------------- is_controlled
 
 
@@ -496,8 +521,10 @@ def test_detectors_refuse_a_tol_outside_the_open_unit_interval(tol):
     for detector in (is_controlled, is_bcu):
         with pytest.raises(ValueError, match="tol must be a finite number"):
             detector(u, layout, (0,), tol=tol)
-    with pytest.raises(ValueError, match="tol must be a finite number"):
-        multipartite_control_analysis(*gates.u3(), tol=tol)
+    # the sweep names its tol before it counts the systems
+    for gate, dims in (gates.u3(), (np.eye(4), (2, 2))):
+        with pytest.raises(ValueError, match="tol must be a finite number"):
+            multipartite_control_analysis(gate, dims, tol=tol)
     assert is_controlled(u, layout, (0,), tol=1e-5).controlled
 
 
@@ -805,7 +832,7 @@ def test_multipartite_report_checks_unitarity_once(monkeypatch):
 
 
 def test_multipartite_report_needs_three_systems():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs at least 3 systems, got 2"):
         multipartite_control_analysis(CNOT, (2, 2))
 
 

@@ -270,6 +270,26 @@ def test_realign_is_an_isometry(da, db, seed):
     np.testing.assert_allclose(back, u, atol=0)
 
 
+def _operator_tensor(u, dims):
+    """The n-way realignment written out: one axis of d_i^2 per system, (row, column) of each side by side."""
+    n = len(dims)
+    order = tuple(x for i in range(n) for x in (i, n + i))
+    return u.reshape(dims + dims).transpose(order).reshape(tuple(d * d for d in dims))
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (2, 2, 3), (3, 2, 2), (2, 3, 2, 2)])
+def test_realigned_matches_the_index_map_on_any_number_of_systems(dims):
+    u = random_complex_gaussian((math.prod(dims),) * 2, make_rng(len(dims)))
+    m = mx._realigned(u, dims)
+    assert m.tobytes() == _operator_tensor(u, dims).tobytes()
+    view = mx._realigned_view(u, dims)
+    assert view.shape == tuple(d for d in dims for _ in range(2)) and np.shares_memory(view, u)
+    if len(dims) == 2:
+        d_a, d_b = dims
+        assert m.tobytes() == mx.realign(u, dims).tobytes()
+        assert m.tobytes() == u.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3).reshape(d_a**2, d_b**2).tobytes()
+
+
 def test_permute_systems_swaps_factors():
     rng = make_rng(11)
     a = random_complex_gaussian((2, 2), rng)
@@ -413,6 +433,25 @@ def test_matrix_json_rejects_malformed():
     ):
         with pytest.raises(ValueError, match=field):
             mx.matrix_from_json(dict(four, **{field: value}))
+
+
+def test_json_entries_must_be_numbers():
+    # numpy reads numeric strings and bools as numbers; a JSON entry that is not a number is refused by index
+    identity = [["1", False], [0, 0], [0, 0], [True, "0e0"]]
+    with pytest.raises(ValueError, match=r"^data\[0\] is not a pair of numbers$"):
+        mx.matrix_from_json({"dims": [2], "rows": 2, "cols": 2, "data": identity})
+    with pytest.raises(ValueError, match=r"^amplitudes\[0\] is not a pair of numbers$"):
+        mx.state_from_json({"dims": [2], "amplitudes": [["0.6", 0], [0.8, False]]})
+    good = mx.matrix_to_json(np.eye(2, dtype=complex), dims=(2,))
+    for bad in ("1", "nan", True, False, None):
+        for pair in ([bad, 0.0], [0.0, bad]):
+            with pytest.raises(ValueError, match=r"^data\[3\] is not a pair of numbers$"):
+                mx.matrix_from_json(dict(good, data=good["data"][:3] + [pair]))
+            with pytest.raises(ValueError, match=r"^amplitudes\[1\] is not a pair of numbers$"):
+                mx.state_from_json({"dims": [2], "amplitudes": [[0.6, 0], pair]})
+    # ints and floats pass, numpy's included
+    back, _ = mx.state_from_json({"dims": [2], "amplitudes": [[np.float64(0.6), np.int64(0)], [0.8, 0]]})
+    assert np.array_equal(back, [0.6, 0.8])
 
 
 def test_matrix_json_keeps_signed_zeros():

@@ -1,5 +1,6 @@
 """Operator Schmidt structure: decompositions, ranks, bounds, rank inequalities."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -376,7 +377,10 @@ def test_rank_inequalities_on_three_term_split():
     b_ops = [np.kron(pauli(i), pauli(i)) * math.sqrt(2.0 / 3.0) for i in (0, 1, 3)]
     rep = sch.schineq_check(a_ops, b_ops)
     assert (rep.delta_a, rep.delta_b, rep.n_terms, rep.rank) == (3, 3, 3, 3)
-    assert rep.holds_i and rep.holds_ii and rep.holds_iii
+    assert rep.holds_i and rep.holds_ii and rep.holds_iii and rep.all_hold
+    # the clauses are theorems, so only a report built by hand fails one
+    for clause in ("holds_i", "holds_ii", "holds_iii"):
+        assert not dataclasses.replace(rep, **{clause: False}).all_hold
     assert rep.delta_a + rep.delta_b == rep.n_terms + rep.rank
 
 
@@ -395,6 +399,16 @@ def test_rank_inequalities_on_random_terms():
         b_ops = [haar_unitary(3, rng) for _ in range(3)]
         rep = sch.schineq_check(a_ops, b_ops)
         assert rep.holds_i and rep.holds_ii
+
+
+def test_rank_inequalities_take_stacks_and_lists_alike():
+    z = np.diag([1.0, -1.0])
+    lists = sch.schineq_check([np.eye(2), z], [np.eye(3), np.eye(3)])
+    stacks = sch.schineq_check(np.stack([np.eye(2), z]), np.stack([np.eye(3), np.eye(3)]))
+    assert stacks == lists
+    assert (lists.delta_a, lists.delta_b, lists.n_terms, lists.rank) == (2, 1, 2, 1)
+    with pytest.raises(ValueError, match="need at least one term"):
+        sch.schineq_check(np.zeros((0, 2, 2)), np.zeros((0, 3, 3)))
 
 
 def test_rank_inequalities_reject_mismatched_lists():

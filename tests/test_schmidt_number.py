@@ -20,9 +20,9 @@ from schmidt_lab import matrices as mx
 from schmidt_lab import schmidt_number
 from schmidt_lab.control import is_controlled
 from schmidt_lab.errors import DimensionError
-from schmidt_lab.factorizations import numerical_rank, svd
+from schmidt_lab.factorizations import RANK_RTOL, numerical_rank, svd
 from schmidt_lab.randomness import haar_unitary, make_rng, random_state
-from schmidt_lab.schmidt import schmidt_rank
+from schmidt_lab.schmidt import Cut, schmidt_rank
 from schmidt_lab.schmidt_number import (
     ProductInput,
     ancilla_extended_check,
@@ -205,6 +205,9 @@ class TestOutputRank:
     def test_cnot_output_ranks(self):
         assert output_schmidt_rank(CNOT, (2, 2), ProductInput.of([PLUS, ZERO]), (0,)) == 2
         assert output_schmidt_rank(CNOT, (2, 2), ProductInput.of([ZERO, ZERO]), (0,)) == 1
+        # a plain list of local states is read as the product input it lists
+        assert output_schmidt_rank(CNOT, (2, 2), [PLUS, ZERO], (0,)) == 2
+        assert output_schmidt_rank(CNOT, (2, 2), [ZERO, ZERO], (0,)) == 1
 
     def test_output_rank_never_exceeds_operator_rank(self):
         swap, swap_layout = gates.swap_gate()
@@ -233,6 +236,8 @@ class TestOutputRank:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             output_schmidt_rank(CNOT, (2, 2), ProductInput.of([PLUS]), (0,))
+        with pytest.raises(ValueError, match="product input dims"):
+            output_schmidt_rank(CNOT, (2, 2), [PLUS], (0,))
         with pytest.raises(ValueError):
             output_schmidt_rank(CNOT, (2, 2), ProductInput.of([np.ones(3, dtype=complex) / math.sqrt(3), ZERO]), (0,))
         with pytest.raises(ValueError):
@@ -389,7 +394,7 @@ class TestAncillaExtension:
 
         u, _ = gates.random_controlled_unitary(4, 5, 2, seed=2)
         monkeypatch.setenv("SCHMIDT_LAB_MAX_DIM", "16")
-        monkeypatch.setattr(np, "kron", refuse)
+        monkeypatch.setattr(Cut, "of", refuse)
         monkeypatch.setattr(schmidt_number, "svd", refuse)
         with pytest.raises(DimensionError, match="total dimension 20 exceeds"):
             ancilla_extended_check(u, (4, 5))
@@ -408,6 +413,43 @@ class TestAncillaExtension:
             report = ancilla_extended_check(u, layout)
             assert report.rank_with_ancillas == r
             assert report.matches
+
+
+def _kron_and_tensordot_state(grouped, d_a, d_b):
+    """The gate on the primary halves of two maximally entangled pairs, as a (A A') x (B B') matrix."""
+    pair_a = np.eye(d_a, dtype=complex).reshape(-1) / math.sqrt(d_a)
+    pair_b = np.eye(d_b, dtype=complex).reshape(-1) / math.sqrt(d_b)
+    # systems (A, A-ancilla, B, B-ancilla); the gate acts on (A, B)
+    state = np.kron(pair_a, pair_b).reshape(d_a, d_a, d_b, d_b)
+    output = np.tensordot(grouped.reshape(d_a, d_b, d_a, d_b), state, axes=((2, 3), (0, 2)))
+    # tensordot leaves (A, B, A-ancilla, B-ancilla)
+    return output.transpose(0, 2, 1, 3).reshape(d_a * d_a, d_b * d_b)
+
+
+def _ancilla_cases():
+    for d_c in (2, 3, 5, 8):
+        for d_t in (2, 3, 5):
+            for r in range(1, min(3, d_c) + 1):
+                for seed in (0, 1):
+                    u, layout = gates.random_controlled_unitary(d_c, d_t, r, seed=seed)
+                    yield u, layout, ((0,), (1,))
+    for build in (gates.u3, gates.four_qubit_example, lambda: gates.even_qubit_rank3(4)):
+        u, layout = build()
+        yield u, layout, ((0,), (1,), (0, 1))
+
+
+def test_the_ancilla_state_is_the_scaled_realignment_bytewise():
+    cuts = 0
+    for u, layout, sides in _ancilla_cases():
+        for side in sides:
+            cut = Cut.of(u, layout, side)
+            d_a, d_b = cut.dims
+            reference = _kron_and_tensordot_state(cut.grouped, d_a, d_b)
+            assert (cut.realigned * ((1 / math.sqrt(d_a)) * (1 / math.sqrt(d_b)))).tobytes() == reference.tobytes()
+            report = ancilla_extended_check(u, layout, side)
+            assert report.rank_with_ancillas == numerical_rank(svd(reference[None])[1][0], RANK_RTOL)
+            cuts += 1
+    assert cuts == 141
 
 
 class TestControlSideWithoutAncilla:

@@ -27,7 +27,9 @@ the near-miss ceiling but which has only two significant Schmidt factors,
 the four fuzz suites, one construction of every registered gate with fixed
 ``--params`` (``u3`` also with ``--out``), six refused constructions (an
 unknown gate, then ``u-odd-n`` with bad ``--params``), ``detect --side A`` and
-``--side x`` on the three-qubit gate, a gate file of invalid JSON, two usage
+``--side x`` on the three-qubit gate, a gate file of invalid JSON, a gate
+file with a string real part, one with a ``true`` entry and a ``protocol
+--input`` state with a string amplitude (all three refused), two usage
 errors (``protocol`` with no ``--route``, ``decompose --warp``), a rank-one
 controlled run with ``--branches 0`` (refused like every form), a missing
 file, an empty, an out-of-range, a full, an unsorted (``1,0``) and a repeated
@@ -36,9 +38,10 @@ an out-of-range cut with a bad ``--tol`` through ``decompose`` and
 both ``schmidt-number`` modes (the tolerance is named), ``decompose
 --verbose``, ``schmidt-number --ancilla`` and ``schmidt-number --restarts 2``
 at ``--tol`` 1e-5 and 1e-3 on the 8 x 8 gates of rank 3 (seed 1) and rank 2
-(seed 0), whose cuts are sketched, ``decompose`` of the four-qubit gate across
-``0,1`` at 1e-5, and the 3 x 5 gate fed a state on dims [3, 5] and one on
-[5, 3] (refused): 543 commands.
+(seed 0), whose cuts are sketched, ``schmidt-number --ancilla --cut 0`` on
+every named gate and ``--cut 0,1`` on the multipartite ones, ``decompose`` of
+the four-qubit gate across ``0,1`` at 1e-5, and the 3 x 5 gate fed a state on
+dims [3, 5] and one on [5, 3] (refused): 554 commands.
 """
 
 from __future__ import annotations
@@ -71,6 +74,7 @@ NAMED = {
     "even-qubit-rank3-6": lambda: gates.even_qubit_rank3(6),
     "haar-9-as-3x3": lambda: (haar_unitary(9, make_rng(9)), SystemLayout.of((3, 3))),
 }
+MULTIPARTITE = ("u3", "four-qubit", "even-qubit-rank3-6")
 
 # exp(eps i H) times rc d x d r2, H = random_hermitian(d^2, make_rng(8)): for d = 4, near misses
 # at 1e-7, and at 3e-9 gates the detector certifies with witnesses up to 1.2e-10 off unitary
@@ -124,6 +128,17 @@ def state_files() -> dict:
     return {f"state-{a}x{b}.json": mx.state_to_json(psi, (a, b)) for a, b in ((3, 5), (5, 3))}
 
 
+def refused_entry_files() -> dict:
+    """``{file name: JSON}``: two gates and a state, each with one value written as a string or a bool (refused)."""
+    string_entry = mx.matrix_to_json(*gates.u3())
+    string_entry["data"][0][0] = repr(string_entry["data"][0][0])
+    true_entry = mx.matrix_to_json(*gates.swap_gate())
+    true_entry["data"][0][0] = True  # in place of swap's leading 1
+    string_amplitude = state_files()["state-3x5.json"]
+    string_amplitude["amplitudes"][0][0] = repr(string_amplitude["amplitudes"][0][0])
+    return {"string-entry.json": string_entry, "true-entry.json": true_entry, "string-amplitude.json": string_amplitude}
+
+
 def commands() -> list:
     """Every argv of the set, with gate paths under ``$T``."""
     argvs = []
@@ -154,7 +169,10 @@ def commands() -> list:
             ["protocol", path, "--route", "controlled", "--side", "0", "--verbose"],
             ["protocol", path, "--route", "controlled", "--side", "0,1"],
             ["protocol", path, "--route", "cost"],
+            ["schmidt-number", path, "--ancilla", "--cut", "0"],
         ]
+        if name in MULTIPARTITE:
+            argvs.append(["schmidt-number", path, "--ancilla", "--cut", "0,1"])
     for seed in NEAR_MISS_SEEDS:
         path = f"$T/near-miss-s{seed}.json"
         argvs += [
@@ -176,6 +194,9 @@ def commands() -> list:
         for params in ("not json", "[5]", '{"n": 5.0}', '{"m": 5}', '{"n": 4}')
     ]
     argvs += [["detect", "$T/u3.json", "--side", side] for side in ("A", "x")]
+    argvs += [["detect", f"$T/{name}", "--side", "0"] for name in ("string-entry.json", "true-entry.json")]
+    rc_3x5 = f"$T/{_rc_name(3, 5, 3, 1)}.json"
+    argvs.append(["protocol", rc_3x5, "--route", "teleport", "--input", "$T/string-amplitude.json"])
     argvs += [
         ["detect", f"$T/{INVALID_JSON}", "--side", "0"],
         ["protocol", "$T/u3.json"],
@@ -226,8 +247,8 @@ def run() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for name, (u, dims) in gate_files().items():
             Path(tmp, name).write_text(json.dumps(mx.matrix_to_json(u, dims)))
-        for name, state in state_files().items():
-            Path(tmp, name).write_text(json.dumps(state))
+        for name, obj in {**state_files(), **refused_entry_files()}.items():
+            Path(tmp, name).write_text(json.dumps(obj))
         Path(tmp, INVALID_JSON).write_text("{not json")
         for argv in commands():
             stdout = io.StringIO()
