@@ -106,6 +106,7 @@ class BcuVerdict:
     """Outcome of the invariant-block-split decision for one side.
 
     ``bcu`` is ``failed_check is None``; the projector pairs (P_k, Q_k) are present exactly then.
+    ``violation`` is None only on a refutation by an irreducible input-product family.
     """
 
     side: tuple
@@ -214,11 +215,9 @@ def _decide_control(cut: Cut, norm_u, tol) -> ControlVerdict:
     The distance rule reads only ``cut.svd``, so a cut it refutes forms no Schmidt
     factor; on every other cut ``_product_route`` reads ``cut.expansion`` of that same SVD.
     """
-    d_c, s, r = cut.dims[0], cut.svd[1], cut.report.rank
-    # a controlled unitary's realignment has rank at most d_c, so by Eckart-Young every one lies
-    # at least this far from u; the mass left out of the kept spectrum makes it a lower bound
-    distance = float(np.linalg.norm(s[d_c:r])) / norm_u
-    if np.count_nonzero(s[:r] > SIGNIFICANT_FLOOR * s[0]) > d_c and distance > max(tol, NEAR_MISS_CEILING):
+    # a controlled unitary's realignment has rank at most d_c
+    distance = _tail_distance(cut, cut.dims[0], norm_u, tol)
+    if distance is not None:
         violation, form = distance, None
         description = f"Schmidt rank exceeds the control dimension (distance {distance:.3e})"
     else:
@@ -229,8 +228,20 @@ def _decide_control(cut: Cut, norm_u, tol) -> ControlVerdict:
         failed_check=failed_check,
         inconclusive=inconclusive,
         violation=violation,
-        schmidt_rank=r,
+        schmidt_rank=cut.report.rank,
     )
+
+
+def _tail_distance(cut: Cut, bound, norm_u, tol):
+    """``||s[bound:r]|| / norm_u`` off ``cut.svd`` when more than ``bound`` values clear SIGNIFICANT_FLOOR
+    and it lies past the band, else None: by Eckart-Young, with the mass left out of the kept spectrum,
+    a lower bound on the relative distance to every unitary whose realignment has rank at most ``bound``.
+    """
+    s, r = cut.svd[1], cut.report.rank
+    distance = float(np.linalg.norm(s[bound:r])) / norm_u
+    if np.count_nonzero(s[:r] > SIGNIFICANT_FLOOR * s[0]) > bound and distance > max(tol, NEAR_MISS_CEILING):
+        return distance
+    return None
 
 
 def _product_route(cut, norm_u, tol):
@@ -279,15 +290,29 @@ def _split_attempt(grouped, dims, projectors, norm_u):
 def is_bcu(u, layout, side, tol: float = VERDICT_RTOL) -> BcuVerdict:
     """Decide whether ``u`` splits into invariant blocks along ``side``.
 
-    A nontrivial commutant of the input products M_i^dagger M_j of the
-    control-side Schmidt factors gives projectors P_k; their partners Q_k come
-    from the operator and must capture every block. (For a unitary the output
-    products split exactly when these do.) Whether a split exists is a rank
-    decision; the tolerance band applies to how well the blocks capture u
-    (``tol`` as in ``is_controlled``). Only the input products are formed.
+    A split ``U (P_k x I) = (Q_k x I) U`` maps each P_k into Q_k, so its control-side Schmidt
+    factors lie in the sum of Hom(P_k, Q_k), of dimension ``sum_k a_k^2 <= K = (d_c - 1)^2 + 1``
+    for two or more blocks of sizes a_k. By Eckart-Young every split unitary thus lies at least
+    ``||s[K:]|| / ||U||`` from u, and a tail past the band refutes before any factor is formed.
+
+    Otherwise ``_commutant_route`` decides: a nontrivial commutant of the input products
+    M_i^dagger M_j of the control-side Schmidt factors gives projectors P_k; their partners Q_k come
+    from the operator and must capture every block. (For a unitary the output products split exactly
+    when these do.) Whether a split exists is a rank decision; the tolerance band applies to how well
+    the blocks capture u (``tol`` as in ``is_controlled``). Only the input products are formed.
     """
     u, layout, norm_u = _checked(u, layout, tol, "detection input")
     cut = Cut.of(u, layout, side)
+    bound = (cut.dims[0] - 1) ** 2 + 1
+    distance = _tail_distance(cut, bound, norm_u, tol)
+    if distance is None:
+        return _commutant_route(cut, norm_u, tol)
+    check = f"Schmidt rank {cut.report.rank} exceeds the block-split bound {bound} (distance {distance:.3e})"
+    return BcuVerdict(cut.front, None, None, check, violation=distance)
+
+
+def _commutant_route(cut: Cut, norm_u, tol) -> BcuVerdict:
+    """The verdict of ``is_bcu`` from the commutant of the cut's input products, with no tail rule."""
     projectors = algebra.commutant_blocks(algebra._input_products(_cut_factors(cut)))
     if projectors is None:
         return BcuVerdict(

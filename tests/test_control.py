@@ -14,6 +14,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from schmidt_lab import control, gates, schmidt
 from schmidt_lab import factorizations as fx
@@ -555,15 +556,15 @@ def test_each_cut_is_grouped_once_and_its_input_checked_once(monkeypatch):
 
 
 def test_product_families_over_the_cap_are_refused_before_allocating(monkeypatch):
-    # a full-rank 4x4 cut has 16 factors of side 4: 16 * 4 > 16. is_controlled
-    # refutes that cut by its distance first, so it is given an 8x2 cut: 4
-    # factors of side 8, no more than the 8 control levels, and 4 * 8 > 16
+    # both detectors refute a full-rank 4x4 cut by its distance first. So is_controlled
+    # is given an 8x2 cut: 4 factors of side 8, no more than the 8 control levels, and
+    # 4 * 8 > 16; is_bcu a 4x4 cut of 9 factors, within its bound K = 10, and 9 * 4 > 16
     monkeypatch.setenv("SCHMIDT_LAB_MAX_DIM", "16")
     haar = haar_unitary(16, make_rng(5))
     with pytest.raises(DimensionError, match="product families of 2048 entries"):
         is_controlled(haar, (8, 2), (0,))
     with pytest.raises(DimensionError, match="product families"):
-        is_bcu(haar, (4, 4), (0,))
+        is_bcu(*_two_sided(4, 3, 5), (0,))
     u, layout = gates.random_controlled_unitary(4, 4, 3, seed=5)
     assert is_controlled(u, layout, (0,)).controlled
 
@@ -626,10 +627,19 @@ def test_direct_sum_of_swaps_is_bcu_but_not_controlled():
     assert not is_bcu(u, layout, (1,)).bcu
 
 
+def _two_sided(d, r, seed):
+    """A rank-r controlled d x d gate from each side, multiplied: Schmidt rank up to r^2."""
+    a, layout = gates.random_controlled_unitary(d, d, r, seed=seed)
+    b, _ = gates.random_controlled_unitary(d, d, r, seed=seed + 1)
+    return a @ mx.permute_systems(b, layout, (1, 0)), layout
+
+
 def test_haar_four_by_four_is_refuted_not_inconclusive():
-    # 256 factor products: the commutant system has 8192 rows of 16 unknowns
-    u = haar_unitary(16, make_rng(3))
-    verdict = is_bcu(u, (4, 4), (0,))
+    # Haar input is refuted by its Schmidt tail before any commutant is solved
+    # (test_is_bcu_refutes_haar_by_its_tail); 9 factors, within K = 10, are not:
+    # 81 factor products, and the commutant system has 512 rows of 16 unknowns
+    u, layout = _two_sided(4, 3, 3)
+    verdict = is_bcu(u, layout, (0,))
     assert not verdict.bcu
     assert not verdict.inconclusive
     assert "irreducibly" in verdict.failed_check
@@ -654,9 +664,107 @@ def test_is_bcu_solves_one_commutant(monkeypatch):
         return solve(generators)
 
     monkeypatch.setattr(control.algebra, "commutant_blocks", spy)
-    verdict = is_bcu(haar_unitary(9, make_rng(0)), (3, 3), (0,))
+    verdict = is_bcu(*_two_sided(3, 2, 0), (0,))
     assert not verdict.bcu
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("d", [4, 16])
+def test_is_bcu_refutes_haar_by_its_tail(monkeypatch, d):
+    # a block split has control factors in the sum of Hom(P_k, Q_k), of dimension at most
+    # K = (d_c - 1)^2 + 1, so the tail past K bounds the distance to every split unitary
+    counts = _count_calls(monkeypatch, control.algebra, ("commutant_blocks", "_input_products"))
+    u = haar_unitary(d * d, make_rng(3))
+    verdict = is_bcu(u, (d, d), (0,))
+    assert counts == {"commutant_blocks": 0, "_input_products": 0}
+    assert not verdict.bcu and not verdict.inconclusive
+    bound = (d - 1) ** 2 + 1
+    s = np.linalg.svd(mx.realign(u, (d, d)), compute_uv=False)
+    assert abs(verdict.violation - np.linalg.norm(s[bound:]) / mx.frobenius_norm(u)) <= 1e-12
+    assert verdict.failed_check.startswith(f"Schmidt rank {d * d} exceeds the block-split bound {bound} (distance ")
+
+
+def _commutant_verdict(u, layout, side, tol):
+    u, layout = mx.on_layout(u, layout, unitary=True)
+    return control._commutant_route(schmidt.Cut.of(u, layout, side), mx.frobenius_norm(u), tol)
+
+
+def _assert_same_bcu_verdict(a, b):
+    assert (a.side, a.failed_check, a.inconclusive, a.violation) == (b.side, b.failed_check, b.inconclusive, b.violation)
+    for mine, theirs in ((a.input_projectors, b.input_projectors), (a.output_projectors, b.output_projectors)):
+        assert (mine is None) == (theirs is None)
+        if mine is not None:
+            assert [p.tobytes() for p in mine] == [p.tobytes() for p in theirs]
+
+
+def _fires(verdict):
+    return verdict.failed_check is not None and verdict.failed_check.startswith("Schmidt rank")
+
+
+# rc d x d' times exp(i eps H), both sides and both tols, then Haar 2..6: each firing of the
+# tail rule is a refutation the commutant route gives too, and every other verdict is that route's
+_TAIL_GRID_EPS = (0.0, 1e-6, 1e-4, 1.0)
+
+
+@pytest.mark.parametrize("d_a, d_b", [(d_a, d_b) for d_a in range(2, 6) for d_b in range(2, 6)] + [(None, None)])
+def test_tail_rule_refutes_only_what_the_commutant_refutes(d_a, d_b):
+    if d_a is None:
+        cases = [(haar_unitary(d * d, make_rng(d)), (d, d)) for d in range(2, 7)]
+    else:
+        w, v = np.linalg.eigh(random_hermitian(d_a * d_b, make_rng(8)))
+        cases = [
+            ((v * np.exp(1j * eps * w)) @ v.conj().T @ u, layout)
+            for r in range(1, min(3, d_a) + 1)
+            for u, layout in [gates.random_controlled_unitary(d_a, d_b, r, seed=0)]
+            for eps in _TAIL_GRID_EPS
+        ]
+    for u, layout in cases:
+        for side in ((0,), (1,)):
+            for tol in (1e-8, 1e-5):
+                verdict, commutant = is_bcu(u, layout, side, tol=tol), _commutant_verdict(u, layout, side, tol)
+                if _fires(verdict):
+                    assert not commutant.bcu and not commutant.inconclusive
+                    assert not verdict.inconclusive and verdict.violation > control.NEAR_MISS_CEILING
+                else:
+                    _assert_same_bcu_verdict(verdict, commutant)
+
+
+def test_one_control_level_never_fires_the_tail_rule():
+    # d_c = 1 gives K = 1, and a realignment with one row has rank at most 1
+    u = haar_unitary(4, make_rng(0))
+    verdict = is_bcu(u, (1, 4), (0,))
+    assert not _fires(verdict)
+    _assert_same_bcu_verdict(verdict, _commutant_verdict(u, (1, 4), (0,), control.VERDICT_RTOL))
+
+
+@pytest.mark.parametrize("d_t", [2, 3, 4, 5])
+def test_two_control_levels_keep_rank_two_gates_bcu(d_t):
+    # d_c = 2 gives K = 2, which every rank-2 cut meets; CNOT's is in test_cnot_is_bcu_with_two_one_dimensional_blocks
+    for seed in (0, 1):
+        u, layout = gates.random_controlled_unitary(2, d_t, 2, seed=seed)
+        assert is_bcu(u, layout, (0,)).bcu
+
+
+@settings(deadline=None, max_examples=20, derandomize=True)
+@given(
+    d_a=st.integers(min_value=2, max_value=4),
+    d_b=st.integers(min_value=2, max_value=4),
+    r=st.integers(min_value=1, max_value=3),
+    eps=st.sampled_from([0.0, 1e-4, 1e-2, 1.0]),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_tail_rule_is_invariant_under_local_scrambling(d_a, d_b, r, eps, seed):
+    # the realigned spectrum is local-unitary invariant, so the rule and its distance are too; a
+    # distance is relative to ||U||, and the spectrum moves by roundoff of ||U||, so its scale is 1
+    u, layout = gates.random_controlled_unitary(d_a, d_b, min(r, d_a), seed=seed)
+    w, v = np.linalg.eigh(random_hermitian(d_a * d_b, make_rng(seed)))
+    u = (v * np.exp(1j * eps * w)) @ v.conj().T @ u
+    scrambled = gates.random_local_scramble(u, layout, seed=seed + 1)
+    bound = (d_a - 1) ** 2 + 1
+    a, b = (control._tail_distance(schmidt.Cut.of(g, layout, (0,)), bound, mx.frobenius_norm(g), 1e-8) for g in (u, scrambled))
+    assert (a is None) == (b is None)
+    if a is not None:
+        assert abs(a - b) <= 1e-12
 
 
 def test_is_bcu_forms_only_the_input_products(monkeypatch):

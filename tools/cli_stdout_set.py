@@ -21,9 +21,10 @@ The list covers every subcommand and every protocol route: random-controlled
 d x d gates (d = 2, 3, 4, 8, r = 1..min(3, d), seeds 0, 1, 5) and 3 x 5 of
 rank 3, the named multipartite gates, a Haar 9 x 9 gate as 3 x 3, three
 near misses of a rank-2 4 x 4 gate at 1e-7 and three within the verdict
-tolerance at 3e-9, a Haar 4 x 4 gate, which its Schmidt tail refutes, a
+tolerance at 3e-9, a Haar 4 x 4 gate, which its Schmidt tail refutes, and a
 rank-2 6 x 6 gate at 1e-4, whose tail past the control levels lies above
-the near-miss ceiling but which has only two significant Schmidt factors,
+the near-miss ceiling but which has only two significant Schmidt factors
+(both through ``detect`` and ``detect --bcu``),
 the four fuzz suites, one construction of every registered gate with fixed
 ``--params`` (``u3`` also with ``--out``), six refused constructions (an
 unknown gate, then ``u-odd-n`` with bad ``--params``), ``detect --side A`` and
@@ -41,7 +42,7 @@ at ``--tol`` 1e-5 and 1e-3 on the 8 x 8 gates of rank 3 (seed 1) and rank 2
 (seed 0), whose cuts are sketched, ``schmidt-number --ancilla --cut 0`` on
 every named gate and ``--cut 0,1`` on the multipartite ones, ``decompose`` of
 the four-qubit gate across ``0,1`` at 1e-5, and the 3 x 5 gate fed a state on
-dims [3, 5] and one on [5, 3] (refused): 554 commands.
+dims [3, 5] and one on [5, 3] (refused): 556 commands.
 """
 
 from __future__ import annotations
@@ -185,7 +186,11 @@ def commands() -> list:
             ["detect", path, "--side", "A"],
             ["protocol", path, "--route", "controlled"],
         ]
-    argvs += [["detect", f"$T/{name}.json", "--side", "A"] for name in ("haar-4x4", "few-factors-far-6x6")]
+    argvs += [
+        ["detect", f"$T/{name}.json", "--side", "A", *bcu]
+        for name in ("haar-4x4", "few-factors-far-6x6")
+        for bcu in ([], ["--bcu"])
+    ]
     argvs += [["fuzz", "--theorem", suite, "--trials", "20", "--seed", "4"] for suite in FUZZ_SUITES]
     argvs += [["construct", "--gate", gate, "--params", json.dumps(params)] for gate, params in CONSTRUCT_PARAMS.items()]
     argvs += [["construct", "--gate", "perpetual-motion"], ["construct", "--gate", "u3", "--out", "$T/u3-out.json"]]
