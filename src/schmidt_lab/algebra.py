@@ -30,10 +30,16 @@ COMMUTE_RTOL = 1e-8
 SINGULAR_RTOL = 1e-8
 # eigenvalues closer than this (times scale) belong to one cluster
 CLUSTER_GAP = 1e-7
+_TINY = np.finfo(float).tiny
 
 
 def _adjoints(ops: np.ndarray) -> np.ndarray:
-    return ops.conj().transpose(0, 2, 1)
+    return ops.conj().swapaxes(-1, -2)
+
+
+def _members(stack: np.ndarray, index) -> np.ndarray:
+    """``stack[index]`` for ascending member indices; all of them take the stack itself, uncopied."""
+    return stack if len(index) == len(stack) else stack[index]
 
 
 def _as_square_family(ops, name: str):
@@ -349,17 +355,17 @@ def orthogonalization_inputs_from_unitary(u, layout, cut) -> HarvestedPair:
 
 
 def _span_generators(stack: np.ndarray) -> np.ndarray:
-    """The stack if n <= d^2, else ``W_k = s_k V_k`` from the SVD ``P = U S V``.
+    """Each family of a ``(k, n, d, d)`` stack if n <= d^2, else its ``W_k = s_k V_k`` from ``P = U S V``.
 
     All ``min(n, d^2)`` components are kept, none cut at a rank threshold.
     U has orthonormal columns, so ``sum_{i,j} ||[P_i, P_j]||^2 = sum_{k,l}
     ||[W_k, W_l]||^2`` exactly, and the W_k have the commutant of the P_i.
     """
-    n, d, _ = stack.shape
+    k, n, d, _ = stack.shape
     if n <= d * d:
         return stack
-    _, s, vh = svd(stack.reshape(n, d * d))
-    return (s[:, None] * vh).reshape(-1, d, d)
+    _, s, vh = svd(stack.reshape(k, n, d * d))
+    return (s[..., None] * vh).reshape(k, -1, d, d)
 
 
 def family_obstruction(family) -> float:
@@ -378,36 +384,33 @@ def family_obstruction(family) -> float:
     twice the family's own size. Each row's squared norm is one ``vdot``,
     added in row order: the summation order of a row-by-row loop.
     """
-    return _commutator_mass(_as_square_family(family, "family")[0])
+    return _commutator_mass(_as_square_family(family, "family")[0][None])[0]
 
 
-def _commutator_mass(stack: np.ndarray) -> float:
-    """``family_obstruction`` of a checked ``(n, d, d)`` stack."""
-    n = stack.shape[0]
-    scale = max(float(np.max(np.linalg.norm(stack.reshape(n, -1), axis=1))), 1e-300)
-    # an all-zero family would square its floor to 0 and divide 0 by 0
-    denom = max(scale * scale, np.finfo(float).tiny)
-
+def _commutator_mass(stack: np.ndarray) -> list:
+    """``family_obstruction`` of each family of a checked ``(k, n, d, d)`` stack, the row blocks over
+    every family at once holding at most ``max(k m d^2, 2^16)`` entries."""
+    k, n = stack.shape[:2]
+    rows = stack.reshape(k, n, -1)  # each member's norm, evaluated as np.linalg.norm evaluates it along an axis
+    scales = [max(x, 1e-300) for x in np.sqrt(np.add.reduce((rows.conj() * rows).real, axis=2)).max(axis=1).tolist()]
     gens = _span_generators(stack)
-    m = len(gens)
-    budget = max(gens.size, 1 << 16)
-    mass = 0.0
-    k = 0
-    while k < m - 1:
-        later = gens[k + 1 :]
-        block = gens[k : min(k + max(1, budget // (2 * later.size)), m - 1), None]
-        # commutators[i, j] = [G_{k+i}, G_{k+1+j}]: row i pairs G_{k+i} with its later generators from j = i on
+    m, budget, masses, j = gens.shape[1], max(gens.size, 1 << 16), [0.0] * k, 0
+    while j < m - 1:
+        later = gens[:, None, j + 1 :]
+        block = gens[:, j : min(j + max(1, budget // (2 * later.size)), m - 1), None]
+        # commutators[:, i, l] = [G_{j+i}, G_{j+1+l}]: row i pairs G_{j+i} with its later generators from l = i on
         commutators = block @ later - later @ block
-        for i in range(len(block)):
-            # each unordered pair stands for both orders
-            mass += 2.0 * float(np.vdot(commutators[i, i:], commutators[i, i:]).real)
-        k += len(block)
+        for member in range(k):
+            for i in range(block.shape[1]):
+                # each unordered pair stands for both orders
+                masses[member] += 2.0 * float(np.vdot(commutators[member, i, i:], commutators[member, i, i:]).real)
+        j += block.shape[1]
         del commutators  # freed before the next block is formed
-    return math.sqrt(mass) / denom
+    # an all-zero family would square its floor to 0 and divide 0 by 0
+    return [math.sqrt(mass) / max(scale * scale, _TINY) for mass, scale in zip(masses, scales)]
 
 
-def _obstruction_text(mass: float) -> str:
-    return f"family is not normal and commuting (commutator mass {mass:.3e})"
+_OBSTRUCTION = "family is not normal and commuting (commutator mass {:.3e})"
 
 
 def joint_diagonalize_commuting(family):
@@ -419,25 +422,25 @@ def joint_diagonalize_commuting(family):
     residual over COMMUTE_RTOL on every attempt raises NumericalError.
     """
     ops, _ = _as_square_family(family, "family")
-    mass = _commutator_mass(np.concatenate([ops, _adjoints(ops)]))
+    mass = _commutator_mass(np.concatenate([ops, _adjoints(ops)])[None])[0]
     if mass > COMMUTE_RTOL:
-        raise ValueError(_obstruction_text(mass))
-    q, residual = _joint_diagonalize(ops, 0)
-    if residual > COMMUTE_RTOL:
-        raise NumericalError(f"joint diagonalization failed verification (residual {residual:.3e})")
-    return q
+        raise ValueError(_OBSTRUCTION.format(mass))
+    q, residual = _joint_diagonalize(ops[None], 0)
+    if residual[0] > COMMUTE_RTOL:
+        raise NumericalError(f"joint diagonalization failed verification (residual {residual[0]:.3e})")
+    return q[0]
 
 
-def _diagonal_residual(rotated, norms) -> float:
-    """Largest off-diagonal mass of the rotated members, each over max(||M||, 1), ``norms`` the ``||M||``."""
+def _diagonal_residual(rotated, norms):
+    """Largest off-diagonal mass of each family's rotated members, each over max(||M||, 1), ``norms`` the ||M||."""
     off = np.asarray(rotated) * (1.0 - np.eye(np.shape(rotated)[-1]))
-    return float(np.max(mx.frobenius_norms(off) / np.maximum(norms, 1.0)))
+    return (mx.frobenius_norms(off) / np.maximum(norms, 1.0)).max(axis=-1)
 
 
 def _is_scalar(stack: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    k = stack.shape[1]
-    dev = mx.frobenius_norms(stack - (stack.trace(axis1=1, axis2=2) / k)[:, None, None] * np.eye(k))
-    return dev <= CLUSTER_GAP * np.maximum(math.sqrt(k), norms)
+    d = stack.shape[-1]
+    dev = mx.frobenius_norms(stack - (stack.trace(axis1=-2, axis2=-1) / d)[..., None, None] * np.eye(d))
+    return dev <= CLUSTER_GAP * np.maximum(math.sqrt(d), norms)
 
 
 @functools.lru_cache(maxsize=64)
@@ -449,42 +452,45 @@ def _combination_weights(seed: int, attempt: int, n: int) -> np.ndarray:
 
 
 def _joint_diagonalize(ops: np.ndarray, seed: int):
-    """(q, residual): eigenvectors of one random Hermitian combination per attempt.
+    """(q, residuals) of each family of a ``(k, n, d, d)`` stack: eigenvectors of one random combination per attempt.
 
     A generic element of a normal commuting family's span has the members'
     joint eigenbasis (He & Kressner, SIMAX 2024). Attempt k weighs the
     Hermitian and anti-Hermitian parts of the members with normal draws from
-    stream k of ``seed``, drawn once per ``(seed, attempt, n)`` and kept
-    read-only; the first of three attempts within COMMUTE_RTOL is kept, else
-    the best. Multiples of I keep q = I.
+    stream k of ``seed``, drawn once per ``(seed, attempt, n)``, kept
+    read-only and shared by every family; the first of three attempts within
+    COMMUTE_RTOL is kept, else the best. Families of multiples of I keep q = I.
     """
-    n, d, _ = ops.shape
+    k, n, d, _ = ops.shape
     norms = mx.frobenius_norms(ops)
-    if _is_scalar(ops, norms).all():
-        return np.eye(d, dtype=complex), _diagonal_residual(ops, norms)
-    # parts[i] = ((M_i + M_i^dagger) / 2, (M_i - M_i^dagger) / 2i), interleaved member by member and
+    scalar = _is_scalar(ops, norms).all(axis=1).tolist()
+    qs = [np.eye(d, dtype=complex) if scalar[i] else None for i in range(k)]
+    residuals = [float(_diagonal_residual(ops[i], norms[i])) if scalar[i] else math.inf for i in range(k)]
+    # parts[:, i] = ((M_i + M_i^dagger) / 2, (M_i - M_i^dagger) / 2i), interleaved member by member and
     # written in place, so no more than the parts, the adjoints and the members are held at once
-    parts = np.empty((n, 2, d, d), dtype=complex)
+    parts = np.empty((k, n, 2, d, d), dtype=complex)
     adjoints = _adjoints(ops)
-    np.add(ops, adjoints, out=parts[:, 0])
-    np.subtract(ops, adjoints, out=parts[:, 1])
+    np.add(ops, adjoints, out=parts[:, :, 0])
+    np.subtract(ops, adjoints, out=parts[:, :, 1])
     del adjoints
-    parts[:, 0] /= 2.0
-    parts[:, 1] /= 2.0j
-    best = None
+    parts[:, :, 0] /= 2.0
+    parts[:, :, 1] /= 2.0j
+    rows = [i for i in range(k) if qs[i] is None]
     for attempt in range(3):
-        weighted = (_combination_weights(seed, attempt, n)[:, :, None, None] * parts).reshape(2 * n, d, d)
+        if not rows:
+            break
+        weighted = _combination_weights(seed, attempt, n)[:, :, None, None] * _members(parts, rows)
         # one ordered sum from 0, part by part: a reordered sum moves h, and q, at roundoff
-        h = np.add.reduce(weighted, axis=0, initial=0.0)
+        h = np.add.reduce(weighted.reshape(-1, 2 * n, d, d), axis=1, initial=0.0)
         del weighted
         # + 0.0 turns the eigensolver's -0.0 entries into +0.0, which witnesses print as 0.0
         q = np.linalg.eigh(h)[1] + 0.0
-        residual = _diagonal_residual(q.conj().T @ ops @ q, norms)
-        if best is None or residual < best[1]:
-            best = (q, residual)
-        if residual <= COMMUTE_RTOL:
-            break
-    return best
+        rotated = q.conj().swapaxes(1, 2)[:, None] @ _members(ops, rows) @ q[:, None]
+        for i, q_i, residual in zip(rows, q, _diagonal_residual(rotated, _members(norms, rows)).tolist()):
+            if qs[i] is None or residual < residuals[i]:
+                qs[i], residuals[i] = q_i, residual
+        rows = [i for i in rows if not residuals[i] <= COMMUTE_RTOL]
+    return mx._stacked(qs), residuals
 
 
 # --------------------------------------------------------- simultaneous svd
@@ -514,16 +520,17 @@ def _failure(check: str, violation: float) -> SimultaneousSvdResult:
     return SimultaneousSvdResult(None, None, None, failed_check=check, violation=violation)
 
 
-def _check_budget(what: str, entries: int) -> None:
-    """Refuse more than ``2 cap^2`` entries, cap = ``max_total_dimension()``."""
+def _check_budget(what: str, entries: int) -> int:
+    """Refuse more than ``2 cap^2`` entries, cap = ``max_total_dimension()``; else return that budget."""
     cap = max_total_dimension()
     if entries > 2 * cap * cap:
         raise DimensionError(f"{what} of {entries} entries exceeds the budget 2 * {cap}^2")
+    return 2 * cap * cap
 
 
 def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a_i @ b_j`` at index ``i * n + j``: one broadcast matmul, bitwise a pairwise loop."""
-    return (a[:, None] @ b[None]).reshape(-1, *a.shape[1:])
+    """``a_i @ b_j`` at index ``i * n + j`` of each family: one broadcast matmul, bitwise a pairwise loop."""
+    return (a[..., None, :, :] @ b[..., None, :, :, :]).reshape(*a.shape[:-3], -1, *a.shape[-2:])
 
 
 def _input_products(ops: np.ndarray) -> np.ndarray:
@@ -535,63 +542,78 @@ def _input_products(ops: np.ndarray) -> np.ndarray:
 def simultaneous_svd(family, tol: float = COMMUTE_RTOL) -> SimultaneousSvdResult:
     """One pair of unitaries diagonalizing every family member at once.
 
-    Exists exactly when both product families {M_i M_j'} and {M_i' M_j} are
-    normal and commuting; a commutator mass (``family_obstruction``) over
-    ``tol`` fails naming the family and its mass (the right products are
-    formed once the left ones pass). The left basis is the eigenbasis of
-    one random Hermitian combination of the left products
-    (``_joint_diagonalize``); the right basis is derived row by row from the
-    rotated family stack, which stays sound on degenerate families
-    (repeated blocks, single members) where greedy eigenbasis pairing does
-    not. A near miss whose left basis, right basis or joint diagonal form
-    misses COMMUTE_RTOL (whatever ``tol`` is) fails with that residual.
+    Exists exactly when both product families {M_i M_j'} and {M_i' M_j} are normal and
+    commuting; a commutator mass (``family_obstruction``) over ``tol`` fails naming the
+    family and its mass (the right products are formed once the left ones pass). The left
+    basis is the eigenbasis of one random Hermitian combination of the left products
+    (``_joint_diagonalize``); the right basis is derived row by row from the rotated family
+    stack, which stays sound on degenerate families (repeated blocks, single members) where
+    greedy eigenbasis pairing does not. A near miss whose left basis, right basis or joint
+    diagonal form misses COMMUTE_RTOL (whatever ``tol`` is) fails with that residual. A
+    ``tol`` that is not a finite number in (0, 1) raises ValueError first.
     """
-    ops, d = _as_square_family(family, "family")
-    _check_budget("product families", 2 * len(ops) ** 2 * d * d)
-    left_products = _products(ops, _adjoints(ops))
-    mass = _commutator_mass(left_products)
-    if mass > tol:
-        return _failure(f"left products: {_obstruction_text(mass)}", mass)
-    mass = _commutator_mass(_products(_adjoints(ops), ops))
-    if mass > tol:
-        return _failure(f"right products: {_obstruction_text(mass)}", mass)
+    mx.checked_tol(tol)
+    return _simultaneous_svds(_as_square_family(family, "family")[0][None], tol)[0]
 
-    q, residual = _joint_diagonalize(left_products, 0)
-    if residual > COMMUTE_RTOL:
-        return _failure(f"left basis is not a joint eigenbasis (violation {residual:.3e})", residual)
-    s = q.conj().T
-    rotated = s @ ops
+
+def _simultaneous_svds(stack: np.ndarray, tol: float) -> list:
+    """``simultaneous_svd`` of each family of a checked ``(k, n, d, d)`` stack, bit for bit, each check run once
+    over the families still open. One family's ``2 n^2 d^2`` product entries over ``2 cap^2`` raise
+    DimensionError; a pass holds at most ``min(2 cap^2, 2^16)`` product entries, one family at least."""
+    k, n, d, _ = stack.shape
+    entries = 2 * n * n * d * d
+    step = max(1, min(_check_budget("product families", entries), 1 << 16) // entries)
+    if k > step:
+        return [result for i in range(0, k, step) for result in _simultaneous_svds(stack[i : i + step], tol)]
+    results = [None] * k
+
+    def sift(open_, values, limit, check):
+        # fail each open family whose value passes the limit; the positions in open_ of those still open
+        for i, value in zip(open_, values):
+            if results[i] is None and value > limit:
+                results[i] = _failure(check.format(value), value)
+        return [j for j, i in enumerate(open_) if results[i] is None]
+
+    left_products = _products(stack, _adjoints(stack))
+    open_ = sift(range(k), _commutator_mass(left_products), tol, "left products: " + _OBSTRUCTION)
+    if open_:  # the right products of the families the left ones left open
+        ops = _members(stack, open_)
+        masses = _commutator_mass(_products(_adjoints(ops), ops))
+        open_ = [open_[j] for j in sift(open_, masses, tol, "right products: " + _OBSTRUCTION)]
+    q, residuals = _joint_diagonalize(_members(left_products, open_), 0) if open_ else (None, [])
+    kept = sift(open_, residuals, COMMUTE_RTOL, "left basis is not a joint eigenbasis (violation {:.3e})")
+    if not kept:
+        return results
+    open_, s = [open_[j] for j in kept], _adjoints(_members(q, kept))
+    ops = _members(stack, open_)
+    rotated = s[:, None] @ ops
     norms = mx.frobenius_norms(ops)
-    scale = max(float(np.max(norms)), 1e-300)
+    scales = [max(x, 1e-300) for x in norms.max(axis=1).tolist()]
 
     # column r of t is the largest row r among the rotated members, conjugated and normalized;
     # the row norms are numpy's own, sqrt(re . re + im . im) from two BLAS dots
-    t = np.zeros((d, d), dtype=complex)
     row_norms = mx.frobenius_norms(rotated[..., None])
-    best = np.argmax(row_norms, axis=0)
-    filled = row_norms[best, np.arange(d)] > 1e-9 * scale
-    rows = np.flatnonzero(filled)
-    t[:, rows] = (rotated[best[rows], rows].conj() / row_norms[best[rows], rows, None]).T
-    if not filled.all():
-        t[:, ~filled] = orthonormal_complement(t[:, filled])[:, : d - len(rows)]
+    t = np.zeros((len(open_), d, d), dtype=complex)
+    for t_j, rotated_j, norms_j, best, scale in zip(t, rotated, row_norms, row_norms.argmax(axis=1), scales):
+        filled = norms_j[best, np.arange(d)] > 1e-9 * scale
+        rows = filled.nonzero()[0]
+        t_j[:, rows] = (rotated_j[best[rows], rows].conj() / norms_j[best[rows], rows, None]).T
+        if not filled.all():
+            t_j[:, ~filled] = orthonormal_complement(t_j[:, filled])[:, : d - len(rows)]
+    diag = (rotated[:, 0] @ t).diagonal(axis1=1, axis2=2)
+    unitary = "derived right basis is not unitary (violation {:.3e})"
+    for j in sift(open_, mx.unitarity_residuals(t).tolist(), COMMUTE_RTOL, unitary):
+        # convention: first significant diagonal entry of s M_1 t real nonnegative
+        idx = (np.abs(diag[j]) > 1e-9 * max(scales[j], 1.0)).nonzero()[0]
+        if idx.size:
+            t[j, :, idx[0]] *= np.conj(diag[j, idx[0]]) / abs(diag[j, idx[0]])
 
-    residual = float(mx.unitarity_residuals(t[None])[0])
-    if residual > COMMUTE_RTOL:
-        return _failure(f"derived right basis is not unitary (violation {residual:.3e})", residual)
-
-    # convention: first significant diagonal entry of s M_1 t real nonnegative
-    diag = np.diag(rotated[0] @ t)
-    idx = np.flatnonzero(np.abs(diag) > 1e-9 * max(scale, 1.0))
-    if idx.size:
-        pivot = diag[idx[0]]
-        t[:, idx[0]] *= np.conj(pivot) / abs(pivot)
-
-    products = rotated @ t
-    residual = _diagonal_residual(products, norms)
-    if residual > COMMUTE_RTOL:
-        return _failure(f"family resists joint diagonal form (violation {residual:.3e})", residual)
-    diagonals = tuple(np.diagonal(products, axis1=1, axis2=2).copy())
-    return SimultaneousSvdResult(s=s, t=t, diagonals=diagonals, failed_check=None)
+    products = rotated @ t[:, None]
+    diagonal = "family resists joint diagonal form (violation {:.3e})"
+    for j in sift(open_, _diagonal_residual(products, norms).tolist(), COMMUTE_RTOL, diagonal):
+        diagonals = tuple(products[j].diagonal(axis1=1, axis2=2).copy())
+        results[open_[j]] = SimultaneousSvdResult(s=s[j], t=t[j], diagonals=diagonals, failed_check=None)
+    return results
 
 
 # ----------------------------------------------------------- commutant blocks
@@ -614,7 +636,7 @@ def commutant_blocks(generators):
     """
     gens, d = _as_square_family(generators, "generators")
     _check_budget("commutant system", 2 * min(len(gens), d * d) * d**4)
-    span = _span_generators(gens)
+    span = _span_generators(gens[None])[0]
     closure = np.concatenate([span, _adjoints(span)])
     eye = np.eye(d, dtype=complex)
     # row block k is kron(I, G_k^T) - kron(G_k, I), the map X -> X G_k - G_k X

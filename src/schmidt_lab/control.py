@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from . import algebra, gates
+from . import algebra, gates, schmidt
 from . import matrices as mx
 from .matrices import SystemLayout
 from .randomness import make_rng
@@ -206,30 +206,31 @@ def is_controlled(u, layout, side, tol: float = VERDICT_RTOL) -> ControlVerdict:
     A ``tol`` that is not a finite number in (0, 1) raises ValueError.
     """
     u, layout, norm_u = _checked(u, layout, tol, "detection input")
-    return _decide_control(Cut.of(u, layout, side), norm_u, tol)
+    return _decide_controls([Cut.of(u, layout, side)], norm_u, tol)[0]
 
 
-def _decide_control(cut: Cut, norm_u, tol) -> ControlVerdict:
-    """The verdict of ``is_controlled`` on a ``Cut`` of a ``u`` of norm ``norm_u``.
-
-    The distance rule reads only ``cut.svd``, so a cut it refutes forms no Schmidt
-    factor; on every other cut ``_product_route`` reads ``cut.expansion`` of that same SVD.
+def _decide_controls(cuts, norm_u, tol) -> list:
+    """The verdict of ``is_controlled`` on each ``Cut`` of a ``u`` of norm ``norm_u``, bit for bit, cuts of one
+    shape stacked at every stage. The distance rule reads only ``cut.svd``, so a cut it refutes forms no
+    Schmidt factor; the others are expanded from that SVD, one ``_product_routes`` stack per factor count.
     """
+    schmidt._stack_svds(cuts)
     # a controlled unitary's realignment has rank at most d_c
-    distance = _tail_distance(cut, cut.dims[0], norm_u, tol)
-    if distance is not None:
-        violation, form = distance, None
-        description = f"Schmidt rank exceeds the control dimension (distance {distance:.3e})"
-    else:
-        violation, description, form = _product_route(cut, norm_u, tol)
-    passed, failed_check, inconclusive = _band(violation, description, tol, form is not None)
-    return ControlVerdict(
-        form=form if passed else None,
-        failed_check=failed_check,
-        inconclusive=inconclusive,
-        violation=violation,
-        schmidt_rank=cut.report.rank,
-    )
+    distances = [_tail_distance(cut, cut.dims[0], norm_u, tol) for cut in cuts]
+    refuted = "Schmidt rank exceeds the control dimension (distance {:.3e})"
+    routes = [None if d is None else (d, refuted.format(d), None) for d in distances]
+    open_ = [i for i, route in enumerate(routes) if route is None]
+    schmidt._stack_expansions([cuts[i] for i in open_])
+    factors = {i: _cut_factors(cuts[i]) for i in open_}
+    for group in schmidt._grouped(open_, lambda i: (cuts[i].dims, len(factors[i]))):
+        stack = mx._stacked([factors[i] for i in group])
+        for i, route in zip(group, _product_routes([cuts[i] for i in group], stack, norm_u, tol)):
+            routes[i] = route
+    verdicts = []
+    for cut, (violation, description, form) in zip(cuts, routes):
+        passed, failed, inconclusive = _band(violation, description, tol, form is not None)
+        verdicts.append(ControlVerdict(form if passed else None, failed, inconclusive, violation, cut.report.rank))
+    return verdicts
 
 
 def _tail_distance(cut: Cut, bound, norm_u, tol):
@@ -238,29 +239,36 @@ def _tail_distance(cut: Cut, bound, norm_u, tol):
     a lower bound on the relative distance to every unitary whose realignment has rank at most ``bound``.
     """
     s, r = cut.svd[1], cut.report.rank
-    distance = float(np.linalg.norm(s[bound:r])) / norm_u
+    distance = mx.frobenius_norm(s[bound:r]) / norm_u
     if np.count_nonzero(s[:r] > SIGNIFICANT_FLOOR * s[0]) > bound and distance > max(tol, NEAR_MISS_CEILING):
         return distance
     return None
 
 
-def _product_route(cut, norm_u, tol):
-    """``(violation, description, witness or None)`` from the simultaneous SVD of the cut's factors."""
-    d_c, d_t = cut.dims
-    result = algebra.simultaneous_svd(_cut_factors(cut), tol=tol)
-    if not result.ok:
-        return result.violation, result.failed_check, None
-    s, t = result.s, result.t
-    rotated = mx.control_sandwich(cut.grouped, cut.dims, s, t).reshape(d_c, d_t, d_c, d_t)
-    diagonal = np.arange(d_c)
-    blocks = rotated[diagonal, :, diagonal, :]
-    deviations = mx.unitarity_residuals(blocks)
-    checks = [(f"target block {k} is not unitary", float(x)) for k, x in enumerate(deviations)]
-    form = ControlledForm(side=cut.front, q=s.conj().T, r=t.conj().T, blocks=blocks)
-    residual = form.residual(cut.grouped) / norm_u
-    checks.append(("assembled form does not reconstruct the input", residual))
-    name, violation = max(checks, key=lambda item: item[1])
-    return violation, f"{name} (violation {violation:.3e})", form
+def _product_routes(cuts, factors, norm_u, tol) -> list:
+    """``(violation, description, witness or None)`` of each of ``cuts`` of one ``dims``, from one simultaneous
+    SVD, sandwich and block check of the ``(k, n, d_c, d_c)`` stack of their significant ``factors``."""
+    d_c, d_t = cuts[0].dims
+    results = algebra._simultaneous_svds(factors, tol)
+    routes = [(result.violation, result.failed_check, None) for result in results]
+    passed = [i for i, result in enumerate(results) if result.ok]
+    if not passed:
+        return routes
+    # each s is the adjoint view of a q, as its one-member call hands it on: matmul's bits follow the layout
+    s = mx._stacked([results[i].s.T for i in passed]).swapaxes(1, 2)
+    t = mx._stacked([results[i].t for i in passed])
+    grouped = mx._stacked([cuts[i].grouped for i in passed])
+    rotated = mx.control_sandwich(grouped, (d_c, d_t), s, t).reshape(-1, d_c, d_t, d_c, d_t)
+    blocks = rotated[np.arange(len(passed))[:, None], np.arange(d_c), :, np.arange(d_c), :]
+    deviations = mx.unitarity_residuals(blocks.reshape(-1, d_t, d_t)).reshape(len(passed), d_c).tolist()
+    for j, i in enumerate(passed):
+        checks = [(f"target block {k} is not unitary", x) for k, x in enumerate(deviations[j])]
+        form = ControlledForm(side=cuts[i].front, q=results[i].s.conj().T, r=results[i].t.conj().T, blocks=blocks[j])
+        residual = form.residual(cuts[i].grouped) / norm_u
+        checks.append(("assembled form does not reconstruct the input", residual))
+        name, violation = max(checks, key=lambda item: item[1])
+        routes[i] = violation, f"{name} (violation {violation:.3e})", form
+    return routes
 
 
 def _split_attempt(grouped, dims, projectors, norm_u):
@@ -343,6 +351,8 @@ def multipartite_control_analysis(u, layout, tol: float = VERDICT_RTOL) -> Multi
     they are listed separately so callers can see which positives needed no
     structure analysis. The witness is the first positive subset in order:
     singletons ascending, then pairs lexicographically (``tol`` as in ``is_controlled``).
+
+    Each run of ``_batches`` is decided by ``_decide_controls``, bit for bit as by ``is_controlled``.
     """
     u, layout, norm_u = _checked(u, layout, tol, "analysis input")
     if len(layout) < 3:
@@ -352,13 +362,28 @@ def multipartite_control_analysis(u, layout, tol: float = VERDICT_RTOL) -> Multi
     pairs = {}
     witness = None
     subsets = [(i,) for i in range(len(layout))] + list(combinations(range(len(layout)), 2))
-    for subset in subsets:
-        verdict = _decide_control(Cut.of(u, layout, subset), norm_u, tol)
-        if witness is None:
-            witness = verdict.form
-        # one form per controlled subset would outgrow the gate itself near the cap
-        (singles if len(subset) == 1 else pairs)[subset] = replace(verdict, form=None)
+    for batch in _batches(u, layout, subsets):
+        for subset, verdict in zip(batch, _decide_controls([Cut.of(u, layout, s) for s in batch], norm_u, tol)):
+            if witness is None:
+                witness = verdict.form
+            # one form per controlled subset would outgrow the gate itself near the cap
+            (singles if len(subset) == 1 else pairs)[subset] = replace(verdict, form=None)
     return MultipartiteControlReport(layout=layout, singles=singles, pairs=pairs, witness=witness)
+
+
+def _batches(u, layout, subsets):
+    """``subsets`` in order, in runs whose cuts hold at most ``max(u.size, 2^16)`` entries, one at least: a cut
+    holds its grouped operator, its realignment and the stacked copy its SVD reads, and that SVD."""
+    bound, batch, entries = max(u.size, 1 << 16), [], 0
+    for subset in subsets:
+        m, n = (d * d for d in mx.cut_order(layout, subset)[2])
+        size = 3 * u.size + min(m, n) * (m + n + 1)
+        if batch and entries + size > bound:
+            yield batch
+            batch, entries = [], 0
+        batch.append(subset)
+        entries += size
+    yield batch
 
 
 # ------------------------------------------------------------- fuzz suites

@@ -37,8 +37,8 @@ SKETCH_MARGIN = 1e-3
 
 def _check_residual(error: np.ndarray, m: np.ndarray, what: str, slack: float = 0.0, note: str = "") -> None:
     """NumericalError naming ``what`` when ``||error||`` exceeds ``slack + RECONSTRUCTION_RTOL * ||m||``."""
-    residual = np.linalg.norm(error)
-    if residual > slack + RECONSTRUCTION_RTOL * max(np.linalg.norm(m), 1e-300):
+    residual = mx.frobenius_norm(error)
+    if residual > slack + RECONSTRUCTION_RTOL * max(mx.frobenius_norm(m), 1e-300):
         raise NumericalError(f"{what} reconstruction residual {residual:.3e} too large{note}")
 
 
@@ -79,7 +79,7 @@ def leading_svd(m: np.ndarray, rtol: float):
     within ``tau + RECONSTRUCTION_RTOL * ||m||``. Otherwise the dense
     ``svd`` of ``m`` is returned. Both SVDs go through ``svd``.
     """
-    if 4 * SKETCH_WIDTH > min(np.shape(m)):
+    if not sketches(np.shape(m)):
         return (*svd(m), 0.0)
     m = mx._require_finite(m, "svd input")
     w = random_complex_gaussian((m.shape[1], SKETCH_WIDTH), make_rng(0))
@@ -92,6 +92,11 @@ def leading_svd(m: np.ndarray, rtol: float):
         _check_residual(u @ (s[:, None] * vh) - m, m, "leading svd", slack=tau)
         return u, s, vh, tau
     return (*svd(m), 0.0)
+
+
+def sketches(shape) -> bool:
+    """Whether ``leading_svd`` sketches a matrix of ``shape``: its short side holds 4 sketch widths."""
+    return min(shape) >= 4 * SKETCH_WIDTH
 
 
 def eigh(m: np.ndarray):

@@ -109,7 +109,9 @@ def on_layout(u, layout, name: str = "operator", unitary: bool = False):
 
 
 def frobenius_norm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(m)))
+    """``np.linalg.norm(m)`` as numpy evaluates it, without its argument handling: ``sqrt(re . re + im . im)``."""
+    m = np.asarray(m).ravel(order="K")
+    return float(np.sqrt(m.real.dot(m.real) + m.imag.dot(m.imag) if m.dtype.kind == "c" else m.dot(m)))
 
 
 def frobenius_norms(stack: np.ndarray) -> np.ndarray:
@@ -155,7 +157,7 @@ def tensor_chain(factors: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def control_sandwich(g: np.ndarray, dims, left=None, right=None) -> np.ndarray:
-    """``(left (x) I) g (right (x) I)`` on a grouped ``(d_c d_t)^2`` operator.
+    """``(left (x) I) g (right (x) I)`` on a grouped ``(d_c d_t)^2`` operator, or on each of a stack.
 
     ``left`` and ``right`` act on the first (control) system of ``dims =
     (d_c, d_t)``; either may be None for the identity. Each side is one
@@ -164,10 +166,15 @@ def control_sandwich(g: np.ndarray, dims, left=None, right=None) -> np.ndarray:
     d_c, d_t = dims
     n = d_c * d_t
     if left is not None:
-        g = (left @ g.reshape(d_c, d_t * n)).reshape(n, n)
+        g = (left @ g.reshape(-1, d_c, d_t * n)).reshape(g.shape)
     if right is not None:
-        g = (right.T @ g.reshape(n, d_c, d_t)).reshape(n, n)
+        g = (right.swapaxes(-1, -2)[..., None, :, :] @ g.reshape(-1, n, d_c, d_t)).reshape(g.shape)
     return g
+
+
+def _stacked(arrays) -> np.ndarray:
+    """``arrays`` as one stack along a new leading axis; a single array is viewed, not copied."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 def assert_unitary(u: np.ndarray, name: str = "operator", rtol: float = 1e-10) -> np.ndarray:

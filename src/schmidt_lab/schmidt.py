@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import combinations
+from itertools import combinations, groupby
 
 import numpy as np
 
 from . import matrices as mx
-from .factorizations import RANK_RTOL, leading_svd, numerical_rank, span_dimension
+from .factorizations import RANK_RTOL, leading_svd, numerical_rank, sketches, span_dimension, svd
 from .matrices import SystemLayout
 from .randomness import make_rng, random_complex_gaussian
 
@@ -93,8 +93,8 @@ class Cut:
 
     ``order`` is the grouped frame's system order and ``dims`` its ``(d_front, d_rest)``. ``svd`` (the
     verified ``leading_svd`` of ``realigned`` at the rank cutoff ``tol``), ``report`` (its
-    ``RankReport``) and ``expansion`` (its ``_expansion``) are computed on first read and kept: at most
-    one of each per cut, however many readers it has.
+    ``RankReport``) and ``expansion`` (its ``_expansions``) are computed on first read, or for many cuts
+    at once by ``_stack_svds`` and ``_stack_expansions``, and kept: at most one of each per cut.
     """
 
     front: tuple
@@ -108,7 +108,7 @@ class Cut:
     def of(cls, u, layout: SystemLayout, front, tol: float = RANK_RTOL) -> "Cut":
         """The cut ``front`` of a ``u`` and ``layout`` that ``mx.on_layout`` has checked, at a checked ``tol``."""
         front, order, dims = mx.cut_order(layout, front)
-        grouped = mx.group_systems(u, layout, front)[0]
+        grouped = mx._permuted(u, layout.dims, order)
         return cls(front, order, dims, grouped, mx._realigned(grouped, dims), tol)
 
     @cached_property
@@ -123,45 +123,66 @@ class Cut:
 
     @cached_property
     def expansion(self):
-        return _expansion(self.realigned, self.dims, self.svd, self.tol)
+        return _expansions([self])[0]
 
 
-def _expansion(realigned, dims, svd, tol):
-    """``(coefficients, left factors, right factors)`` of a realigned operator, verified.
+def _grouped(items, key) -> list:
+    """``items`` in lists of equal ``key``, each in the given order; one item is not keyed."""
+    return [list(items)] if len(items) == 1 else [list(group) for _, group in groupby(sorted(items, key=key), key)]
 
-    ``svd`` is the ``leading_svd`` of ``realigned`` at ``tol``, taken by the caller. The one
-    Schmidt-expansion rule; ``operator_schmidt_decompose`` says what it keeps.
+
+def _stack_svds(cuts) -> None:
+    """Keep as ``Cut.svd`` of cuts that share a realigned shape ``leading_svd`` would not sketch one
+    stacked ``svd`` per shape, each member checked and its dense SVD bit for bit; a lone cut reads its own."""
+    dense = _grouped([cut for cut in cuts if not sketches(cut.realigned.shape)], lambda cut: cut.realigned.shape)
+    for group in (group for group in dense if len(group) > 1):
+        for cut, *factors in zip(group, *svd(np.stack([cut.realigned for cut in group]))):
+            cut.__dict__["svd"] = (*factors, 0.0)  # where ``cached_property`` keeps a first read
+
+
+def _stack_expansions(cuts) -> None:
+    """Keep as ``Cut.expansion`` of the cuts one ``_expansions`` pass per ``dims`` and rank."""
+    for group in _grouped(cuts, lambda cut: (cut.dims, cut.report.rank)):
+        for cut, expansion in zip(group, _expansions(group)):
+            cut.__dict__["expansion"] = expansion
+
+
+def _expansions(cuts) -> list:
+    """``(coefficients, left factors, right factors)`` of each of cuts of one ``dims`` and rank, read off
+    its ``Cut.svd`` and verified, in one stacked pass. The one Schmidt-expansion rule;
+    ``operator_schmidt_decompose`` says what it keeps. Its scalar steps (each phase, sort and residual
+    norm) run member by member, so each member is its one-cut pass bit for bit.
     """
-    d_a, d_b = dims
-    left, s, right_h, tau = svd
-    r = numerical_rank(s, tol)
+    (d_a, d_b), r, k = cuts[0].dims, cuts[0].report.rank, len(cuts)
     if r == 0:
         raise ValueError("decomposition input must be nonzero")
 
     # realignment splits as sum_i s_i vec(A_i) outer vec(B_i); numpy's svd
     # hands back exactly that with vec(B_i) as a row of right_h
-    vecs = np.ascontiguousarray(left[:, :r].T)
+    vecs = np.ascontiguousarray(mx._stacked([cut.svd[0][:, :r] for cut in cuts]).transpose(0, 2, 1))
     # rotate each pair so the left factor leads with a real positive entry; the
     # phase is a scalar division per factor, which an array division does not match bitwise
     mags = np.abs(vecs)
-    leads = vecs[np.arange(r), np.argmax(mags > 1e-12 * mags.max(axis=1, keepdims=True), axis=1)]
-    phases = np.array([lead / abs(lead) for lead in leads])[:, None, None]
-    lefts = vecs.reshape(r, d_a, d_a) * phases.conj()
-    rights = right_h[:r].reshape(r, d_b, d_b) * phases
+    leads = vecs[np.arange(k)[:, None], np.arange(r), (mags > 1e-12 * mags.max(axis=2, keepdims=True)).argmax(axis=2)]
+    phases = np.array([lead / abs(lead) for lead in leads.reshape(-1)]).reshape(-1, r, 1, 1)
+    lefts = vecs.reshape(-1, r, d_a, d_a) * phases.conj()
+    rights = mx._stacked([cut.svd[2][:r] for cut in cuts]).reshape(-1, r, d_b, d_b) * phases
     # ties at 9 digits go to the vectorized left factor, its entries rounded as plain floats
-    keys = np.round(lefts.reshape(r, -1).view(float), 9).tolist()
-    order = sorted(range(r), key=lambda i: (-round(s[i], 9), keys[i]))
-    coefficients, lefts, rights = s[order], lefts[order], rights[order]
-    # realignment only permutes entries, so the residual of the returned
+    keys = lefts.reshape(k, r, -1).view(float).round(9).tolist()
+    spectra = [cut.svd[1] for cut in cuts]
+    order = np.array([sorted(range(r), key=lambda i: (-round(s[i], 9), key[i])) for s, key in zip(spectra, keys)])
+    coefficients = mx._stacked([s[o] for s, o in zip(spectra, order)])
+    lefts, rights = lefts[np.arange(k)[:, None], order], rights[np.arange(k)[:, None], order]
+    # realignment only permutes entries, so the residual of each returned
     # expansion is read in the realigned frame
-    residual = mx.frobenius_norm(mx._realigned_sum(coefficients, lefts, rights) - realigned)
-    # the spectrum the leading SVD left out weighs at most tau
-    dropped = float(np.hypot(np.linalg.norm(s[r:]), tau))
-    if residual > dropped + 1e-10 * max(mx.frobenius_norm(realigned), 1e-300):
-        raise ValueError(
-            f"decomposition dropped weight beyond tolerance: residual {residual:.3e}"
-        )
-    return coefficients, lefts, rights
+    sums = (lefts.reshape(k, r, -1).transpose(0, 2, 1) * coefficients[:, None, :]) @ rights.reshape(k, r, -1)
+    for cut, s, total in zip(cuts, spectra, sums):
+        residual = mx.frobenius_norm(total - cut.realigned)
+        # the spectrum the leading SVD left out weighs at most tau
+        dropped = float(np.hypot(mx.frobenius_norm(s[r:]), cut.svd[3]))
+        if residual > dropped + 1e-10 * max(mx.frobenius_norm(cut.realigned), 1e-300):
+            raise ValueError(f"decomposition dropped weight beyond tolerance: residual {residual:.3e}")
+    return list(zip(coefficients, lefts, rights))
 
 
 def operator_schmidt_decompose(u, layout, cut, tol: float = RANK_RTOL) -> SchmidtDecomposition:

@@ -347,7 +347,7 @@ def test_harvest_groups_the_gate_once(monkeypatch):
     # the re-expansion is checked against the realigned matrix the expansion read,
     # and the unitarity check is the one read of the entries
     u, layout = gates.random_controlled_unitary(3, 3, 3, seed=55)
-    calls = {"group_systems": 0, "as_operator": 0}
+    calls = {"_permuted": 0, "as_operator": 0}
     for name in calls:
         def counted(*args, _inner=getattr(mx, name), _name=name, **kwargs):
             calls[_name] += 1
@@ -355,7 +355,7 @@ def test_harvest_groups_the_gate_once(monkeypatch):
 
         monkeypatch.setattr(mx, name, counted)
     alg.orthogonalization_inputs_from_unitary(u, layout, (1,))
-    assert calls == {"group_systems": 1, "as_operator": 1}
+    assert calls == {"_permuted": 1, "as_operator": 1}
 
 
 def test_harvest_identities_are_tight():
@@ -486,7 +486,7 @@ def test_joint_diagonalize_matches_recursive_refinement_bytewise():
                 u, layout = gates.random_controlled_unitary(d, d, r, seed=seed)
                 factors = operator_schmidt_decompose(u, layout, (0,)).left_factors
                 left = alg._products(factors, alg._adjoints(factors))
-                q, residual = alg._joint_diagonalize(left, seed)
+                (q,), (residual,) = alg._joint_diagonalize(left[None], seed)
                 want_q, want_residual = refined_joint_diagonalize(left, seed)
                 assert q.tobytes() == want_q.tobytes(), (d, r, seed)
                 assert residual == want_residual
@@ -503,7 +503,7 @@ def test_joint_diagonalize_verifies_on_degenerate_rotated_diagonals():
         v @ np.diag(np.repeat(random_complex_gaussian((3,), rng), (3, 1, 4))) @ v.conj().T
         for _ in range(4)
     ])
-    q, residual = alg._joint_diagonalize(family, 0)
+    (q,), (residual,) = alg._joint_diagonalize(family[None], 0)
     assert residual <= alg.COMMUTE_RTOL
     assert np.allclose(q.conj().T @ q, np.eye(8), atol=1e-12)
     for m in family:
@@ -602,7 +602,7 @@ def row_loop_commutator_mass(stack):
     n = stack.shape[0]
     scale = max(float(np.max(np.linalg.norm(stack.reshape(n, -1), axis=1))), 1e-300)
     denom = max(scale * scale, np.finfo(float).tiny)
-    gens = alg._span_generators(stack)
+    gens = alg._span_generators(stack[None])[0]
     mass = 0.0
     for k in range(len(gens) - 1):
         commutators = gens[k] @ gens[k + 1 :] - gens[k + 1 :] @ gens[k]
@@ -643,7 +643,7 @@ def test_blocked_commutator_mass_equals_the_row_loop_bitwise():
     families = 0
     past_span = 0
     for family in kernel_families():
-        assert alg._commutator_mass(family) == row_loop_commutator_mass(family)
+        assert alg._commutator_mass(family[None]) == [row_loop_commutator_mass(family)]
         families += 1
         past_span += len(family) > family.shape[1] ** 2
     assert families >= 200
@@ -666,7 +666,7 @@ def test_ordered_reduction_equals_the_member_by_member_sum(monkeypatch):
             continue
         for seed in (0, 3):
             seen.clear()
-            alg._joint_diagonalize(family, seed)
+            alg._joint_diagonalize(family[None], seed)
             assert seen
             for attempt, h in enumerate(seen):
                 assert h.tobytes() == member_sum_combination(family, seed, attempt).tobytes()
@@ -686,7 +686,7 @@ def test_commutator_mass_peak_stays_within_twice_the_family():
     gens = random_complex_gaussian((256, 16, 16), make_rng(7))
     tracemalloc.start()
     try:
-        alg._commutator_mass(gens)
+        alg._commutator_mass(gens[None])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -817,7 +817,7 @@ def loop_simultaneous_svd(family):
     for name, products in (("left", left), ("right", right)):
         mass = alg.family_obstruction(products)
         if mass > alg.COMMUTE_RTOL:
-            return f"{name} products: {alg._obstruction_text(mass)}", mass
+            return f"{name} products: {alg._OBSTRUCTION.format(mass)}", mass
     q, residual = loop_joint_diagonalize(np.array(left), 0)
     if residual > alg.COMMUTE_RTOL:
         return "left basis", residual
@@ -896,6 +896,55 @@ def test_stacked_scalar_test_agrees_with_the_block_test():
         assert alg._is_scalar(stack, mx.frobenius_norms(stack)).tolist() == want
         checked += 1
     assert checked >= 40
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0, 2.0])
+def test_simultaneous_svd_refuses_a_tol_outside_the_unit_interval(tol):
+    # at tol 0 a family with a simultaneous SVD would be refuted on its roundoff mass;
+    # nan and tols of 1 or more would pass every mass unchecked
+    family = [pauli(1), (pauli(1) + pauli(3)) / SQ2]
+    with pytest.raises(ValueError, match="tol must be a finite number"):
+        alg.simultaneous_svd(family, tol=tol)
+
+
+def near_miss_family(seed, n=2, d=3):
+    # w diag_k x plus Gaussian noise of 1e-12 to 1e-3, some diagonals shrunk
+    rng = make_rng(seed)
+    w, x = haar_unitary(d, rng), haar_unitary(d, rng)
+    diagonals = random_complex_gaussian((n, d), rng)
+    if seed % 4 == 1:
+        diagonals[:, -1] *= 1e-5
+    if seed % 4 == 2:
+        diagonals[1] *= 1e-4
+    noise = 10.0 ** rng.uniform(-12, -3)
+    return np.array([w @ np.diag(v) @ x for v in diagonals]) + noise * random_complex_gaussian((n, d, d), rng)
+
+
+# at tol 1e-5, the family of each seed passes or fails at the named check
+STACK_SEEDS = {
+    0: None,
+    1: "left products",
+    187: "right products",
+    2: "left basis is not a joint eigenbasis",
+    6: "derived right basis is not unitary",
+    23: "family resists joint diagonal form",
+    12: None,
+}
+
+
+def test_a_stack_of_families_decides_each_as_its_one_member_call():
+    families = np.array([near_miss_family(seed) for seed in STACK_SEEDS])
+    for family, check, got in zip(families, STACK_SEEDS.values(), alg._simultaneous_svds(families, 1e-5)):
+        want = alg.simultaneous_svd(family, tol=1e-5)
+        assert (got.failed_check, got.violation) == (want.failed_check, want.violation)
+        assert (got.failed_check or "").startswith(check or "") and got.ok == (check is None)
+        for name in ("s", "t"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a is None and b is None) or (a.tobytes() == b.tobytes() and a.strides == b.strides)
+        if want.ok:
+            assert [x.tobytes() for x in got.diagonals] == [x.tobytes() for x in want.diagonals]
+        else:
+            assert got.diagonals is None
 
 
 def test_simultaneous_svd_is_deterministic():

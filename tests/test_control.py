@@ -387,7 +387,7 @@ def _never_reached(*args, **kwargs):
 def test_haar_cuts_are_refuted_by_their_distance_before_any_product_family(d, monkeypatch):
     # every controlled unitary's realignment has rank at most d_c, so by
     # Eckart-Young it lies at least ||s[d_c:]|| / ||u|| from u
-    monkeypatch.setattr(control.algebra, "simultaneous_svd", _never_reached)
+    monkeypatch.setattr(control.algebra, "_simultaneous_svds", _never_reached)
     u = haar_unitary(d * d, make_rng(d))
     for side in ((0,), (1,)):
         realigned = mx.realign(*mx.group_systems(u, (d, d), side))
@@ -399,35 +399,54 @@ def test_haar_cuts_are_refuted_by_their_distance_before_any_product_family(d, mo
         assert verdict.schmidt_rank == d * d
 
 
+def _count_members(monkeypatch):
+    """Calls and members of every cut SVD and expansion: a stacked ``svd`` or ``_expansions`` counts each member."""
+    counts = {"calls": 0, "svd": 0, "expansion": 0}
+
+    def spy(name, original, members):
+        def counted(*args, **kwargs):
+            counts["calls"] += 1
+            counts[name] += members(args[0])
+            return original(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(schmidt, "leading_svd", spy("svd", schmidt.leading_svd, lambda m: 1))
+    monkeypatch.setattr(schmidt, "svd", spy("svd", schmidt.svd, len))
+    monkeypatch.setattr(schmidt, "_expansions", spy("expansion", schmidt._expansions, len))
+    return counts
+
+
 def test_each_cut_takes_one_svd_and_a_refuted_cut_forms_no_factors(monkeypatch):
-    # every SVD is counted, the expansion's own included: it builds from the cut's
-    svds = _count_calls(monkeypatch, schmidt, ("leading_svd", "_expansion"))
+    # every SVD is counted by its members, the expansion's own included: it builds from the cut's
+    counts = _count_members(monkeypatch)
     u, layout = gates.u3()
     multipartite_control_analysis(u, layout)
-    # three singletons and three pairs; only the pairs reach the product route
-    assert svds == {"leading_svd": 6, "_expansion": 3}
+    # three singletons and three pairs, each shape one stacked SVD; only the pairs reach the
+    # product route, expanded as one stack
+    assert counts == {"calls": 3, "svd": 6, "expansion": 3}
     for subsets, expansions in (([(0,), (1,), (2,)], 0), ([(0, 1), (0, 2), (1, 2)], 3)):
-        svds.update(dict.fromkeys(svds, 0))
+        counts.update(dict.fromkeys(counts, 0))
         for subset in subsets:
             is_controlled(u, layout, subset)
-        assert svds == {"leading_svd": 3, "_expansion": expansions}
+        assert counts == {"calls": 3 + expansions, "svd": 3, "expansion": expansions}
     for d in range(2, 7):
         for side in ((0,), (1,)):
-            svds.update(dict.fromkeys(svds, 0))
+            counts.update(dict.fromkeys(counts, 0))
             verdict = is_controlled(haar_unitary(d * d, make_rng(d)), (d, d), side)
             assert verdict.failed_check.startswith(DISTANCE_CHECK)
-            assert svds == {"leading_svd": 1, "_expansion": 0}
+            assert counts == {"calls": 1, "svd": 1, "expansion": 0}
 
 
 def test_a_cut_read_twice_takes_one_svd_and_one_expansion(monkeypatch):
     u, layout = gates.random_controlled_unitary(3, 4, 3, seed=2)
-    counts = _count_calls(monkeypatch, schmidt, ("leading_svd", "_expansion"))
+    counts = _count_calls(monkeypatch, schmidt, ("leading_svd", "_expansions"))
     cut = schmidt.Cut.of(u, layout, (1,))
     assert (cut.front, cut.order, cut.dims) == ((1,), (1, 0), (4, 3))
-    assert counts == {"leading_svd": 0, "_expansion": 0}
+    assert counts == {"leading_svd": 0, "_expansions": 0}
     first = cut.svd, cut.expansion
     assert cut.svd is first[0] and cut.expansion is first[1]
-    assert counts == {"leading_svd": 1, "_expansion": 1}
+    assert counts == {"leading_svd": 1, "_expansions": 1}
     coefficients, lefts, rights = cut.expansion
     dec = schmidt.operator_schmidt_decompose(u, layout, (1,))
     assert coefficients.tobytes() == dec.coefficients.tobytes()
@@ -451,9 +470,9 @@ def test_a_verdict_tol_never_reaches_the_cut_spectrum(monkeypatch):
 @pytest.mark.parametrize("trials", [1, 3, 6])
 def test_the_sch3_suite_expands_each_trial_cut_once(trials, monkeypatch):
     # each trial's verdict reads one cached expansion of its cut
-    counts = _count_calls(monkeypatch, schmidt, ("_expansion",))
+    counts = _count_calls(monkeypatch, schmidt, ("_expansions",))
     assert fuzz_theorem_checks("sch3", trials, seed=2).ok
-    assert counts == {"_expansion": trials}
+    assert counts == {"_expansions": trials}
 
 
 def test_a_tail_past_the_ceiling_with_few_significant_factors_runs_the_product_route():
@@ -486,11 +505,12 @@ def test_the_distance_refutes_only_where_the_product_route_refutes(d_c, d_t, ran
         dressed = scipy.linalg.expm(1j * eps * h) @ u
         for side in ((0,), (1,)):
             cut = schmidt.Cut.of(dressed, layout, side)
-            verdict = control._decide_control(cut, norm_u, control.VERDICT_RTOL)
+            (verdict,) = control._decide_controls([cut], norm_u, control.VERDICT_RTOL)
             if not (verdict.failed_check or "").startswith(DISTANCE_CHECK):
                 continue
             fired += 1
-            violation, description, form = control._product_route(cut, norm_u, control.VERDICT_RTOL)
+            factors = control._cut_factors(cut)[None]
+            ((violation, description, form),) = control._product_routes([cut], factors, norm_u, control.VERDICT_RTOL)
             controlled, _, inconclusive = control._band(violation, description, control.VERDICT_RTOL, form is not None)
             assert not controlled and not inconclusive
             assert violation > control.NEAR_MISS_CEILING
@@ -547,12 +567,12 @@ def test_each_cut_is_grouped_once_and_its_input_checked_once(monkeypatch):
     # and its realignment and factors are passed down, not checked again
     u3, layout3 = gates.u3()
     u, layout = gates.random_controlled_unitary(4, 4, 3, seed=1)
-    counts = _count_calls(monkeypatch, mx, ("group_systems", "as_operator"))
+    counts = _count_calls(monkeypatch, mx, ("_permuted", "as_operator"))
     multipartite_control_analysis(u3, layout3)
-    assert counts == {"group_systems": 6, "as_operator": 1}
+    assert counts == {"_permuted": 6, "as_operator": 1}
     counts.update(dict.fromkeys(counts, 0))
     assert is_controlled(u, layout, (0,)).controlled
-    assert counts == {"group_systems": 1, "as_operator": 1}
+    assert counts == {"_permuted": 1, "as_operator": 1}
 
 
 def test_product_families_over_the_cap_are_refused_before_allocating(monkeypatch):
@@ -903,6 +923,13 @@ def _permuted_scrambled_u3(seed):
     return mx.permute_systems(u, layout, perm), layout
 
 
+def _dressed(build, eps):
+    # exp(i eps H) u: from eps 1e-8 on, one stack of pair cuts mixes passing, inconclusive and refuted members
+    u, layout = build()
+    return scipy.linalg.expm(1j * eps * random_hermitian(len(u), make_rng(5))) @ u, layout
+
+
+@pytest.mark.parametrize("tol", [control.VERDICT_RTOL, control.NEAR_MISS_CEILING])
 @pytest.mark.parametrize(
     "build",
     [
@@ -914,15 +941,72 @@ def _permuted_scrambled_u3(seed):
         lambda: gates.even_qubit_rank3(4),
         lambda: gates.even_qubit_rank3(6),
         gates.four_qubit_example,
+        *(
+            lambda build=build, eps=eps: _dressed(build, eps)
+            for build in (gates.u3, lambda: gates.padded_2x2xn(3), lambda: gates.u_odd_n(5))
+            for eps in (1e-9, 1e-8, 1e-7, 1e-5, 1e-3, 1.0)
+        ),
+        lambda: (haar_unitary(12, make_rng(3)), (2, 3, 2)),
+        lambda: (gates.random_controlled_unitary(2, 6, 2, seed=4)[0], (2, 3, 2)),
+        lambda: (haar_unitary(4, make_rng(4)), (1, 2, 2)),
+        lambda: (CNOT, (2, 2, 1)),
     ],
 )
-def test_sweep_verdicts_equal_is_controlled_field_by_field(build):
+def test_sweep_verdicts_equal_is_controlled_field_by_field(build, tol):
     u, layout = build()
-    report = multipartite_control_analysis(u, layout)
+    report = multipartite_control_analysis(u, layout, tol=tol)
+    witness = None
     for subset, verdict in {**report.singles, **report.pairs}.items():
-        direct = is_controlled(u, layout, subset)
+        direct = is_controlled(u, layout, subset, tol=tol)
         fields = ("controlled", "inconclusive", "failed_check", "violation", "schmidt_rank")
         assert [getattr(verdict, f) for f in fields] == [getattr(direct, f) for f in fields], subset
+        if witness is None:
+            witness = direct.form
+    assert (report.witness is None) == (witness is None)
+    if witness is not None:
+        assert report.witness.side == witness.side
+        for name in ("q", "r", "blocks"):
+            assert np.array_equal(getattr(report.witness, name), getattr(witness, name)), name
+
+
+def test_a_sweep_past_the_family_budget_decides_each_family_alone(monkeypatch):
+    # u3's pair cuts have 3 factors of side 4: 2 * 3^2 * 4^2 = 288 product entries each. At cap 12
+    # one family fills the budget 2 * 12^2, so the stack of three goes one family per pass
+    u, layout = gates.u3()
+    monkeypatch.setenv("SCHMIDT_LAB_MAX_DIM", "12")
+    passes = []
+    stacked = control.algebra._simultaneous_svds
+
+    def spy(stack, tol):
+        passes.append(len(stack))
+        return stacked(stack, tol)
+
+    monkeypatch.setattr(control.algebra, "_simultaneous_svds", spy)
+    report = multipartite_control_analysis(u, layout)
+    assert passes == [3, 1, 1, 1]
+    fields = ("controlled", "inconclusive", "failed_check", "violation", "schmidt_rank")
+    for subset, verdict in {**report.singles, **report.pairs}.items():
+        direct = is_controlled(u, layout, subset)
+        assert [getattr(verdict, f) for f in fields] == [getattr(direct, f) for f in fields], subset
+    # one family past the budget is refused with the one-cut text
+    monkeypatch.setenv("SCHMIDT_LAB_MAX_DIM", "8")
+    with pytest.raises(DimensionError, match=r"^product families of 288 entries exceeds the budget 2 \* 8\^2$"):
+        multipartite_control_analysis(u, layout)
+
+
+def test_a_sweep_holds_at_most_the_gate_or_2_16_entries_of_cuts():
+    # the u_odd_n(5) sweep holds its 15 cuts at once, its 10 pairs one stack; a u_odd_n(7)
+    # cut alone passes the bound, so that sweep holds one cut at a time
+    for n, runs in ((5, [15]), (7, [1] * 28)):
+        u, layout = gates.u_odd_n(n)
+        subsets = [(i,) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
+        batches = list(control._batches(u, layout, subsets))
+        assert [len(batch) for batch in batches] == runs
+        assert [s for batch in batches for s in batch] == subsets
+        for batch in batches:
+            # a cut holds three arrays of u.size and the SVD factors of its realignment
+            held = sum(3 * u.size + (4 ** len(s)) * (4 ** len(s) + 4 ** (n - len(s)) + 1) for s in batch)
+            assert len(batch) == 1 or held <= max(u.size, 1 << 16)
 
 
 def test_multipartite_report_checks_unitarity_once(monkeypatch):

@@ -350,7 +350,7 @@ def test_rank_bounds_even_four_qubit():
 def test_rank_bounds_check_the_gate_once_for_every_bipartition(monkeypatch):
     # seven bipartitions of four qubits, each grouped once from the one checked gate
     u, layout = gates.four_qubit_example()
-    counts = dict.fromkeys(("as_operator", "group_systems"), 0)
+    counts = dict.fromkeys(("as_operator", "_permuted"), 0)
     for name in counts:
 
         def spy(*args, _name=name, _original=getattr(mx, name), **kwargs):
@@ -359,7 +359,7 @@ def test_rank_bounds_check_the_gate_once_for_every_bipartition(monkeypatch):
 
         monkeypatch.setattr(mx, name, spy)
     assert sch.multipartite_rank_bounds(u, layout).lower == 16
-    assert counts == {"as_operator": 1, "group_systems": 7}
+    assert counts == {"as_operator": 1, "_permuted": 7}
 
 
 def test_rank_bounds_needs_multiple_systems():
@@ -445,7 +445,7 @@ def test_a_bad_tol_is_named_before_the_cut_is_grouped(name, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("grouped before the tol check")
 
-    monkeypatch.setattr(mx, "group_systems", never)
+    monkeypatch.setattr(mx, "_permuted", never)
     monkeypatch.setattr(mx, "group_states", never)
     for tol in (0.0, 1.0, float("nan")):
         with pytest.raises(ValueError, match="tol must be a finite number"):

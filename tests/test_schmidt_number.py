@@ -338,7 +338,7 @@ class TestSearch:
         # the unitarity check reads the entries once; the operator rank is read
         # off the grouped operator, not through a second grouping and scan
         u, layout = gates.random_controlled_unitary(3, 4, 3, seed=1)
-        counts = dict.fromkeys(("group_systems", "as_operator"), 0)
+        counts = dict.fromkeys(("_permuted", "as_operator"), 0)
         for name in counts:
             original = getattr(mx, name)
 
@@ -350,7 +350,7 @@ class TestSearch:
         for entry in (ancilla_extended_check, max_output_schmidt_rank_search):
             counts.update(dict.fromkeys(counts, 0))
             entry(u, layout, (0,))
-            assert counts == {"group_systems": 1, "as_operator": 1}, entry.__name__
+            assert counts == {"_permuted": 1, "as_operator": 1}, entry.__name__
 
 
 class TestAncillaExtension:

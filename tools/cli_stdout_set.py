@@ -41,8 +41,10 @@ both ``schmidt-number`` modes (the tolerance is named), ``decompose
 at ``--tol`` 1e-5 and 1e-3 on the 8 x 8 gates of rank 3 (seed 1) and rank 2
 (seed 0), whose cuts are sketched, ``schmidt-number --ancilla --cut 0`` on
 every named gate and ``--cut 0,1`` on the multipartite ones, ``decompose`` of
-the four-qubit gate across ``0,1`` at 1e-5, and the 3 x 5 gate fed a state on
-dims [3, 5] and one on [5, 3] (refused): 556 commands.
+the four-qubit gate across ``0,1`` at 1e-5, the 3 x 5 gate fed a state on
+dims [3, 5] and one on [5, 3] (refused), and ``detect --side`` on every singleton
+and pair of ``u3``, the four-qubit gate, ``padded-2x2xn(3)`` and a permuted,
+scrambled ``u3``, the subsets the multipartite sweep decides as stacks: 580 commands.
 """
 
 from __future__ import annotations
@@ -76,6 +78,14 @@ NAMED = {
     "haar-9-as-3x3": lambda: (haar_unitary(9, make_rng(9)), SystemLayout.of((3, 3))),
 }
 MULTIPARTITE = ("u3", "four-qubit", "even-qubit-rank3-6")
+# gates whose every singleton and pair is detected on its own: each subset the multipartite
+# sweep decides in a stack, decided alone
+SWEPT = {
+    "u3": gates.u3,
+    "four-qubit": gates.four_qubit_example,
+    "padded-2x2x3": lambda: gates.padded_2x2xn(3),
+    "permuted-u3": lambda: _permuted_u3(11),
+}
 
 # exp(eps i H) times rc d x d r2, H = random_hermitian(d^2, make_rng(8)): for d = 4, near misses
 # at 1e-7, and at 3e-9 gates the detector certifies with witnesses up to 1.2e-10 off unitary
@@ -100,6 +110,13 @@ def _rc_name(d_c, d_t, r, seed):
     return f"rc-{d_c}x{d_t}-r{r}-s{seed}"
 
 
+def _permuted_u3(seed):
+    base, layout = gates.u3()
+    u = gates.random_local_scramble(base, layout, seed=seed)
+    perm = tuple(int(i) for i in make_rng(seed, stream=99).permutation(3))
+    return mx.permute_systems(u, layout, perm), layout
+
+
 def _near_miss(seed, eps, d=4):
     u, layout = gates.random_controlled_unitary(d, d, 2, seed=seed)
     w, v = np.linalg.eigh(random_hermitian(d * d, make_rng(8)))
@@ -112,7 +129,7 @@ def gate_files() -> dict:
     for d_c, d_t, r, seed in RANDOM_CONTROLLED:
         u, layout = gates.random_controlled_unitary(d_c, d_t, r, seed=seed)
         files[_rc_name(d_c, d_t, r, seed) + ".json"] = (u, tuple(layout.dims))
-    for name, build in NAMED.items():
+    for name, build in {**NAMED, **SWEPT}.items():
         u, layout = build()
         files[name + ".json"] = (u, tuple(layout.dims))
     for seed in NEAR_MISS_SEEDS:
@@ -174,6 +191,10 @@ def commands() -> list:
         ]
         if name in MULTIPARTITE:
             argvs.append(["schmidt-number", path, "--ancilla", "--cut", "0,1"])
+    for name, build in SWEPT.items():
+        n = len(build()[1])
+        sides = [str(i) for i in range(n)] + [f"{i},{j}" for i in range(n) for j in range(i + 1, n)]
+        argvs += [["detect", f"$T/{name}.json", "--side", side] for side in sides if name not in NAMED or side not in ("0", "0,1")]
     for seed in NEAR_MISS_SEEDS:
         path = f"$T/near-miss-s{seed}.json"
         argvs += [
