@@ -42,24 +42,6 @@ def _members(stack: np.ndarray, index) -> np.ndarray:
     return stack if len(index) == len(stack) else stack[index]
 
 
-def _as_square_family(ops, name: str):
-    """The family as one finite complex ``(n, d, d)`` stack, and d."""
-    if len(ops) == 0:
-        raise ValueError(f"{name} must not be empty")
-    if isinstance(ops, np.ndarray) and ops.ndim == 3:
-        members = ops
-    else:
-        members = [np.asarray(op) for op in ops]
-        if any(op.shape != members[0].shape for op in members):
-            raise ValueError(f"{name} must share one square shape")
-    stack = np.asarray(members, dtype=complex)
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-        raise DimensionError(
-            f"{name} must be square matrices, got shape {stack.shape[1:]}"
-        )
-    return mx._require_finite(stack, name), stack.shape[1]
-
-
 def _moments(z, left, right) -> np.ndarray:
     """``sum_ij z[i][j] left[i] @ right[j]`` over two equal-length ``(n, d, d)`` stacks."""
     return np.tensordot(z, left[:, None] @ right[None], 2)
@@ -138,7 +120,7 @@ def singular_combination(a, b):
     from an eigenvalue of a^-1 b, chosen to minimize the normalized smallest
     singular value, ties broken by the smallest eigenvalue (real, then imag).
     """
-    (a, b), _ = _as_square_family([a, b], "pencil")
+    (a, b), _ = mx._as_square_family([a, b], "pencil")
     if span_dimension([a, b], rtol=1e-10) != 2:
         raise ValueError("pencil members must be linearly independent")
 
@@ -165,7 +147,7 @@ def find_singular_basis(space):
     elements and drops the one it leans on most, which keeps the working set
     plus the found set independent.
     """
-    ops, _ = _as_square_family(space, "matrix span")
+    ops, _ = mx._as_square_family(space, "matrix span")
     r = len(ops)
     if r < 2:
         raise ValueError(f"need at least two matrices, got {r}")
@@ -206,7 +188,7 @@ def orthogonalize_pair(a1, a2, x1, y1, z1, x2, y2, z2):
     span of (a1, a2) with b1'b1 + b2'b2 = I and a b1 b1' + b b2 b2' = I,
     a, b > 0. Violated preconditions raise ValueError.
     """
-    pair, d = _as_square_family([a1, a2], "pair")
+    pair, d = mx._as_square_family([a1, a2], "pair")
     a1, a2 = pair
     x1 = _require_positive(x1, "x1")
     y1 = _require_positive(y1, "y1")
@@ -384,7 +366,7 @@ def family_obstruction(family) -> float:
     twice the family's own size. Each row's squared norm is one ``vdot``,
     added in row order: the summation order of a row-by-row loop.
     """
-    return _commutator_mass(_as_square_family(family, "family")[0][None])[0]
+    return _commutator_mass(mx._as_square_family(family, "family")[0][None])[0]
 
 
 def _commutator_mass(stack: np.ndarray) -> list:
@@ -421,7 +403,7 @@ def joint_diagonalize_commuting(family):
     this function. q is built by ``_joint_diagonalize`` from seed 0; a
     residual over COMMUTE_RTOL on every attempt raises NumericalError.
     """
-    ops, _ = _as_square_family(family, "family")
+    ops, _ = mx._as_square_family(family, "family")
     mass = _commutator_mass(np.concatenate([ops, _adjoints(ops)])[None])[0]
     if mass > COMMUTE_RTOL:
         raise ValueError(_OBSTRUCTION.format(mass))
@@ -553,7 +535,7 @@ def simultaneous_svd(family, tol: float = COMMUTE_RTOL) -> SimultaneousSvdResult
     ``tol`` that is not a finite number in (0, 1) raises ValueError first.
     """
     mx.checked_tol(tol)
-    return _simultaneous_svds(_as_square_family(family, "family")[0][None], tol)[0]
+    return _simultaneous_svds(mx._as_square_family(family, "family")[0][None], tol)[0]
 
 
 def _simultaneous_svds(stack: np.ndarray, tol: float) -> list:
@@ -634,7 +616,7 @@ def commutant_blocks(generators):
     default 4096), raises DimensionError before anything is allocated. Its
     kernel comes from an economy-size SVD (see ``null_space``).
     """
-    gens, d = _as_square_family(generators, "generators")
+    gens, d = mx._as_square_family(generators, "generators")
     _check_budget("commutant system", 2 * min(len(gens), d * d) * d**4)
     span = _span_generators(gens[None])[0]
     closure = np.concatenate([span, _adjoints(span)])

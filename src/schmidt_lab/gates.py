@@ -10,6 +10,7 @@ the even-n rank-3 family, and seeded random controlled instances.
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 import numpy as np
 
@@ -35,7 +36,7 @@ def _finish(u: np.ndarray, layout):
 
 def pauli(i: int):
     """Pauli matrix sigma_i, i in 0..3 (0 is the identity)."""
-    if i not in (0, 1, 2, 3):
+    if not mx._is_int(i) or i not in (0, 1, 2, 3):
         raise ValueError(f"pauli index must be 0..3, got {i}")
     return _PAULI[i].copy(), SystemLayout.of((2,))
 
@@ -57,7 +58,7 @@ def _odd_n_core(n: int):
     """``(u, layout)`` of the odd-n family on n qubits, unchecked; a layout above the cap is refused first."""
     layout = _qubits(n)
     terms = [
-        phase * mx.tensor_chain([_PAULI[idx]] * n) for idx, phase in ((0, 1.0), (1, 1j), (3, 1j))
+        phase * reduce(np.kron, [_PAULI[idx]] * n) for idx, phase in ((0, 1.0), (1, 1j), (3, 1j))
     ]
     return sum(terms) / math.sqrt(3.0), layout
 
@@ -68,7 +69,7 @@ def u_odd_n(n: int):
     Every single-system cut of this gate has operator Schmidt rank 3, yet no
     single system can control it.
     """
-    if n < 3 or n % 2 == 0:
+    if not mx._is_int(n) or n < 3 or n % 2 == 0:
         raise ValueError(f"this family needs odd n >= 3, got {n}")
     return _finish(*_odd_n_core(n))
 
@@ -110,7 +111,7 @@ def padded_2x2xn(n: int):
 
 def even_qubit_rank3(n: int):
     """Rank-3 gate on an even number of qubits, controlled by the first one; only the whole gate is checked unitary."""
-    if n < 4 or n % 2 == 1:
+    if not mx._is_int(n) or n < 4 or n % 2 == 1:
         raise ValueError(f"this family needs even n >= 4, got {n}")
     layout = _qubits(n)
     core, _ = _odd_n_core(n - 1)
@@ -132,15 +133,13 @@ def tensor_extension(u: np.ndarray, layout, extra_dims):
         )
     if not all(mx._is_int(e) and e >= 1 for e in extra):
         raise ValueError(f"ancilla dimensions must be positive integers, got {extra}")
-    u = mx.as_operator(u, "tensor_extension input")
-    n = len(layout)
-    total_extra = math.prod(extra)
-    big = mx.tensor_product(u, np.eye(total_extra, dtype=complex))
+    u, layout = mx.on_layout(u, layout, "tensor_extension input")
+    merged = SystemLayout.of(tuple(d * e for d, e in zip(layout.dims, extra)))  # the cap, before the kron
+    big = np.kron(u, np.eye(math.prod(extra), dtype=complex))
     # systems are ordered (A_1 .. A_n, E_1 .. E_n); interleave to (A_1, E_1, ...)
+    n = len(layout)
     interleave = tuple(x for i in range(n) for x in (i, n + i))
-    big = mx.permute_systems(big, layout.dims + extra, interleave)
-    merged = tuple(layout.dims[i] * extra[i] for i in range(n))
-    return _finish(big, merged)
+    return _finish(mx._permuted(big, layout.dims + extra, interleave), merged)
 
 
 def random_unitary(dim: int, seed: int):
@@ -152,12 +151,8 @@ def random_unitary(dim: int, seed: int):
 def random_local_scramble(u: np.ndarray, layout, seed: int) -> np.ndarray:
     """Dress an operator with independent Haar locals on every system, both sides."""
     u, layout = mx.on_layout(u, layout, "scramble input")
-    left = mx.tensor_chain(
-        [haar_unitary(d, make_rng(seed, stream=2 * i)) for i, d in enumerate(layout.dims)]
-    )
-    right = mx.tensor_chain(
-        [haar_unitary(d, make_rng(seed, stream=2 * i + 1)) for i, d in enumerate(layout.dims)]
-    )
+    left = reduce(np.kron, [haar_unitary(d, make_rng(seed, stream=2 * i)) for i, d in enumerate(layout.dims)])
+    right = reduce(np.kron, [haar_unitary(d, make_rng(seed, stream=2 * i + 1)) for i, d in enumerate(layout.dims)])
     return left @ u @ right
 
 
@@ -165,28 +160,25 @@ def random_controlled_unitary(d_ctrl: int, d_tgt: int, r: int, seed: int):
     """Locally scrambled sum_k |k><k| (x) V_k with operator Schmidt rank exactly r.
 
     Blocks are Haar-drawn; block k >= r reuses block k mod r, so the target-side
-    span has dimension r. The realized rank is verified and the instance is
-    resampled (up to 8 times) in the measure-zero event of a degenerate draw.
+    span has dimension r. For r <= min(3, d_tgt^2) Haar blocks are linearly
+    independent with probability 1, so one draw is taken; its realized rank is
+    verified, and a degenerate draw raises ValueError.
     """
-    if r not in (1, 2, 3):
+    if not mx._is_int(r) or r not in (1, 2, 3):
         raise ValueError(f"rank must be 1, 2, or 3, got {r}")
     if r > d_ctrl:
         raise ValueError(f"rank {r} needs at least {r} control levels, got {d_ctrl}")
     if r > d_tgt * d_tgt:
         raise ValueError(f"rank {r} exceeds the target operator space {d_tgt * d_tgt}")
     layout = SystemLayout.of((d_ctrl, d_tgt))
-    for attempt in range(8):
-        rng = make_rng(seed, stream=1000 + attempt)
-        blocks = [haar_unitary(d_tgt, rng) for _ in range(r)]
-        u = np.zeros((d_ctrl * d_tgt,) * 2, dtype=complex)
-        for k in range(d_ctrl):
-            v = blocks[k % r]
-            u[k * d_tgt : (k + 1) * d_tgt, k * d_tgt : (k + 1) * d_tgt] = v
-        if schmidt_rank(u, layout, (0,)).rank == r:
-            return _finish(random_local_scramble(u, layout, seed), layout)
-    raise ValueError(
-        f"could not realize rank {r} on ({d_ctrl}, {d_tgt}) after 8 draws"
-    )
+    rng = make_rng(seed, stream=1000)
+    blocks = [haar_unitary(d_tgt, rng) for _ in range(r)]
+    u = np.zeros((d_ctrl * d_tgt,) * 2, dtype=complex)
+    for k in range(d_ctrl):
+        u[k * d_tgt : (k + 1) * d_tgt, k * d_tgt : (k + 1) * d_tgt] = blocks[k % r]
+    if schmidt_rank(u, layout, (0,)).rank != r:
+        raise ValueError(f"the draw did not realize rank {r} on ({d_ctrl}, {d_tgt})")
+    return _finish(random_local_scramble(u, layout, seed), layout)
 
 
 GATE_BUILDERS = {

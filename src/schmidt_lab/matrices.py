@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -96,6 +95,24 @@ def _require_finite(m, name: str) -> np.ndarray:
     return m
 
 
+def _as_square_family(ops, name: str):
+    """The family as one finite complex ``(n, d, d)`` stack, and d."""
+    if len(ops) == 0:
+        raise ValueError(f"{name} must not be empty")
+    if isinstance(ops, np.ndarray) and ops.ndim == 3:
+        members = ops
+    else:
+        members = [np.asarray(op) for op in ops]
+        if any(op.shape != members[0].shape for op in members):
+            raise ValueError(f"{name} must share one square shape")
+    stack = np.asarray(members, dtype=complex)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise DimensionError(
+            f"{name} must be square matrices, got shape {stack.shape[1:]}"
+        )
+    return _require_finite(stack, name), stack.shape[1]
+
+
 def on_layout(u, layout, name: str = "operator", unitary: bool = False):
     """``(u, layout)``: ``layout`` checked, ``u`` a finite square matrix (unitary, if asked) of its side.
 
@@ -134,26 +151,10 @@ def checked_tol(tol, name: str = "tol"):
 def unitarity_residuals(stack: np.ndarray) -> np.ndarray:
     """``||V^dagger V - I||_F / sqrt(d)`` of each ``V`` of a ``(n, d, d)`` stack, one batched Gram."""
     d = stack.shape[-1]
-    return frobenius_norms(stack.conj().transpose(0, 2, 1) @ stack - np.eye(d)) / math.sqrt(d)
-
-
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the configured dimension cap enforced."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    side = a.shape[0] * b.shape[0]
-    if side > max_total_dimension():
-        raise DimensionError(
-            f"tensor product side {side} exceeds the configured cap {max_total_dimension()}"
-        )
-    return np.kron(a, b)
-
-
-def tensor_chain(factors: Sequence[np.ndarray]) -> np.ndarray:
-    factors = list(factors)
-    if not factors:
-        raise ValueError("tensor_chain needs at least one factor")
-    return reduce(tensor_product, factors[1:], np.asarray(factors[0], dtype=complex))
+    gram = stack.conj().transpose(0, 2, 1) @ stack
+    # 1 off the fresh Gram's diagonal in place: the bits of ``gram - I``, without forming I
+    gram.reshape(len(gram), d * d)[:, :: d + 1] -= 1.0
+    return frobenius_norms(gram) / math.sqrt(d)
 
 
 def control_sandwich(g: np.ndarray, dims, left=None, right=None) -> np.ndarray:

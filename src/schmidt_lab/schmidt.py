@@ -306,17 +306,8 @@ def schineq_check(a_ops, b_ops, tol: float = RANK_RTOL) -> SchineqReport:
         raise ValueError(
             f"term lists must match: {len(a_ops)} left vs {len(b_ops)} right"
         )
-    if len(a_ops) == 0:
-        raise ValueError("need at least one term")
-    a_ops = [mx.as_operator(a, "left factor") for a in a_ops]
-    b_ops = [mx.as_operator(b, "right factor") for b in b_ops]
-    d_a = a_ops[0].shape[0]
-    d_b = b_ops[0].shape[0]
-    if any(a.shape != (d_a, d_a) for a in a_ops):
-        raise ValueError("left factors must share one dimension")
-    if any(b.shape != (d_b, d_b) for b in b_ops):
-        raise ValueError("right factors must share one dimension")
-
+    a_ops, d_a = mx._as_square_family(a_ops, "left factors")
+    b_ops, d_b = mx._as_square_family(b_ops, "right factors")
     SystemLayout.of((d_a, d_b))  # the cap, before the sum is formed
     rank = numerical_rank(leading_svd(mx._realigned_sum(1.0, a_ops, b_ops), tol)[1], tol)
     delta_a = span_dimension(a_ops, tol)

@@ -13,6 +13,9 @@ from schmidt_lab.errors import DimensionError
 from schmidt_lab.randomness import make_rng, random_state
 
 
+SWAP = gates.swap_gate()[0]
+
+
 def realign_rank(u, dims, tol=1e-9):
     """Independent rank oracle: SVD of the realignment, done with raw numpy."""
     s = np.linalg.svd(mx.realign(u, dims), compute_uv=False)
@@ -156,10 +159,12 @@ def test_even_qubit_rank3_checks_only_the_assembled_gate(monkeypatch):
         (lambda: gates.even_qubit_rank3(200_000), 64),
         # the 32 x 32 core fits under the cap, the 64 x 64 gate does not
         (lambda: gates.even_qubit_rank3(6), 48),
+        # the 4 x 4 input fits, its 2000 x 2 extension does not
+        (lambda: gates.tensor_extension(SWAP, (2, 2), (1000, 1)), 16),
     ],
     ids=[
         "random-unitary", "u-odd-n", "padded-2x2xn", "even-qubit-rank3", "even-qubit-rank3-huge",
-        "even-qubit-rank3-core-fits",
+        "even-qubit-rank3-core-fits", "tensor-extension",
     ],
 )
 def test_builders_refuse_over_cap_sizes_before_allocating(monkeypatch, build, cap):
@@ -169,8 +174,14 @@ def test_builders_refuse_over_cap_sizes_before_allocating(monkeypatch, build, ca
     monkeypatch.setenv("SCHMIDT_LAB_MAX_DIM", str(cap))
     monkeypatch.setattr(gates, "haar_unitary", refuse)
     monkeypatch.setattr(np, "kron", refuse)
+    monkeypatch.setattr(np, "eye", refuse)
     with pytest.raises(DimensionError):
         build()
+
+
+def test_tensor_extension_refuses_an_input_off_its_layout():
+    with pytest.raises(DimensionError, match=r"tensor_extension input has side 4 but layout \(2, 3\) implies 6"):
+        gates.tensor_extension(SWAP, (2, 3), (1, 1))
 
 
 def test_tensor_extension_action():
@@ -216,6 +227,42 @@ def test_random_controlled_unitary_rejects_impossible_rank():
         gates.random_controlled_unitary(3, 3, 0, seed=1)
     with pytest.raises(ValueError):
         gates.random_controlled_unitary(3, 3, 4, seed=1)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: gates.pauli(True), "pauli index must be 0..3"),
+        (lambda: gates.pauli(2.0), "pauli index must be 0..3"),
+        (lambda: gates.u_odd_n(5.0), "this family needs odd n >= 3"),
+        (lambda: gates.u_odd_n(True), "this family needs odd n >= 3"),
+        (lambda: gates.even_qubit_rank3(4.0), "this family needs even n >= 4"),
+        (lambda: gates.random_controlled_unitary(3, 3, 3.0, 0), "rank must be 1, 2, or 3"),
+        (lambda: gates.random_controlled_unitary(3, 3, True, 0), "rank must be 1, 2, or 3"),
+    ],
+    ids=["pauli-bool", "pauli-float", "u-odd-n-float", "u-odd-n-bool", "even-float", "rcu-float", "rcu-bool"],
+)
+def test_builders_refuse_a_parameter_that_is_not_an_integer(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_random_controlled_unitary_refuses_a_degenerate_draw_without_redrawing(monkeypatch):
+    drawn = []
+    real_haar = gates.haar_unitary
+
+    def haar(d, rng):
+        drawn.append(d)
+        return real_haar(d, rng)
+
+    class Degenerate:
+        rank = 1
+
+    monkeypatch.setattr(gates, "haar_unitary", haar)
+    monkeypatch.setattr(gates, "schmidt_rank", lambda *args: Degenerate())
+    with pytest.raises(ValueError, match=r"the draw did not realize rank 3 on \(3, 2\)"):
+        gates.random_controlled_unitary(3, 2, 3, seed=0)
+    assert drawn == [2, 2, 2]
 
 
 def test_random_local_scramble_preserves_rank():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from schmidt_lab.algebra import family_obstruction, simultaneous_svd
 from schmidt_lab.control import ControlledForm, is_bcu, is_controlled
 from schmidt_lab.errors import DimensionError
 from schmidt_lab.protocols import controlled_gate_protocol, teleport_unitary_protocol, verify_protocol
-from schmidt_lab.randomness import make_rng, random_complex_gaussian, random_state
+from schmidt_lab.randomness import haar_unitary, make_rng, random_complex_gaussian, random_state
 from schmidt_lab.schmidt import operator_schmidt_decompose, schmidt_rank
 from schmidt_lab.schmidt_number import (
     ProductInput,
@@ -29,51 +30,6 @@ from schmidt_lab.schmidt_number import (
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
-
-
-def test_tensor_product_frozen():
-    a = np.array([[1, 2], [3, 4]], dtype=complex)
-    b = np.array([[0, 1], [1, 0]], dtype=complex)
-    expected = np.array(
-        [
-            [0, 1, 0, 2],
-            [1, 0, 2, 0],
-            [0, 3, 0, 4],
-            [3, 0, 4, 0],
-        ],
-        dtype=complex,
-    )
-    np.testing.assert_array_equal(mx.tensor_product(a, b), expected)
-
-
-def test_tensor_product_associative_and_bilinear():
-    rng = make_rng(42)
-    a = random_complex_gaussian((2, 2), rng)
-    b = random_complex_gaussian((3, 3), rng)
-    c = random_complex_gaussian((2, 2), rng)
-    left = mx.tensor_product(mx.tensor_product(a, b), c)
-    right = mx.tensor_product(a, mx.tensor_product(b, c))
-    assert np.linalg.norm(left - right) <= 1e-13 * np.linalg.norm(left)
-    lin = mx.tensor_product(2.0 * a + c, b)
-    lin_expanded = 2.0 * mx.tensor_product(a, b) + mx.tensor_product(c, b)
-    assert np.linalg.norm(lin - lin_expanded) <= 1e-13 * np.linalg.norm(lin)
-
-
-def test_tensor_chain_matches_repeated_product():
-    rng = make_rng(7)
-    factors = [random_complex_gaussian((2, 2), rng) for _ in range(3)]
-    chained = mx.tensor_chain(factors)
-    manual = mx.tensor_product(mx.tensor_product(factors[0], factors[1]), factors[2])
-    np.testing.assert_allclose(chained, manual, atol=0)
-
-
-def test_tensor_product_respects_dimension_cap(monkeypatch):
-    monkeypatch.setenv("SCHMIDT_LAB_MAX_DIM", "8")
-    a = np.eye(4, dtype=complex)
-    with pytest.raises(DimensionError):
-        mx.tensor_product(a, a)
-    # 4 * 2 = 8 is still allowed
-    mx.tensor_product(a, np.eye(2, dtype=complex))
 
 
 def test_system_layout_validation():
@@ -251,7 +207,7 @@ def test_realign_of_product_is_outer_product():
     rng = make_rng(3)
     a = random_complex_gaussian((3, 3), rng)
     b = random_complex_gaussian((2, 2), rng)
-    m = mx.realign(mx.tensor_product(a, b), (3, 2))
+    m = mx.realign(np.kron(a, b), (3, 2))
     np.testing.assert_allclose(m, np.outer(a.ravel(), b.ravel()), atol=1e-14)
 
 
@@ -294,18 +250,18 @@ def test_permute_systems_swaps_factors():
     rng = make_rng(11)
     a = random_complex_gaussian((2, 2), rng)
     b = random_complex_gaussian((3, 3), rng)
-    swapped = mx.permute_systems(mx.tensor_product(a, b), (2, 3), (1, 0))
-    np.testing.assert_allclose(swapped, mx.tensor_product(b, a), atol=0)
+    swapped = mx.permute_systems(np.kron(a, b), (2, 3), (1, 0))
+    np.testing.assert_allclose(swapped, np.kron(b, a), atol=0)
 
 
 def test_permute_systems_three_factors():
     rng = make_rng(12)
     fs = [random_complex_gaussian((d, d), rng) for d in (2, 3, 2)]
-    u = mx.tensor_chain(fs)
+    u = reduce(np.kron, fs)
     perm = (2, 0, 1)
     permuted = mx.permute_systems(u, (2, 3, 2), perm)
     np.testing.assert_allclose(
-        permuted, mx.tensor_chain([fs[p] for p in perm]), atol=0
+        permuted, reduce(np.kron, [fs[p] for p in perm]), atol=0
     )
 
 
@@ -318,11 +274,11 @@ def test_permute_systems_rejects_non_bijection():
 def test_group_systems_brings_subset_to_front():
     rng = make_rng(13)
     fs = [random_complex_gaussian((d, d), rng) for d in (2, 3, 2)]
-    u = mx.tensor_chain(fs)
+    u = reduce(np.kron, fs)
     grouped, dims = mx.group_systems(u, (2, 3, 2), (1,))
     assert dims == (3, 4)
     np.testing.assert_allclose(
-        grouped, mx.tensor_product(fs[1], mx.tensor_product(fs[0], fs[2])), atol=0
+        grouped, np.kron(fs[1], np.kron(fs[0], fs[2])), atol=0
     )
     # the shape is checked here; the entries are the caller's to check
     for bad in (u[:, :6], u[:6, :6], u.reshape(1, 12, 12)):
@@ -334,7 +290,7 @@ def test_partial_trace_of_product():
     rng = make_rng(5)
     a = random_complex_gaussian((2, 2), rng)
     b = random_complex_gaussian((3, 3), rng)
-    u = mx.tensor_product(a, b)
+    u = np.kron(a, b)
     np.testing.assert_allclose(
         mx.partial_trace(u, (2, 3), keep=(0,)), np.trace(b) * a, atol=1e-14
     )
@@ -347,10 +303,10 @@ def test_partial_trace_of_product():
 def test_partial_trace_three_systems():
     rng = make_rng(6)
     fs = [random_complex_gaussian((d, d), rng) for d in (2, 2, 3)]
-    u = mx.tensor_chain(fs)
+    u = reduce(np.kron, fs)
     got = mx.partial_trace(u, (2, 2, 3), keep=(0, 2))
     np.testing.assert_allclose(
-        got, np.trace(fs[1]) * mx.tensor_product(fs[0], fs[2]), atol=1e-13
+        got, np.trace(fs[1]) * np.kron(fs[0], fs[2]), atol=1e-13
     )
 
 
@@ -386,6 +342,16 @@ def test_frobenius_norms_match_each_member_bitwise():
         stack = 10.0 ** rng.integers(-8, 8) * random_complex_gaussian(shape, rng)
         want = [mx.frobenius_norm(m) for m in stack.reshape(-1, *shape[-2:])]
         assert mx.frobenius_norms(stack).reshape(-1).tolist() == want
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 17, 64])
+def test_unitarity_residuals_equal_the_gram_minus_identity_formula_bitwise(d):
+    # the identity is subtracted on the Gram's diagonal in place, never formed
+    rng = make_rng(d)
+    u = np.stack([haar_unitary(d, rng) for _ in range(3)])
+    for stack in (u, u + 1e-9 * random_complex_gaussian(u.shape, rng), -u, np.zeros_like(u)):
+        want = mx.frobenius_norms(stack.conj().transpose(0, 2, 1) @ stack - np.eye(d)) / math.sqrt(d)
+        assert mx.unitarity_residuals(stack).tobytes() == want.tobytes()
 
 
 def test_assert_unitary():

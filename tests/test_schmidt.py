@@ -11,6 +11,7 @@ import schmidt_lab.factorizations as fx
 import schmidt_lab.gates as gates
 import schmidt_lab.matrices as mx
 import schmidt_lab.schmidt as sch
+from schmidt_lab.errors import DimensionError
 from schmidt_lab.randomness import (
     haar_unitary,
     make_rng,
@@ -320,7 +321,7 @@ def test_invalid_cuts_rejected():
 
 def test_rank_bounds_product_unitary():
     rng = make_rng(11)
-    u = mx.tensor_chain([haar_unitary(2, rng), haar_unitary(3, rng), haar_unitary(2, rng)])
+    u = np.kron(np.kron(haar_unitary(2, rng), haar_unitary(3, rng)), haar_unitary(2, rng))
     bounds = sch.multipartite_rank_bounds(u, (2, 3, 2), seed=1)
     assert (bounds.lower, bounds.upper) == (1, 1)
     assert bounds.confirmed
@@ -407,17 +408,22 @@ def test_rank_inequalities_take_stacks_and_lists_alike():
     stacks = sch.schineq_check(np.stack([np.eye(2), z]), np.stack([np.eye(3), np.eye(3)]))
     assert stacks == lists
     assert (lists.delta_a, lists.delta_b, lists.n_terms, lists.rank) == (2, 1, 2, 1)
-    with pytest.raises(ValueError, match="need at least one term"):
+    with pytest.raises(ValueError, match="left factors must not be empty"):
         sch.schineq_check(np.zeros((0, 2, 2)), np.zeros((0, 3, 3)))
 
 
 def test_rank_inequalities_reject_mismatched_lists():
-    with pytest.raises(ValueError):
+    # the lengths are matched here; each list is the family rule's to check
+    with pytest.raises(ValueError, match="term lists must match: 1 left vs 2 right"):
         sch.schineq_check([np.eye(2)], [np.eye(2), np.eye(2)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="left factors must not be empty"):
         sch.schineq_check([], [])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="left factors must share one square shape"):
         sch.schineq_check([np.eye(2), np.eye(3)], [np.eye(2), np.eye(2)])
+    with pytest.raises(DimensionError, match=r"right factors must be square matrices, got shape \(2, 3\)"):
+        sch.schineq_check([np.eye(2)], [np.ones((2, 3))])
+    with pytest.raises(ValueError, match="right factors contains non-finite entries"):
+        sch.schineq_check([np.eye(2)], [np.full((2, 2), np.nan)])
 
 
 def _tol_checks():
