@@ -46,8 +46,7 @@ class ControlledForm:
     ``blocks`` is one ``(d_c, d_t, d_t)`` array (a sequence of ``d_c`` blocks is accepted
     too); ``grouped_dims``, ``(d_c, d_t)``, is read off the shapes of ``q`` and ``blocks``.
     The form is ``sum_k (q e_k)(e_k^T r) (x) V_k``, so its realignment is ``mx._realigned_sum`` of those
-    rank-one control factors and the blocks; ``operator`` unrealigns it, ``residual`` holds it as its one
-    full-size array, and ``apply`` forms none.
+    rank-one control factors and the blocks; ``operator`` unrealigns it, and ``residual`` and ``apply`` form none.
     """
 
     side: tuple
@@ -59,19 +58,16 @@ class ControlledForm:
     def grouped_dims(self) -> tuple:
         return len(self.q), np.shape(self.blocks)[-1]
 
-    def _realigned(self) -> np.ndarray:
-        """The ``(d_c^2, d_t^2)`` realignment: one ``(d_c^2, d_c) @ (d_c, d_t^2)`` matmul."""
-        return mx._realigned_sum(1.0, self.q.T[:, :, None] * self.r[:, None, :], self.blocks)
-
     def operator(self) -> np.ndarray:
-        return mx.unrealign(self._realigned(), self.grouped_dims)
+        realigned = mx._realigned_sum(1.0, self.q.T[:, :, None] * self.r[:, None, :], self.blocks)
+        return mx.unrealign(realigned, self.grouped_dims)
 
-    def residual(self, grouped) -> float:
-        """``||operator() - grouped||_F``, read in the realigned frame, where ``grouped`` is subtracted in place."""
-        view = mx._realigned_view(grouped, self.grouped_dims)
-        m = self._realigned().reshape(view.shape)
-        m -= view
-        return mx.frobenius_norm(m)
+    def residual(self, cut: Cut) -> float:
+        """``||operator() - grouped||_F`` for the gate ``cut`` groups, off its expansion (``_residuals``)."""
+        if cut.dims != self.grouped_dims:
+            raise ValueError(f"cut dims {cut.dims} differ from the form's grouped dims {self.grouped_dims}")
+        form = self.q.T[None], self.r[None], np.asarray(self.blocks)[None]
+        return _residuals([cut], [x[None] for x in cut.expansion], form)[0]
 
     def apply(self, psi) -> np.ndarray:
         """``operator() @ psi`` as ``q (V_k (r Psi)_k)``, with Psi the ``(d_c, d_t)`` view of psi."""
@@ -199,10 +195,10 @@ def is_controlled(u, layout, side, tol: float = VERDICT_RTOL) -> ControlVerdict:
     once, before any Schmidt factor is formed: it bounds the relative distance
     to every controlled unitary (Eckart-Young). Otherwise the spectrum is
     expanded and the control-side factors are fed to the
-    simultaneous singular value decomposition. Its witness pair fixes
-    the bases; the target blocks are then read directly off the rotated
-    operator, so rank-deficient factor spans still fill in correctly. The
-    assembled form is verified against the input before any positive verdict.
+    simultaneous singular value decomposition. Its witness pair (s, t) fixes
+    the bases; with ``u = sum_i c_i A_i (x) B_i`` over every kept factor, block k is
+    ``V_k = sum_i c_i (s A_i t)_kk B_i``. The assembled form is verified against the
+    expansion and its left-out mass (``ControlledForm.residual``) before any positive verdict.
     A ``tol`` that is not a finite number in (0, 1) raises ValueError.
     """
     u, layout, norm_u = _checked(u, layout, tol, "detection input")
@@ -212,7 +208,7 @@ def is_controlled(u, layout, side, tol: float = VERDICT_RTOL) -> ControlVerdict:
 def _decide_controls(cuts, norm_u, tol) -> list:
     """The verdict of ``is_controlled`` on each ``Cut`` of a ``u`` of norm ``norm_u``, bit for bit, cuts of one
     shape stacked at every stage. The distance rule reads only ``cut.svd``, so a cut it refutes forms no
-    Schmidt factor; the others are expanded from that SVD, one ``_product_routes`` stack per factor count.
+    Schmidt factor; the others are expanded from that SVD, one ``_product_routes`` stack per factor count and rank.
     """
     schmidt._stack_svds(cuts)
     # a controlled unitary's realignment has rank at most d_c
@@ -222,7 +218,7 @@ def _decide_controls(cuts, norm_u, tol) -> list:
     open_ = [i for i, route in enumerate(routes) if route is None]
     schmidt._stack_expansions([cuts[i] for i in open_])
     factors = {i: _cut_factors(cuts[i]) for i in open_}
-    for group in schmidt._grouped(open_, lambda i: (cuts[i].dims, len(factors[i]))):
+    for group in schmidt._grouped(open_, lambda i: (cuts[i].dims, len(factors[i]), cuts[i].report.rank)):
         stack = mx._stacked([factors[i] for i in group])
         for i, route in zip(group, _product_routes([cuts[i] for i in group], stack, norm_u, tol)):
             routes[i] = route
@@ -246,29 +242,41 @@ def _tail_distance(cut: Cut, bound, norm_u, tol):
 
 
 def _product_routes(cuts, factors, norm_u, tol) -> list:
-    """``(violation, description, witness or None)`` of each of ``cuts`` of one ``dims``, from one simultaneous
-    SVD, sandwich and block check of the ``(k, n, d_c, d_c)`` stack of their significant ``factors``."""
+    """``(violation, description, witness or None)`` of each of ``cuts`` (one ``dims`` and rank), from one simultaneous
+    SVD of the ``(k, n, d_c, d_c)`` stack of their significant ``factors``; blocks ``sum_i c_i (s A_i t)_kk B_i``."""
     d_c, d_t = cuts[0].dims
     results = algebra._simultaneous_svds(factors, tol)
     routes = [(result.violation, result.failed_check, None) for result in results]
     passed = [i for i, result in enumerate(results) if result.ok]
     if not passed:
         return routes
-    # each s is the adjoint view of a q, as its one-member call hands it on: matmul's bits follow the layout
-    s = mx._stacked([results[i].s.T for i in passed]).swapaxes(1, 2)
-    t = mx._stacked([results[i].t for i in passed])
-    grouped = mx._stacked([cuts[i].grouped for i in passed])
-    rotated = mx.control_sandwich(grouped, (d_c, d_t), s, t).reshape(-1, d_c, d_t, d_c, d_t)
-    blocks = rotated[np.arange(len(passed))[:, None], np.arange(d_c), :, np.arange(d_c), :]
+    c, a, b = (mx._stacked(x) for x in zip(*(cuts[i].expansion for i in passed)))
+    s, t = (mx._stacked([getattr(results[i], name) for i in passed]) for name in "st")
+    weights = (s[:, None] @ a @ t[:, None]).diagonal(axis1=2, axis2=3) * c[:, :, None]
+    blocks = (weights.swapaxes(1, 2) @ b.reshape(len(passed), len(c[0]), -1)).reshape(-1, d_c, d_t, d_t)
     deviations = mx.unitarity_residuals(blocks.reshape(-1, d_t, d_t)).reshape(len(passed), d_c).tolist()
+    residuals = _residuals([cuts[i] for i in passed], (c, a, b), (s.conj(), t.conj().swapaxes(1, 2), blocks))
     for j, i in enumerate(passed):
         checks = [(f"target block {k} is not unitary", x) for k, x in enumerate(deviations[j])]
-        form = ControlledForm(side=cuts[i].front, q=results[i].s.conj().T, r=results[i].t.conj().T, blocks=blocks[j])
-        residual = form.residual(cuts[i].grouped) / norm_u
-        checks.append(("assembled form does not reconstruct the input", residual))
+        checks.append(("assembled form does not reconstruct the input", residuals[j] / norm_u))
         name, violation = max(checks, key=lambda item: item[1])
+        form = ControlledForm(side=cuts[i].front, q=results[i].s.conj().T, r=results[i].t.conj().T, blocks=blocks[j])
         routes[i] = violation, f"{name} (violation {violation:.3e})", form
     return routes
+
+
+def _residuals(cuts, expansions, forms) -> list:
+    """``ControlledForm.residual`` against each of ``cuts`` (one dims and rank), from stacks of their expansions
+    ``(c, A, B)`` and of the forms' ``(q.T, r, blocks)``. The form's realignment minus the expansion's is ``L M^T``,
+    ``L = [vec(q e_k e_k^T r), -c_i vec(A_i)]``, ``M = [vec(V_k), vec(B_i)]``; its rows lie in the kept right vectors'
+    span, orthogonal to the SVD tail, so ``Cut.dropped`` adds that tail in quadrature and ``tau`` on top."""
+    (c, a, b), (q_t, r, blocks) = expansions, forms
+    (k, d_c, _), n = q_t.shape, c.shape[1]
+    lefts = np.empty((k, d_c + n, d_c, d_c), dtype=complex)
+    np.multiply(q_t[:, :, :, None], r[:, :, None, :], out=lefts[:, :d_c])
+    np.multiply(-c[:, :, None, None], a, out=lefts[:, d_c:])
+    kept = mx._realigned_sum_norms(lefts, np.concatenate([blocks, b], 1)).tolist()
+    return [cut.dropped(x) for cut, x in zip(cuts, kept)]
 
 
 def _split_attempt(grouped, dims, projectors, norm_u):
@@ -330,7 +338,7 @@ def _commutant_route(cut: Cut, norm_u, tol) -> BcuVerdict:
             failed_check="factor products act irreducibly: no invariant split exists",
         )
 
-    outs, worst = _split_attempt(cut.grouped, cut.dims, projectors, norm_u)
+    outs, worst = _split_attempt(mx.unrealign(cut.realigned, cut.dims), cut.dims, projectors, norm_u)
     passed, failed_check, inconclusive = _band(
         worst, f"input-commutant split does not capture the blocks (violation {worst:.3e})", tol
     )
@@ -373,11 +381,11 @@ def multipartite_control_analysis(u, layout, tol: float = VERDICT_RTOL) -> Multi
 
 def _batches(u, layout, subsets):
     """``subsets`` in order, in runs whose cuts hold at most ``max(u.size, 2^16)`` entries, one at least: a cut
-    holds its grouped operator, its realignment and the stacked copy its SVD reads, and that SVD."""
+    holds its realignment and the stacked copy its SVD reads, and that SVD."""
     bound, batch, entries = max(u.size, 1 << 16), [], 0
     for subset in subsets:
         m, n = (d * d for d in mx.cut_order(layout, subset)[2])
-        size = 3 * u.size + min(m, n) * (m + n + 1)
+        size = 2 * u.size + min(m, n) * (m + n + 1)
         if batch and entries + size > bound:
             yield batch
             batch, entries = [], 0

@@ -93,7 +93,7 @@ def four_qubit_example():
 
 def padded_2x2xn(n: int):
     """Three-qubit gate embedded in 2 x 2 x n, identity on the extra levels."""
-    if n < 3:
+    if not mx._is_int(n) or n < 3:
         raise ValueError(f"the padded third system needs n >= 3, got {n}")
     layout = SystemLayout.of((2, 2, n))
     core, _ = u3()
@@ -166,11 +166,11 @@ def random_controlled_unitary(d_ctrl: int, d_tgt: int, r: int, seed: int):
     """
     if not mx._is_int(r) or r not in (1, 2, 3):
         raise ValueError(f"rank must be 1, 2, or 3, got {r}")
+    layout = SystemLayout.of((d_ctrl, d_tgt))  # integer sizes, before they are compared
     if r > d_ctrl:
         raise ValueError(f"rank {r} needs at least {r} control levels, got {d_ctrl}")
     if r > d_tgt * d_tgt:
         raise ValueError(f"rank {r} exceeds the target operator space {d_tgt * d_tgt}")
-    layout = SystemLayout.of((d_ctrl, d_tgt))
     rng = make_rng(seed, stream=1000)
     blocks = [haar_unitary(d_tgt, rng) for _ in range(r)]
     u = np.zeros((d_ctrl * d_tgt,) * 2, dtype=complex)

@@ -162,7 +162,7 @@ def control_sandwich(g: np.ndarray, dims, left=None, right=None) -> np.ndarray:
 
     ``left`` and ``right`` act on the first (control) system of ``dims =
     (d_c, d_t)``; either may be None for the identity. Each side is one
-    matmul over a reshape of ``g``, never a dense kron factor.
+    matmul over a reshape of ``g``, never a dense kron factor; ``is_bcu``'s split check is its one caller.
     """
     d_c, d_t = dims
     n = d_c * d_t
@@ -198,20 +198,28 @@ def realign(u: np.ndarray, layout) -> np.ndarray:
     return _realigned(u, layout.dims)
 
 
-def _realigned_view(u, dims) -> np.ndarray:
-    """The ``(i_1, j_1, ..., i_n, j_n)`` view of ``u`` on ``dims``: each system's row and column index side by side."""
-    n = len(dims)
-    return np.reshape(u, tuple(dims) * 2).transpose(tuple(x for i in range(n) for x in (i, n + i)))
-
-
-def _realigned(u: np.ndarray, dims) -> np.ndarray:
-    """The realignment of ``u`` on any number of systems: one axis of ``d_i^2`` per system."""
-    return _realigned_view(u, dims).reshape(tuple(d * d for d in dims))
+def _realigned(u: np.ndarray, dims, parts=None) -> np.ndarray:
+    """The realignment of ``u`` on ``dims``, one axis of ``prod(d_i)^2`` per part (each system alone by default):
+    on a cut's ``(front, rest)``, the grouped operator's realignment, in one transpose and no grouped copy."""
+    parts = parts or [(i,) for i in range(len(dims))]
+    axes = [x for part in parts for x in (*part, *(len(dims) + i for i in part))]
+    return np.reshape(u, tuple(dims) * 2).transpose(axes).reshape([math.prod(dims[i] for i in p) ** 2 for p in parts])
 
 
 def _realigned_sum(c, lefts, rights) -> np.ndarray:
     """The realignment of sum_i c_i A_i (x) B_i: sum_i c_i vec(A_i) vec(B_i)^T."""
     return (np.reshape(lefts, (len(lefts), -1)).T * c) @ np.reshape(rights, (len(rights), -1))
+
+
+def _realigned_sum_norms(lefts, rights) -> np.ndarray:
+    """``||_realigned_sum(1, A, B)||_F = ||L M^T||_F`` of each ``(A, B)`` of two ``(k, n, d, d)`` stacks, ``L`` and
+    ``M`` the frames of the vectorized factors, with no Gram formed. When ``L M^T`` would hold more entries than both
+    frames, ``M`` is replaced by ``R`` of its QR ``M = Q R``: ``Q^T`` has orthonormal rows, which keep the norm."""
+    frame, right = (np.reshape(f, (*np.shape(f)[:2], -1)).swapaxes(1, 2) for f in (lefts, rights))
+    (m, n), p = frame.shape[1:], right.shape[1]
+    if m * p > (m + p) * n:
+        right = np.linalg.qr(right, mode="r")
+    return frobenius_norms(frame @ right.swapaxes(1, 2))
 
 
 def unrealign(m: np.ndarray, layout) -> np.ndarray:

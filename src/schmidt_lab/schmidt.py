@@ -89,18 +89,17 @@ class RankBounds:
 
 @dataclass(frozen=True)
 class Cut:
-    """One cut of a checked gate: its ``front`` systems grouped to the left, then realigned.
+    """One cut of a checked gate, held as its realignment: its ``front`` systems grouped left, then realigned.
 
-    ``order`` is the grouped frame's system order and ``dims`` its ``(d_front, d_rest)``. ``svd`` (the
-    verified ``leading_svd`` of ``realigned`` at the rank cutoff ``tol``), ``report`` (its
-    ``RankReport``) and ``expansion`` (its ``_expansions``) are computed on first read, or for many cuts
-    at once by ``_stack_svds`` and ``_stack_expansions``, and kept: at most one of each per cut.
+    ``order`` is the grouped frame's system order and ``dims`` its ``(d_front, d_rest)``; no grouped copy is kept.
+    ``svd`` (the verified ``leading_svd`` of ``realigned`` at the rank cutoff ``tol``), ``report`` (its ``RankReport``)
+    and ``expansion`` (its ``_expansions``) are computed on first read, or for many cuts at once by ``_stack_svds``
+    and ``_stack_expansions``, and kept: at most one of each per cut.
     """
 
     front: tuple
     order: tuple
     dims: tuple
-    grouped: np.ndarray
     realigned: np.ndarray
     tol: float
 
@@ -108,8 +107,7 @@ class Cut:
     def of(cls, u, layout: SystemLayout, front, tol: float = RANK_RTOL) -> "Cut":
         """The cut ``front`` of a ``u`` and ``layout`` that ``mx.on_layout`` has checked, at a checked ``tol``."""
         front, order, dims = mx.cut_order(layout, front)
-        grouped = mx._permuted(u, layout.dims, order)
-        return cls(front, order, dims, grouped, mx._realigned(grouped, dims), tol)
+        return cls(front, order, dims, mx._realigned(u, layout.dims, (front, order[len(front) :])), tol)
 
     @cached_property
     def svd(self):
@@ -124,6 +122,11 @@ class Cut:
     @cached_property
     def expansion(self):
         return _expansions([self])[0]
+
+    def dropped(self, kept: float = 0.0) -> float:
+        """``hypot(kept, ||s[r:]||) + tau`` off ``svd``: the mass ``expansion`` leaves out, or, for ``kept`` the
+        norm of a difference in the kept right vectors' row span, a bound on its distance from ``realigned``."""
+        return float(np.hypot(kept, mx.frobenius_norm(self.svd[1][self.report.rank :]))) + self.svd[3]
 
 
 def _grouped(items, key) -> list:
@@ -176,11 +179,9 @@ def _expansions(cuts) -> list:
     # realignment only permutes entries, so the residual of each returned
     # expansion is read in the realigned frame
     sums = (lefts.reshape(k, r, -1).transpose(0, 2, 1) * coefficients[:, None, :]) @ rights.reshape(k, r, -1)
-    for cut, s, total in zip(cuts, spectra, sums):
+    for cut, total in zip(cuts, sums):
         residual = mx.frobenius_norm(total - cut.realigned)
-        # the spectrum the leading SVD left out weighs at most tau
-        dropped = float(np.hypot(mx.frobenius_norm(s[r:]), cut.svd[3]))
-        if residual > dropped + 1e-10 * max(mx.frobenius_norm(cut.realigned), 1e-300):
+        if residual > cut.dropped() + 1e-10 * max(mx.frobenius_norm(cut.realigned), 1e-300):
             raise ValueError(f"decomposition dropped weight beyond tolerance: residual {residual:.3e}")
     return list(zip(coefficients, lefts, rights))
 

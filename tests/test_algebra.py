@@ -347,7 +347,7 @@ def test_harvest_groups_the_gate_once(monkeypatch):
     # the re-expansion is checked against the realigned matrix the expansion read,
     # and the unitarity check is the one read of the entries
     u, layout = gates.random_controlled_unitary(3, 3, 3, seed=55)
-    calls = {"_permuted": 0, "as_operator": 0}
+    calls = {"_realigned": 0, "as_operator": 0}
     for name in calls:
         def counted(*args, _inner=getattr(mx, name), _name=name, **kwargs):
             calls[_name] += 1
@@ -355,7 +355,7 @@ def test_harvest_groups_the_gate_once(monkeypatch):
 
         monkeypatch.setattr(mx, name, counted)
     alg.orthogonalization_inputs_from_unitary(u, layout, (1,))
-    assert calls == {"_permuted": 1, "as_operator": 1}
+    assert calls == {"_realigned": 1, "as_operator": 1}
 
 
 def test_harvest_identities_are_tight():

@@ -666,6 +666,7 @@ def test_the_stdout_set_comparison_names_each_moved_command(tmp_path, capsys):
         [["decompose", "$T/a.json"], 0, "rank 3\n"],
         [["fuzz"], 0, "ok\n"],
         [["construct"], 0, "u3\n"],
+        [["detect", "$T/c.json"], 0, '{"payload": {"blocks": [[1.0, 2.0]], "q": [1], "violation": 1e-15}}\n'],
     ]
     change = [
         [["detect", "$T/a.json"], 0, '{"violation": 0.5000000000000001, "rank": 3}\n'],
@@ -673,19 +674,21 @@ def test_the_stdout_set_comparison_names_each_moved_command(tmp_path, capsys):
         [["decompose", "$T/a.json"], 0, "rank three\n"],
         [["fuzz"], 0, "ok\n"],
         [["schmidt-number"], 0, "1\n"],
+        [["detect", "$T/c.json"], 0, '{"payload": {"blocks": [[1.0, 2.5]], "q": [1], "violation": 2e-15}}\n'],
     ]
     paths = []
     for name, lines in (("parent", parent), ("change", change)):
         paths.append(tmp_path / f"{name}.jsonl")
         paths[-1].write_text("".join(json.dumps(line) + "\n" for line in lines))
     assert stdout_set.main(["--compare", str(paths[0]), str(paths[0])]) == 0
-    assert capsys.readouterr().out == "0 of 5 commands differ\n"
+    assert capsys.readouterr().out == "0 of 6 commands differ\n"
     assert stdout_set.main(["--compare", *map(str, paths)]) == 1
     assert capsys.readouterr().out.splitlines() == [
-        "detect $T/a.json: largest relative change 2.220e-16",
+        "detect $T/a.json: largest relative change 2.220e-16; at violation",
         "detect $T/b.json: exit 1 -> 4",
         "decompose $T/a.json: text differs",
         f"construct: only in {paths[0]}",
+        "detect $T/c.json: largest relative change 5.000e-01; at payload.blocks, payload.violation",
         f"schmidt-number: only in {paths[1]}",
-        "5 of 6 commands differ",
+        "6 of 7 commands differ",
     ]

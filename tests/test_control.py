@@ -123,7 +123,7 @@ def test_residual_matches_the_dense_formula(d_c, d_t):
         noise = random_complex_gaussian(operator.shape, make_rng(seed, stream=42))
         for grouped in (forms[seed - 1].operator(), operator + 1e-3 * noise):
             dense = mx.frobenius_norm(operator - grouped)
-            assert abs(form.residual(grouped) - dense) <= 1e-12 * dense
+            assert abs(form.residual(schmidt.Cut.of(grouped, mx.SystemLayout.of((d_c, d_t)), (0,))) - dense) <= 1e-12 * dense
 
 
 @pytest.mark.parametrize("d_c, d_t, r, seed", [(2, 3, 2, 0), (3, 5, 3, 1), (5, 2, 3, 2), (8, 3, 3, 3)])
@@ -133,7 +133,53 @@ def test_witness_residual_matches_the_dense_formula(d_c, d_t, r, seed):
     verdict = is_controlled(u, layout, (0,))
     grouped, _ = mx.group_systems(u, layout, (0,))
     dense = mx.frobenius_norm(verdict.form.operator() - grouped)
-    assert abs(verdict.form.residual(grouped) - dense) <= 1e-12 * mx.frobenius_norm(grouped)
+    assert abs(verdict.form.residual(schmidt.Cut.of(u, layout, (0,))) - dense) <= 1e-12 * mx.frobenius_norm(grouped)
+
+
+@pytest.mark.parametrize("d_c", (2, 3, 4, 5, 8, 16))
+@pytest.mark.parametrize("d_t", (2, 3, 5, 8))
+def test_residual_of_a_cut_is_the_dense_distance_on_perturbed_and_foreign_gates(d_c, d_t):
+    # each witness against its gate times expm(i eps H), sketched cuts (8x8, 16x8) included, and against
+    # another witness's operator plus 1e-3 noise: the factored value is the dense one within roundoff
+    layout, sketched = mx.SystemLayout.of((d_c, d_t)), 0
+    forms = []
+    for r in range(1, min(3, d_c) + 1):
+        u, _ = gates.random_controlled_unitary(d_c, d_t, r, seed=r)
+        form = is_controlled(u, layout, (0,)).form
+        forms.append(form)
+        h = random_hermitian(d_c * d_t, make_rng(r, stream=44))
+        for eps in (0.0, 1e-9, 1e-6, 1e-3):
+            gate = u @ scipy.linalg.expm(1j * eps * h)
+            cut = schmidt.Cut.of(gate, layout, (0,))
+            sketched += cut.svd[3] > 0
+            dense = mx.frobenius_norm(form.operator() - mx.group_systems(gate, layout, (0,))[0])
+            assert abs(form.residual(cut) - dense) <= 1e-13 * mx.frobenius_norm(gate)
+    for j, form in enumerate(forms):
+        other = forms[j - 1].operator()
+        gate = other + 1e-3 * random_complex_gaussian(other.shape, make_rng(j, stream=45))
+        dense = mx.frobenius_norm(form.operator() - gate)
+        assert abs(form.residual(schmidt.Cut.of(gate, layout, (0,))) - dense) <= 1e-13 * mx.frobenius_norm(gate)
+    assert sketched == (len(forms) if min(d_c, d_t) >= 8 else 0)
+
+
+def test_a_residual_refuses_a_cut_of_other_dims():
+    u, layout = gates.random_controlled_unitary(3, 4, 2, seed=0)
+    form = is_controlled(u, layout, (0,)).form
+    with pytest.raises(ValueError, match=r"cut dims \(4, 3\) differ from the form's grouped dims \(3, 4\)"):
+        form.residual(schmidt.Cut.of(u, layout, (1,)))
+
+
+@pytest.mark.parametrize("d_c, d_t", [(2, 2), (3, 5), (4, 3), (5, 5), (8, 3), (16, 8)])
+def test_blocks_from_the_factors_are_the_dense_rotated_blocks(d_c, d_t):
+    # V_k = sum_i c_i (s A_i t)_kk B_i over the expansion is block k of (s (x) I) U (t (x) I) on an exact gate
+    for r in range(1, min(3, d_c) + 1):
+        for seed in (0, 1):
+            u, layout = gates.random_controlled_unitary(d_c, d_t, r, seed=seed)
+            form = is_controlled(u, layout, (0,)).form
+            grouped, dims = mx.group_systems(u, layout, (0,))
+            rotated = mx.control_sandwich(grouped, dims, form.q.conj().T, form.r.conj().T).reshape(d_c, d_t, d_c, d_t)
+            dense = rotated[np.arange(d_c), :, np.arange(d_c), :]
+            assert np.abs(np.asarray(form.blocks) - dense).max() <= 1e-13
 
 
 def _slab(form):
@@ -145,7 +191,7 @@ def _slab(form):
 
 @pytest.mark.parametrize("d_c", (2, 3, 5, 8))
 @pytest.mark.parametrize("d_t", (2, 3, 5))
-def test_operator_and_residual_match_the_slab_formulas_bytewise(d_c, d_t):
+def test_operator_matches_the_slab_formula_bytewise(d_c, d_t):
     # the realigned frame reads the same products in the same order as the written-out slab
     for r in range(1, min(3, d_c) + 1):
         for seed in (0, 1):
@@ -153,12 +199,6 @@ def test_operator_and_residual_match_the_slab_formulas_bytewise(d_c, d_t):
             form = is_controlled(u, layout, (0,)).form
             n = d_c * d_t
             assert form.operator().tobytes() == _slab(form).transpose(0, 2, 1, 3).reshape(n, n).tobytes()
-            witnessed = mx.group_systems(u, layout, (0,))[0]
-            noise = random_complex_gaussian((n, n), make_rng(seed, stream=43))
-            for grouped in (witnessed, witnessed + 1e-3 * noise):
-                slab = _slab(form)
-                slab -= grouped.reshape(d_c, d_t, d_c, d_t).transpose(0, 2, 1, 3)
-                assert form.residual(grouped) == mx.frobenius_norm(slab)
 
 
 # ------------------------------------------------------------- is_controlled
@@ -567,12 +607,24 @@ def test_each_cut_is_grouped_once_and_its_input_checked_once(monkeypatch):
     # and its realignment and factors are passed down, not checked again
     u3, layout3 = gates.u3()
     u, layout = gates.random_controlled_unitary(4, 4, 3, seed=1)
-    counts = _count_calls(monkeypatch, mx, ("_permuted", "as_operator"))
+    counts = _count_calls(monkeypatch, mx, ("_realigned", "as_operator"))
     multipartite_control_analysis(u3, layout3)
-    assert counts == {"_permuted": 6, "as_operator": 1}
+    assert counts == {"_realigned": 6, "as_operator": 1}
     counts.update(dict.fromkeys(counts, 0))
     assert is_controlled(u, layout, (0,)).controlled
-    assert counts == {"_permuted": 1, "as_operator": 1}
+    assert counts == {"_realigned": 1, "as_operator": 1}
+
+
+def test_controlled_verdicts_form_no_rotated_gate(monkeypatch):
+    # the witness blocks and residual come from each cut's expansion, never from the sandwiched gate
+    def sandwich(*args, **kwargs):
+        raise AssertionError("control_sandwich called")
+
+    monkeypatch.setattr(mx, "control_sandwich", sandwich)
+    u, layout = gates.random_controlled_unitary(4, 4, 3, seed=1)
+    assert is_controlled(u, layout, (0,)).controlled
+    for build in (gates.u3, gates.four_qubit_example, lambda: gates.padded_2x2xn(3)):
+        assert multipartite_control_analysis(*build()).witness is not None
 
 
 def test_product_families_over_the_cap_are_refused_before_allocating(monkeypatch):
@@ -1004,8 +1056,8 @@ def test_a_sweep_holds_at_most_the_gate_or_2_16_entries_of_cuts():
         assert [len(batch) for batch in batches] == runs
         assert [s for batch in batches for s in batch] == subsets
         for batch in batches:
-            # a cut holds three arrays of u.size and the SVD factors of its realignment
-            held = sum(3 * u.size + (4 ** len(s)) * (4 ** len(s) + 4 ** (n - len(s)) + 1) for s in batch)
+            # a cut holds two arrays of u.size and the SVD factors of its realignment
+            held = sum(2 * u.size + (4 ** len(s)) * (4 ** len(s) + 4 ** (n - len(s)) + 1) for s in batch)
             assert len(batch) == 1 or held <= max(u.size, 1 << 16)
 
 

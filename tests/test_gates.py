@@ -239,8 +239,14 @@ def test_random_controlled_unitary_rejects_impossible_rank():
         (lambda: gates.even_qubit_rank3(4.0), "this family needs even n >= 4"),
         (lambda: gates.random_controlled_unitary(3, 3, 3.0, 0), "rank must be 1, 2, or 3"),
         (lambda: gates.random_controlled_unitary(3, 3, True, 0), "rank must be 1, 2, or 3"),
+        (lambda: gates.padded_2x2xn("3"), "the padded third system needs n >= 3, got 3"),
+        (lambda: gates.random_controlled_unitary("3", 3, 1, 0), "dimensions must be positive integers"),
+        (lambda: gates.random_controlled_unitary(3, "3", 1, 0), "dimensions must be positive integers"),
     ],
-    ids=["pauli-bool", "pauli-float", "u-odd-n-float", "u-odd-n-bool", "even-float", "rcu-float", "rcu-bool"],
+    ids=[
+        "pauli-bool", "pauli-float", "u-odd-n-float", "u-odd-n-bool", "even-float", "rcu-float", "rcu-bool",
+        "padded-str", "rcu-control-str", "rcu-target-str",
+    ],
 )
 def test_builders_refuse_a_parameter_that_is_not_an_integer(build, message):
     with pytest.raises(ValueError, match=message):

@@ -9,8 +9,9 @@ krons.
 
 A controlled form is likewise verified and applied through its factors
 ``(q, r, blocks)``: with ``ControlledForm.operator`` refusing, every
-detector, sweep, fuzz suite, protocol run and CLI command below still runs,
-and ``ControlledForm.residual`` holds at most one full-size array.
+detector, sweep, fuzz suite, protocol run and CLI command below still runs.
+``ControlledForm.residual`` and the witness route read a cut's Schmidt
+expansion and hold no full-size array.
 """
 
 import json
@@ -151,15 +152,31 @@ def test_controlled_forms_are_checked_and_applied_through_their_factors(
         assert result == 0, capsys.readouterr().out
 
 
-def test_residual_holds_one_full_size_array():
-    # the dense formula operator() - grouped peaks at three grouped-sized arrays
-    u, layout = _rc(16, 16, 3, 5)
-    form = control.is_controlled(u, layout, (0,)).form
-    grouped, _ = mx.group_systems(u, layout, (0,))
+def _peak(call) -> int:
     tracemalloc.start()
     try:
-        form.residual(grouped)
-        _, peak = tracemalloc.get_traced_memory()
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * grouped.nbytes
+
+
+def test_residual_holds_no_full_size_array():
+    # the dense formula operator() - grouped peaks at three gate-sized arrays; the cut's expansion
+    # and SVD are read before the trace starts
+    u, layout = _rc(24, 24, 3, 5)
+    form = control.is_controlled(u, layout, (0,)).form
+    cut = schmidt.Cut.of(u, layout, (0,))
+    cut.expansion
+    assert _peak(lambda: form.residual(cut)) <= 0.25 * u.nbytes
+
+
+def test_product_routes_hold_no_full_size_array():
+    # blocks, their check and the residual of a 32x32 rank-3 cut, from its expansion alone
+    u, layout = _rc(32, 32, 3, 1)
+    cut = schmidt.Cut.of(u, layout, (0,))
+    factors = mx._stacked([control._cut_factors(cut)])
+    norm_u = mx.frobenius_norm(u)
+    routes = []
+    assert _peak(lambda: routes.extend(control._product_routes([cut], factors, norm_u, 1e-8))) < 0.25 * u.nbytes
+    assert routes[0][2] is not None and routes[0][0] <= 1e-8

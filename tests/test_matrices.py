@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from functools import reduce
@@ -238,12 +239,24 @@ def test_realigned_matches_the_index_map_on_any_number_of_systems(dims):
     u = random_complex_gaussian((math.prod(dims),) * 2, make_rng(len(dims)))
     m = mx._realigned(u, dims)
     assert m.tobytes() == _operator_tensor(u, dims).tobytes()
-    view = mx._realigned_view(u, dims)
-    assert view.shape == tuple(d for d in dims for _ in range(2)) and np.shares_memory(view, u)
     if len(dims) == 2:
         d_a, d_b = dims
         assert m.tobytes() == mx.realign(u, dims).tobytes()
         assert m.tobytes() == u.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3).reshape(d_a**2, d_b**2).tobytes()
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (2, 2, 3), (3, 2, 2), (2, 3, 2, 2)])
+def test_a_cut_realignment_is_the_grouped_operator_realigned_bytewise(dims):
+    # one transpose of u gives what grouping the cut, then realigning the grouped operator, gives
+    u = random_complex_gaussian((math.prod(dims),) * 2, make_rng(len(dims), stream=1))
+    layout = mx.SystemLayout.of(dims)
+    for size in range(1, len(dims)):
+        for front in itertools.combinations(range(len(dims)), size):
+            front, order, cut_dims = mx.cut_order(layout, front)
+            grouped, _ = mx.group_systems(u, layout, front)
+            m = mx._realigned(u, dims, (front, order[size:]))
+            assert m.shape == tuple(d * d for d in cut_dims) and m.flags.c_contiguous
+            assert m.tobytes() == mx.realign(grouped, cut_dims).tobytes()
 
 
 def test_permute_systems_swaps_factors():

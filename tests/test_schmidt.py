@@ -349,9 +349,10 @@ def test_rank_bounds_even_four_qubit():
 
 
 def test_rank_bounds_check_the_gate_once_for_every_bipartition(monkeypatch):
-    # seven bipartitions of four qubits, each grouped once from the one checked gate
+    # seven bipartitions of four qubits, each realigned once from the one checked gate, and the
+    # rank-bound tensor
     u, layout = gates.four_qubit_example()
-    counts = dict.fromkeys(("as_operator", "_permuted"), 0)
+    counts = dict.fromkeys(("as_operator", "_realigned"), 0)
     for name in counts:
 
         def spy(*args, _name=name, _original=getattr(mx, name), **kwargs):
@@ -360,7 +361,7 @@ def test_rank_bounds_check_the_gate_once_for_every_bipartition(monkeypatch):
 
         monkeypatch.setattr(mx, name, spy)
     assert sch.multipartite_rank_bounds(u, layout).lower == 16
-    assert counts == {"as_operator": 1, "_permuted": 7}
+    assert counts == {"as_operator": 1, "_realigned": 8}
 
 
 def test_rank_bounds_needs_multiple_systems():
@@ -451,7 +452,7 @@ def test_a_bad_tol_is_named_before_the_cut_is_grouped(name, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("grouped before the tol check")
 
-    monkeypatch.setattr(mx, "_permuted", never)
+    monkeypatch.setattr(mx, "_realigned", never)
     monkeypatch.setattr(mx, "group_states", never)
     for tol in (0.0, 1.0, float("nan")):
         with pytest.raises(ValueError, match="tol must be a finite number"):

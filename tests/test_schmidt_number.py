@@ -338,7 +338,7 @@ class TestSearch:
         # the unitarity check reads the entries once; the operator rank is read
         # off the grouped operator, not through a second grouping and scan
         u, layout = gates.random_controlled_unitary(3, 4, 3, seed=1)
-        counts = dict.fromkeys(("_permuted", "as_operator"), 0)
+        counts = dict.fromkeys(("_realigned", "as_operator"), 0)
         for name in counts:
             original = getattr(mx, name)
 
@@ -350,7 +350,7 @@ class TestSearch:
         for entry in (ancilla_extended_check, max_output_schmidt_rank_search):
             counts.update(dict.fromkeys(counts, 0))
             entry(u, layout, (0,))
-            assert counts == {"_permuted": 1, "as_operator": 1}, entry.__name__
+            assert counts == {"_realigned": 1, "as_operator": 1}, entry.__name__
 
 
 class TestAncillaExtension:
@@ -444,7 +444,7 @@ def test_the_ancilla_state_is_the_scaled_realignment_bytewise():
         for side in sides:
             cut = Cut.of(u, layout, side)
             d_a, d_b = cut.dims
-            reference = _kron_and_tensordot_state(cut.grouped, d_a, d_b)
+            reference = _kron_and_tensordot_state(mx.group_systems(u, layout, side)[0], d_a, d_b)
             assert (cut.realigned * ((1 / math.sqrt(d_a)) * (1 / math.sqrt(d_b)))).tobytes() == reference.tobytes()
             report = ancilla_extended_check(u, layout, side)
             assert report.rank_with_ancillas == numerical_rank(svd(reference[None])[1][0], RANK_RTOL)

@@ -15,7 +15,9 @@ projectors of the 8 x 8 gates move with it. Then
     python tools/cli_stdout_set.py --compare parent.jsonl change.jsonl
 
 prints each command whose exit code or stdout differs, with the largest
-relative change of any number in its stdout, and exits 1 on any difference.
+relative change of any number in its stdout and, when both stdouts are JSON,
+the dotted paths of the values that differ (``payload.blocks``), and exits 1
+on any difference.
 
 The list covers every subcommand and every protocol route: random-controlled
 d x d gates (d = 2, 3, 4, 8, r = 1..min(3, d), seeds 0, 1, 5) and 3 x 5 of
@@ -297,6 +299,28 @@ def largest_relative_change(a: str, b: str) -> float | None:
     return max((abs(x - y) / max(abs(x), abs(y)) for x, y in pairs if x != y), default=0.0)
 
 
+def moved_paths(a: str, b: str) -> list:
+    """The dotted key paths at which two JSON texts differ, in first-seen order; a list or a scalar is one value.
+
+    Empty when either text is not JSON.
+    """
+    try:
+        a, b = json.loads(a), json.loads(b)
+    except ValueError:
+        return []
+    paths = []
+
+    def walk(x, y, path):
+        if isinstance(x, dict) and isinstance(y, dict):
+            for key in [*x, *(key for key in y if key not in x)]:
+                walk(x.get(key), y.get(key), f"{path}.{key}" if path else key)
+        elif x != y:
+            paths.append(path or "(root)")
+
+    walk(a, b, "")
+    return paths
+
+
 def _results(path) -> dict:
     with open(path) as f:
         return {tuple(argv): (code, stdout) for argv, code, stdout in map(json.loads, f)}
@@ -318,6 +342,9 @@ def compare(path_a, path_b) -> int:
         if out_a != out_b:
             change = largest_relative_change(out_a, out_b)
             notes.append("text differs" if change is None else f"largest relative change {change:.3e}")
+            paths = moved_paths(out_a, out_b)
+            if paths:
+                notes.append(f"at {', '.join(paths)}")
         print(f"{' '.join(argv)}: {'; '.join(notes)}")
     print(f"{differing} of {len(a.keys() | b.keys())} commands differ")
     return 1 if differing else 0
