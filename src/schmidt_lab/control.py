@@ -269,12 +269,9 @@ def _residuals(cuts, expansions, forms) -> list:
     """``ControlledForm.residual`` against each of ``cuts`` (one dims and rank), from stacks of their expansions
     ``(c, A, B)`` and of the forms' ``(q.T, r, blocks)``. The form's realignment minus the expansion's is ``L M^T``,
     ``L = [vec(q e_k e_k^T r), -c_i vec(A_i)]``, ``M = [vec(V_k), vec(B_i)]``; its rows lie in the kept right vectors'
-    span, orthogonal to the SVD tail, so ``Cut.dropped`` adds that tail in quadrature and ``tau`` on top."""
+    span, so ``Cut.dropped`` bounds the distance from that norm, the SVD tail and ``tau``."""
     (c, a, b), (q_t, r, blocks) = expansions, forms
-    (k, d_c, _), n = q_t.shape, c.shape[1]
-    lefts = np.empty((k, d_c + n, d_c, d_c), dtype=complex)
-    np.multiply(q_t[:, :, :, None], r[:, :, None, :], out=lefts[:, :d_c])
-    np.multiply(-c[:, :, None, None], a, out=lefts[:, d_c:])
+    lefts = np.concatenate([q_t[..., None] * r[:, :, None], -c[..., None, None] * a], 1)
     kept = mx._realigned_sum_norms(lefts, np.concatenate([blocks, b], 1)).tolist()
     return [cut.dropped(x) for cut, x in zip(cuts, kept)]
 
@@ -467,21 +464,10 @@ def fuzz_theorem_checks(theorem: str, trials: int, seed: int = 0) -> FuzzSummary
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
     make_rng(seed)  # a non-integer seed is refused before any trial
     runner = _FUZZ_RUNNERS[theorem]
-    failures = []
-    first = None
-    first_dims = None
+    failures, first = [], (None, None)
     for trial in range(trials):
         u, dims, problem = runner(trial, seed * 1_000_003 + trial)
         if problem is not None:
+            first = first if failures else (u, tuple(dims))
             failures.append(f"trial {trial}: {problem}")
-            if first is None:
-                first = u
-                first_dims = tuple(dims)
-    return FuzzSummary(
-        suite=theorem,
-        trials=trials,
-        failures=tuple(failures),
-        first_counterexample=first,
-        first_counterexample_dims=first_dims,
-        seed=seed,
-    )
+    return FuzzSummary(theorem, trials, tuple(failures), *first, seed)

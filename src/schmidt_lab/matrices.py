@@ -212,14 +212,10 @@ def _realigned_sum(c, lefts, rights) -> np.ndarray:
 
 
 def _realigned_sum_norms(lefts, rights) -> np.ndarray:
-    """``||_realigned_sum(1, A, B)||_F = ||L M^T||_F`` of each ``(A, B)`` of two ``(k, n, d, d)`` stacks, ``L`` and
-    ``M`` the frames of the vectorized factors, with no Gram formed. When ``L M^T`` would hold more entries than both
-    frames, ``M`` is replaced by ``R`` of its QR ``M = Q R``: ``Q^T`` has orthonormal rows, which keep the norm."""
+    """``||_realigned_sum(1, A, B)||_F = ||L M^T||_F`` of each ``(A, B)`` of two ``(k, n, d, d)`` stacks, read as
+    ``||L R^T||_F`` through the QR ``M = Q R`` of the right frame (``Q^T`` keeps the norm): no Gram, no full product."""
     frame, right = (np.reshape(f, (*np.shape(f)[:2], -1)).swapaxes(1, 2) for f in (lefts, rights))
-    (m, n), p = frame.shape[1:], right.shape[1]
-    if m * p > (m + p) * n:
-        right = np.linalg.qr(right, mode="r")
-    return frobenius_norms(frame @ right.swapaxes(1, 2))
+    return frobenius_norms(frame @ np.linalg.qr(right, mode="r").swapaxes(1, 2))
 
 
 def unrealign(m: np.ndarray, layout) -> np.ndarray:

@@ -124,9 +124,10 @@ class Cut:
         return _expansions([self])[0]
 
     def dropped(self, kept: float = 0.0) -> float:
-        """``hypot(kept, ||s[r:]||) + tau`` off ``svd``: the mass ``expansion`` leaves out, or, for ``kept`` the
-        norm of a difference in the kept right vectors' row span, a bound on its distance from ``realigned``."""
-        return float(np.hypot(kept, mx.frobenius_norm(self.svd[1][self.report.rank :]))) + self.svd[3]
+        """``hypot(kept + tau, ||s[r:]||)`` off ``svd``: the mass ``expansion`` leaves out (``kept = 0``), or a bound
+        on the distance from ``realigned`` of ``expansion + D``, ``D`` of norm ``kept`` with rows in the kept right
+        vectors' span. The tail is orthogonal to ``D`` by rows and to the sketch's error (``tau``) by columns."""
+        return float(np.hypot(kept + self.svd[3], mx.frobenius_norm(self.svd[1][self.report.rank :])))
 
 
 def _grouped(items, key) -> list:

@@ -169,6 +169,22 @@ def test_a_residual_refuses_a_cut_of_other_dims():
         form.residual(schmidt.Cut.of(u, layout, (1,)))
 
 
+def test_a_sketched_cut_leaves_out_exactly_its_mass_and_bounds_a_witness_distance():
+    # at tol 1e-3 an 8x8 near miss is sketched with a tau far above roundoff: the expansion leaves out
+    # hypot(tail, tau) itself, and a witness's residual bounds its dense distance within 2 tau
+    u, layout = gates.random_controlled_unitary(8, 8, 3, seed=1)
+    form = is_controlled(u, layout, (0,)).form
+    gate = scipy.linalg.expm(1e-7j * random_hermitian(64, make_rng(3))) @ u
+    cut = schmidt.Cut.of(gate, layout, (0,), tol=1e-3)
+    (_, s, _, tau), r = cut.svd, cut.report.rank
+    assert tau > 1e-10 * mx.frobenius_norm(gate)
+    assert cut.dropped() == np.hypot(mx.frobenius_norm(s[r:]), tau)
+    left_out = mx.frobenius_norm(mx._realigned_sum(*cut.expansion) - cut.realigned)
+    assert cut.dropped() == pytest.approx(left_out, rel=1e-6)
+    dense = mx.frobenius_norm(form.operator() - mx.group_systems(gate, layout, (0,))[0])
+    assert dense <= form.residual(cut) <= dense + 2 * tau
+
+
 @pytest.mark.parametrize("d_c, d_t", [(2, 2), (3, 5), (4, 3), (5, 5), (8, 3), (16, 8)])
 def test_blocks_from_the_factors_are_the_dense_rotated_blocks(d_c, d_t):
     # V_k = sum_i c_i (s A_i t)_kk B_i over the expansion is block k of (s (x) I) U (t (x) I) on an exact gate
