@@ -276,28 +276,25 @@ def _residuals(cuts, expansions, forms) -> list:
     return [cut.dropped(x) for cut, x in zip(cuts, kept)]
 
 
-def _split_attempt(grouped, dims, projectors, norm_u):
-    """Output partners Q = Tr_t[U (P x I) U^dagger] / d_t and the worst check.
+def _split_attempt(cut: Cut, projectors):
+    """Output partners ``Q = Tr_t[U (P x I) U^dagger] / d_t`` and two relative checks per projector ``P``: ``Q^2 = Q``,
+    and ``U (P x I) = (Q x I) U (P x I)`` relative to ``||P x I||_F = sqrt(d_t tr P)``, a unitary's ``||U (P x I)||_F``.
 
-    The checks are Q^2 = Q and U (P x I) = (Q x I) U (P x I), relative, per P.
+    Off ``U = sum_i c_i A_i (x) B_i`` (``cut.expansion``, B_i orthonormal), ``Q = sum_i c_i^2 A_i P P^dagger A_i^dagger
+    / d_t``. ``X -> ((Q - I) x I) X (P x I)`` acts on the realignment from the left with norm at most 1, so the capture
+    is at most ``hypot(kept, ||s[r:]||) + tau`` off ``cut.svd``, ``kept`` its norm on the expansion: the tail is
+    orthogonal to the expansion by rows, the sketch's error (``tau``) only by columns, which the left map does not keep.
     """
-    d_c, d_t = dims
-    outs = []
-    worst = 0.0
-    for p in projectors:
-        moved = mx.control_sandwich(grouped, dims, right=p)
-        # the control-side partial trace of moved moved^dagger, one d_c x d_c product
-        rows = moved.reshape(d_c, -1)
-        partner = rows @ rows.conj().T / d_t
-        outs.append(partner)
-        idempotency = mx.frobenius_norm(partner @ partner - partner) / max(
-            1.0, mx.frobenius_norm(partner)
-        )
-        capture = mx.frobenius_norm(mx.control_sandwich(moved, dims, left=partner) - moved) / max(
-            mx.frobenius_norm(moved), 1e-300 * norm_u
-        )
-        worst = max(worst, idempotency, capture)
-    return tuple(outs), worst
+    (c, a, b), (_, s, _, tau), (d_c, d_t) = cut.expansion, cut.svd, cut.dims
+    p = np.asarray(projectors)
+    # c_i A_i P of every projector and factor, one (m, n, d_c, d_c) product
+    moved = (c[:, None, None] * a) @ p[:, None]
+    rows = moved.swapaxes(1, 2).reshape(len(p), d_c, -1)
+    partners = rows @ rows.conj().swapaxes(1, 2) / d_t
+    idempotency = mx.frobenius_norms(partners @ partners - partners) / np.maximum(1.0, mx.frobenius_norms(partners))
+    kept = mx._realigned_sum_norms((partners - np.eye(d_c))[:, None] @ moved, b[None])
+    capture = np.hypot(kept, mx.frobenius_norm(s[cut.report.rank :])) + tau
+    return tuple(partners), idempotency, capture / np.sqrt(d_t * np.trace(p, axis1=1, axis2=2).real)
 
 
 def is_bcu(u, layout, side, tol: float = VERDICT_RTOL) -> BcuVerdict:
@@ -310,22 +307,24 @@ def is_bcu(u, layout, side, tol: float = VERDICT_RTOL) -> BcuVerdict:
 
     Otherwise ``_commutant_route`` decides: a nontrivial commutant of the input products
     M_i^dagger M_j of the control-side Schmidt factors gives projectors P_k; their partners Q_k come
-    from the operator and must capture every block. (For a unitary the output products split exactly
-    when these do.) Whether a split exists is a rank decision; the tolerance band applies to how well
-    the blocks capture u (``tol`` as in ``is_controlled``). Only the input products are formed.
+    from the cut's Schmidt expansion and must capture every block. (For a unitary the output products
+    split exactly when these do.) Whether a split exists is a rank decision; the tolerance band applies
+    to how well the blocks capture u, a bound that holds the expansion's left-out mass, relative to
+    ``||P_k x I||`` (``tol`` as in ``is_controlled``). Only the input products are formed.
     """
     u, layout, norm_u = _checked(u, layout, tol, "detection input")
     cut = Cut.of(u, layout, side)
     bound = (cut.dims[0] - 1) ** 2 + 1
     distance = _tail_distance(cut, bound, norm_u, tol)
     if distance is None:
-        return _commutant_route(cut, norm_u, tol)
+        return _commutant_route(cut, tol)
     check = f"Schmidt rank {cut.report.rank} exceeds the block-split bound {bound} (distance {distance:.3e})"
     return BcuVerdict(cut.front, None, None, check, violation=distance)
 
 
-def _commutant_route(cut: Cut, norm_u, tol) -> BcuVerdict:
-    """The verdict of ``is_bcu`` from the commutant of the cut's input products, with no tail rule."""
+def _commutant_route(cut: Cut, tol) -> BcuVerdict:
+    """The verdict of ``is_bcu`` from the commutant of the cut's input products, with no tail rule; the split is
+    scored by ``_split_attempt`` off the cut's expansion and SVD, with no dense gate formed."""
     projectors = algebra.commutant_blocks(algebra._input_products(_cut_factors(cut)))
     if projectors is None:
         return BcuVerdict(
@@ -335,7 +334,8 @@ def _commutant_route(cut: Cut, norm_u, tol) -> BcuVerdict:
             failed_check="factor products act irreducibly: no invariant split exists",
         )
 
-    outs, worst = _split_attempt(mx.unrealign(cut.realigned, cut.dims), cut.dims, projectors, norm_u)
+    outs, *checks = _split_attempt(cut, projectors)
+    worst = float(np.max(checks))
     passed, failed_check, inconclusive = _band(
         worst, f"input-commutant split does not capture the blocks (violation {worst:.3e})", tol
     )

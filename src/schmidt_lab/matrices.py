@@ -143,7 +143,7 @@ def frobenius_norms(stack: np.ndarray) -> np.ndarray:
 
 def checked_tol(tol, name: str = "tol"):
     """``tol``, or ValueError naming ``name`` when it is not a finite number in (0, 1)."""
-    if not 0.0 < tol < 1.0:
+    if not (_only_numbers([tol]) and 0.0 < tol < 1.0):
         raise ValueError(f"{name} must be a finite number in (0, 1), got {tol!r}")
     return tol
 
@@ -155,22 +155,6 @@ def unitarity_residuals(stack: np.ndarray) -> np.ndarray:
     # 1 off the fresh Gram's diagonal in place: the bits of ``gram - I``, without forming I
     gram.reshape(len(gram), d * d)[:, :: d + 1] -= 1.0
     return frobenius_norms(gram) / math.sqrt(d)
-
-
-def control_sandwich(g: np.ndarray, dims, left=None, right=None) -> np.ndarray:
-    """``(left (x) I) g (right (x) I)`` on a grouped ``(d_c d_t)^2`` operator, or on each of a stack.
-
-    ``left`` and ``right`` act on the first (control) system of ``dims =
-    (d_c, d_t)``; either may be None for the identity. Each side is one
-    matmul over a reshape of ``g``, never a dense kron factor; ``is_bcu``'s split check is its one caller.
-    """
-    d_c, d_t = dims
-    n = d_c * d_t
-    if left is not None:
-        g = (left @ g.reshape(-1, d_c, d_t * n)).reshape(g.shape)
-    if right is not None:
-        g = (right.swapaxes(-1, -2)[..., None, :, :] @ g.reshape(-1, n, d_c, d_t)).reshape(g.shape)
-    return g
 
 
 def _stacked(arrays) -> np.ndarray:

@@ -181,7 +181,8 @@ def _expansions(cuts) -> list:
     # expansion is read in the realigned frame
     sums = (lefts.reshape(k, r, -1).transpose(0, 2, 1) * coefficients[:, None, :]) @ rights.reshape(k, r, -1)
     for cut, total in zip(cuts, sums):
-        residual = mx.frobenius_norm(total - cut.realigned)
+        # in place on the fresh sum: no second gate-sized array
+        residual = mx.frobenius_norm(np.subtract(total, cut.realigned, out=total))
         if residual > cut.dropped() + 1e-10 * max(mx.frobenius_norm(cut.realigned), 1e-300):
             raise ValueError(f"decomposition dropped weight beyond tolerance: residual {residual:.3e}")
     return list(zip(coefficients, lefts, rights))

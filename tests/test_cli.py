@@ -684,11 +684,11 @@ def test_the_stdout_set_comparison_names_each_moved_command(tmp_path, capsys):
     assert capsys.readouterr().out == "0 of 6 commands differ\n"
     assert stdout_set.main(["--compare", *map(str, paths)]) == 1
     assert capsys.readouterr().out.splitlines() == [
-        "detect $T/a.json: largest relative change 2.220e-16; at violation",
+        "detect $T/a.json: largest change 1.110e-16 absolute, 2.220e-16 relative; at violation",
         "detect $T/b.json: exit 1 -> 4",
         "decompose $T/a.json: text differs",
         f"construct: only in {paths[0]}",
-        "detect $T/c.json: largest relative change 5.000e-01; at payload.blocks, payload.violation",
+        "detect $T/c.json: largest change 5.000e-01 absolute, 5.000e-01 relative; at payload.blocks, payload.violation",
         f"schmidt-number: only in {paths[1]}",
         "6 of 7 commands differ",
     ]

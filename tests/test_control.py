@@ -192,8 +192,10 @@ def test_blocks_from_the_factors_are_the_dense_rotated_blocks(d_c, d_t):
         for seed in (0, 1):
             u, layout = gates.random_controlled_unitary(d_c, d_t, r, seed=seed)
             form = is_controlled(u, layout, (0,)).form
-            grouped, dims = mx.group_systems(u, layout, (0,))
-            rotated = mx.control_sandwich(grouped, dims, form.q.conj().T, form.r.conj().T).reshape(d_c, d_t, d_c, d_t)
+            grouped, _ = mx.group_systems(u, layout, (0,))
+            eye = np.eye(d_t)
+            rotated = np.kron(form.q.conj().T, eye) @ grouped @ np.kron(form.r.conj().T, eye)
+            rotated = rotated.reshape(d_c, d_t, d_c, d_t)
             dense = rotated[np.arange(d_c), :, np.arange(d_c), :]
             assert np.abs(np.asarray(form.blocks) - dense).max() <= 1e-13
 
@@ -591,7 +593,7 @@ def test_is_controlled_rejects_bad_arguments():
         is_controlled(CNOT, (2, 2), (3,))
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-8, 1.0, 2.0])
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-8, 1.0, 2.0, "0.5", None, 1j])
 def test_detectors_refuse_a_tol_outside_the_open_unit_interval(tol):
     # a nan or zero tol would band a clean gate inconclusive; 2 would pass anything
     u, layout = gates.random_controlled_unitary(3, 3, 3, seed=1)
@@ -631,16 +633,25 @@ def test_each_cut_is_grouped_once_and_its_input_checked_once(monkeypatch):
     assert counts == {"_realigned": 1, "as_operator": 1}
 
 
-def test_controlled_verdicts_form_no_rotated_gate(monkeypatch):
-    # the witness blocks and residual come from each cut's expansion, never from the sandwiched gate
-    def sandwich(*args, **kwargs):
-        raise AssertionError("control_sandwich called")
+def test_no_detector_reads_the_dense_gate_after_its_cut(monkeypatch):
+    # blocks, residuals, partners and captures come from each cut's expansion and SVD, never from a grouped copy:
+    # a positive, an inconclusive near miss and an irreducible is_bcu case, is_controlled and three sweeps
+    positive = gates.random_controlled_unitary(4, 4, 3, seed=1)
+    u, layout = gates.random_controlled_unitary(4, 4, 2, seed=5)
+    near_miss = scipy.linalg.expm(1e-6j * random_hermitian(16, make_rng(8))) @ u, layout
+    irreducible = _two_sided(4, 3, 3)
+    sweeps = [build() for build in (gates.u3, gates.four_qubit_example, lambda: gates.padded_2x2xn(3))]
 
-    monkeypatch.setattr(mx, "control_sandwich", sandwich)
-    u, layout = gates.random_controlled_unitary(4, 4, 3, seed=1)
-    assert is_controlled(u, layout, (0,)).controlled
-    for build in (gates.u3, gates.four_qubit_example, lambda: gates.padded_2x2xn(3)):
-        assert multipartite_control_analysis(*build()).witness is not None
+    def unrealign(*args, **kwargs):
+        raise AssertionError("unrealign called")
+
+    monkeypatch.setattr(mx, "unrealign", unrealign)
+    assert is_controlled(*positive, (0,)).controlled
+    for gate in sweeps:
+        assert multipartite_control_analysis(*gate).witness is not None
+    assert is_bcu(*positive, (0,)).bcu
+    assert is_bcu(*near_miss, (0,)).inconclusive
+    assert "irreducibly" in is_bcu(*irreducible, (0,)).failed_check
 
 
 def test_product_families_over_the_cap_are_refused_before_allocating(monkeypatch):
@@ -774,7 +785,7 @@ def test_is_bcu_refutes_haar_by_its_tail(monkeypatch, d):
 
 def _commutant_verdict(u, layout, side, tol):
     u, layout = mx.on_layout(u, layout, unitary=True)
-    return control._commutant_route(schmidt.Cut.of(u, layout, side), mx.frobenius_norm(u), tol)
+    return control._commutant_route(schmidt.Cut.of(u, layout, side), tol)
 
 
 def _assert_same_bcu_verdict(a, b):
@@ -885,21 +896,53 @@ def test_near_miss_split_is_scored_on_the_input_commutant():
     assert verdict.input_projectors is None
 
 
+def _random_projectors(d_c, rng):
+    """A rank-1 and a rank-(d_c - 1) projector on a Haar basis."""
+    return [q @ q.conj().T for q in (haar_unitary(d_c, rng)[:, :k] for k in (1, d_c - 1))]
+
+
+def _dense_partner(u, p, d_c, d_t):
+    """Tr_t[U (P x I) U^dagger] / d_t from the dense gate, and U (P x I)."""
+    lifted = u @ np.kron(p, np.eye(d_t))
+    return mx.partial_trace(lifted @ lifted.conj().T, (d_c, d_t), keep=(0,)) / d_t, lifted
+
+
 @pytest.mark.parametrize("d_c, d_t, r, seed", [(3, 3, 3, 1), (4, 2, 2, 3), (4, 3, 3, 2)])
 def test_split_partners_match_the_partial_trace(d_c, d_t, r, seed):
     # the partner of a projector is the control-side partial trace of
-    # lifted lifted^dagger over d_t, formed as one d_c x d_c product
+    # lifted lifted^dagger over d_t, formed from the cut's expansion
     u, layout = gates.random_controlled_unitary(d_c, d_t, r, seed=seed)
-    rng = make_rng(seed)
-    projectors = []
-    for k in (1, d_c - 1):
-        q = haar_unitary(d_c, rng)[:, :k]
-        projectors.append(q @ q.conj().T)
-    partners, _ = control._split_attempt(u, (d_c, d_t), projectors, 1.0)
+    projectors = _random_projectors(d_c, make_rng(seed))
+    partners, _, _ = control._split_attempt(schmidt.Cut.of(u, layout, (0,)), projectors)
     for p, partner in zip(projectors, partners):
-        lifted = u @ np.kron(p, np.eye(d_t))
-        reference = mx.partial_trace(lifted @ lifted.conj().T, (d_c, d_t), keep=(0,)) / d_t
-        assert np.max(np.abs(partner - reference)) <= 1e-13
+        assert np.max(np.abs(partner - _dense_partner(u, p, d_c, d_t)[0])) <= 1e-13
+
+
+@pytest.mark.parametrize("d_c", (2, 3, 4, 5, 8, 16))
+@pytest.mark.parametrize("d_t", (2, 3, 5, 8))
+def test_split_capture_bounds_the_dense_capture_on_perturbed_gates(d_c, d_t):
+    # on rc gates times expm(i eps H), sketched cuts (8x8, 16x8) included: the partners are the dense ones,
+    # and the factored capture bounds the dense ||((Q - I) x I) U (P x I)|| / ||U (P x I)|| from above,
+    # by at most twice the mass the expansion leaves out
+    layout, sketched = mx.SystemLayout.of((d_c, d_t)), 0
+    for r in range(1, min(3, d_c) + 1):
+        u, _ = gates.random_controlled_unitary(d_c, d_t, r, seed=r)
+        h = random_hermitian(d_c * d_t, make_rng(r, stream=44))
+        projectors = _random_projectors(d_c, make_rng(r, stream=46))
+        for eps in (0.0, 1e-9, 1e-6, 1e-3):
+            gate = u @ scipy.linalg.expm(1j * eps * h)
+            cut = schmidt.Cut.of(gate, layout, (0,))
+            sketched += cut.svd[3] > 0
+            partners, _, captures = control._split_attempt(cut, projectors)
+            left_out = mx.frobenius_norm(cut.svd[1][cut.report.rank :]) + cut.svd[3]
+            for p, partner, bound in zip(projectors, partners, captures):
+                reference, lifted = _dense_partner(gate, p, d_c, d_t)
+                assert np.max(np.abs(partner - reference)) <= 1e-13
+                moved = np.kron(partner, np.eye(d_t)) @ lifted - lifted
+                dense = mx.frobenius_norm(moved) / mx.frobenius_norm(lifted)
+                assert dense <= bound + 1e-14
+                assert bound <= dense + 2 * left_out / np.sqrt(d_t * np.trace(p).real) + 1e-14
+    assert sketched == (min(3, d_c) if min(d_c, d_t) >= 8 else 0)
 
 
 def test_is_bcu_rejects_bad_arguments():

@@ -11,7 +11,10 @@ A controlled form is likewise verified and applied through its factors
 ``(q, r, blocks)``: with ``ControlledForm.operator`` refusing, every
 detector, sweep, fuzz suite, protocol run and CLI command below still runs.
 ``ControlledForm.residual`` and the witness route read a cut's Schmidt
-expansion and hold no full-size array.
+expansion and hold no full-size array; so does ``is_bcu``'s split check,
+whose partners and capture bound come from the same expansion and SVD.
+Checking an expansion holds one full-size array: its sum, from which the
+realignment is subtracted in place.
 """
 
 import json
@@ -180,3 +183,21 @@ def test_product_routes_hold_no_full_size_array():
     routes = []
     assert _peak(lambda: routes.extend(control._product_routes([cut], factors, norm_u, 1e-8))) < 0.25 * u.nbytes
     assert routes[0][2] is not None and routes[0][0] <= 1e-8
+
+
+def test_split_check_holds_no_full_size_array():
+    # partners, idempotency and capture bound of a 24x24 rank-3 cut, from its expansion and SVD alone
+    u, layout = _rc(24, 24, 3, 5)
+    cut = schmidt.Cut.of(u, layout, (0,))
+    cut.expansion
+    basis = haar_unitary(24, make_rng(6))
+    projectors = [basis[:, :12] @ basis[:, :12].conj().T, basis[:, 12:] @ basis[:, 12:].conj().T]
+    assert _peak(lambda: control._split_attempt(cut, projectors)) < 0.25 * u.nbytes
+
+
+def test_an_expansion_check_holds_one_full_size_array():
+    # the kept factors' sum is the one gate-sized array; the realignment is subtracted from it in place
+    u, layout = _rc(24, 24, 3, 5)
+    cut = schmidt.Cut.of(u, layout, (0,))
+    cut.svd
+    assert _peak(lambda: cut.expansion) < 1.5 * u.nbytes

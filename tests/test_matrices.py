@@ -323,24 +323,6 @@ def test_partial_trace_three_systems():
     )
 
 
-@pytest.mark.parametrize("d_c, d_t", [(2, 3), (3, 2), (4, 4)])
-def test_control_sandwich_matches_the_kron_products(d_c, d_t):
-    rng = make_rng(17)
-    n = d_c * d_t
-    g = random_complex_gaussian((n, n), rng)
-    a = random_complex_gaussian((d_c, d_c), rng)
-    b = random_complex_gaussian((d_c, d_c), rng)
-    eye = np.eye(d_t)
-    cases = [
-        (a, None, np.kron(a, eye) @ g),
-        (None, b, g @ np.kron(b, eye)),
-        (a, b, np.kron(a, eye) @ g @ np.kron(b, eye)),
-    ]
-    for left, right, want in cases:
-        got = mx.control_sandwich(g, (d_c, d_t), left, right)
-        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
-
-
 def test_frobenius_norm():
     rng = make_rng(9)
     a = random_complex_gaussian((3, 3), rng)

@@ -454,7 +454,7 @@ def test_a_bad_tol_is_named_before_the_cut_is_grouped(name, monkeypatch):
 
     monkeypatch.setattr(mx, "_realigned", never)
     monkeypatch.setattr(mx, "group_states", never)
-    for tol in (0.0, 1.0, float("nan")):
+    for tol in (0.0, 1.0, float("nan"), "0.5", None, 1j):
         with pytest.raises(ValueError, match="tol must be a finite number"):
             call((0,), tol)
 

@@ -15,9 +15,9 @@ projectors of the 8 x 8 gates move with it. Then
     python tools/cli_stdout_set.py --compare parent.jsonl change.jsonl
 
 prints each command whose exit code or stdout differs, with the largest
-relative change of any number in its stdout and, when both stdouts are JSON,
-the dotted paths of the values that differ (``payload.blocks``), and exits 1
-on any difference.
+absolute and the largest relative change of any number in its stdout and,
+when both stdouts are JSON, the dotted paths of the values that differ
+(``payload.blocks``), and exits 1 on any difference.
 
 The list covers every subcommand and every protocol route: random-controlled
 d x d gates (d = 2, 3, 4, 8, r = 1..min(3, d), seeds 0, 1, 5) and 3 x 5 of
@@ -288,15 +288,16 @@ def run() -> None:
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
-def largest_relative_change(a: str, b: str) -> float | None:
-    """Largest ``|x - y| / max(|x|, |y|)`` over the numbers of two texts, paired in order.
+def largest_changes(a: str, b: str) -> tuple | None:
+    """Largest ``|x - y|`` and largest ``|x - y| / max(|x|, |y|)`` over the numbers of two texts, paired in order.
 
     None when the texts differ anywhere but in their numbers.
     """
     if NUMBER.split(a) != NUMBER.split(b):
         return None
     pairs = [(float(x), float(y)) for x, y in zip(NUMBER.findall(a), NUMBER.findall(b))]
-    return max((abs(x - y) / max(abs(x), abs(y)) for x, y in pairs if x != y), default=0.0)
+    moves = [(abs(x - y), abs(x - y) / max(abs(x), abs(y))) for x, y in pairs if x != y] or [(0.0, 0.0)]
+    return tuple(map(max, zip(*moves)))
 
 
 def moved_paths(a: str, b: str) -> list:
@@ -340,8 +341,8 @@ def compare(path_a, path_b) -> int:
         (code_a, out_a), (code_b, out_b) = a[argv], b[argv]
         notes = [f"exit {code_a} -> {code_b}"] if code_a != code_b else []
         if out_a != out_b:
-            change = largest_relative_change(out_a, out_b)
-            notes.append("text differs" if change is None else f"largest relative change {change:.3e}")
+            changes = largest_changes(out_a, out_b)
+            notes.append("text differs" if changes is None else "largest change {:.3e} absolute, {:.3e} relative".format(*changes))
             paths = moved_paths(out_a, out_b)
             if paths:
                 notes.append(f"at {', '.join(paths)}")
