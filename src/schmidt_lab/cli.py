@@ -13,6 +13,9 @@ standard error.  Exit codes are part of the contract:
 Floats are serialized at the shortest representation that round-trips a
 double, so identical seeds give byte-identical output.  Input matrices
 are echoed back only under --verbose to keep outputs diffable.
+
+Each handler imports the library modules it calls, so a command loads only
+those: ``construct`` and ``protocol --route cost`` load no detector.
 """
 
 from __future__ import annotations
@@ -24,10 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import control, gates, protocols, schmidt, schmidt_number
 from . import matrices as mx
+from .config import FUZZ_SUITES
 from .errors import NumericalError, SchmidtLabError
-from .randomness import make_rng, random_state
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -116,6 +118,8 @@ def _single_system_json(m: np.ndarray) -> dict:
 
 
 def _cmd_decompose(args) -> CommandResult:
+    from . import schmidt
+
     u, layout = mx.matrix_from_json(_load_json(args.path))
     cut = _parse_indices(args.cut, "cut")
     dec = schmidt.operator_schmidt_decompose(u, layout, cut, **_tol_kwargs(args))
@@ -138,6 +142,8 @@ def _verdict_result(payload: dict, positive: bool, inconclusive: bool, summary: 
 
 
 def _cmd_detect(args) -> CommandResult:
+    from . import control
+
     u, layout = mx.matrix_from_json(_load_json(args.path))
     side = _parse_side(args.side, layout)
     if args.bcu:
@@ -185,6 +191,8 @@ def _cmd_detect(args) -> CommandResult:
 
 
 def _cmd_construct(args) -> CommandResult:
+    from . import gates
+
     params = {}
     if args.params:
         try:
@@ -204,6 +212,9 @@ def _cmd_construct(args) -> CommandResult:
 
 
 def _cmd_protocol(args) -> CommandResult:
+    from . import protocols
+    from .randomness import make_rng, random_state
+
     u, layout = mx.matrix_from_json(_load_json(args.path))
     branches = "all" if args.branches is None else args.branches
 
@@ -235,6 +246,8 @@ def _cmd_protocol(args) -> CommandResult:
         )
     else:
         # controlled route: detect first, then run the protocol on the witness
+        from . import control
+
         side = _parse_side(args.side, layout)
         verdict = control.is_controlled(u, layout, side)
         side = layout.split(side)[0]
@@ -275,6 +288,8 @@ def _cmd_protocol(args) -> CommandResult:
 
 
 def _cmd_schmidt_number(args) -> CommandResult:
+    from . import schmidt_number
+
     u, layout = mx.matrix_from_json(_load_json(args.path))
     cut = _parse_indices(args.cut, "cut")
     if args.ancilla:
@@ -291,8 +306,9 @@ def _cmd_schmidt_number(args) -> CommandResult:
         }
         diagnostics = [f"ancilla-extended rank {report.rank_with_ancillas} matches the operator rank"]
         return CommandResult(payload, diagnostics, EXIT_OK)
+    restarts = {} if args.restarts is None else {"restarts": args.restarts}  # absent: the library default
     result = schmidt_number.max_output_schmidt_rank_search(
-        u, layout, cut, restarts=args.restarts, seed=args.seed, **_tol_kwargs(args)
+        u, layout, cut, seed=args.seed, **restarts, **_tol_kwargs(args)
     )
     payload = {
         "max_rank": result.max_rank,
@@ -304,6 +320,8 @@ def _cmd_schmidt_number(args) -> CommandResult:
 
 
 def _cmd_fuzz(args) -> CommandResult:
+    from . import control
+
     summary = control.fuzz_theorem_checks(args.theorem, args.trials, seed=args.seed)
     payload = {
         "suite": summary.suite,
@@ -378,14 +396,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("schmidt-number", help="output-rank search or ancilla-extended check")
     p.add_argument("path", help="matrix JSON file")
     p.add_argument("--cut", default="0", help="comma-separated systems forming one side")
-    p.add_argument("--restarts", type=int, default=schmidt_number.SEARCH_RESTARTS)
+    p.add_argument("--restarts", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ancilla", action="store_true", help="run the ancilla-extended check instead")
     p.add_argument("--tol", type=float, default=None, help="relative rank tolerance")
     p.set_defaults(handler=_cmd_schmidt_number)
 
     p = sub.add_parser("fuzz", help="randomized detection suites over structured instances")
-    p.add_argument("--theorem", required=True, help=f"one of {', '.join(control.FUZZ_SUITES)}")
+    p.add_argument("--theorem", required=True, help=f"one of {', '.join(FUZZ_SUITES)}")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--verbose", action="store_true")

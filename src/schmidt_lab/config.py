@@ -1,4 +1,4 @@
-"""Runtime configuration knobs."""
+"""Runtime configuration knobs, and the fuzz suite names the CLI lists before it loads a detector."""
 
 import os
 
@@ -7,6 +7,9 @@ DEFAULT_MAX_DIMENSION = 4096
 # Environment override for the total-dimension cap enforced by constructors
 # and tensor products.
 ENV_MAX_DIMENSION = "SCHMIDT_LAB_MAX_DIM"
+
+# the detection suites ``control.fuzz_theorem_checks`` runs, in the order the CLI lists them
+FUZZ_SUITES = ("sch3", "sch2-diagonal", "multi", "even-qubit")
 
 
 def max_total_dimension() -> int:

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import algebra, gates, schmidt
 from . import matrices as mx
+from .config import FUZZ_SUITES
 from .matrices import SystemLayout
 from .randomness import make_rng
 from .schmidt import Cut
@@ -442,13 +443,7 @@ def _fuzz_even_qubit(trial, trial_seed):
     return u, layout.dims, None
 
 
-_FUZZ_RUNNERS = {
-    "sch3": _fuzz_sch3,
-    "sch2-diagonal": _fuzz_sch2_diagonal,
-    "multi": _fuzz_multi,
-    "even-qubit": _fuzz_even_qubit,
-}
-FUZZ_SUITES = tuple(_FUZZ_RUNNERS)
+_FUZZ_RUNNERS = dict(zip(FUZZ_SUITES, (_fuzz_sch3, _fuzz_sch2_diagonal, _fuzz_multi, _fuzz_even_qubit), strict=True))
 
 
 def fuzz_theorem_checks(theorem: str, trials: int, seed: int = 0) -> FuzzSummary:

@@ -28,9 +28,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import matrices as mx
-from .control import VERDICT_RTOL, ControlledForm
 from .errors import ProtocolError
 from .randomness import make_rng
+
+# ``ControlledForm`` in the annotations is ``control.ControlledForm``; annotations are not
+# evaluated, so importing this module loads no detector
 
 FIDELITY_FLOOR = 1.0 - 1e-10
 
@@ -303,6 +305,8 @@ def _validate_form(form: ControlledForm, input_dim: int):
     so every form it returns runs; ``d_c`` and ``d_t`` are read off ``q`` and the blocks.
     A block array of the right shape and dtype is the stack itself, not a copy.
     """
+    from .control import VERDICT_RTOL  # the detectors that made the form are loaded by now
+
     d_c, d_t = form.grouped_dims
     if d_c * d_t != input_dim:
         raise ValueError(f"input must have dimension {d_c * d_t}, got {input_dim}")

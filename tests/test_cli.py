@@ -15,13 +15,14 @@ import os
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 import schmidt_lab
-from schmidt_lab import cli, control, gates, schmidt
+from schmidt_lab import cli, control, gates, schmidt, schmidt_number
 from schmidt_lab import matrices as mx
 from schmidt_lab.cli import main
 from schmidt_lab.errors import NumericalError
@@ -428,6 +429,16 @@ class TestSchmidtNumber:
         assert payload["max_rank"] == 2
         assert len(payload["witness"]) == 2
 
+    def test_an_absent_restarts_flag_runs_the_library_default(self, capsys, cnot_path, monkeypatch):
+        # the search reads one rank per restart; reading 0 keeps it below its cap, so no restart stops it early
+        ranks = []
+        monkeypatch.setattr(schmidt_number, "numerical_rank", lambda s, tol: ranks.append(tol) or 0)
+        for argv, restarts in (((), schmidt_number.SEARCH_RESTARTS), (("--restarts", "3"), 3)):
+            ranks.clear()
+            assert _run(capsys, "schmidt-number", cnot_path, *argv)[0] == 0
+            assert len(ranks) == restarts
+        assert schmidt_number.SEARCH_RESTARTS == 64
+
     def test_ancilla_mode(self, capsys, cnot_path):
         code, out, _ = _run(capsys, "schmidt-number", cnot_path, "--ancilla")
         assert code == 0
@@ -443,6 +454,12 @@ class TestFuzz:
         _, payload = _payload(out)
         assert payload["passes"] == 3
         assert payload["ok"] is True
+
+    def test_the_help_lists_every_suite_in_order(self, capsys):
+        code, out, _ = _run(capsys, "fuzz", "--help")
+        assert code == 0
+        assert f"one of {', '.join(control.FUZZ_SUITES)}" in " ".join(out.split())
+        assert tuple(control._FUZZ_RUNNERS) == control.FUZZ_SUITES == ("sch3", "sch2-diagonal", "multi", "even-qubit")
 
     def test_unknown_suite_is_invalid(self, capsys):
         code, out, _ = _run(capsys, "fuzz", "--theorem", "perpetual-motion", "--trials", "1")
@@ -604,6 +621,50 @@ def test_cold_import_leaves_scipy_unloaded():
     assert _run_python("import sys, schmidt_lab, schmidt_lab.cli; print('scipy' in sys.modules)") == "False"
 
 
+# what ``import schmidt_lab.cli`` loads, and what each command adds to it
+CLI_MODULES = {"schmidt_lab", "schmidt_lab.cli", "schmidt_lab.config", "schmidt_lab.errors", "schmidt_lab.matrices"}
+SCHMIDT_MODULES = {"randomness", "factorizations", "schmidt"}
+DETECTOR_MODULES = SCHMIDT_MODULES | {"gates", "algebra", "control"}
+COMMAND_MODULES = {
+    ("construct", "--gate", "u3"): SCHMIDT_MODULES | {"gates"},
+    ("decompose", "CNOT"): SCHMIDT_MODULES,
+    ("detect", "CNOT"): DETECTOR_MODULES,
+    ("detect", "CNOT", "--bcu"): DETECTOR_MODULES,
+    ("protocol", "CNOT", "--route", "cost"): {"randomness", "protocols"},
+    ("protocol", "CNOT", "--route", "teleport"): {"randomness", "protocols"},
+    ("protocol", "CNOT", "--route", "controlled"): DETECTOR_MODULES | {"protocols"},
+    ("schmidt-number", "CNOT"): SCHMIDT_MODULES | {"schmidt_number"},
+    ("schmidt-number", "CNOT", "--ancilla"): SCHMIDT_MODULES | {"schmidt_number"},
+    ("fuzz", "--theorem", "sch3", "--trials", "1"): DETECTOR_MODULES,
+}
+
+
+def _loaded_after(statements: str) -> set:
+    """The ``schmidt_lab`` modules a fresh interpreter holds after it runs ``statements`` with stdout sunk."""
+    code = f"""
+import contextlib, io, sys
+with contextlib.redirect_stdout(io.StringIO()):
+    exec({statements!r})
+print(*(name for name in sys.modules if name.startswith("schmidt_lab")))
+"""
+    return set(_run_python(code).split())
+
+
+def test_a_bare_import_loads_no_submodule():
+    assert _loaded_after("import schmidt_lab") == {"schmidt_lab"}
+    assert _loaded_after("import schmidt_lab.cli") == CLI_MODULES
+
+
+def test_each_command_loads_only_the_modules_it_runs(cnot_path):
+    runs = [
+        f"from schmidt_lab import cli\nassert cli.main({[cnot_path if arg == 'CNOT' else arg for arg in argv]!r}) == 0"
+        for argv in COMMAND_MODULES
+    ]
+    with ThreadPoolExecutor(2) as pool:  # one fresh interpreter per command, two at a time
+        loaded = dict(zip(COMMAND_MODULES, pool.map(_loaded_after, runs)))
+    assert loaded == {argv: CLI_MODULES | {f"schmidt_lab.{name}" for name in modules} for argv, modules in COMMAND_MODULES.items()}
+
+
 def test_the_library_runs_with_scipy_blocked():
     # scipy is a test dependency: every library path, completions included, runs without it
     code = """
@@ -643,7 +704,9 @@ def test_the_stdout_set_covers_every_subcommand_and_route():
     stdout_set = _stdout_set()
     argvs = stdout_set.commands()
     (commands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    assert {argv[0] for argv in argvs} == set(commands.choices)
+    assert {argv[0] for argv in argvs} - {"--help"} == set(commands.choices)
+    # every help text, so the golden pins it byte for byte
+    assert [argv for argv in argvs if "--help" in argv] == [["--help"]] + [[command, "--help"] for command in commands.choices]
     (route,) = [a for a in commands.choices["protocol"]._actions if a.dest == "route"]
     routes = {argv[argv.index("--route") + 1] for argv in argvs if "--route" in argv}
     assert routes == set(route.choices)
@@ -656,6 +719,42 @@ def test_the_stdout_set_covers_every_subcommand_and_route():
     for name in ("haar-4x4", "few-factors-far-6x6"):
         assert ["detect", f"$T/{name}.json", "--side", "A"] in argvs
     assert f"{len(argvs)} commands." in stdout_set.__doc__
+
+
+@pytest.fixture(scope="module")
+def stdout_set_run(tmp_path_factory):
+    """The stdout set's rows, run in a child on one BLAS thread, as its golden was written."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(schmidt_lab.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, _stdout_set().__file__], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    path = tmp_path_factory.mktemp("stdout-set") / "set.jsonl"
+    path.write_text(done.stdout)
+    return path
+
+
+def test_every_stdout_and_exit_code_matches_the_golden(stdout_set_run, capsys):
+    stdout_set = _stdout_set()
+    code = stdout_set.main(["--compare", str(stdout_set.GOLDEN), str(stdout_set_run)])
+    report = capsys.readouterr().out
+    assert code == 0, report
+    assert report == f"0 of {len(stdout_set.commands())} commands differ\n"
+
+
+def test_the_golden_check_names_a_moved_stdout_and_exit_code(stdout_set_run, tmp_path, capsys):
+    stdout_set = _stdout_set()
+    rows = [json.loads(line) for line in stdout_set_run.read_text().splitlines()]
+    detect, decompose = (next(row for row in rows if row[0][0] == command) for command in ("detect", "decompose"))
+    decompose[2] = decompose[2].replace('"rank": ', '"rank": 1', 1)
+    detect[1] = 4
+    moved = tmp_path / "moved.jsonl"
+    moved.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    assert stdout_set.main(["--compare", str(stdout_set.GOLDEN), str(moved)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"{' '.join(detect[0])}: exit 0 -> 4",
+        f"{' '.join(decompose[0])}: stdout differs",
+        f"2 of {len(rows)} commands differ",
+    ]
 
 
 def test_the_stdout_set_comparison_names_each_moved_command(tmp_path, capsys):

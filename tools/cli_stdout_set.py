@@ -19,6 +19,16 @@ absolute and the largest relative change of any number in its stdout and,
 when both stdouts are JSON, the dotted paths of the values that differ
 (``payload.blocks``), and exits 1 on any difference.
 
+``tools/cli_stdout_set.golden`` holds one JSON line per command,
+``[argv, exit code, sha256 of stdout]``, and the tests check the set against
+it. A change that moves output on purpose rewrites it with
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/cli_stdout_set.py --write-golden
+
+``--compare`` takes a golden on either side; stdouts are then compared by
+their sha256, and a moved one reads ``stdout differs``. Help text is wrapped
+at 80 columns whatever the terminal.
+
 The list covers every subcommand and every protocol route: random-controlled
 d x d gates (d = 2, 3, 4, 8, r = 1..min(3, d), seeds 0, 1, 5) and 3 x 5 of
 rank 3, the named multipartite gates, a Haar 9 x 9 gate as 3 x 3, three
@@ -46,15 +56,18 @@ every named gate and ``--cut 0,1`` on the multipartite ones, ``decompose`` of
 the four-qubit gate across ``0,1`` at 1e-5, the 3 x 5 gate fed a state on
 dims [3, 5] and one on [5, 3] (refused), and ``detect --side`` on every singleton
 and pair of ``u3``, the four-qubit gate, ``padded-2x2xn(3)`` and a permuted,
-scrambled ``u3``, the subsets the multipartite sweep decides as stacks: 580 commands.
+scrambled ``u3``, the subsets the multipartite sweep decides as stacks, and ``--help``
+at the top level and on each subcommand: 587 commands.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
+import os
 import re
 import sys
 import tempfile
@@ -106,6 +119,7 @@ CONSTRUCT_PARAMS = {
 }
 # a file written next to the gates that does not parse
 INVALID_JSON = "invalid.json"
+GOLDEN = Path(__file__).with_suffix(".golden")
 
 
 def _rc_name(d_c, d_t, r, seed):
@@ -268,10 +282,14 @@ def commands() -> list:
         for state in state_files()
         for route in ("teleport", "controlled")
     ]
+    subcommands = ("decompose", "detect", "construct", "protocol", "schmidt-number", "fuzz")
+    argvs += [["--help"]] + [[command, "--help"] for command in subcommands]
     return argvs
 
 
-def run() -> None:
+def run():
+    """Yield ``[argv, exit code, stdout]`` for every command of the set."""
+    os.environ["COLUMNS"] = "80"  # argparse wraps help text at the terminal width
     with tempfile.TemporaryDirectory() as tmp:
         for name, (u, dims) in gate_files().items():
             Path(tmp, name).write_text(json.dumps(mx.matrix_to_json(u, dims)))
@@ -282,7 +300,11 @@ def run() -> None:
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
                 code = cli.main([arg.replace("$T", tmp) for arg in argv])
-            sys.stdout.write(json.dumps([argv, code, stdout.getvalue().replace(tmp, "$T")]) + "\n")
+            yield [argv, code, stdout.getvalue().replace(tmp, "$T")]
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
@@ -322,14 +344,19 @@ def moved_paths(a: str, b: str) -> list:
     return paths
 
 
-def _results(path) -> dict:
+def _results(path, hashed: bool) -> dict:
+    """``{argv: (exit code, stdout)}`` of a set, or of a golden; ``hashed`` puts each stdout's sha256 in its place."""
     with open(path) as f:
-        return {tuple(argv): (code, stdout) for argv, code, stdout in map(json.loads, f)}
+        rows = {tuple(argv): (code, stdout) for argv, code, stdout in map(json.loads, f)}
+    if hashed and not str(path).endswith(".golden"):
+        rows = {argv: (code, _sha256(stdout)) for argv, (code, stdout) in rows.items()}
+    return rows
 
 
 def compare(path_a, path_b) -> int:
     """Print every command whose exit code or stdout differs between two sets; 1 if any does."""
-    a, b = _results(path_a), _results(path_b)
+    hashed = any(str(path).endswith(".golden") for path in (path_a, path_b))
+    a, b = _results(path_a, hashed), _results(path_b, hashed)
     differing = 0
     for argv in [*a, *(argv for argv in b if argv not in a)]:
         if a.get(argv) == b.get(argv):
@@ -340,7 +367,9 @@ def compare(path_a, path_b) -> int:
             continue
         (code_a, out_a), (code_b, out_b) = a[argv], b[argv]
         notes = [f"exit {code_a} -> {code_b}"] if code_a != code_b else []
-        if out_a != out_b:
+        if out_a != out_b and hashed:
+            notes.append("stdout differs")
+        elif out_a != out_b:
             changes = largest_changes(out_a, out_b)
             notes.append("text differs" if changes is None else "largest change {:.3e} absolute, {:.3e} relative".format(*changes))
             paths = moved_paths(out_a, out_b)
@@ -353,11 +382,16 @@ def compare(path_a, path_b) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Run the CLI stdout set, or compare two of its outputs.")
-    parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="two JSONL outputs of this script")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="two JSONL outputs of this script, or a golden")
+    parser.add_argument("--write-golden", action="store_true", help=f"write the exit codes and stdout digests to {GOLDEN.name}")
     args = parser.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
-    run()
+    if args.write_golden:
+        GOLDEN.write_text("".join(json.dumps([argv, code, _sha256(stdout)]) + "\n" for argv, code, stdout in run()))
+        return 0
+    for row in run():
+        sys.stdout.write(json.dumps(row) + "\n")
     return 0
 
 
