@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrices as mx
-from .config import max_total_dimension
-from .errors import DimensionError, NumericalError
+from .errors import NumericalError
 from .factorizations import eigh, null_space, orthonormal_complement, span_dimension, svd
 from .randomness import make_rng
 from .schmidt import Cut
@@ -502,14 +501,6 @@ def _failure(check: str, violation: float) -> SimultaneousSvdResult:
     return SimultaneousSvdResult(None, None, None, failed_check=check, violation=violation)
 
 
-def _check_budget(what: str, entries: int) -> int:
-    """Refuse more than ``2 cap^2`` entries, cap = ``max_total_dimension()``; else return that budget."""
-    cap = max_total_dimension()
-    if entries > 2 * cap * cap:
-        raise DimensionError(f"{what} of {entries} entries exceeds the budget 2 * {cap}^2")
-    return 2 * cap * cap
-
-
 def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a_i @ b_j`` at index ``i * n + j`` of each family: one broadcast matmul, bitwise a pairwise loop."""
     return (a[..., None, :, :] @ b[..., None, :, :, :]).reshape(*a.shape[:-3], -1, *a.shape[-2:])
@@ -517,7 +508,7 @@ def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _input_products(ops: np.ndarray) -> np.ndarray:
     """``M_i^dagger M_j`` of a checked stack; more than ``2 cap^2`` entries raise first."""
-    _check_budget("product families (input side)", len(ops) * ops.size)
+    mx._check_budget("product families (input side)", len(ops) * ops.size)
     return _products(_adjoints(ops), ops)
 
 
@@ -544,7 +535,7 @@ def _simultaneous_svds(stack: np.ndarray, tol: float) -> list:
     DimensionError; a pass holds at most ``min(2 cap^2, 2^16)`` product entries, one family at least."""
     k, n, d, _ = stack.shape
     entries = 2 * n * n * d * d
-    step = max(1, min(_check_budget("product families", entries), 1 << 16) // entries)
+    step = max(1, min(mx._check_budget("product families", entries), 1 << 16) // entries)
     if k > step:
         return [result for i in range(0, k, step) for result in _simultaneous_svds(stack[i : i + step], tol)]
     results = [None] * k
@@ -617,7 +608,7 @@ def commutant_blocks(generators):
     kernel comes from an economy-size SVD (see ``null_space``).
     """
     gens, d = mx._as_square_family(generators, "generators")
-    _check_budget("commutant system", 2 * min(len(gens), d * d) * d**4)
+    mx._check_budget("commutant system", 2 * min(len(gens), d * d) * d**4)
     span = _span_generators(gens[None])[0]
     closure = np.concatenate([span, _adjoints(span)])
     eye = np.eye(d, dtype=complex)

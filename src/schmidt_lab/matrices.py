@@ -75,6 +75,14 @@ class SystemLayout:
         return front, tuple(i for i in range(len(self.dims)) if i not in front)
 
 
+def _check_budget(what: str, entries: int) -> int:
+    """Refuse more than ``2 cap^2`` entries, cap = ``max_total_dimension()``; else return that budget."""
+    cap = max_total_dimension()
+    if entries > 2 * cap * cap:
+        raise DimensionError(f"{what} of {entries} entries exceeds the budget 2 * {cap}^2")
+    return 2 * cap * cap
+
+
 def _is_int(value) -> bool:
     """An integer that is not a bool: Python and numpy ints pass, floats and strings do not."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)

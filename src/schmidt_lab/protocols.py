@@ -1,7 +1,7 @@
 """LOCC implementation of bipartite gates and the entanglement ledger.
 
 Two routes are simulated on full state vectors.  The teleportation route
-moves the smaller system across, applies the gate where both halves now
+moves the first system across, applies the gate where both halves now
 live, and moves it back, spending two maximally entangled pairs of the
 moved dimension.  The controlled route exploits block structure: a gate
 whose target blocks fall into m distinct groups needs only a rank-m
@@ -13,11 +13,12 @@ the other party's correction.
 Each route is simulated once as a branch table: every measurement
 contracts the state with the stacked rows of its basis and keeps the
 outcome as a batch axis, so a few contractions give the probability and
-output of every branch.  By default every branch is checked against the
-gate applied directly, so the fidelity floor is verified, not estimated.
-The recorded run and the sampled mode draw from the same table: one
-uniform per outcome, in ``Generator.choice``'s order, through the
-table's cdfs.  Global phase is quotiented out of all fidelities.
+output of every branch.  Past ``matrices``' entry budget a table is
+refused before it is built.  By default every branch is checked against
+the gate applied directly, so the fidelity floor is verified, not
+estimated.  The recorded run and the sampled mode draw from the same
+table: one uniform per outcome, in ``Generator.choice``'s order, through
+the table's cdfs.  Global phase is quotiented out of all fidelities.
 """
 
 from __future__ import annotations
@@ -254,6 +255,7 @@ def _teleport_table(psi, u, d_a: int, d_b: int):
     state's axes are (outcome..., carrier, B); the shift/clock corrections
     X^a Z^b are stacked along the same outcome axis.
     """
+    mx._check_budget("teleportation branch table", d_a**4 * d_a * d_b)
     weyl = _weyl_stack(d_a)
     bras = weyl.conj().transpose(0, 2, 1) / d_a
     n = len(weyl)
@@ -364,6 +366,7 @@ def _controlled_table(psi, form: ControlledForm, reps, group, phases):
     """
     d_c, d_t = form.grouped_dims
     m = len(reps)
+    mx._check_budget("controlled branch table", m * m * d_c * d_t)
     outcomes = np.arange(m)
     group = np.asarray(group)
     # Alice's entangler |k, j> -> |k, j + g(k) mod m> applied to |Phi> on (a, b)

@@ -127,8 +127,6 @@ class SearchResult:
 
 def _tail_weight(s: np.ndarray) -> float:
     # mass beyond the leading Schmidt direction; zero iff the output is product
-    if s.size == 0:
-        return 0.0
     total = float(np.sum(s * s))
     return total - float(s[0] * s[0])
 

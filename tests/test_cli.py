@@ -400,6 +400,18 @@ class TestProtocol:
         state = _write_state(tmp_path, "in.json", random_state(6, make_rng(1)), (2, 3))
         assert _run(capsys, "protocol", gate, "--route", route, "--input", state)[0] == 0
 
+    def test_a_teleportation_table_past_the_budget_exits_2(self, capsys, tmp_path, monkeypatch):
+        # a 4x4 gate's table holds 4^5 * 4 entries, past the budget 2 * 16^2 of cap 16
+        path = _write_matrix(tmp_path, "haar.json", haar_unitary(16, make_rng(3)), (4, 4))
+        monkeypatch.setenv("SCHMIDT_LAB_MAX_DIM", "16")
+        for sampled in ((), ("--branches", "10")):
+            code, out, _ = _run(capsys, "protocol", path, "--route", "teleport", *sampled)
+            assert code == 2
+            assert json.loads(out) == {
+                "status": "error",
+                "diagnostics": ["invalid input: teleportation branch table of 4096 entries exceeds the budget 2 * 16^2"],
+            }
+
     def test_controlled_route_refuses_uncontrolled_gates(self, capsys, swap_path):
         code, out, _ = _run(capsys, "protocol", "--route", "controlled", swap_path)
         assert code == 1

@@ -14,6 +14,7 @@ so the random-number contract (streams 11 and 13) cannot drift.
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ import pytest
 from schmidt_lab import cli, gates, protocols
 from schmidt_lab import matrices as mx
 from schmidt_lab.control import ControlledForm, is_controlled
-from schmidt_lab.errors import ProtocolError
+from schmidt_lab.errors import DimensionError, ProtocolError
 from schmidt_lab.protocols import (
     FIDELITY_FLOOR,
     ProtocolStep,
@@ -361,6 +362,79 @@ class TestControlledRoute:
             controlled_gate_protocol(good, random_state(6, make_rng(2)))
         with pytest.raises(ValueError):
             controlled_gate_protocol(good, psi, branches=0)
+
+
+def _diagonal_form(d_c, d_t, m):
+    """``q = r = I`` and ``d_c`` diagonal blocks in ``m`` groups: block k is ``diag(w^(j (k mod m)))``, w = e^(2 pi i / m)."""
+    phases = np.exp(2j * np.pi * np.outer(np.arange(d_c) % m, np.arange(d_t)) / m)
+    blocks = phases[:, :, None] * np.eye(d_t)
+    return ControlledForm(side=(0,), q=np.eye(d_c, dtype=complex), r=np.eye(d_c, dtype=complex), blocks=blocks)
+
+
+def _refused_unbuilt(call, match):
+    """``call`` raises DimensionError matching ``match`` with a traced peak under 64 MiB: no table array was made."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionError, match=match):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+class TestBranchBudget:
+    """A table whose largest array, outcomes^2 * d_c * d_t entries, passes ``2 cap^2`` is refused before it is built."""
+
+    @pytest.mark.parametrize("branches", ["all", 10])
+    @pytest.mark.parametrize("dims", [(32, 32), (32, 4)])
+    def test_teleportation_past_the_budget_is_refused_before_its_table(self, dims, branches):
+        d_a, d_b = dims
+        u = haar_unitary(d_a * d_b, make_rng(3))
+        psi = random_state(d_a * d_b, make_rng(4))
+        entries = d_a**5 * d_b
+        _refused_unbuilt(
+            lambda: teleport_unitary_protocol(u, dims, psi, branches=branches),
+            rf"^teleportation branch table of {entries} entries exceeds the budget 2 \* 4096\^2$",
+        )
+
+    def test_controlled_past_the_budget_is_refused_before_its_table(self):
+        form = _diagonal_form(128, 32, 128)
+        psi = random_state(128 * 32, make_rng(5))
+        _refused_unbuilt(
+            lambda: controlled_gate_protocol(form, psi, branches=4),
+            r"^controlled branch table of 67108864 entries exceeds the budget 2 \* 4096\^2$",
+        )
+
+    @pytest.mark.parametrize("cap, admitted, refused", [(16, (2, 8), (4, 4)), (8, (2, 4), (4, 2))])
+    def test_teleportation_at_a_lowered_cap(self, monkeypatch, cap, admitted, refused):
+        # at cap 8 the (2, 4) table's 2^5 * 4 = 128 entries are the budget 2 * 8^2 itself
+        monkeypatch.setenv("SCHMIDT_LAB_MAX_DIM", str(cap))
+
+        def run(dims):
+            total = math.prod(dims)
+            return teleport_unitary_protocol(haar_unitary(total, make_rng(6)), dims, random_state(total, make_rng(7)))[0]
+
+        transcript = run(admitted)
+        assert transcript.branches_checked == admitted[0] ** 4
+        assert transcript.min_branch_fidelity >= FIDELITY_FLOOR
+        with pytest.raises(DimensionError, match=rf"^teleportation branch table .* 2 \* {cap}\^2$"):
+            run(refused)
+
+    @pytest.mark.parametrize("cap, admitted, refused", [(16, (4, 4, 4), (8, 2, 8)), (32, (8, 4, 8), (16, 2, 16))])
+    def test_controlled_at_a_lowered_cap(self, monkeypatch, cap, admitted, refused):
+        # at cap 32 the (8, 4) table with 8 groups holds 8^2 * 32 = 2048 entries, the budget 2 * 32^2 itself
+        monkeypatch.setenv("SCHMIDT_LAB_MAX_DIM", str(cap))
+
+        def run(d_c, d_t, m):
+            return controlled_gate_protocol(_diagonal_form(d_c, d_t, m), random_state(d_c * d_t, make_rng(8)))[0]
+
+        transcript = run(*admitted)
+        m = admitted[2]
+        assert transcript.resources == (m,) and transcript.branches_checked == m * m
+        assert transcript.min_branch_fidelity >= FIDELITY_FLOOR
+        with pytest.raises(DimensionError, match=rf"^controlled branch table .* 2 \* {cap}\^2$"):
+            run(*refused)
 
 
 def _near_miss_ladder(eps):
