@@ -13,16 +13,21 @@ the other party's correction.
 Each route is simulated once as a branch table: every measurement
 contracts the state with the stacked rows of its basis and keeps the
 outcome as a batch axis, so a few contractions give the probability and
-output of every branch.  Past ``matrices``' entry budget a table is
-refused before it is built.  By default every branch is checked against
-the gate applied directly, so the fidelity floor is verified, not
-estimated.  The recorded run and the sampled mode draw from the same
-table: one uniform per outcome, in ``Generator.choice``'s order, through
-the table's cdfs.  Global phase is quotiented out of all fidelities.
+output of every branch.  Teleportation's Weyl operators are built once
+per dimension, read-only, in a bounded cache of at most 32 MiB an entry;
+its products with a shared right operand run as one GEMM over stacked
+rows, bit for bit, since rows keep each entry's ordered inner sum.  Past
+``matrices``' entry budget a table is refused before it is built.  By
+default every branch is checked against the gate applied directly, so
+the fidelity floor is verified, not estimated.  The recorded run and the
+sampled mode draw from the same table: one uniform per outcome, in
+``Generator.choice``'s order, through the table's cdfs.  Global phase is
+quotiented out of all fidelities.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -173,6 +178,15 @@ def _weyl_stack(dim: int) -> np.ndarray:
     return (_powers(_shift(dim))[:, None] @ _powers(_clock(dim))[None]).reshape(-1, dim, dim)
 
 
+@functools.lru_cache(maxsize=4)
+def _weyl_operators(dim: int):
+    """Read-only ``_weyl_stack(dim)`` and its column-major generalized-Bell rows, each (X^a Z^b)^dagger / dim."""
+    weyl = _weyl_stack(dim)
+    rows = (weyl.conj() / dim).transpose(1, 0, 2).reshape(dim, -1).T
+    weyl.flags.writeable = rows.flags.writeable = False
+    return weyl, rows
+
+
 def _sample_count(branches) -> int | None:
     """None for the exhaustive sweep, else the number of Born-sampled runs."""
     if branches == "all":
@@ -184,9 +198,10 @@ def _sample_count(branches) -> int | None:
 
 def _draws(weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Index each uniform draws from its row of ``weights`` (or the one row), as ``Generator.choice`` does."""
-    if not (np.isfinite(weights).all() and (weights >= 0).all()):
-        raise ValueError("branch weights must be finite and non-negative")
-    cdf = (weights / weights.sum(axis=-1, keepdims=True)).cumsum(axis=-1)
+    valid = np.isfinite(weights).all() and (weights >= 0).all()
+    if not (valid and (totals := weights.sum(axis=-1, keepdims=True)).all()):
+        raise ValueError("branch weights must be finite and non-negative, with a positive sum in each row")
+    cdf = (weights / totals).cumsum(axis=-1)
     return np.sum(cdf / cdf[..., -1:] <= uniforms[:, None], axis=-1)
 
 
@@ -251,18 +266,24 @@ def _teleport_table(psi, u, d_a: int, d_b: int):
     Measuring the carried system and one half of a fresh |Phi> against the
     generalized-Bell row of (X^a Z^b x I)|Phi> leaves (X^a Z^b)^dagger / d_a
     applied to the carried state, now held by the other half, so each
-    measurement is one stacked matmul over the outcome axis.  The carried
-    state's axes are (outcome..., carrier, B); the shift/clock corrections
-    X^a Z^b are stacked along the same outcome axis.
+    measurement is one GEMM over every outcome's stacked rows (one per first
+    outcome for the second), bit for bit as rows keep each entry's ordered
+    inner sum; matrix-vector products do not, so d_b = 1 keeps one per
+    outcome.  The carried state's axes are (outcome..., carrier, B); the
+    shift/clock corrections X^a Z^b are stacked along the same outcome axis.
+    The operators come from ``_weyl_operators``' read-only cache (at most
+    32 MiB an entry) once the budget admits the table.
     """
     mx._check_budget("teleportation branch table", d_a**4 * d_a * d_b)
-    weyl = _weyl_stack(d_a)
-    bras = weyl.conj().transpose(0, 2, 1) / d_a
+    weyl, rows = _weyl_operators(d_a)
     n = len(weyl)
-    first = bras @ psi.reshape(d_a, d_b)
+    bras = rows.reshape(n, d_a, d_a) if d_b == 1 else rows
+    first = (bras @ psi.reshape(d_a, d_b)).reshape(n, d_a, d_b)
     marginal = np.sum(np.abs(first) ** 2, axis=(1, 2))
-    moved = ((weyl @ first).reshape(n, -1) @ u.T).reshape(n, 1, d_a, d_b)
-    second = bras @ moved
+    moved = ((weyl @ first).reshape(n, -1) @ u.T).reshape(n, d_a, d_b)
+    second = np.empty((n, n, d_a, d_b), dtype=complex)
+    for carried, out in zip(moved, second):
+        np.matmul(bras, carried, out=out.reshape(*bras.shape[:-1], d_b))
     joint = np.sum(np.abs(second) ** 2, axis=(2, 3))
     return marginal, joint, (weyl @ second).reshape(n, n, -1)
 

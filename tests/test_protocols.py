@@ -393,10 +393,13 @@ class TestBranchBudget:
         u = haar_unitary(d_a * d_b, make_rng(3))
         psi = random_state(d_a * d_b, make_rng(4))
         entries = d_a**5 * d_b
+        protocols._weyl_operators.cache_clear()
         _refused_unbuilt(
             lambda: teleport_unitary_protocol(u, dims, psi, branches=branches),
             rf"^teleportation branch table of {entries} entries exceeds the budget 2 \* 4096\^2$",
         )
+        # the Weyl operators of a refused dimension are never built
+        assert protocols._weyl_operators.cache_info().currsize == 0
 
     def test_controlled_past_the_budget_is_refused_before_its_table(self):
         form = _diagonal_form(128, 32, 128)
@@ -637,6 +640,66 @@ class TestBatchedConstruction:
         assert protocols._weyl_stack(d).tobytes() == reference.tobytes()
 
     @staticmethod
+    def _reference_teleport_table(psi, u, d_a, d_b):
+        """The table from a fresh Weyl stack and one broadcast matmul per outcome pair."""
+        weyl = protocols._weyl_stack(d_a)
+        bras = weyl.conj().transpose(0, 2, 1) / d_a
+        n = len(weyl)
+        first = bras @ psi.reshape(d_a, d_b)
+        marginal = np.sum(np.abs(first) ** 2, axis=(1, 2))
+        moved = ((weyl @ first).reshape(n, -1) @ u.T).reshape(n, 1, d_a, d_b)
+        second = bras @ moved
+        joint = np.sum(np.abs(second) ** 2, axis=(2, 3))
+        return marginal, joint, (weyl @ second).reshape(n, n, -1)
+
+    # every shape whose largest table array, d_a^5 d_b entries, stays under 2^22, so the test stays small
+    TELEPORT_SHAPES = [(d_a, d_b) for d_a in range(2, 18) for d_b in (1, 2, 3, 5, 8) if d_a**5 * d_b <= 2**22]
+
+    @pytest.mark.parametrize("d_a, d_b", TELEPORT_SHAPES)
+    def test_teleport_table_matches_the_broadcast_products(self, d_a, d_b):
+        u = haar_unitary(d_a * d_b, make_rng(d_a, stream=d_b))
+        psi = random_state(d_a * d_b, make_rng(d_b, stream=d_a))
+        table = protocols._teleport_table(psi, u, d_a, d_b)
+        for got, want in zip(table, self._reference_teleport_table(psi, u, d_a, d_b)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (5, 1), (3, 5), (6, 6)])
+    def test_teleport_runs_match_the_broadcast_products(self, monkeypatch, dims):
+        total = math.prod(dims)
+        u, psi = haar_unitary(total, make_rng(total)), random_state(total, make_rng(total, stream=1))
+
+        def runs():
+            for branches in ("all", 1, 10, 1000):
+                transcript, output = teleport_unitary_protocol(u, dims, psi, seed=7, branches=branches)
+                yield json.dumps(transcript.to_json()), output.tobytes()
+
+        got = list(runs())
+        monkeypatch.setattr(protocols, "_teleport_table", self._reference_teleport_table)
+        assert got == list(runs())
+
+    def test_weyl_operators_are_cached_read_only(self):
+        weyl, rows = protocols._weyl_operators(3)
+        assert protocols._weyl_operators(3)[0] is weyl
+        assert weyl.tobytes() == protocols._weyl_stack(3).tobytes()
+        assert rows.shape == (27, 3)
+        for operator in (weyl, rows):
+            with pytest.raises(ValueError, match="read-only"):
+                operator[0, 0] = 1.0
+
+    def test_a_rebuilt_cache_gives_the_same_transcript(self):
+        u, psi = haar_unitary(16, make_rng(40)), random_state(16, make_rng(41))
+
+        def run():
+            transcript, output = teleport_unitary_protocol(u, (4, 4), psi, seed=2, branches=5)
+            return json.dumps(transcript.to_json()), output.tobytes()
+
+        run()
+        hit = run()
+        protocols._weyl_operators.cache_clear()
+        assert run() == hit
+        assert protocols._weyl_operators.cache_info().misses == 1
+
+    @staticmethod
     def _reference_controlled_table(psi, form, reps, group, phases):
         d_c, d_t = form.grouped_dims
         m = len(reps)
@@ -696,6 +759,11 @@ class TestBatchedConstruction:
             broken[1] = bad
             with pytest.raises(ValueError, match="finite and non-negative"):
                 protocols._run_branches((broken, joint, outputs), expected, 2, make_rng(0))
+        # a row of zeros sums to nothing to draw from, as ``Generator.choice`` refuses
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            protocols._run_branches((np.zeros(2), joint, outputs), expected, 2, make_rng(0))
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            protocols._draws(np.zeros((2, 3)), np.array([0.5, 0.1]))
 
 
 class TestVerification:

@@ -36,7 +36,8 @@ near misses of a rank-2 4 x 4 gate at 1e-7 and three within the verdict
 tolerance at 3e-9, a Haar 4 x 4 gate, which its Schmidt tail refutes, and a
 rank-2 6 x 6 gate at 1e-4, whose tail past the control levels lies above
 the near-miss ceiling but which has only two significant Schmidt factors
-(both through ``detect`` and ``detect --bcu``),
+(both through ``detect`` and ``detect --bcu``; the 6 x 6 gate also through
+``protocol --route teleport``, exhaustive and with ``--branches 4``),
 the four fuzz suites, one construction of every registered gate with fixed
 ``--params`` (``u3`` also with ``--out``), six refused constructions (an
 unknown gate, then ``u-odd-n`` with bad ``--params``), ``detect --side A`` and
@@ -57,7 +58,7 @@ the four-qubit gate across ``0,1`` at 1e-5, the 3 x 5 gate fed a state on
 dims [3, 5] and one on [5, 3] (refused), and ``detect --side`` on every singleton
 and pair of ``u3``, the four-qubit gate, ``padded-2x2xn(3)`` and a permuted,
 scrambled ``u3``, the subsets the multipartite sweep decides as stacks, and ``--help``
-at the top level and on each subcommand: 587 commands.
+at the top level and on each subcommand: 589 commands.
 """
 
 from __future__ import annotations
@@ -227,6 +228,11 @@ def commands() -> list:
         ["detect", f"$T/{name}.json", "--side", "A", *bcu]
         for name in ("haar-4x4", "few-factors-far-6x6")
         for bcu in ([], ["--bcu"])
+    ]
+    # a teleported side of 6, off the sizes the random-controlled gates give it
+    argvs += [
+        ["protocol", "$T/few-factors-far-6x6.json", "--route", "teleport", *branches]
+        for branches in (["--verbose"], ["--branches", "4"])
     ]
     argvs += [["fuzz", "--theorem", suite, "--trials", "20", "--seed", "4"] for suite in FUZZ_SUITES]
     argvs += [["construct", "--gate", gate, "--params", json.dumps(params)] for gate, params in CONSTRUCT_PARAMS.items()]
