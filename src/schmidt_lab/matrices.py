@@ -26,11 +26,10 @@ class SystemLayout:
     dims: tuple[int, ...]
 
     def __post_init__(self):
+        if not (isinstance(self.dims, tuple) and all(_is_int(d) and d >= 1 for d in self.dims)):
+            raise ValueError(f"dimensions must be positive integers, got {self.dims}")
         if not self.dims:
             raise ValueError("layout needs at least one system")
-        for d in self.dims:
-            if not _is_int(d) or d < 1:
-                raise ValueError(f"dimensions must be positive integers, got {self.dims}")
         # the product stops at the first partial product above the cap, so a
         # long layout is refused before its total grows with it
         total, cap = 1, max_total_dimension()
@@ -42,10 +41,10 @@ class SystemLayout:
 
     @classmethod
     def of(cls, layout) -> "SystemLayout":
-        """A checked layout; a given ``SystemLayout`` is rebuilt, so the current cap applies."""
+        """A checked layout; a given ``SystemLayout`` is rebuilt, so the current cap applies; a scalar is refused."""
         if isinstance(layout, SystemLayout):
             return cls(layout.dims)
-        return cls(tuple(int(d) if _is_int(d) else d for d in layout))
+        return cls(tuple(int(d) if _is_int(d) else d for d in layout) if np.iterable(layout) else layout)
 
     @property
     def total(self) -> int:
@@ -56,8 +55,8 @@ class SystemLayout:
 
     def validate_subset(self, subset: Iterable[int]) -> tuple[int, ...]:
         """Sorted, deduplicated system indices; must be a nonempty strict-or-full subset."""
-        subset = tuple(subset)
-        if not all(map(_is_int, subset)):
+        subset = tuple(subset) if np.iterable(subset) else subset
+        if not (isinstance(subset, tuple) and all(map(_is_int, subset))):
             raise ValueError(f"system indices must be integers, got {subset}")
         subset = tuple(sorted({int(i) for i in subset}))
         if not subset:
@@ -229,8 +228,8 @@ def permute_systems(u: np.ndarray, layout, perm: Sequence[int]) -> np.ndarray:
     """Reorder tensor factors: factor ``k`` of the result is factor ``perm[k]`` of ``u``."""
     u, layout = on_layout(u, layout, "permute input")
     n = len(layout)
-    perm = tuple(perm)
-    if not all(map(_is_int, perm)) or sorted(perm) != list(range(n)):
+    perm = tuple(perm) if np.iterable(perm) else perm
+    if not (isinstance(perm, tuple) and all(map(_is_int, perm))) or sorted(perm) != list(range(n)):
         raise ValueError(f"perm {perm} is not a permutation of 0..{n - 1}")
     return _permuted(u, layout.dims, tuple(map(int, perm)))
 

@@ -37,15 +37,20 @@ def random_complex_gaussian(shape, rng: np.random.Generator) -> np.ndarray:
     return (re + 1j * im) / math.sqrt(2.0)
 
 
+def _checked_dim(dim) -> int:
+    """``dim``, or ValueError when it is not a positive integer: a float or a bool is refused."""
+    if not (_is_int(dim) and dim >= 1):
+        raise ValueError(f"dimension must be a positive integer, got {dim!r}")
+    return dim
+
+
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix.
 
     The R-diagonal phase correction removes the sign/phase ambiguity of QR;
     without it the distribution is not Haar.
     """
-    if dim < 1:
-        raise ValueError(f"dimension must be positive, got {dim}")
-    z = random_complex_gaussian((dim, dim), rng)
+    z = random_complex_gaussian((_checked_dim(dim),) * 2, rng)
     q, r = np.linalg.qr(z)
     d = np.diag(r)
     return q * (d / np.abs(d))[None, :]
@@ -53,14 +58,12 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Normalized state vector, uniform on the unit sphere."""
-    if dim < 1:
-        raise ValueError(f"dimension must be positive, got {dim}")
-    v = random_complex_gaussian((dim,), rng)
+    v = random_complex_gaussian((_checked_dim(dim),), rng)
     return v / np.linalg.norm(v)
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     """GUE-style Hermitian matrix, Frobenius-normalized to 1."""
-    z = random_complex_gaussian((dim, dim), rng)
+    z = random_complex_gaussian((_checked_dim(dim),) * 2, rng)
     h = (z + z.conj().T) / 2.0
     return h / np.linalg.norm(h)

@@ -13,8 +13,7 @@ detector, sweep, fuzz suite, protocol run and CLI command below still runs.
 ``ControlledForm.residual`` and the witness route read a cut's Schmidt
 expansion and hold no full-size array; so does ``is_bcu``'s split check,
 whose partners and capture bound come from the same expansion and SVD.
-Checking an expansion holds one full-size array: its sum, from which the
-realignment is subtracted in place.
+An expansion reads only its cut's SVD and holds no full-size array.
 """
 
 import json
@@ -195,9 +194,12 @@ def test_split_check_holds_no_full_size_array():
     assert _peak(lambda: control._split_attempt(cut, projectors)) < 0.25 * u.nbytes
 
 
-def test_an_expansion_check_holds_one_full_size_array():
-    # the kept factors' sum is the one gate-sized array; the realignment is subtracted from it in place
+def test_an_expansion_holds_no_full_size_array():
+    # the expansion reads the cut's SVD alone: with the realignment gone it gives a fresh cut's bytes
     u, layout = _rc(24, 24, 3, 5)
     cut = schmidt.Cut.of(u, layout, (0,))
     cut.svd
-    assert _peak(lambda: cut.expansion) < 1.5 * u.nbytes
+    object.__setattr__(cut, "realigned", None)
+    assert _peak(lambda: cut.expansion) < 0.25 * u.nbytes
+    fresh = schmidt.Cut.of(u, layout, (0,)).expansion
+    assert [a.tobytes() for a in cut.expansion] == [a.tobytes() for a in fresh]

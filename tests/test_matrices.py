@@ -45,9 +45,11 @@ def test_system_layout_validation():
         layout.validate_subset(())
 
 
-@pytest.mark.parametrize("dims", [(2.9, 3), ("3",), (True, 4), (2, np.float64(3.0)), (np.bool_(True), 2)])
+@pytest.mark.parametrize(
+    "dims", [(2.9, 3), ("3",), (True, 4), (2, np.float64(3.0)), (np.bool_(True), 2), 4, None]
+)
 def test_layout_dimensions_are_integers_not_bools(dims):
-    # int() used to turn these into (2, 3), (3,), (1, 4) and (2, 3)
+    # int() used to turn these into (2, 3), (3,), (1, 4) and (2, 3); a scalar or None raised TypeError
     with pytest.raises(ValueError, match="^dimensions must be positive integers"):
         mx.SystemLayout.of(dims)
 
@@ -80,6 +82,8 @@ def test_a_float_layout_or_side_is_refused_by_the_detector():
 def test_float_permutations_and_ancilla_dimensions_are_refused():
     with pytest.raises(ValueError, match="is not a permutation"):
         mx.permute_systems(np.eye(4), (2, 2), (0.9, 1))
+    with pytest.raises(ValueError, match="is not a permutation"):
+        mx.permute_systems(np.eye(4), (2, 2), 0)
     with pytest.raises(ValueError, match="ancilla dimensions must be positive integers"):
         gates.tensor_extension(CNOT, (2, 2), (1.5, 1))
 
@@ -109,8 +113,10 @@ _CUT_ENTRIES = {
         ((-1, 0), "system index -1 out of range for 3 systems"),
         ((0, 1, 2), "grouped subset must be a strict subset of the systems"),
         ((2, 0, 1, 0), "grouped subset must be a strict subset of the systems"),
+        (0, "system indices must be integers, got 0"),
+        (None, "system indices must be integers, got None"),
     ],
-    ids=["empty", "out-of-range", "negative", "full", "full-repeated"],
+    ids=["empty", "out-of-range", "negative", "full", "full-repeated", "scalar", "none"],
 )
 @pytest.mark.parametrize("entry", sorted(_CUT_ENTRIES))
 def test_every_cut_entry_point_refuses_an_invalid_cut(entry, cut, message):

@@ -55,10 +55,11 @@ def test_random_hermitian_properties():
 
 
 def test_bad_dimension_rejected():
-    with pytest.raises(ValueError):
-        haar_unitary(0, make_rng(1))
-    with pytest.raises(ValueError):
-        random_state(0, make_rng(1))
+    # a float or bool dim used to reach numpy's TypeError, and random_hermitian(0) returned an empty array
+    for draw in (haar_unitary, random_state, random_hermitian):
+        for dim in (0, 2.0, True):
+            with pytest.raises(ValueError, match="^dimension must be a positive integer"):
+                draw(dim, make_rng(1))
 
 
 @pytest.mark.parametrize("seed, stream", [(0.5, 0), (1, 1.5), ("a", 0), (True, 0), (None, 0)])

@@ -1,6 +1,7 @@
 """Operator Schmidt structure: decompositions, ranks, bounds, rank inequalities."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -264,6 +265,25 @@ def test_truncation_on_the_sketch_path_counts_the_mass_left_out():
     assert residual == pytest.approx(np.hypot(np.linalg.norm(s[3:]), tau), rel=1e-6)
     # no rank-3 expansion beats the Eckart-Young tail of the dense spectrum
     assert residual >= np.linalg.norm(fx.svd(m)[1][3:])
+
+
+def test_an_expansion_rebuilds_its_cut_within_the_dropped_mass():
+    # the expansion is its checked SVD's kept triplets, rephased and reordered, so its dense residual
+    # stays within Cut.dropped() plus roundoff; the slack is 100 times under the SVD check's 1e-10
+    sketched = 0
+    for d_c, d_t in itertools.product((2, 3, 4, 5, 8), (2, 3, 5, 8)):
+        h = random_hermitian(d_c * d_t, make_rng(8))
+        for r, seed in itertools.product(range(1, min(3, d_c) + 1), range(3)):
+            u, layout = gates.random_controlled_unitary(d_c, d_t, r, seed=seed)
+            for eps in (0.0, 1e-12, 1e-9, 1e-6, 1e-3):
+                gate = u @ scipy.linalg.expm(1j * eps * h)
+                for side, tol in itertools.product(((0,), (1,)), (1e-9, 1e-3)):
+                    cut = sch.Cut.of(gate, layout, side, tol)
+                    m = cut.realigned
+                    residual = mx.frobenius_norm(mx._realigned_sum(*cut.expansion) - m)
+                    assert residual <= cut.dropped() + 1e-12 * mx.frobenius_norm(m)
+                    sketched += cut.svd[3] > 0
+    assert sketched
 
 
 def _of_rank_sketch_width(n):
