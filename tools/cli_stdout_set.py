@@ -47,7 +47,9 @@ file with a string real part, one with a ``true`` entry and a ``protocol
 errors (``protocol`` with no ``--route``, ``decompose --warp``), a rank-one
 controlled run with ``--branches 0`` (refused like every form), a missing
 file, an empty, an out-of-range, a full, an unsorted (``1,0``) and a repeated
-(``0,0``) cut through every command that reads one, ``detect --verbose``,
+(``0,0``) cut through every command that reads one, ``detect --verbose`` on
+``u3`` (refuted) and on a controlled 3 x 3 gate, ``detect --bcu`` on a 1e-7
+near miss (inconclusive) and with ``--tol 1e-5 --verbose`` (its split passes),
 an out-of-range cut with a bad ``--tol`` through ``decompose`` and
 both ``schmidt-number`` modes (the tolerance is named), ``decompose
 --verbose``, ``schmidt-number --ancilla`` and ``schmidt-number --restarts 2``
@@ -58,7 +60,7 @@ the four-qubit gate across ``0,1`` at 1e-5, the 3 x 5 gate fed a state on
 dims [3, 5] and one on [5, 3] (refused), and ``detect --side`` on every singleton
 and pair of ``u3``, the four-qubit gate, ``padded-2x2xn(3)`` and a permuted,
 scrambled ``u3``, the subsets the multipartite sweep decides as stacks, and ``--help``
-at the top level and on each subcommand: 589 commands.
+at the top level and on each subcommand: 592 commands.
 """
 
 from __future__ import annotations
@@ -255,6 +257,9 @@ def commands() -> list:
         ["protocol", f"$T/{_rc_name(3, 3, 1, 0)}.json", "--route", "controlled", "--branches", "0"],
         ["decompose", "$T/missing.json"],
         ["detect", "$T/u3.json", "--side", "0", "--verbose"],
+        ["detect", f"$T/{_rc_name(3, 3, 2, 0)}.json", "--side", "A", "--verbose"],
+        ["detect", "$T/near-miss-s0.json", "--side", "A", "--bcu"],
+        ["detect", "$T/near-miss-s0.json", "--side", "A", "--bcu", "--tol", "1e-5", "--verbose"],
     ]
     for cut in ("", "3", "0,1,2", "1,0", "0,0"):
         argvs += [
