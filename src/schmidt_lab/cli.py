@@ -146,48 +146,32 @@ def _cmd_detect(args) -> CommandResult:
 
     u, layout = mx.matrix_from_json(_load_json(args.path))
     side = _parse_side(args.side, layout)
-    if args.bcu:
-        verdict = control.is_bcu(u, layout, side, **_tol_kwargs(args))
-        side = verdict.side
-        payload = {
-            "bcu": verdict.bcu,
-            "side": list(side),
-            "failed_check": verdict.failed_check,
-            "inconclusive": verdict.inconclusive,
-            "violation": verdict.violation,
-        }
-        if verdict.input_projectors is not None:
-            payload["input_projectors"] = [_single_system_json(p) for p in verdict.input_projectors]
-            payload["output_projectors"] = [_single_system_json(p) for p in verdict.output_projectors]
-        summary = f"side {list(side)}: " + (
-            "block-controlled" if verdict.bcu else f"not block-controlled ({verdict.failed_check})"
-        )
-        result = _verdict_result(payload, verdict.bcu, verdict.inconclusive, summary)
-    else:
-        verdict = control.is_controlled(u, layout, side, **_tol_kwargs(args))
-        side = layout.split(side)[0]
-        payload = {
-            "controlled": verdict.controlled,
-            "side": list(side),
-            "schmidt_rank": verdict.schmidt_rank,
-            "failed_check": verdict.failed_check,
-            "inconclusive": verdict.inconclusive,
-            "violation": verdict.violation,
-        }
-        if verdict.form is not None:
-            payload["grouped_dims"] = list(verdict.form.grouped_dims)
-            payload["blocks"] = [_single_system_json(b) for b in verdict.form.blocks]
-            payload["q"] = _single_system_json(verdict.form.q)
-            payload["r"] = _single_system_json(verdict.form.r)
-        summary = f"side {list(side)}: " + (
-            f"controlled with {len(verdict.form.blocks)} blocks"
-            if verdict.controlled
-            else f"not controlled ({verdict.failed_check})"
-        )
-        result = _verdict_result(payload, verdict.controlled, verdict.inconclusive, summary)
+    verdict = (control.is_bcu if args.bcu else control.is_controlled)(u, layout, side, **_tol_kwargs(args))
+    side = list(layout.split(side)[0])
+    positive = verdict.bcu if args.bcu else verdict.controlled
+    name = "block-controlled" if args.bcu else "controlled"
+    summary = name if positive else f"not {name} ({verdict.failed_check})"
+    payload = {
+        "bcu" if args.bcu else "controlled": positive,
+        "side": side,
+        "failed_check": verdict.failed_check,
+        "inconclusive": verdict.inconclusive,
+        "violation": verdict.violation,
+    }
+    if not args.bcu:
+        payload["schmidt_rank"] = verdict.schmidt_rank
+    if positive and args.bcu:
+        payload["input_projectors"] = [_single_system_json(p) for p in verdict.input_projectors]
+        payload["output_projectors"] = [_single_system_json(p) for p in verdict.output_projectors]
+    elif positive:
+        form = verdict.form
+        payload["grouped_dims"] = list(form.grouped_dims)
+        payload["blocks"] = [_single_system_json(b) for b in form.blocks]
+        payload["q"], payload["r"] = _single_system_json(form.q), _single_system_json(form.r)
+        summary += f" with {len(form.blocks)} blocks"
     if args.verbose:
-        result.payload["input"] = mx.matrix_to_json(u, layout.dims)
-    return result
+        payload["input"] = mx.matrix_to_json(u, layout.dims)
+    return _verdict_result(payload, positive, verdict.inconclusive, f"side {side}: {summary}")
 
 
 def _cmd_construct(args) -> CommandResult:
