@@ -16,9 +16,9 @@ import numpy as np
 
 from . import matrices as mx
 from .config import max_total_dimension
+from .factorizations import span_dimension
 from .matrices import SystemLayout
 from .randomness import haar_unitary, make_rng
-from .schmidt import schmidt_rank
 
 _PAULI = (
     np.eye(2, dtype=complex),
@@ -97,15 +97,9 @@ def padded_2x2xn(n: int):
         raise ValueError(f"the padded third system needs n >= 3, got {n}")
     layout = SystemLayout.of((2, 2, n))
     core, _ = u3()
-    d = 4 * n
-    u = np.zeros((d, d), dtype=complex)
+    u = np.eye(4 * n, dtype=complex)
     emb = [(i * 2 + j) * n + k for i in range(2) for j in range(2) for k in range(2)]
     u[np.ix_(emb, emb)] = core
-    for i in range(2):
-        for j in range(2):
-            for k in range(2, n):
-                idx = (i * 2 + j) * n + k
-                u[idx, idx] = 1.0
     return _finish(u, layout)
 
 
@@ -126,12 +120,10 @@ def tensor_extension(u: np.ndarray, layout, extra_dims):
     statements lift from small layouts to padded ones.
     """
     layout = SystemLayout.of(layout)
-    extra = tuple(extra_dims)
-    if len(extra) != len(layout):
-        raise ValueError(
-            f"need one ancilla dimension per system: got {len(extra)} for {len(layout)}"
-        )
-    if not all(mx._is_int(e) and e >= 1 for e in extra):
+    extra = tuple(extra_dims) if np.iterable(extra_dims) else extra_dims
+    if isinstance(extra, tuple) and len(extra) != len(layout):
+        raise ValueError(f"need one ancilla dimension per system: got {len(extra)} for {len(layout)}")
+    if not (isinstance(extra, tuple) and all(mx._is_int(e) and e >= 1 for e in extra)):
         raise ValueError(f"ancilla dimensions must be positive integers, got {extra}")
     u, layout = mx.on_layout(u, layout, "tensor_extension input")
     merged = SystemLayout.of(tuple(d * e for d, e in zip(layout.dims, extra)))  # the cap, before the kron
@@ -161,8 +153,9 @@ def random_controlled_unitary(d_ctrl: int, d_tgt: int, r: int, seed: int):
 
     Blocks are Haar-drawn; block k >= r reuses block k mod r, so the target-side
     span has dimension r. For r <= min(3, d_tgt^2) Haar blocks are linearly
-    independent with probability 1, so one draw is taken; its realized rank is
-    verified, and a degenerate draw raises ValueError.
+    independent with probability 1, so one draw is taken; the span of its blocks,
+    which is the rank of the unscrambled sum, is verified, and a degenerate draw
+    raises ValueError.
     """
     if not mx._is_int(r) or r not in (1, 2, 3):
         raise ValueError(f"rank must be 1, 2, or 3, got {r}")
@@ -173,11 +166,11 @@ def random_controlled_unitary(d_ctrl: int, d_tgt: int, r: int, seed: int):
         raise ValueError(f"rank {r} exceeds the target operator space {d_tgt * d_tgt}")
     rng = make_rng(seed, stream=1000)
     blocks = [haar_unitary(d_tgt, rng) for _ in range(r)]
+    if span_dimension(blocks) != r:
+        raise ValueError(f"the draw did not realize rank {r} on ({d_ctrl}, {d_tgt})")
     u = np.zeros((d_ctrl * d_tgt,) * 2, dtype=complex)
     for k in range(d_ctrl):
         u[k * d_tgt : (k + 1) * d_tgt, k * d_tgt : (k + 1) * d_tgt] = blocks[k % r]
-    if schmidt_rank(u, layout, (0,)).rank != r:
-        raise ValueError(f"the draw did not realize rank {r} on ({d_ctrl}, {d_tgt})")
     return _finish(random_local_scramble(u, layout, seed), layout)
 
 

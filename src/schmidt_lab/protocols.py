@@ -330,6 +330,8 @@ def _validate_form(form: ControlledForm, input_dim: int):
     """
     from .control import VERDICT_RTOL  # the detectors that made the form are loaded by now
 
+    if np.ndim(form.blocks) == 0:  # grouped_dims reads the blocks' last axis
+        raise ValueError(f"form blocks must be a sequence of blocks, got {form.blocks!r}")
     d_c, d_t = form.grouped_dims
     if d_c * d_t != input_dim:
         raise ValueError(f"input must have dimension {d_c * d_t}, got {input_dim}")

@@ -302,12 +302,10 @@ class SchineqReport:
 def schineq_check(a_ops, b_ops, tol: float = RANK_RTOL) -> SchineqReport:
     """Evaluate the span-dimension inequalities for a two-sided term list."""
     mx.checked_tol(tol)
-    if len(a_ops) != len(b_ops):
-        raise ValueError(
-            f"term lists must match: {len(a_ops)} left vs {len(b_ops)} right"
-        )
     a_ops, d_a = mx._as_square_family(a_ops, "left factors")
     b_ops, d_b = mx._as_square_family(b_ops, "right factors")
+    if len(a_ops) != len(b_ops):
+        raise ValueError(f"term lists must match: {len(a_ops)} left vs {len(b_ops)} right")
     SystemLayout.of((d_a, d_b))  # the cap, before the sum is formed
     rank = numerical_rank(leading_svd(mx._realigned_sum(1.0, a_ops, b_ops), tol)[1], tol)
     delta_a = span_dimension(a_ops, tol)

@@ -45,6 +45,8 @@ class ProductInput:
     local_states: tuple
 
     def __post_init__(self):
+        if not np.iterable(self.local_states):
+            raise ValueError(f"product input needs a sequence of local states, got {self.local_states!r}")
         states = tuple(np.asarray(s, dtype=complex).reshape(-1) for s in self.local_states)
         if not states:
             raise ValueError("product input needs at least one local state")
@@ -56,7 +58,7 @@ class ProductInput:
 
     @classmethod
     def of(cls, states) -> "ProductInput":
-        return cls(local_states=tuple(states))
+        return cls(states)
 
     @property
     def dims(self) -> tuple:

@@ -907,6 +907,16 @@ def test_simultaneous_svd_refuses_a_tol_outside_the_unit_interval(tol):
         alg.simultaneous_svd(family, tol=tol)
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [alg.family_obstruction, alg.simultaneous_svd, alg.commutant_blocks, alg.find_singular_basis, alg.joint_diagonalize_commuting],
+)
+@pytest.mark.parametrize("family", [3, None, np.array(2.0)])
+def test_a_scalar_where_a_family_belongs_is_refused_by_name(entry, family):
+    with pytest.raises(ValueError, match=r"(family|generators|matrix span) must be a sequence of matrices"):
+        entry(family)
+
+
 def near_miss_family(seed, n=2, d=3):
     # w diag_k x plus Gaussian noise of 1e-12 to 1e-3, some diagonals shrunk
     rng = make_rng(seed)

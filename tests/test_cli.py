@@ -638,7 +638,7 @@ CLI_MODULES = {"schmidt_lab", "schmidt_lab.cli", "schmidt_lab.config", "schmidt_
 SCHMIDT_MODULES = {"randomness", "factorizations", "schmidt"}
 DETECTOR_MODULES = SCHMIDT_MODULES | {"gates", "algebra", "control"}
 COMMAND_MODULES = {
-    ("construct", "--gate", "u3"): SCHMIDT_MODULES | {"gates"},
+    ("construct", "--gate", "u3"): {"randomness", "factorizations", "gates"},
     ("decompose", "CNOT"): SCHMIDT_MODULES,
     ("detect", "CNOT"): DETECTOR_MODULES,
     ("detect", "CNOT", "--bcu"): DETECTOR_MODULES,

@@ -261,11 +261,8 @@ def test_random_controlled_unitary_refuses_a_degenerate_draw_without_redrawing(m
         drawn.append(d)
         return real_haar(d, rng)
 
-    class Degenerate:
-        rank = 1
-
     monkeypatch.setattr(gates, "haar_unitary", haar)
-    monkeypatch.setattr(gates, "schmidt_rank", lambda *args: Degenerate())
+    monkeypatch.setattr(gates, "span_dimension", lambda *args: 2)
     with pytest.raises(ValueError, match=r"the draw did not realize rank 3 on \(3, 2\)"):
         gates.random_controlled_unitary(3, 2, 3, seed=0)
     assert drawn == [2, 2, 2]

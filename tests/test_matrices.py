@@ -86,6 +86,9 @@ def test_float_permutations_and_ancilla_dimensions_are_refused():
         mx.permute_systems(np.eye(4), (2, 2), 0)
     with pytest.raises(ValueError, match="ancilla dimensions must be positive integers"):
         gates.tensor_extension(CNOT, (2, 2), (1.5, 1))
+    for extra in (1, None):
+        with pytest.raises(ValueError, match="ancilla dimensions must be positive integers"):
+            gates.tensor_extension(CNOT, (2, 2), extra)
 
 
 _ZERO3 = [np.array([1.0, 0.0])] * 3

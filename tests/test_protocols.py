@@ -352,7 +352,7 @@ class TestControlledRoute:
             controlled_gate_protocol(short, psi)
         # the form's dims are read off q and the blocks, so an empty or ragged stack is refused too,
         # and so is an r on another dimension than q
-        for blocks in ((), (I2, np.eye(3))):
+        for blocks in ((), (I2, np.eye(3)), 1.0, None):
             with pytest.raises(ValueError):
                 controlled_gate_protocol(ControlledForm(side=(0,), q=I2, r=I2, blocks=blocks), psi)
         with pytest.raises(ValueError, match="form.r must act on dimension 2"):

@@ -445,6 +445,11 @@ def test_rank_inequalities_reject_mismatched_lists():
         sch.schineq_check([np.eye(2)], [np.ones((2, 3))])
     with pytest.raises(ValueError, match="right factors contains non-finite entries"):
         sch.schineq_check([np.eye(2)], [np.full((2, 2), np.nan)])
+    # a scalar is refused as a list, before any length is read
+    with pytest.raises(ValueError, match="left factors must be a sequence of matrices, got 1"):
+        sch.schineq_check(1, 2)
+    with pytest.raises(ValueError, match="right factors must be a sequence of matrices, got None"):
+        sch.schineq_check([np.eye(2)], None)
 
 
 def _tol_checks():

@@ -176,6 +176,10 @@ class TestProductInput:
             ProductInput.of([PLUS, 2.0 * ZERO])
         with pytest.raises(ValueError):
             ProductInput.of([])
+        # a scalar where the list of local states belongs
+        for build in (ProductInput, ProductInput.of, lambda s: output_schmidt_rank(CNOT, (2, 2), s, (0,))):
+            with pytest.raises(ValueError, match="product input needs a sequence of local states, got 5"):
+                build(5)
 
     def test_random_inputs_match_the_layout(self):
         inp = random_product_input((2, 3, 4), make_rng(3))
