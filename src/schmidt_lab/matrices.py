@@ -104,7 +104,7 @@ def _require_finite(m, name: str) -> np.ndarray:
 
 def _as_square_family(ops, name: str):
     """The family as one finite complex ``(n, d, d)`` stack, and d."""
-    if not (isinstance(ops, Sequence) or isinstance(ops, np.ndarray) and ops.ndim > 0):
+    if not (isinstance(ops, Sequence) or (isinstance(ops, np.ndarray) and ops.ndim > 0)):
         raise ValueError(f"{name} must be a sequence of matrices, got {ops!r}")
     if len(ops) == 0:
         raise ValueError(f"{name} must not be empty")

@@ -330,12 +330,13 @@ def _validate_form(form: ControlledForm, input_dim: int):
     """
     from .control import VERDICT_RTOL  # the detectors that made the form are loaded by now
 
-    if np.ndim(form.blocks) == 0:  # grouped_dims reads the blocks' last axis
+    # grouped_dims reads the length of q and the blocks' last axis
+    mx.assert_unitary(form.q, "form.q", rtol=VERDICT_RTOL)
+    if np.ndim(form.blocks) == 0:
         raise ValueError(f"form blocks must be a sequence of blocks, got {form.blocks!r}")
     d_c, d_t = form.grouped_dims
     if d_c * d_t != input_dim:
         raise ValueError(f"input must have dimension {d_c * d_t}, got {input_dim}")
-    mx.assert_unitary(form.q, "form.q", rtol=VERDICT_RTOL)
     if mx.assert_unitary(form.r, "form.r", rtol=VERDICT_RTOL).shape[0] != d_c:
         raise ValueError(f"form.r must act on dimension {d_c}")
     stack = np.asarray(form.blocks, dtype=complex)

@@ -355,6 +355,9 @@ class TestControlledRoute:
         for blocks in ((), (I2, np.eye(3)), 1.0, None):
             with pytest.raises(ValueError):
                 controlled_gate_protocol(ControlledForm(side=(0,), q=I2, r=I2, blocks=blocks), psi)
+        for q in (1.0, None):
+            with pytest.raises(ValueError, match="form.q must be a square matrix"):
+                controlled_gate_protocol(ControlledForm(side=(0,), q=q, r=I2, blocks=(I2, X)), psi)
         with pytest.raises(ValueError, match="form.r must act on dimension 2"):
             controlled_gate_protocol(ControlledForm(side=(0,), q=I2, r=np.eye(3), blocks=(I2, X)), psi)
         good = ControlledForm(side=(0,), q=I2, r=I2, blocks=(I2, X))
