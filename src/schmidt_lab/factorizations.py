@@ -9,9 +9,9 @@ finder, together with the exact Frobenius norm ``tau`` of what they leave
 out; it falls back to the dense SVD whenever it cannot certify the cut.
 Every factorization used for a structural decision is re-verified by
 reconstructing the input; a residual above ``RECONSTRUCTION_RTOL`` times the
-input norm (plus ``tau`` for a leading SVD) raises ``NumericalError`` instead
-of silently propagating a bad basis. Non-finite inputs are rejected up front
-as invalid arguments.
+input norm raises ``NumericalError`` instead of silently propagating a bad
+basis (a leading SVD's is bounded by its exact ``tau`` and the check of its
+small ``svd``). Non-finite inputs are rejected up front as invalid arguments.
 """
 
 from __future__ import annotations
@@ -35,10 +35,10 @@ SKETCH_WIDTH = 8
 SKETCH_MARGIN = 1e-3
 
 
-def _check_residual(error: np.ndarray, m: np.ndarray, what: str, slack: float = 0.0, note: str = "") -> None:
-    """NumericalError naming ``what`` when ``||error||`` exceeds ``slack + RECONSTRUCTION_RTOL * ||m||``."""
+def _check_residual(error: np.ndarray, m: np.ndarray, what: str, note: str = "") -> None:
+    """NumericalError naming ``what`` when ``||error||`` exceeds ``RECONSTRUCTION_RTOL * ||m||``."""
     residual = mx.frobenius_norm(error)
-    if residual > slack + RECONSTRUCTION_RTOL * max(mx.frobenius_norm(m), 1e-300):
+    if residual > RECONSTRUCTION_RTOL * max(mx.frobenius_norm(m), 1e-300):
         raise NumericalError(f"{what} reconstruction residual {residual:.3e} too large{note}")
 
 
@@ -75,9 +75,9 @@ def leading_svd(m: np.ndarray, rtol: float):
     SIAM Review 53, 2011). The sketch is accepted when
     ``tau <= SKETCH_MARGIN * rtol * s_0`` and its smallest value is at or
     below ``rtol * s_0``, that is when it holds every value above the rank
-    cutoff with room to spare; the accepted factors must rebuild ``m``
-    within ``tau + RECONSTRUCTION_RTOL * ||m||``. Otherwise the dense
-    ``svd`` of ``m`` is returned. Both SVDs go through ``svd``.
+    cutoff with room to spare; ``svd``'s check of B and the exact ``tau``
+    bound ``||Q U_b S V^H - m||`` by ``tau + RECONSTRUCTION_RTOL * ||m||``.
+    Otherwise the dense ``svd`` of ``m`` is returned. Both SVDs go through ``svd``.
     """
     if not sketches(np.shape(m)):
         return (*svd(m), 0.0)
@@ -88,9 +88,7 @@ def leading_svd(m: np.ndarray, rtol: float):
     tau = float(np.linalg.norm(m - q @ b))
     u_b, s, vh = svd(b)
     if tau <= SKETCH_MARGIN * rtol * s[0] and s[-1] <= rtol * s[0]:
-        u = q @ u_b
-        _check_residual(u @ (s[:, None] * vh) - m, m, "leading svd", slack=tau)
-        return u, s, vh, tau
+        return q @ u_b, s, vh, tau
     return (*svd(m), 0.0)
 
 

@@ -127,8 +127,8 @@ class Cut:
         """``hypot(kept + tau, ||s[r:]||)`` off ``svd``: the mass ``expansion`` leaves out (``kept = 0``), or a bound
         on the distance from ``realigned`` of ``expansion + D``, ``D`` of norm ``kept`` with rows in the kept right
         vectors' span. The tail is orthogonal to ``D`` by rows and to the sketch's error (``tau``) by columns.
-        ``expansion`` lies within ``dropped() + 1e-10 ||realigned||`` of ``realigned``: that is ``svd``'s own
-        reconstruction check, not a second one."""
+        ``expansion`` lies within ``dropped() + 1e-10 ||realigned||`` of ``realigned`` by ``svd``'s own
+        reconstruction check (on a sketched cut, that of B with the exact ``tau``), not a second one."""
         return float(np.hypot(kept + self.svd[3], mx.frobenius_norm(self.svd[1][self.report.rank :])))
 
 

@@ -5,6 +5,8 @@ import pytest
 import scipy.linalg
 
 from schmidt_lab import factorizations as fx
+from schmidt_lab import gates
+from schmidt_lab import matrices as mx
 from schmidt_lab.randomness import make_rng, random_complex_gaussian
 
 
@@ -64,8 +66,8 @@ def _corrupting(exact, index):
         (np.linalg, "eigh", 0, lambda: fx.eigh(np.diag([1.0, 2.0, 3.0])), "eigh {}; input is likely not Hermitian"),
         (scipy.linalg, "qr", 1, lambda: fx.qr_pivoted(random_complex_gaussian((5, 3), make_rng(3))), "qr {}"),
         (np.linalg, "svd", 1, lambda: fx.null_space(random_complex_gaussian((3, 5), make_rng(3))), "svd {}"),
-        # rank 2 at 64 x 64 takes the sketch; the corrupted svd is the one of B = Q^H m
-        (fx, "svd", 1, lambda: fx.leading_svd(_rank_two_64(), fx.RANK_RTOL), "leading svd {}"),
+        # rank 2 at 64 x 64 takes the sketch; the corrupted svd is the one of B = Q^H m, which its own check names
+        (np.linalg, "svd", 1, lambda: fx.leading_svd(_rank_two_64(), fx.RANK_RTOL), "svd {}"),
     ],
     ids=["eigh", "qr_pivoted", "null_space", "leading_svd"],
 )
@@ -80,6 +82,22 @@ def test_each_reconstruction_check_names_its_factorization(monkeypatch, module, 
 def _rank_two_64():
     rng = make_rng(7)
     return random_complex_gaussian((64, 2), rng) @ random_complex_gaussian((2, 64), rng)
+
+
+def _rc_realignment(d):
+    u, layout = gates.random_controlled_unitary(d, d, 3, seed=d)
+    return mx.realign(u, layout)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-3])
+@pytest.mark.parametrize("m", [_rc_realignment(8), _rc_realignment(16), _rank_two_64()], ids=["rc-8", "rc-16", "rank-2-64"])
+def test_an_accepted_sketch_rebuilds_its_input_within_tau(m, tol):
+    # the reconstruction check leading_svd no longer makes, as an oracle 100 times tighter: svd's check
+    # of B and the exact tau bound it, and the left factor Q U_b is orthonormal
+    u, s, vh, tau = fx.leading_svd(m, tol)
+    assert tau > 0  # the sketch was taken and accepted
+    assert np.linalg.norm(u @ (s[:, None] * vh) - m) <= tau + 1e-12 * np.linalg.norm(m)
+    assert np.linalg.norm(u.conj().T @ u - np.eye(len(s))) <= 1e-12
 
 
 def test_eigh_reconstructs_and_flags_non_hermitian():
