@@ -141,25 +141,31 @@ def _verdict_result(payload: dict, positive: bool, inconclusive: bool, summary: 
     return CommandResult(payload, [summary], EXIT_OK if positive else EXIT_INCONCLUSIVE if inconclusive else EXIT_NEGATIVE)
 
 
-def _cmd_detect(args) -> CommandResult:
+def _detection(u, layout, raw_side: str, bcu: bool, **tol):
+    """``(verdict, positive, payload, summary)`` of one detector on ``raw_side``; every verdict shares the payload."""
     from . import control
 
-    u, layout = mx.matrix_from_json(_load_json(args.path))
-    side = _parse_side(args.side, layout)
-    verdict = (control.is_bcu if args.bcu else control.is_controlled)(u, layout, side, **_tol_kwargs(args))
+    side = _parse_side(raw_side, layout)
+    verdict = (control.is_bcu if bcu else control.is_controlled)(u, layout, side, **tol)
     side = list(layout.split(side)[0])
-    positive = verdict.bcu if args.bcu else verdict.controlled
-    name = "block-controlled" if args.bcu else "controlled"
+    positive = verdict.bcu if bcu else verdict.controlled
+    name = "block-controlled" if bcu else "controlled"
     summary = name if positive else f"not {name} ({verdict.failed_check})"
     payload = {
-        "bcu" if args.bcu else "controlled": positive,
+        "bcu" if bcu else "controlled": positive,
         "side": side,
         "failed_check": verdict.failed_check,
         "inconclusive": verdict.inconclusive,
         "violation": verdict.violation,
     }
-    if not args.bcu:
+    if not bcu:
         payload["schmidt_rank"] = verdict.schmidt_rank
+    return verdict, positive, payload, f"side {side}: {summary}"
+
+
+def _cmd_detect(args) -> CommandResult:
+    u, layout = mx.matrix_from_json(_load_json(args.path))
+    verdict, positive, payload, summary = _detection(u, layout, args.side, args.bcu, **_tol_kwargs(args))
     if positive and args.bcu:
         payload["input_projectors"] = [_single_system_json(p) for p in verdict.input_projectors]
         payload["output_projectors"] = [_single_system_json(p) for p in verdict.output_projectors]
@@ -171,7 +177,7 @@ def _cmd_detect(args) -> CommandResult:
         summary += f" with {len(form.blocks)} blocks"
     if args.verbose:
         payload["input"] = mx.matrix_to_json(u, layout.dims)
-    return _verdict_result(payload, positive, verdict.inconclusive, f"side {side}: {summary}")
+    return _verdict_result(payload, positive, verdict.inconclusive, summary)
 
 
 def _cmd_construct(args) -> CommandResult:
@@ -229,27 +235,17 @@ def _cmd_protocol(args) -> CommandResult:
             f"{transcript.ebits_consumed:.6f} ebits"
         )
     else:
-        # controlled route: detect first, then run the protocol on the witness
-        from . import control
-
-        side = _parse_side(args.side, layout)
-        verdict = control.is_controlled(u, layout, side)
-        side = layout.split(side)[0]
-        if not verdict.controlled:
-            payload = {
-                "controlled": False,
-                "side": list(side),
-                "failed_check": verdict.failed_check,
-                "inconclusive": verdict.inconclusive,
-            }
-            summary = f"side {list(side)}: not controlled ({verdict.failed_check})"
+        # controlled route: detect first, refusing as ``detect`` does, then run the protocol on the witness
+        verdict, controlled, payload, summary = _detection(u, layout, args.side, False)
+        if not controlled:
             return _verdict_result(payload, False, verdict.inconclusive, summary)
+        side = payload["side"]
         psi = mx.group_states(psi[None], layout, *mx.cut_order(layout, side)[1:]).reshape(-1)
         transcript, output = protocols.controlled_gate_protocol(
             verdict.form, psi, seed=args.seed, branches=branches
         )
         u, _ = mx.group_systems(u, layout, side)
-        payload = {"controlled": True, "side": list(side)}
+        payload = {"controlled": True, "side": side}
         route, dims = "controlled-route", verdict.form.grouped_dims
         summary = (
             f"controlled route: resource rank {transcript.resource_rank}, "

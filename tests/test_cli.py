@@ -412,12 +412,19 @@ class TestProtocol:
                 "diagnostics": ["invalid input: teleportation branch table of 4096 entries exceeds the budget 2 * 16^2"],
             }
 
-    def test_controlled_route_refuses_uncontrolled_gates(self, capsys, swap_path):
+    def test_controlled_route_refuses_uncontrolled_gates(self, capsys, swap_path, tmp_path):
         code, out, _ = _run(capsys, "protocol", "--route", "controlled", swap_path)
         assert code == 1
         data, payload = _payload(out)
         assert data["status"] == "verdict-negative"
         assert payload["controlled"] is False
+        # the refusal is detect's verdict, envelope and exit code included, on a refuted gate and a near miss
+        dressed = scipy.linalg.expm(1e-6j * random_hermitian(4, make_rng(99))) @ CNOT
+        near = _write_matrix(tmp_path, "near.json", dressed, (2, 2))
+        for path, exit_code in ((swap_path, 1), (near, 4)):
+            refused = _run(capsys, "protocol", "--route", "controlled", path)
+            assert refused[:2] == _run(capsys, "detect", path, "--side", "0")[:2]
+            assert refused[0] == exit_code and "violation" in _payload(refused[1])[1]
 
     def test_cost_route(self, capsys, tmp_path):
         path = _write_matrix(tmp_path, "eye.json", np.eye(6, dtype=complex), (2, 3))
