@@ -297,16 +297,13 @@ def teleport_unitary_protocol(u, layout, input, seed: int = 0, branches="all"):
     recorded run and its output state; the transcript's fidelity fields
     cover all d_a^4 measurement branches (or ``branches`` sampled runs).
     """
+    samples, rng = _sample_count(branches), make_rng(seed, stream=11)
     u, layout = mx.on_layout(u, layout, "gate", unitary=True)
     if len(layout) != 2:
         raise ValueError(f"teleportation route needs a bipartite layout, got {len(layout)} systems")
     d_a, d_b = layout.dims
     psi = _as_state(input, d_a * d_b)
-    expected = u @ psi
-    samples = _sample_count(branches)
-    fidelities, (i, j, output) = _run_branches(
-        _teleport_table(psi, u, d_a, d_b), expected, samples, make_rng(seed, stream=11)
-    )
+    fidelities, (i, j, output) = _run_branches(_teleport_table(psi, u, d_a, d_b), u @ psi, samples, rng)
     steps = (
         *_leg("Alice", ["input-A", "resource1-alice"], "generalized-bell", d_a, [*divmod(i, d_a)],
               ("shift-clock correction", "exponents", "resource1-bob")),
@@ -399,10 +396,8 @@ def _controlled_table(psi, form: ControlledForm, reps, group, phases):
     # row s keeps Alice's half at a = s; contiguous, so the sums below keep one order
     first = np.ascontiguousarray(state.transpose(2, 0, 1, 3))
     marginal = np.sum(np.abs(first) ** 2, axis=(1, 2, 3))
-    # Bob's recoil shift |x> -> |s - x mod m>
-    recoil = np.zeros((m, m, m), dtype=complex)
-    recoil[outcomes[:, None], (outcomes[:, None] - outcomes) % m, outcomes] = 1.0
-    first = np.einsum("syb,sctb->scty", recoil, first)
+    # Bob's recoil shift |x> -> |s - x mod m>, a gather: entry y of row s reads entry s - y mod m
+    first = np.take_along_axis(first, ((outcomes[:, None] - outcomes) % m)[:, None, None], axis=3)
     # Bob's half selects the target block: block g acts when it reads g
     first = np.einsum("bxt,sctb->scxb", np.stack(reps), first)
     fourier_rows = np.exp(2j * np.pi * outcomes[:, None] * outcomes[None, :] / m).conj() / math.sqrt(m)
@@ -430,6 +425,7 @@ def controlled_gate_protocol(form: ControlledForm, input, seed: int = 0, branche
     group the gate is a product: the same table runs it with no resource
     and no messages, and ``branches`` applies to it too.
     """
+    samples, rng = _sample_count(branches), make_rng(seed, stream=13)
     d_c, d_t, blocks = _validate_form(form, np.size(input))
     psi = _as_state(input, d_c * d_t)
     reps, group, phases = _merge_blocks(blocks, d_t)
@@ -437,11 +433,8 @@ def controlled_gate_protocol(form: ControlledForm, input, seed: int = 0, branche
     # a form within VERDICT_RTOL of unitary moves the norm of form.apply(psi) by as much
     expected = form.apply(psi)
     expected /= np.linalg.norm(expected)
-
-    samples = _sample_count(branches)
-    fidelities, (s, t, output) = _run_branches(
-        _controlled_table(psi, form, reps, group, phases), expected, samples, make_rng(seed, stream=13)
-    )
+    table = _controlled_table(psi, form, reps, group, phases)
+    fidelities, (s, t, output) = _run_branches(table, expected, samples, rng)
     if m == 1:
         steps = (
             _rotation("r"),

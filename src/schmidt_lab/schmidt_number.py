@@ -95,7 +95,7 @@ def state_schmidt_rank(vector, layout, cut, tol: float = RANK_RTOL) -> int:
     mx.checked_tol(tol)
     layout = SystemLayout.of(layout)
     grouping = mx.cut_order(layout, cut)[1:]
-    vector = np.asarray(vector, dtype=complex).reshape(1, -1)
+    vector = mx._require_finite(vector, "state").reshape(1, -1)
     if vector.shape[1] != layout.total:
         raise ValueError(f"state must have dimension {layout.total}, got {vector.shape[1]}")
     return numerical_rank(_state_singular_values(vector, layout, grouping)[0], tol)
@@ -149,12 +149,12 @@ def max_output_schmidt_rank_search(
     if not mx._is_int(restarts) or restarts < 1:
         raise ValueError(f"restarts must be a positive integer, got {restarts!r}")
     mx.checked_tol(tol)
+    rng = make_rng(seed, stream=17)
     u, layout = mx.on_layout(u, layout, "gate", unitary=True)
     cut = Cut.of(u, layout, cut, tol)
     grouping = (cut.order, cut.dims)
     dims = layout.dims
     cap = min(*cut.dims, cut.report.rank)
-    rng = make_rng(seed, stream=17)
 
     best_states = None
     best_rank = -1

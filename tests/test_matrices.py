@@ -185,11 +185,12 @@ _ZERO = np.array([1.0, 0.0], dtype=complex)
         ("output", lambda bad: _verified_with_poisoned("output", bad)),
         # abs(nan - 1) > 1e-12 is False, so the norm test alone lets nan through
         ("local state 1", lambda bad: ProductInput.of([_ZERO, _poisoned(_ZERO, 0, bad)])),
+        ("state", lambda bad: state_schmidt_rank(_poisoned(_PSI, 3, bad), (2, 2), (0,))),
     ],
     ids=[
         "svd", "svd-stack", "leading_svd", "eigh", "null_space", "orthonormal_complement",
         "family_obstruction", "simultaneous_svd", "is_controlled", "operator_schmidt_decompose",
-        "teleport-input", "controlled-input", "verify-input", "verify-output", "ProductInput",
+        "teleport-input", "controlled-input", "verify-input", "verify-output", "ProductInput", "state_schmidt_rank",
     ],
 )
 def test_non_finite_entries_are_refused_by_name(name, call, bad):

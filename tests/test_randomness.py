@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from schmidt_lab import gates, schmidt
-from schmidt_lab.control import FUZZ_SUITES, fuzz_theorem_checks
-from schmidt_lab.protocols import teleport_unitary_protocol
+from schmidt_lab import gates, protocols, schmidt
+from schmidt_lab.control import FUZZ_SUITES, ControlledForm, fuzz_theorem_checks
+from schmidt_lab.protocols import controlled_gate_protocol, teleport_unitary_protocol
 from schmidt_lab.randomness import (
     haar_unitary,
     make_rng,
@@ -82,15 +82,30 @@ def test_seeded_entry_points_refuse_a_non_integer_seed():
 
 
 def test_a_non_integer_seed_is_named_before_any_gate_or_spectrum(monkeypatch):
-    # refused as given: no trial builds a gate and no bipartition takes an SVD first
+    # refused as given: no trial builds a gate, no bipartition or searched cut takes an SVD and no
+    # protocol builds its branch table first
     u, layout = gates.four_qubit_example()
+    rc, rc_layout = gates.random_controlled_unitary(2, 2, 2, seed=0)
+    form = ControlledForm(side=(0,), q=np.eye(2), r=np.eye(2), blocks=(np.eye(2), np.eye(2)[::-1]))
+    psi = random_state(4, make_rng(1))
 
     def never(*args, **kwargs):
         raise AssertionError("reached past the seed check")
 
-    for module, name in ((gates, "random_controlled_unitary"), (gates, "even_qubit_rank3"), (schmidt, "leading_svd")):
+    for module, name in (
+        (gates, "random_controlled_unitary"),
+        (gates, "even_qubit_rank3"),
+        (schmidt, "leading_svd"),
+        (protocols, "_teleport_table"),
+        (protocols, "_controlled_table"),
+    ):
         monkeypatch.setattr(module, name, never)
-    calls = [lambda suite=suite: fuzz_theorem_checks(suite, 2, seed=0.5) for suite in FUZZ_SUITES]
-    for call in calls + [lambda: multipartite_rank_bounds(u, layout, seed=0.5)]:
-        with pytest.raises(ValueError, match=r"^seed and stream must be integers, got 0\.5 and 0$"):
+    calls = [(0, lambda suite=suite: fuzz_theorem_checks(suite, 2, seed=0.5)) for suite in FUZZ_SUITES] + [
+        (0, lambda: multipartite_rank_bounds(u, layout, seed=0.5)),
+        (11, lambda: teleport_unitary_protocol(rc, rc_layout, psi, seed=0.5)),
+        (13, lambda: controlled_gate_protocol(form, psi, seed=0.5)),
+        (17, lambda: max_output_schmidt_rank_search(rc, rc_layout, (0,), seed=0.5)),
+    ]
+    for stream, call in calls:
+        with pytest.raises(ValueError, match=rf"^seed and stream must be integers, got 0\.5 and {stream}$"):
             call()
