@@ -92,8 +92,8 @@ def _rc_realignment(d):
 @pytest.mark.parametrize("tol", [1e-9, 1e-3])
 @pytest.mark.parametrize("m", [_rc_realignment(8), _rc_realignment(16), _rank_two_64()], ids=["rc-8", "rc-16", "rank-2-64"])
 def test_an_accepted_sketch_rebuilds_its_input_within_tau(m, tol):
-    # the reconstruction check leading_svd no longer makes, as an oracle 100 times tighter: svd's check
-    # of B and the exact tau bound it, and the left factor Q U_b is orthonormal
+    # svd's check of B and the exact tau bound the accepted factors' residual by tau + 1e-10 ||m||;
+    # asserted 100 times tighter, with the left factor Q U_b orthonormal
     u, s, vh, tau = fx.leading_svd(m, tol)
     assert tau > 0  # the sketch was taken and accepted
     assert np.linalg.norm(u @ (s[:, None] * vh) - m) <= tau + 1e-12 * np.linalg.norm(m)
